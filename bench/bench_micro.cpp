@@ -200,7 +200,7 @@ CcConfig MicroCcConfig(CcMode mode) {
   c.mode = mode;
   c.line_rate_gbps = 100.0;
   c.base_rtt = Microseconds(12);
-  return c;
+  return ResolveCcConfig(c);
 }
 
 PacketPtr IntAck(std::uint64_t seq, Time ts, std::uint64_t tx, bool reversed) {
@@ -216,7 +216,8 @@ PacketPtr IntAck(std::uint64_t seq, Time ts, std::uint64_t tx, bool reversed) {
 }
 
 void BM_HpccAckProcessing(benchmark::State& state) {
-  HpccAlgorithm cc(MicroCcConfig(CcMode::kHpcc));
+  const CcConfig config = MicroCcConfig(CcMode::kHpcc);
+  HpccAlgorithm cc(config);
   std::uint64_t seq = 1;
   Time ts = 0;
   std::uint64_t tx = 0;
@@ -231,7 +232,8 @@ void BM_HpccAckProcessing(benchmark::State& state) {
 BENCHMARK(BM_HpccAckProcessing);
 
 void BM_FnccAckProcessing(benchmark::State& state) {
-  FnccAlgorithm cc(MicroCcConfig(CcMode::kFncc));
+  const CcConfig config = MicroCcConfig(CcMode::kFncc);
+  FnccAlgorithm cc(config);
   std::uint64_t seq = 1;
   Time ts = 0;
   std::uint64_t tx = 0;
@@ -249,7 +251,7 @@ BENCHMARK(BM_FnccAckProcessing);
 // The per-packet receive hot path: an ACK arriving at a sender host must
 // resolve its flow and run the CC update. The new path is one indexed
 // flow-table load into a slot with the QP + CC state inline and a
-// CcMode-tagged (non-virtual) OnAck; the legacy baseline
+// CcMode-tagged OnAck; the legacy baseline
 // (bench/legacy_host_path.hpp) is the pre-change unordered_map find plus
 // virtual dispatch through two heap objects. Target: >= 1.5x items/sec at
 // the larger flow counts (gated by scripts/check_bench_regression.py).

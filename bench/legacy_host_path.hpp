@@ -1,11 +1,12 @@
 // The pre-flow-table receive path, kept as the A/B baseline for
 // BM_HostAckPath (the same role legacy_event_queue.hpp plays for the
 // scheduler benches): per-host std::unordered_map<FlowId, ...> flow lookup
-// and a virtual CcAlgorithm::OnAck behind a unique_ptr, so every ACK pays
-// two dependent pointer chases (map node -> QP -> heap CC object) plus an
-// indirect vtable branch. The replacement (transport/flow_table.hpp +
-// core/cc_inline.hpp) resolves the same ACK with one indexed load into a
-// slot whose QP and CC state are laid out inline.
+// and a virtual OnAck on a heap CC object that owns its config copy, so
+// every ACK pays two dependent pointer chases (map node -> QP -> heap CC
+// object) plus an indirect vtable branch. The replacement
+// (transport/flow_table.hpp + core/congestion_control.hpp) resolves the
+// same ACK with one indexed load into a slot whose QP and CC state are
+// laid out inline.
 //
 // Bench-only code: not part of the library, never built into fncc_core.
 #pragma once
@@ -16,10 +17,31 @@
 #include <utility>
 
 #include "cc/cc_algorithm.hpp"
-#include "core/cc_factory.hpp"
+#include "core/congestion_control.hpp"
 #include "net/packet.hpp"
 
 namespace fncc::bench {
+
+/// The baseline's CC object: reached through a vtable, heap-allocated per
+/// flow and owning a copy of its config — the three costs the inline
+/// CongestionControl in a flow-table slot avoids.
+class LegacyCc {
+ public:
+  LegacyCc(const CcConfig& config, Simulator* sim)
+      : config_(ResolveCcConfig(config)), cc_(config_, sim) {}
+  virtual ~LegacyCc() = default;
+
+  virtual void OnAck(const Packet& ack, std::uint64_t snd_nxt) {
+    cc_.OnAck(ack, snd_nxt);
+  }
+  virtual void OnCnp() { cc_.OnCnp(); }
+  [[nodiscard]] bool uses_window() const { return cc_.uses_window(); }
+  [[nodiscard]] double window_bytes() const { return cc_.window_bytes(); }
+
+ private:
+  const CcConfig config_;
+  CongestionControl cc_;
+};
 
 /// The sender-side state the old Host kept per flow: a heap QP holding a
 /// heap CC algorithm dispatched virtually. HandleAck replays the
@@ -32,7 +54,7 @@ struct LegacyQp {
   std::uint64_t size_bytes = 0;
   std::uint64_t asymmetric_acks = 0;
   bool complete = false;
-  std::unique_ptr<CcAlgorithm> cc;
+  std::unique_ptr<LegacyCc> cc;
 
   void HandleAck(const Packet& ack) {
     if (complete) return;
@@ -65,7 +87,7 @@ class LegacyHostModel {
     auto qp = std::make_unique<LegacyQp>();
     qp->snd_nxt = snd_nxt;
     qp->size_bytes = snd_nxt;  // all data sent, awaiting ACKs
-    qp->cc = MakeCcAlgorithm(config, sim);
+    qp->cc = std::make_unique<LegacyCc>(config, sim);
     qps_.emplace(id, std::move(qp));
     return id;
   }

@@ -24,7 +24,8 @@ defaults too, or edit DEFAULT_PAIRS in this script.
 
 Required families: every gated family (both sides of each pair) plus the
 standalone families listed in --require (default BM_SwitchForward,
-BM_FctSink, BM_StreamingLaunch) must be present in BOTH files. A gated benchmark that silently vanishes from the
+BM_FctSink, BM_StreamingLaunch, BM_FnccAckProcessing, BM_HpccAckProcessing)
+must be present in BOTH files. A gated benchmark that silently vanishes from the
 current JSON is an error, not a pass — a deleted or renamed benchmark must
 be removed from the gate deliberately.
 
@@ -34,7 +35,7 @@ Usage:
 
 The current run must include the new and the legacy benchmarks of every
 pair plus the required families, e.g.
-  --benchmark_filter='EventQueueScheduleRun|HostAckPath|SwitchForward|FctSink|StreamingLaunch'
+  --benchmark_filter='EventQueueScheduleRun|HostAckPath|SwitchForward|FctSink|StreamingLaunch|FnccAckProcessing|HpccAckProcessing'
 
 Wall-time entries (benchmark names containing 'WallTime' / 'wall_time')
 are only comparable between runs that used the same thread count. Both
@@ -67,8 +68,11 @@ DEFAULT_PAIRS = [
 # BM_FctSink / BM_StreamingLaunch are presence-gated only: the streaming
 # FCT pipeline has no legacy in-binary counterpart to form a
 # machine-independent ratio with, but the benches silently vanishing from
-# a recording must still fail the gate.
-DEFAULT_REQUIRED = ["BM_SwitchForward", "BM_FctSink", "BM_StreamingLaunch"]
+# a recording must still fail the gate. The same holds for the per-ACK CC
+# microbenches, which the end-to-end benchmark's cc.ack_ns.* metrics read
+# by name.
+DEFAULT_REQUIRED = ["BM_SwitchForward", "BM_FctSink", "BM_StreamingLaunch",
+                    "BM_FnccAckProcessing", "BM_HpccAckProcessing"]
 
 
 def is_wall_time(name: str) -> bool:

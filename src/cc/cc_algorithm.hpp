@@ -1,12 +1,11 @@
-// Congestion-control strategy interface. A sender QP owns one instance; the
-// algorithm owns the pacing rate / window it computes and the QP consults
-// them before each transmission.
+// Congestion-control modes, the per-flow config, and the state every
+// algorithm shares. A sender QP owns one CongestionControl (see
+// core/congestion_control.hpp); the algorithm it holds owns the pacing rate
+// / window it computes and the QP consults them before each transmission.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 
 #include "net/packet.hpp"
@@ -76,10 +75,10 @@ struct TimelyParams {
 };
 
 /// Constants the HPCC-family per-ACK path derives from the plain config
-/// fields. Resolved once by the HpccAlgorithm constructor — before the
-/// flow table interns the config — so every flow of a scenario reads them
-/// from the one shared pooled line instead of carrying ~2 cache lines of
-/// identical copies in its own per-ACK footprint.
+/// fields. Filled by ResolveCcConfig before the flow table interns the
+/// config, so every flow of a scenario reads them from the one shared
+/// pooled line instead of carrying ~2 cache lines of identical copies in
+/// its own per-ACK footprint.
 struct HpccDerivedConsts {
   double t_sec = 0.0;            // ToSeconds(base_rtt), the T of Alg. 3
   double wai_bytes = 0.0;        // resolved W_AI (auto rule applied)
@@ -111,9 +110,9 @@ struct CcConfig {
   double lhcs_alpha = 1.05;
   double lhcs_beta = 0.9;
 
-  /// Derived per-ACK constants (HPCC family); filled by the algorithm
-  /// constructor, equal whenever the fields above are equal, so interning
-  /// still pools flows correctly.
+  /// Derived per-ACK constants (HPCC family); filled by ResolveCcConfig,
+  /// equal whenever the fields above are equal, so interning still pools
+  /// flows correctly.
   HpccDerivedConsts hpcc_derived;
 
   DcqcnParams dcqcn;
@@ -127,6 +126,12 @@ struct CcConfig {
   }
 };
 
+/// Fills everything the algorithms derive from the plain fields: HPCC's
+/// HpccDerivedConsts (HPCC and both FNCC modes) and Timely's auto-scaled
+/// RTT thresholds. Idempotent. FlowTable::Register resolves before it
+/// interns, so every algorithm reads a config that is already final.
+[[nodiscard]] CcConfig ResolveCcConfig(CcConfig config);
+
 /// The two per-flow control words every transmission decision reads and
 /// every ACK may write. They normally live *outside* the algorithm object,
 /// in the flow table's dense hot-row array (one cache line per flow slot,
@@ -138,40 +143,17 @@ struct CcHotWords {
   double window_bytes = 0.0;
 };
 
-/// Base class for all schemes. Algorithms expose a pacing rate and an
-/// optional window; the QP enforces both.
+/// State every algorithm shares: a pacing rate, an optional window and the
+/// config. Not polymorphic — CongestionControl (core/congestion_control.hpp)
+/// holds the concrete algorithm and dispatches on its CcMode.
 ///
-/// Layout is hot/cold split: the per-ACK path touches only the first bytes
-/// of the object (vptr, hot-word pointer, config pointer, window flag), so
-/// a derived class's own per-ACK scalars share the object's first cache
-/// line. Everything cold after construction — the fallback hot words, the
-/// owned config copy, the on_update callback — lives behind one pointer in
-/// a side allocation.
-class CcAlgorithm {
+/// The per-ACK path touches only the first bytes of the object (flags,
+/// hot-word pointer, config pointer), so a derived class's own per-ACK
+/// scalars share the object's first cache line.
+class CcBase {
  public:
-  explicit CcAlgorithm(const CcConfig& config)
-      : cold_(std::make_unique<ColdParts>(config)) {
-    words_ = &cold_->own_words;
-    config_ = &cold_->owned_config;
-  }
-  virtual ~CcAlgorithm() = default;
-  CcAlgorithm(const CcAlgorithm&) = delete;
-  CcAlgorithm& operator=(const CcAlgorithm&) = delete;
-
-  /// Called for every (cumulative) ACK. `snd_nxt` is the sender's next new
-  /// sequence number, used by HPCC's per-RTT reference-window bookkeeping.
-  virtual void OnAck(const Packet& ack, std::uint64_t snd_nxt) = 0;
-
-  /// DCQCN congestion notification packet.
-  virtual void OnCnp() {}
-
-  /// Bytes handed to the NIC (drives DCQCN's byte counter).
-  virtual void OnBytesSent(std::uint64_t /*bytes*/) {}
-
-  /// Flow finished: cancel any self-rescheduling timers.
-  virtual void Shutdown() {}
-
-  [[nodiscard]] virtual const char* name() const = 0;
+  CcBase(const CcBase&) = delete;
+  CcBase& operator=(const CcBase&) = delete;
 
   /// Current pacing rate in Gbps. Always valid.
   [[nodiscard]] double rate_gbps() const { return words_->rate_gbps; }
@@ -179,8 +161,7 @@ class CcAlgorithm {
   /// In-flight byte cap; only meaningful when uses_window() is true.
   [[nodiscard]] double window_bytes() const { return words_->window_bytes; }
 
-  /// Whether the scheme enforces a window. Not virtual: consulted before
-  /// every transmission, so it is a constructor-set flag read inline.
+  /// Whether the scheme enforces a window (set by the constructor).
   [[nodiscard]] bool uses_window() const { return uses_window_; }
 
   /// Relocate the hot words into an externally owned slot (the flow
@@ -192,62 +173,33 @@ class CcAlgorithm {
     words_ = words;
   }
 
-  /// Swap the owned config copy for a pooled one with identical values
-  /// (FlowTable interns the post-construction config, so auto-resolved
-  /// params — e.g. Timely's RTT thresholds — are already final). A pure
-  /// relocation: every subsequent read sees the same values from a line
-  /// shared by all flows of the scenario. The owned copy stays allocated,
-  /// so nothing dangles if the caller's pool dies first.
-  void AdoptSharedConfig(const CcConfig& shared) {
-    assert(shared == *config_ && "interned config must be value-identical");
-    config_ = &shared;
-  }
-
   [[nodiscard]] const CcConfig& config() const { return *config_; }
 
-  /// Set by the QP; algorithms invoke it (NotifyUpdate) after asynchronous
-  /// timer-driven rate increases so a pacing-blocked QP can re-arm earlier.
-  void set_on_update(std::function<void()> fn) {
-    cold_->on_update = std::move(fn);
-  }
-
  protected:
-  [[nodiscard]] const CcConfig& cfg() const { return *config_; }
-
-  /// Constructor-time only: resolve auto-scaled params in the owned copy.
-  /// Must never be called after AdoptSharedConfig (the pool interns the
-  /// resolved values; mutating afterwards would desynchronize flows).
-  [[nodiscard]] CcConfig& mutable_config() {
-    assert(config_ == &cold_->owned_config &&
-           "config already shared; constructor-time resolution only");
-    return cold_->owned_config;
+  /// `config` must already be resolved (ResolveCcConfig) and outlive the
+  /// algorithm: it is read, never copied. Every algorithm deletes its
+  /// constructor overload for an rvalue config, so a temporary cannot bind.
+  explicit CcBase(const CcConfig& config) : config_(&config) {
+    assert(ResolveCcConfig(config) == config && "config not resolved");
   }
+  ~CcBase() = default;
+
+  [[nodiscard]] const CcConfig& cfg() const { return *config_; }
 
   [[nodiscard]] double& rate_mut() { return words_->rate_gbps; }
   [[nodiscard]] double& window_mut() { return words_->window_bytes; }
 
-  void NotifyUpdate() {
-    if (cold_->on_update) cold_->on_update();
-  }
-
   bool uses_window_ = false;  // set once by window-based schemes' ctors
 
-  /// Spare constructor-set flag packed into the base's first-line padding,
-  /// for a derived scheme's hottest boolean (FNCC: "LHCS enabled"). Keeps
-  /// the per-ACK hook off the object's cold tail lines.
+  /// Spare constructor-set flag in the object's first bytes, for a derived
+  /// scheme's hottest boolean (FNCC: "LHCS enabled"). Keeps the per-ACK
+  /// hook off the object's cold tail lines.
   bool scheme_flag_ = false;
 
  private:
-  struct ColdParts {
-    explicit ColdParts(const CcConfig& c) : owned_config(c) {}
-    CcHotWords own_words;   // fallback target until BindHotWords
-    CcConfig owned_config;  // fallback source until AdoptSharedConfig
-    std::function<void()> on_update;
-  };
-
-  CcHotWords* words_ = nullptr;        // -> flow-table row or own_words
-  const CcConfig* config_ = nullptr;   // -> pooled config or owned_config
-  std::unique_ptr<ColdParts> cold_;
+  CcHotWords* words_ = &own_words_;  // -> flow-table row or own_words_
+  const CcConfig* config_;           // -> the flow table's interned copy
+  CcHotWords own_words_;             // target until BindHotWords
 };
 
 }  // namespace fncc

@@ -5,7 +5,7 @@
 namespace fncc {
 
 DcqcnAlgorithm::DcqcnAlgorithm(const CcConfig& config, Simulator* sim)
-    : CcAlgorithm(config), sim_(sim) {
+    : CcBase(config), sim_(sim) {
   rate_mut() = cfg().line_rate_gbps;
   rt_gbps_ = cfg().line_rate_gbps;
   ArmAlphaTimer();
@@ -19,10 +19,6 @@ void DcqcnAlgorithm::Shutdown() {
   shut_down_ = true;
   sim_->Cancel(alpha_event_);
   sim_->Cancel(increase_event_);
-}
-
-void DcqcnAlgorithm::OnAck(const Packet&, std::uint64_t) {
-  // DCQCN reacts to CNPs and timers only.
 }
 
 void DcqcnAlgorithm::OnCnp() {
@@ -117,7 +113,7 @@ void DcqcnAlgorithm::IncreaseEvent() {
     rt_gbps_ = std::min(line, rt_gbps_ + line * cfg().dcqcn.rate_ai_fraction);
   }
   rate_mut() = std::min(line, (rate_mut() + rt_gbps_) / 2.0);
-  NotifyUpdate();
+  if (on_update_ != nullptr) on_update_(update_ctx_);
 }
 
 }  // namespace fncc

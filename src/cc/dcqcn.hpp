@@ -10,15 +10,23 @@
 
 namespace fncc {
 
-class DcqcnAlgorithm final : public CcAlgorithm {
+class DcqcnAlgorithm final : public CcBase {
  public:
-  DcqcnAlgorithm(const CcConfig& config, Simulator* sim);
-  ~DcqcnAlgorithm() override;
+  /// Called after every rate increase so a pacing-blocked QP can re-arm
+  /// earlier. A plain function pointer plus context: nothing allocated.
+  using UpdateHook = void (*)(void* ctx);
 
-  void OnAck(const Packet& ack, std::uint64_t snd_nxt) override;
-  void OnCnp() override;
-  void OnBytesSent(std::uint64_t bytes) override;
-  [[nodiscard]] const char* name() const override { return "DCQCN"; }
+  DcqcnAlgorithm(const CcConfig& config, Simulator* sim);
+  DcqcnAlgorithm(const CcConfig&& config, Simulator* sim) = delete;
+  ~DcqcnAlgorithm();
+
+  void OnCnp();
+  void OnBytesSent(std::uint64_t bytes);
+
+  void BindUpdateHook(UpdateHook hook, void* ctx) {
+    on_update_ = hook;
+    update_ctx_ = ctx;
+  }
 
   [[nodiscard]] double alpha() const { return alpha_; }
   [[nodiscard]] double target_rate_gbps() const { return rt_gbps_; }
@@ -26,7 +34,7 @@ class DcqcnAlgorithm final : public CcAlgorithm {
   [[nodiscard]] int byte_stage() const { return b_stage_; }
 
   /// Stops the periodic timers (flow finished).
-  void Shutdown() override;
+  void Shutdown();
 
  private:
   // TypedEvent trampolines: the periodic timers fire closure-free.
@@ -48,6 +56,8 @@ class DcqcnAlgorithm final : public CcAlgorithm {
   EventId alpha_event_ = kInvalidEventId;
   EventId increase_event_ = kInvalidEventId;
   bool shut_down_ = false;
+  UpdateHook on_update_ = nullptr;
+  void* update_ctx_ = nullptr;
 };
 
 }  // namespace fncc

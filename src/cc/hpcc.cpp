@@ -5,19 +5,9 @@
 
 namespace fncc {
 
-HpccAlgorithm::HpccAlgorithm(const CcConfig& config) : CcAlgorithm(config) {
-  const double bdp = cfg().BdpBytesValue();
-  // Constructor-time resolution into the (not yet shared) config: once the
-  // flow table interns it, every flow reads these derived constants from
-  // the same pooled cache line.
-  HpccDerivedConsts& d = mutable_config().hpcc_derived;
-  d.t_sec = ToSeconds(cfg().base_rtt);
-  d.max_window_bytes = bdp;
-  d.min_window_bytes = cfg().min_window_fraction_of_mtu * cfg().mtu_bytes;
-  d.wai_bytes = cfg().wai_bytes > 0
-                    ? cfg().wai_bytes
-                    : bdp * (1.0 - cfg().eta) / 4.0;
+HpccAlgorithm::HpccAlgorithm(const CcConfig& config) : CcBase(config) {
   // W_init = B * T: start at line rate, as HPCC does.
+  const double bdp = cfg().hpcc_derived.max_window_bytes;
   window_mut() = bdp;
   wc_bytes_ = bdp;
   rate_mut() = cfg().line_rate_gbps;

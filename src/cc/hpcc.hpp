@@ -2,11 +2,9 @@
 // FNCC paper (which is HPCC's reaction point plus the FNCC hooks). FNCC
 // derives from this class and shadows the reference-window hook.
 //
-// The per-ACK path is devirtualized: OnAckImpl<Self> resolves the UpdateWc
-// hook statically (Self = HpccAlgorithm or the final FnccAlgorithm), so an
-// ACK processed through OnAckFast() makes no virtual calls. The virtual
-// OnAck override simply forwards, keeping the CcAlgorithm interface intact
-// for tests and extensions.
+// OnAckImpl<Self> resolves the UpdateWc hook statically (Self =
+// HpccAlgorithm or the final FnccAlgorithm), so an ACK makes no indirect
+// calls.
 #pragma once
 
 #include <algorithm>
@@ -18,18 +16,14 @@
 
 namespace fncc {
 
-class HpccAlgorithm : public CcAlgorithm {
+class HpccAlgorithm : public CcBase {
  public:
   explicit HpccAlgorithm(const CcConfig& config);
+  explicit HpccAlgorithm(const CcConfig&& config) = delete;
 
-  void OnAck(const Packet& ack, std::uint64_t snd_nxt) override {
-    OnAckFast(ack, snd_nxt);
-  }
-  /// Devirtualized per-ACK entry (the flow-table hot path).
-  void OnAckFast(const Packet& ack, std::uint64_t snd_nxt) {
+  void OnAck(const Packet& ack, std::uint64_t snd_nxt) {
     OnAckImpl<HpccAlgorithm>(ack, snd_nxt);
   }
-  [[nodiscard]] const char* name() const override { return "HPCC"; }
 
   /// Normalized in-flight estimate U (EWMA), exposed for tests.
   [[nodiscard]] double utilization_estimate() const { return u_ewma_; }
@@ -42,8 +36,8 @@ class HpccAlgorithm : public CcAlgorithm {
   /// 0-or-2x noisy). Returns true when the reference window was snapped to
   /// the fair share — the window then adopts it directly ("directly set to
   /// the final convergence value", §3.2.2) instead of the MI/AI branches.
-  /// Not virtual: FnccAlgorithm shadows it and OnAckImpl<Self> selects the
-  /// shadow statically.
+  /// FnccAlgorithm shadows it and OnAckImpl<Self> selects the shadow
+  /// statically.
   bool UpdateWc(const Packet& /*ack*/, const IntView& /*view*/,
                 const std::array<double, kMaxIntHops>& /*link_u*/,
                 std::size_t /*hops*/) {
@@ -79,8 +73,8 @@ class HpccAlgorithm : public CcAlgorithm {
   }
   [[nodiscard]] double t_sec() const { return cfg().hpcc_derived.t_sec; }
 
-  // Hot per-ACK scalars first: with the slim CcAlgorithm base (vptr plus
-  // the hot-word/config pointers and flag byte) everything down to
+  // Hot per-ACK scalars first: with the slim CcBase (flag bytes, the
+  // hot-word/config pointers and the fallback words) everything down to
   // prev_hops_ shares the object's first cache line.
   double wc_bytes_ = 0.0;  // reference window W^c
 

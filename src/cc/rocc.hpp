@@ -8,15 +8,15 @@
 
 namespace fncc {
 
-class RoccAlgorithm final : public CcAlgorithm {
+class RoccAlgorithm final : public CcBase {
  public:
   RoccAlgorithm(const CcConfig& config, Simulator* sim)
-      : CcAlgorithm(config), sim_(sim) {
+      : CcBase(config), sim_(sim) {
     rate_mut() = cfg().line_rate_gbps;
   }
+  RoccAlgorithm(const CcConfig&& config, Simulator* sim) = delete;
 
-  void OnAck(const Packet& ack, std::uint64_t snd_nxt) override;
-  [[nodiscard]] const char* name() const override { return "RoCC"; }
+  void OnAck(const Packet& ack, std::uint64_t snd_nxt);
 
  private:
   Simulator* sim_;

@@ -6,7 +6,7 @@ namespace fncc {
 
 SwiftAlgorithm::SwiftAlgorithm(const CcConfig& config, Simulator* sim,
                                SwiftParams params)
-    : CcAlgorithm(config), sim_(sim), params_(params) {
+    : CcBase(config), sim_(sim), params_(params) {
   target_delay_ = static_cast<Time>(
       static_cast<double>(cfg().base_rtt) * params_.target_rtt_multiple);
   max_window_bytes_ = cfg().BdpBytesValue() * 1.2;

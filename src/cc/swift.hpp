@@ -20,13 +20,14 @@ struct SwiftParams {
   double min_window_mtus = 0.1;
 };
 
-class SwiftAlgorithm final : public CcAlgorithm {
+class SwiftAlgorithm final : public CcBase {
  public:
   SwiftAlgorithm(const CcConfig& config, Simulator* sim,
                  SwiftParams params = {});
+  SwiftAlgorithm(const CcConfig&& config, Simulator* sim,
+                 SwiftParams params = {}) = delete;
 
-  void OnAck(const Packet& ack, std::uint64_t snd_nxt) override;
-  [[nodiscard]] const char* name() const override { return "Swift"; }
+  void OnAck(const Packet& ack, std::uint64_t snd_nxt);
 
   [[nodiscard]] Time target_delay() const { return target_delay_; }
   [[nodiscard]] std::uint64_t decreases() const { return decreases_; }

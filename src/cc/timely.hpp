@@ -7,21 +7,17 @@
 
 namespace fncc {
 
-class TimelyAlgorithm final : public CcAlgorithm {
+class TimelyAlgorithm final : public CcBase {
  public:
+  /// The auto-scaled thresholds (TimelyParams zeros) are already filled in
+  /// by ResolveCcConfig.
   TimelyAlgorithm(const CcConfig& config, Simulator* sim)
-      : CcAlgorithm(config), sim_(sim) {
+      : CcBase(config), sim_(sim) {
     rate_mut() = cfg().line_rate_gbps;
-    // Resolve the auto-scaled thresholds into the owned copy now, before
-    // the flow table interns the (resolved) config for sharing.
-    TimelyParams& p = mutable_config().timely;
-    if (p.min_rtt == 0) p.min_rtt = cfg().base_rtt;
-    if (p.t_low == 0) p.t_low = cfg().base_rtt * 3 / 2;
-    if (p.t_high == 0) p.t_high = cfg().base_rtt * 5;
   }
+  TimelyAlgorithm(const CcConfig&& config, Simulator* sim) = delete;
 
-  void OnAck(const Packet& ack, std::uint64_t snd_nxt) override;
-  [[nodiscard]] const char* name() const override { return "Timely"; }
+  void OnAck(const Packet& ack, std::uint64_t snd_nxt);
 
   [[nodiscard]] double normalized_gradient() const { return gradient_; }
 

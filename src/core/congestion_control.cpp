@@ -1,36 +1,55 @@
-#include "core/cc_factory.hpp"
+#include "core/congestion_control.hpp"
 
-#include <cassert>
-
-#include "cc/dcqcn.hpp"
-#include "cc/hpcc.hpp"
-#include "cc/rocc.hpp"
-#include "cc/swift.hpp"
-#include "cc/timely.hpp"
-#include "core/fncc.hpp"
+#include <new>
 
 namespace fncc {
 
-std::unique_ptr<CcAlgorithm> MakeCcAlgorithm(const CcConfig& config,
-                                             Simulator* sim) {
-  assert(config.base_rtt > 0 && "base_rtt must be resolved per flow");
-  switch (config.mode) {
+CongestionControl::CongestionControl(const CcConfig& config, Simulator* sim)
+    : mode_(config.mode) {
+  switch (mode_) {
     case CcMode::kFncc:
-      return std::make_unique<FnccAlgorithm>(config, /*enable_lhcs=*/true);
     case CcMode::kFnccNoLhcs:
-      return std::make_unique<FnccAlgorithm>(config, /*enable_lhcs=*/false);
+      ::new (&u_.fncc) FnccAlgorithm(config, mode_ == CcMode::kFncc);
+      return;
     case CcMode::kHpcc:
-      return std::make_unique<HpccAlgorithm>(config);
+      ::new (&u_.hpcc) HpccAlgorithm(config);
+      return;
     case CcMode::kDcqcn:
-      return std::make_unique<DcqcnAlgorithm>(config, sim);
+      ::new (&u_.dcqcn) DcqcnAlgorithm(config, sim);
+      return;
     case CcMode::kRocc:
-      return std::make_unique<RoccAlgorithm>(config, sim);
+      ::new (&u_.rocc) RoccAlgorithm(config, sim);
+      return;
     case CcMode::kTimely:
-      return std::make_unique<TimelyAlgorithm>(config, sim);
+      ::new (&u_.timely) TimelyAlgorithm(config, sim);
+      return;
     case CcMode::kSwift:
-      return std::make_unique<SwiftAlgorithm>(config, sim);
+      ::new (&u_.swift) SwiftAlgorithm(config, sim);
+      return;
   }
-  return nullptr;
+}
+
+CongestionControl::~CongestionControl() {
+  if (mode_ == CcMode::kDcqcn) u_.dcqcn.~DcqcnAlgorithm();
+}
+
+CcBase& CongestionControl::base() {
+  switch (mode_) {
+    case CcMode::kFncc:
+    case CcMode::kFnccNoLhcs:
+      break;
+    case CcMode::kHpcc:
+      return u_.hpcc;
+    case CcMode::kDcqcn:
+      return u_.dcqcn;
+    case CcMode::kRocc:
+      return u_.rocc;
+    case CcMode::kTimely:
+      return u_.timely;
+    case CcMode::kSwift:
+      return u_.swift;
+  }
+  return u_.fncc;
 }
 
 void ApplySwitchFeatures(CcMode mode, double line_rate_gbps,

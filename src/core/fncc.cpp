@@ -9,8 +9,8 @@ FnccAlgorithm::FnccAlgorithm(const CcConfig& config, bool enable_lhcs)
   scheme_flag_ = enable_lhcs;
 }
 
-// (UpdateWc is a non-virtual shadow of the HpccAlgorithm hook; see
-// OnAckImpl<Self> in cc/hpcc.hpp for the static dispatch.)
+// (UpdateWc shadows the HpccAlgorithm hook; see OnAckImpl<Self> in
+// cc/hpcc.hpp for the static dispatch.)
 
 bool FnccAlgorithm::UpdateWc(const Packet& ack, const IntView& view,
                              const std::array<double, kMaxIntHops>& link_u,

@@ -19,25 +19,19 @@ class FnccAlgorithm final : public HpccAlgorithm {
   /// `enable_lhcs` = false gives the "FNCC without LHCS" ablation of
   /// Fig. 13 (fast notification only).
   explicit FnccAlgorithm(const CcConfig& config, bool enable_lhcs = true);
+  explicit FnccAlgorithm(const CcConfig&& config, bool enable_lhcs = true) =
+      delete;
 
-  void OnAck(const Packet& ack, std::uint64_t snd_nxt) override {
-    OnAckFast(ack, snd_nxt);
-  }
-  /// Devirtualized per-ACK entry: statically binds the LHCS UpdateWc hook
-  /// below (the class is final, so nothing can re-virtualize it).
-  void OnAckFast(const Packet& ack, std::uint64_t snd_nxt) {
+  /// Statically binds the LHCS UpdateWc hook below.
+  void OnAck(const Packet& ack, std::uint64_t snd_nxt) {
     OnAckImpl<FnccAlgorithm>(ack, snd_nxt);
-  }
-
-  [[nodiscard]] const char* name() const override {
-    return lhcs_enabled() ? "FNCC" : "FNCC-noLHCS";
   }
 
   /// Stored in the base's first-line spare flag (scheme_flag_): the only
   /// per-flow LHCS state the per-ACK hook reads, so UpdateWc never touches
   /// this object's tail lines unless it actually triggers.
   [[nodiscard]] bool lhcs_enabled() const { return scheme_flag_; }
-  /// Number of times LHCS snapped the window to the fair share (tests).
+  /// Number of times LHCS snapped the window to the fair share.
   [[nodiscard]] std::uint64_t lhcs_triggers() const { return lhcs_triggers_; }
 
   /// Alg. 2: hop detection + fair-share jump. Shadows the HpccAlgorithm

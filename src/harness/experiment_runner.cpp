@@ -9,7 +9,6 @@
 #include <set>
 #include <unordered_map>
 
-#include "core/fncc.hpp"
 #include "exec/domain_scheduler.hpp"
 #include "exec/sweep_runner.hpp"
 #include "exec/wall_timer.hpp"
@@ -213,10 +212,7 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
         // Every completion is a live registered flow; harvest the frozen
         // QP counters before the slot goes away.
         result.asymmetric_acks += it->second.qp->asymmetric_acks();
-        if (const auto* fncc =
-                dynamic_cast<const FnccAlgorithm*>(&it->second.qp->cc())) {
-          result.lhcs_triggers += fncc->lhcs_triggers();
-        }
+        result.lhcs_triggers += it->second.qp->cc().lhcs_triggers();
         const FlowId table_id = r.spec.id;
         // Re-stamp with the dense launch serial — the id the eager path
         // would have minted — so streamed records and CSV rows are
@@ -437,18 +433,14 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
   // accounting silently dropped them.
   for (SenderQp* qp : qps) {
     result.asymmetric_acks += qp->asymmetric_acks();
-    if (const auto* fncc = dynamic_cast<const FnccAlgorithm*>(&qp->cc())) {
-      result.lhcs_triggers += fncc->lhcs_triggers();
-    }
+    result.lhcs_triggers += qp->cc().lhcs_triggers();
   }
   // Streaming: completed flows were harvested at drain time; what's left
   // in `live` is the incomplete tail (timed out). The sums are integers,
   // so the map's iteration order doesn't matter.
   for (const auto& [id, lf] : live) {
     result.asymmetric_acks += lf.qp->asymmetric_acks();
-    if (const auto* fncc = dynamic_cast<const FnccAlgorithm*>(&lf.qp->cc())) {
-      result.lhcs_triggers += fncc->lhcs_triggers();
-    }
+    result.lhcs_triggers += lf.qp->cc().lhcs_triggers();
   }
   result.events_processed = sim.events_processed();
   result.pdes_windows = sim.windows_executed();

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "core/ack_format.hpp"
-#include "core/cc_factory.hpp"
+#include "core/congestion_control.hpp"
 
 namespace fncc {
 

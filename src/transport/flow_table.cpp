@@ -64,12 +64,12 @@ SenderQp* FlowTable::Register(Host* host, FlowSpec spec,
   // caller that recycles slots (the streaming launcher) pre-stamps the
   // true dense serial instead.
   if (spec.launch_serial == 0) spec.launch_serial = spec.id;
-  SenderQp* qp = ::new (s.qp_mem) SenderQp(host, spec, cc_config, &row);
+  // Intern the *resolved* config: derived constants (HPCC's, Timely's RTT
+  // thresholds) are final before any flow reads them, so value-identical
+  // flows collapse onto one pooled copy.
+  const CcConfig& config = InternConfig(ResolveCcConfig(cc_config));
+  SenderQp* qp = ::new (s.qp_mem) SenderQp(host, spec, config, &row);
   s.qp_live = true;
-  // Intern the *post-construction* config: auto-resolved params (e.g.
-  // Timely's RTT thresholds) are final now, so value-identical flows
-  // collapse onto one pooled copy. Pure relocation — same values.
-  qp->cc().AdoptSharedConfig(InternConfig(qp->cc().config()));
   return qp;
 }
 

@@ -8,10 +8,10 @@
 //     plus a generation compare — no hashing, no pointer chasing.
 //   - SoA hot/cold split: each slot has a 64-byte HotFlowRow (see
 //     transport/hot_flow.hpp) in a parallel dense array holding everything
-//     the per-ACK path touches — generation, CC mode tag, rate/window
-//     words, seq/ack cursors, flow size. The slot block keeps the cold
-//     state: the in-place SenderQp (pacing/RTO/completion machinery, the
-//     CC algorithm object) and the receiver-side RecvCtx. Register/Release
+//     the per-ACK path touches — generation, rate/window words, seq/ack
+//     cursors, flow size. The slot block keeps the cold state: the
+//     in-place SenderQp (pacing/RTO/completion machinery, the CC
+//     algorithm object) and the receiver-side RecvCtx. Register/Release
 //     keep the two views coherent (row.generation always equals the slot's
 //     generation; a slot without a live sender has row.qp == nullptr).
 //   - Flows register at start: Register() mints the FlowId and constructs
@@ -30,10 +30,11 @@
 //     and the receiver (RecvCtx). A Host constructed without a table makes
 //     its own — an escape hatch for single-host tests only; two hosts with
 //     separate tables cannot exchange registered flows.
-//   - Config interning: Register() pools one CcConfig per distinct value
-//     (post-construction, so auto-resolved params are final) and points
-//     every flow's algorithm at the pooled copy — a sweep's thousands of
-//     identical ~250-byte configs collapse to one L1-resident line set.
+//   - Config interning: Register() resolves the config (ResolveCcConfig),
+//     pools one copy per distinct resolved value and hands the pooled copy
+//     to the flow's algorithm — a sweep's thousands of identical ~250-byte
+//     configs collapse to one L1-resident line set. Pooled configs live as
+//     long as the table, so they outlive every QP that reads them.
 //   - Slot stability: slots and hot rows live in fixed-size blocks that
 //     are never reallocated, so SenderQp*/RecvCtx*/HotFlowRow* remain
 //     valid for the table's lifetime (pending TypedEvents hold raw

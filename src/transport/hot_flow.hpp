@@ -2,18 +2,18 @@
 // one flow, packed into a single 64-byte cache line and stored in dense
 // per-slot arrays parallel to the flow table's slot blocks (SoA split).
 //
-// One ACK touches: the generation word (staleness check), the CC mode tag
-// (switch dispatch), the rate/window words (the CC algorithm's CcHotWords
-// are bound into this row — see CcAlgorithm::BindHotWords), the seq/ack
-// cursors and flow size (progress + completion + window arithmetic), and
-// the back-pointer to the cold SenderQp for the slow tail (RTO rearm,
-// pacing events, completion). With 64-byte rows, 8k concurrent flows are
+// One ACK touches: the generation word (staleness check), the rate/window
+// words (the CC algorithm's CcHotWords are bound into this row — see
+// CcBase::BindHotWords), the seq/ack cursors and flow size (progress +
+// completion + window arithmetic), and the back-pointer to the cold
+// SenderQp for the CC update and the slow tail (RTO rearm, pacing events,
+// completion). With 64-byte rows, 8k concurrent flows are
 // 512 KiB of ACK-path state instead of the multi-KiB slot blocks — the
 // difference between thrashing L2 and fitting it.
 //
 // Coherence contract (enforced by flow_table_test):
 //   - FlowTable::Register wipes the row, stamps row.generation from the
-//     slot, and hands it to the new SenderQp, which fills mode/src/size,
+//     slot, and hands it to the new SenderQp, which fills flags/src/size,
 //     zeroes the cursors, and binds its CC hot words here.
 //   - FlowTable::Release wipes the row again and stamps the *bumped*
 //     generation, so a stale FlowId fails HotLookup's generation compare
@@ -38,7 +38,6 @@ struct alignas(64) HotFlowRow {
   static constexpr std::uint8_t kComplete = 2;    // mirrors SenderQp::complete()
 
   std::uint32_t generation = 0;  // == owning FlowSlot::generation, always
-  std::uint8_t mode = 0;         // CcMode of the slot's tenant
   std::uint8_t flags = 0;
   NodeId src = kInvalidNode;     // sender host (ownership check on ACKs)
 

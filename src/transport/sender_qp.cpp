@@ -11,10 +11,13 @@ namespace fncc {
 
 SenderQp::SenderQp(Host* host, const FlowSpec& spec,
                    const CcConfig& cc_config, HotFlowRow* hot)
-    : host_(host), sim_(host->sim()), hot_(hot), spec_(spec) {
+    : host_(host),
+      sim_(host->sim()),
+      hot_(hot),
+      spec_(spec),
+      cc_(cc_config, sim_) {
   assert(hot_ != nullptr && "QPs are constructed by FlowTable::Register");
   hot_->qp = this;
-  hot_->mode = static_cast<std::uint8_t>(cc_config.mode);
   hot_->flags = 0;
   hot_->src = spec_.src;
   hot_->snd_nxt = 0;
@@ -22,14 +25,11 @@ SenderQp::SenderQp(Host* host, const FlowSpec& spec,
   hot_->size_bytes = spec_.size_bytes;
   rto_ = host->config().rto;
   mtu_bytes_ = cc_config.mtu_bytes;
-  cc_.Emplace(cc_config, sim_);
   // Relocate the CC's rate/window into the row: the ACK path's CC update
   // and window consultation then share the row's cache line.
-  cc_.base().BindHotWords(&hot_->words);
+  cc_.BindHotWords(&hot_->words);
   if (cc_.uses_window()) hot_->flags |= HotFlowRow::kUsesWindow;
-  cc_.base().set_on_update([this] {
-    if (started_ && !complete_) TrySend();
-  });
+  cc_.BindUpdateHook(&SenderQp::OnCcUpdate, this);
   // Self-scheduled start keeps the event cancellable from this object
   // (Abort/Complete/flow-table Release), so no pending event can outlive
   // the QP. The start carries the flow-start order word (see
@@ -39,7 +39,7 @@ SenderQp::SenderQp(Host* host, const FlowSpec& spec,
   // partitioning AND the same whether the table id was dense (eager) or
   // recycled (streaming). At equal timestamps starts therefore run after
   // the lane's minted natives (e.g. the CC's own DCQCN timers, enqueued
-  // just above) in launch order.
+  // by the member initializer) in launch order.
   assert(spec_.launch_serial != 0 && spec_.launch_serial < kFlowStartOrderBit);
   start_event_ = sim_->ScheduleAtOrdered(
       spec_.start_time,
@@ -55,6 +55,11 @@ void SenderQp::StartEvent(void* qp, void* /*unused*/, std::uint64_t /*arg*/) {
   auto* self = static_cast<SenderQp*>(qp);
   self->start_event_ = kInvalidEventId;
   self->Start();
+}
+
+void SenderQp::OnCcUpdate(void* qp) {
+  auto* self = static_cast<SenderQp*>(qp);
+  if (self->started_ && !self->complete_) self->TrySend();
 }
 
 void SenderQp::Start() {
@@ -83,7 +88,7 @@ void SenderQp::RtoEvent(void* qp, void* /*unused*/, std::uint64_t /*arg*/) {
 }
 
 void SenderQp::TrySend() {
-  if (in_try_send_) return;  // re-entrant via CC on_update callbacks
+  if (in_try_send_) return;  // re-entrant via the CC update hook
   in_try_send_ = true;
   Simulator* sim = sim_;
   HotFlowRow& row = *hot_;
@@ -127,7 +132,7 @@ void SenderQp::SendOnePacket() {
   row.snd_nxt += bytes;
 
   // Hand the packet to the NIC before notifying the CC algorithm:
-  // OnBytesSent can fire on_update -> TrySend re-entrantly (e.g. DCQCN's
+  // OnBytesSent can fire the update hook -> TrySend re-entrantly (DCQCN's
   // byte counter), and the next packet must not overtake this one.
   host_->TransmitFromQp(std::move(pkt));
 
@@ -152,7 +157,7 @@ void SenderQp::HandleAckHot(HotFlowRow& row, const Packet& ack) {
     row.snd_una = std::min<std::uint64_t>(ack.seq, row.snd_nxt);
     self->ArmRto();
   }
-  self->cc_.OnAckTag(static_cast<CcMode>(row.mode), ack, row.snd_nxt);
+  self->cc_.OnAck(ack, row.snd_nxt);
   if (row.snd_una >= row.size_bytes) {
     self->Complete();
     return;

@@ -1,19 +1,17 @@
 // Sender-side queue pair: segments a flow into MTU packets, enforces the
 // CC algorithm's window and pacing rate, and tracks completion.
 //
-// The per-ACK state does not live here: the seq/ack cursors, flow size,
-// CC mode tag and the CC's rate/window words live in the flow table's
-// HotFlowRow (one cache line per flow — see transport/hot_flow.hpp), and
-// HandleAckHot() processes an ACK against that row, touching this object
-// only for the slow tail (RTO rearm, pacing, completion). The CC state
-// itself stays inline (InlineCc) rather than behind a unique_ptr, and the
-// per-ACK CC update dispatches on the row's CcMode tag with no virtual
-// call.
+// The per-ACK state does not live here: the seq/ack cursors, flow size
+// and the CC's rate/window words live in the flow table's HotFlowRow (one
+// cache line per flow — see transport/hot_flow.hpp), and HandleAckHot()
+// processes an ACK against that row, touching this object only for the CC
+// update and the slow tail (RTO rearm, pacing, completion). The CC state
+// itself is inline (CongestionControl), not behind a pointer.
 #pragma once
 
 #include <cstdint>
 
-#include "core/cc_inline.hpp"
+#include "core/congestion_control.hpp"
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
 #include "transport/flow.hpp"
@@ -26,9 +24,10 @@ class Host;
 class SenderQp {
  public:
   /// Registers with the simulator: schedules its own Start() at
-  /// spec.start_time. spec.id must already be minted and `hot` must be the
-  /// flow table's row for the minted slot (only FlowTable::Register
-  /// constructs QPs; the row outlives the QP by table invariant).
+  /// spec.start_time. spec.id must already be minted, `hot` must be the
+  /// flow table's row for the minted slot and `cc_config` its resolved,
+  /// interned config (only FlowTable::Register constructs QPs; the row and
+  /// the config outlive the QP by table invariant).
   SenderQp(Host* host, const FlowSpec& spec, const CcConfig& cc_config,
            HotFlowRow* hot);
   SenderQp(const SenderQp&) = delete;
@@ -65,8 +64,7 @@ class SenderQp {
 
   /// Current pacing rate — the signal Fig. 9/13 plot per sender.
   [[nodiscard]] double pacing_rate_gbps() const { return cc_.rate_gbps(); }
-  [[nodiscard]] CcAlgorithm& cc() { return cc_.base(); }
-  [[nodiscard]] const CcAlgorithm& cc() const { return cc_.base(); }
+  [[nodiscard]] const CongestionControl& cc() const { return cc_; }
   [[nodiscard]] const HotFlowRow& hot_row() const { return *hot_; }
 
   /// Go-back-N retransmissions triggered (0 in a healthy lossless run).
@@ -84,6 +82,8 @@ class SenderQp {
   static void StartEvent(void* qp, void* unused, std::uint64_t arg);
   static void PaceEvent(void* qp, void* unused, std::uint64_t arg);
   static void RtoEvent(void* qp, void* unused, std::uint64_t arg);
+  // CC update hook (DCQCN's asynchronous rate increases).
+  static void OnCcUpdate(void* qp);
 
   void TrySend();
   void SendOnePacket();
@@ -119,11 +119,11 @@ class SenderQp {
 
   bool started_ = false;
   bool complete_ = false;
-  bool in_try_send_ = false;  // re-entrancy guard (CC on_update callbacks)
+  bool in_try_send_ = false;  // re-entrancy guard (CC update hook)
   Time completion_time_ = 0;
 
   // Last member: the largest block (the CC union), after the hot scalars.
-  InlineCc cc_;
+  CongestionControl cc_;
 };
 
 }  // namespace fncc

@@ -10,12 +10,14 @@ CcConfig Config() {
   c.mode = CcMode::kDcqcn;
   c.line_rate_gbps = 100.0;
   c.base_rtt = Microseconds(12);
-  return c;
+  return ResolveCcConfig(c);
 }
+
+const CcConfig kConfig = Config();
 
 TEST(DcqcnTest, StartsAtLineRateNoWindow) {
   Simulator sim;
-  DcqcnAlgorithm cc(Config(), &sim);
+  DcqcnAlgorithm cc(kConfig, &sim);
   EXPECT_DOUBLE_EQ(cc.rate_gbps(), 100.0);
   EXPECT_FALSE(cc.uses_window());
   cc.Shutdown();
@@ -23,7 +25,7 @@ TEST(DcqcnTest, StartsAtLineRateNoWindow) {
 
 TEST(DcqcnTest, FirstCnpHalvesRate) {
   Simulator sim;
-  DcqcnAlgorithm cc(Config(), &sim);
+  DcqcnAlgorithm cc(kConfig, &sim);
   cc.OnCnp();  // alpha = 1 initially: Rc *= (1 - 1/2)
   EXPECT_NEAR(cc.rate_gbps(), 50.0, 1e-9);
   EXPECT_NEAR(cc.target_rate_gbps(), 100.0, 1e-9);
@@ -32,7 +34,7 @@ TEST(DcqcnTest, FirstCnpHalvesRate) {
 
 TEST(DcqcnTest, RepeatedCnpsKeepCuttingButRespectFloor) {
   Simulator sim;
-  DcqcnAlgorithm cc(Config(), &sim);
+  DcqcnAlgorithm cc(kConfig, &sim);
   for (int i = 0; i < 50; ++i) cc.OnCnp();
   EXPECT_GE(cc.rate_gbps(), Config().dcqcn.min_rate_gbps - 1e-12);
   EXPECT_LT(cc.rate_gbps(), 1.0);
@@ -41,7 +43,7 @@ TEST(DcqcnTest, RepeatedCnpsKeepCuttingButRespectFloor) {
 
 TEST(DcqcnTest, AlphaDecaysWithoutCnps) {
   Simulator sim;
-  DcqcnAlgorithm cc(Config(), &sim);
+  DcqcnAlgorithm cc(kConfig, &sim);
   cc.OnCnp();
   const double alpha_after_cnp = cc.alpha();
   EXPECT_GT(alpha_after_cnp, 0.9);
@@ -56,7 +58,7 @@ TEST(DcqcnTest, AlphaDecaysWithoutCnps) {
 
 TEST(DcqcnTest, FastRecoveryHalvesGapToTarget) {
   Simulator sim;
-  DcqcnAlgorithm cc(Config(), &sim);
+  DcqcnAlgorithm cc(kConfig, &sim);
   cc.OnCnp();  // Rc = 50, Rt = 100
   // First increase-timer tick: still in fast recovery (stage < 5).
   sim.RunUntil(Microseconds(56));
@@ -68,7 +70,7 @@ TEST(DcqcnTest, FastRecoveryHalvesGapToTarget) {
 
 TEST(DcqcnTest, RecoversToLineRateAfterSingleCnp) {
   Simulator sim;
-  DcqcnAlgorithm cc(Config(), &sim);
+  DcqcnAlgorithm cc(kConfig, &sim);
   cc.OnCnp();  // Rc = 50, Rt = 100
   // Five fast-recovery ticks close most of the gap; AI finishes the job.
   sim.RunUntil(Milliseconds(2));
@@ -81,7 +83,7 @@ TEST(DcqcnTest, RecoveryFromDeepCutsIsSlow) {
   // slow to recover"): after repeated CNPs the additive phase needs tens
   // of milliseconds without byte-counter help.
   Simulator sim;
-  DcqcnAlgorithm cc(Config(), &sim);
+  DcqcnAlgorithm cc(kConfig, &sim);
   for (int i = 0; i < 5; ++i) cc.OnCnp();
   sim.RunUntil(Milliseconds(5));
   EXPECT_LT(cc.rate_gbps(), 50.0);  // still far from line rate
@@ -92,7 +94,7 @@ TEST(DcqcnTest, RecoveryFromDeepCutsIsSlow) {
 
 TEST(DcqcnTest, ByteCounterDrivesIncreaseWithoutTimer) {
   Simulator sim;
-  DcqcnAlgorithm cc(Config(), &sim);
+  DcqcnAlgorithm cc(kConfig, &sim);
   cc.OnCnp();  // Rc = 50, Rt = 100
   const double before = cc.rate_gbps();
   cc.OnBytesSent(Config().dcqcn.byte_counter);  // one byte-stage
@@ -104,7 +106,7 @@ TEST(DcqcnTest, ByteCounterDrivesIncreaseWithoutTimer) {
 
 TEST(DcqcnTest, CnpResetsIncreaseStages) {
   Simulator sim;
-  DcqcnAlgorithm cc(Config(), &sim);
+  DcqcnAlgorithm cc(kConfig, &sim);
   cc.OnBytesSent(3 * Config().dcqcn.byte_counter);
   EXPECT_EQ(cc.byte_stage(), 3);
   cc.OnCnp();
@@ -135,7 +137,7 @@ TEST(DcqcnTest, HyperIncreaseAfterBothStagesExceedThreshold) {
 TEST(DcqcnTest, ShutdownStopsTimers) {
   Simulator sim;
   {
-    DcqcnAlgorithm cc(Config(), &sim);
+    DcqcnAlgorithm cc(kConfig, &sim);
     cc.Shutdown();
   }
   sim.Run();  // must terminate: no self-rescheduling timers left
@@ -144,9 +146,9 @@ TEST(DcqcnTest, ShutdownStopsTimers) {
 
 TEST(DcqcnTest, NotifiesQpAfterTimerIncrease) {
   Simulator sim;
-  DcqcnAlgorithm cc(Config(), &sim);
+  DcqcnAlgorithm cc(kConfig, &sim);
   int updates = 0;
-  cc.set_on_update([&updates] { ++updates; });
+  cc.BindUpdateHook([](void* n) { ++*static_cast<int*>(n); }, &updates);
   cc.OnCnp();
   sim.RunUntil(Microseconds(120));
   EXPECT_GE(updates, 2);

@@ -16,8 +16,10 @@ CcConfig Config() {
   c.mode = CcMode::kFncc;
   c.line_rate_gbps = kLine;
   c.base_rtt = kRtt;
-  return c;
+  return ResolveCcConfig(c);
 }
+
+const CcConfig kConfig = Config();
 
 /// FNCC-style ACK: INT accumulated on the return path (reversed order,
 /// stack[0] = last request hop) plus the receiver's N.
@@ -47,7 +49,7 @@ class FnccLhcsTest : public ::testing::Test {
 };
 
 TEST_F(FnccLhcsTest, LastHopCongestionSnapsToFairShare) {
-  FnccAlgorithm cc(Config());
+  FnccAlgorithm cc(kConfig);
   // Last hop holds 2 BDP of queue, first hop empty, N = 4 flows.
   Drive(cc, 300'000, 0, 4);
   EXPECT_EQ(cc.lhcs_triggers(), 1u);
@@ -58,35 +60,35 @@ TEST_F(FnccLhcsTest, LastHopCongestionSnapsToFairShare) {
 }
 
 TEST_F(FnccLhcsTest, FirstHopCongestionDoesNotTrigger) {
-  FnccAlgorithm cc(Config());
+  FnccAlgorithm cc(kConfig);
   Drive(cc, 0, 300'000, 4);
   EXPECT_EQ(cc.lhcs_triggers(), 0u);
 }
 
 TEST_F(FnccLhcsTest, BelowAlphaDoesNotTrigger) {
-  FnccAlgorithm cc(Config());
+  FnccAlgorithm cc(kConfig);
   // U at the last hop ~ 1.0 (full utilization, tiny queue): below 1.05.
   Drive(cc, 1'000, 0, 4);
   EXPECT_EQ(cc.lhcs_triggers(), 0u);
 }
 
 TEST_F(FnccLhcsTest, MissingNDisablesSpeedup) {
-  FnccAlgorithm cc(Config());
+  FnccAlgorithm cc(kConfig);
   Drive(cc, 300'000, 0, /*n=*/0);
   EXPECT_EQ(cc.lhcs_triggers(), 0u);
 }
 
 TEST_F(FnccLhcsTest, DisabledVariantNeverTriggers) {
-  FnccAlgorithm cc(Config(), /*enable_lhcs=*/false);
+  FnccAlgorithm cc(kConfig, /*enable_lhcs=*/false);
   Drive(cc, 300'000, 0, 4);
   EXPECT_EQ(cc.lhcs_triggers(), 0u);
-  EXPECT_STREQ(cc.name(), "FNCC-noLHCS");
+  EXPECT_FALSE(cc.lhcs_enabled());
 }
 
 TEST_F(FnccLhcsTest, FairShareScalesInverselyWithN) {
-  FnccAlgorithm cc2(Config());
+  FnccAlgorithm cc2(kConfig);
   Drive(cc2, 300'000, 0, 2);
-  FnccAlgorithm cc8(Config());
+  FnccAlgorithm cc8(kConfig);
   Drive(cc8, 300'000, 0, 8);
   EXPECT_NEAR(cc2.reference_window() / cc8.reference_window(), 4.0, 0.01);
 }
@@ -102,7 +104,7 @@ TEST_F(FnccLhcsTest, BetaDrainsQueueBelowExactFairShare) {
 TEST_F(FnccLhcsTest, EqualCongestionEverywherePrefersEarlierHop) {
   // Hop detection keeps the *first* maximal hop (strict >), so equal
   // congestion on both hops does not count as last-hop congestion.
-  FnccAlgorithm cc(Config());
+  FnccAlgorithm cc(kConfig);
   Drive(cc, 300'000, 300'000, 4);
   EXPECT_EQ(cc.lhcs_triggers(), 0u);
 }
@@ -133,7 +135,7 @@ TEST(FnccTest, InheritsHpccControlWhenNoLastHopCongestion) {
   // With first-hop congestion only, FNCC must behave exactly like HPCC on
   // the same telemetry (its fast-notification advantage comes from the
   // switch, not the sender math).
-  FnccAlgorithm fncc(Config());
+  FnccAlgorithm fncc(kConfig);
   CcConfig hpcc_config = Config();
   hpcc_config.mode = CcMode::kHpcc;
   HpccAlgorithm hpcc(hpcc_config);

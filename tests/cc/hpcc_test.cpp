@@ -16,8 +16,10 @@ CcConfig Config() {
   c.mode = CcMode::kHpcc;
   c.line_rate_gbps = kLine;
   c.base_rtt = kRtt;
-  return c;
+  return ResolveCcConfig(c);
 }
+
+const CcConfig kConfig = Config();
 
 /// ACK carrying a single-hop INT snapshot (request order).
 PacketPtr AckWithInt(std::uint64_t seq, Time ts, std::uint64_t tx_bytes,
@@ -29,21 +31,21 @@ PacketPtr AckWithInt(std::uint64_t seq, Time ts, std::uint64_t tx_bytes,
 }
 
 TEST(HpccTest, StartsAtLineRateWithBdpWindow) {
-  HpccAlgorithm cc(Config());
+  HpccAlgorithm cc(kConfig);
   EXPECT_DOUBLE_EQ(cc.rate_gbps(), kLine);
   EXPECT_NEAR(cc.window_bytes(), kBdp, 1.0);
   EXPECT_TRUE(cc.uses_window());
 }
 
 TEST(HpccTest, FirstIntAckOnlyBootstraps) {
-  HpccAlgorithm cc(Config());
+  HpccAlgorithm cc(kConfig);
   const double w0 = cc.window_bytes();
   cc.OnAck(*AckWithInt(1000, Microseconds(1), 10'000, 0), 2000);
   EXPECT_DOUBLE_EQ(cc.window_bytes(), w0);
 }
 
 TEST(HpccTest, AckWithoutIntIgnored) {
-  HpccAlgorithm cc(Config());
+  HpccAlgorithm cc(kConfig);
   PacketPtr ack = test::MakeAck(1, 0);
   ack->seq = 5000;
   cc.OnAck(*ack, 6000);
@@ -55,7 +57,7 @@ TEST(HpccTest, PinnedFullUtilizationConvergesToWaiFixedPoint) {
   // regardless of the window, W = eta*W + W_AI converges to the fixed
   // point W_AI/(1-eta). (In the closed loop, U tracks the actual rate, so
   // the window settles near eta*BDP instead — see the integration tests.)
-  HpccAlgorithm cc(Config());
+  HpccAlgorithm cc(kConfig);
   std::uint64_t tx = 0;
   Time ts = 0;
   cc.OnAck(*AckWithInt(1, ts, tx, 0), 1);
@@ -71,7 +73,7 @@ TEST(HpccTest, PinnedFullUtilizationConvergesToWaiFixedPoint) {
 }
 
 TEST(HpccTest, QueueBuildupShrinksWindow) {
-  HpccAlgorithm cc(Config());
+  HpccAlgorithm cc(kConfig);
   std::uint64_t tx = 0;
   Time ts = 0;
   cc.OnAck(*AckWithInt(1, ts, tx, 300'000), 1);
@@ -88,6 +90,7 @@ TEST(HpccTest, QueueBuildupShrinksWindow) {
 TEST(HpccTest, IdleLinkGrowsWindowAdditivelyThenMultiplicatively) {
   CcConfig config = Config();
   config.wai_bytes = 1000;
+  config = ResolveCcConfig(config);
   HpccAlgorithm cc(config);
   // Start from a crushed window by feeding congestion...
   std::uint64_t tx = 0;
@@ -122,6 +125,7 @@ TEST(HpccTest, IdleLinkGrowsWindowAdditivelyThenMultiplicatively) {
 TEST(HpccTest, PerRttGatingFreezesReferenceWindow) {
   CcConfig config = Config();
   config.wai_bytes = 1000;
+  config = ResolveCcConfig(config);
   HpccAlgorithm cc(config);
   std::uint64_t tx = 0;
   Time ts = 0;
@@ -146,7 +150,7 @@ TEST(HpccTest, PerRttGatingFreezesReferenceWindow) {
 }
 
 TEST(HpccTest, RateTracksWindowOverBaseRtt) {
-  HpccAlgorithm cc(Config());
+  HpccAlgorithm cc(kConfig);
   std::uint64_t tx = 0;
   Time ts = 0;
   cc.OnAck(*AckWithInt(1, ts, tx, 300'000), 1);
@@ -161,7 +165,7 @@ TEST(HpccTest, RateTracksWindowOverBaseRtt) {
 }
 
 TEST(HpccTest, MostCongestedHopGovernsMultiHopPath) {
-  HpccAlgorithm cc(Config());
+  HpccAlgorithm cc(kConfig);
   auto multi = [&](std::uint64_t seq, Time ts, std::uint64_t tx,
                    std::uint64_t q0, std::uint64_t q1) {
     PacketPtr ack = test::MakeAck(1, 0);
@@ -183,7 +187,7 @@ TEST(HpccTest, MostCongestedHopGovernsMultiHopPath) {
 }
 
 TEST(HpccTest, WindowNeverBelowFloorOrAboveBdp) {
-  HpccAlgorithm cc(Config());
+  HpccAlgorithm cc(kConfig);
   std::uint64_t tx = 0;
   Time ts = 0;
   cc.OnAck(*AckWithInt(1, ts, tx, 10'000'000), 1);
@@ -203,7 +207,7 @@ TEST(HpccTest, WindowNeverBelowFloorOrAboveBdp) {
 }
 
 TEST(HpccTest, StaleTimestampFallsBackToQueueTerm) {
-  HpccAlgorithm cc(Config());
+  HpccAlgorithm cc(kConfig);
   std::uint64_t tx = 100'000;
   cc.OnAck(*AckWithInt(1, Microseconds(5), tx, 0), 1);
   // Same timestamp (stale All_INT_Table snapshot): must not divide by zero.

@@ -12,8 +12,11 @@ CcConfig Config(CcMode mode) {
   c.mode = mode;
   c.line_rate_gbps = 100.0;
   c.base_rtt = Microseconds(12);
-  return c;
+  return ResolveCcConfig(c);
 }
+
+const CcConfig kRoccConfig = Config(CcMode::kRocc);
+const CcConfig kTimelyConfig = Config(CcMode::kTimely);
 
 PacketPtr RoccAck(double fair_gbps) {
   PacketPtr ack = test::MakeAck(1, 0);
@@ -23,7 +26,7 @@ PacketPtr RoccAck(double fair_gbps) {
 
 TEST(RoccTest, AdoptsAdvertisedFairRate) {
   Simulator sim;
-  RoccAlgorithm cc(Config(CcMode::kRocc), &sim);
+  RoccAlgorithm cc(kRoccConfig, &sim);
   EXPECT_DOUBLE_EQ(cc.rate_gbps(), 100.0);
   cc.OnAck(*RoccAck(37.5), 0);
   EXPECT_DOUBLE_EQ(cc.rate_gbps(), 37.5);
@@ -31,14 +34,14 @@ TEST(RoccTest, AdoptsAdvertisedFairRate) {
 
 TEST(RoccTest, FeedbackCappedAtLineRate) {
   Simulator sim;
-  RoccAlgorithm cc(Config(CcMode::kRocc), &sim);
+  RoccAlgorithm cc(kRoccConfig, &sim);
   cc.OnAck(*RoccAck(500.0), 0);
   EXPECT_DOUBLE_EQ(cc.rate_gbps(), 100.0);
 }
 
 TEST(RoccTest, ProbesUpwardAfterFeedbackSilence) {
   Simulator sim;
-  RoccAlgorithm cc(Config(CcMode::kRocc), &sim);
+  RoccAlgorithm cc(kRoccConfig, &sim);
   cc.OnAck(*RoccAck(20.0), 0);
   ASSERT_DOUBLE_EQ(cc.rate_gbps(), 20.0);
   // ACKs with no feedback inside the hold window: rate must not move.
@@ -59,7 +62,7 @@ PacketPtr TimelyAck(Time t_sent) {
 
 TEST(TimelyTest, AutoScalesThresholdsFromBaseRtt) {
   Simulator sim;
-  TimelyAlgorithm cc(Config(CcMode::kTimely), &sim);
+  TimelyAlgorithm cc(kTimelyConfig, &sim);
   EXPECT_EQ(cc.config().timely.min_rtt, Microseconds(12));
   EXPECT_EQ(cc.config().timely.t_low, Microseconds(18));
   EXPECT_EQ(cc.config().timely.t_high, Microseconds(60));
@@ -67,7 +70,7 @@ TEST(TimelyTest, AutoScalesThresholdsFromBaseRtt) {
 
 TEST(TimelyTest, LowRttIncreasesRate) {
   Simulator sim;
-  TimelyAlgorithm cc(Config(CcMode::kTimely), &sim);
+  TimelyAlgorithm cc(kTimelyConfig, &sim);
   // Walk the clock; each ACK shows RTT = 13 us (< t_low).
   for (int i = 1; i <= 5; ++i) {
     sim.RunUntil(Microseconds(20 * i));
@@ -78,7 +81,7 @@ TEST(TimelyTest, LowRttIncreasesRate) {
 
 TEST(TimelyTest, HighRttCutsMultiplicatively) {
   Simulator sim;
-  TimelyAlgorithm cc(Config(CcMode::kTimely), &sim);
+  TimelyAlgorithm cc(kTimelyConfig, &sim);
   sim.RunUntil(Microseconds(100));
   cc.OnAck(*TimelyAck(sim.Now() - Microseconds(13)), 0);  // bootstrap prev
   sim.RunUntil(Microseconds(200));
@@ -88,7 +91,7 @@ TEST(TimelyTest, HighRttCutsMultiplicatively) {
 
 TEST(TimelyTest, PositiveGradientDecreases) {
   Simulator sim;
-  TimelyAlgorithm cc(Config(CcMode::kTimely), &sim);
+  TimelyAlgorithm cc(kTimelyConfig, &sim);
   // RTTs rising within [t_low, t_high]: gradient > 0 -> decrease.
   Time rtt = Microseconds(20);
   for (int i = 1; i <= 8; ++i) {
@@ -102,7 +105,7 @@ TEST(TimelyTest, PositiveGradientDecreases) {
 
 TEST(TimelyTest, RateNeverBelowFloor) {
   Simulator sim;
-  TimelyAlgorithm cc(Config(CcMode::kTimely), &sim);
+  TimelyAlgorithm cc(kTimelyConfig, &sim);
   for (int i = 1; i <= 100; ++i) {
     sim.RunUntil(Microseconds(100 * i));
     cc.OnAck(*TimelyAck(sim.Now() - Microseconds(300)), 0);

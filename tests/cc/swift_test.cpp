@@ -12,8 +12,10 @@ CcConfig Config() {
   c.mode = CcMode::kSwift;
   c.line_rate_gbps = 100.0;
   c.base_rtt = Microseconds(12);
-  return c;
+  return ResolveCcConfig(c);
 }
+
+const CcConfig kConfig = Config();
 
 PacketPtr AckWithDelay(Simulator& sim, Time delay) {
   PacketPtr ack = test::MakeAck(1, 0);
@@ -23,14 +25,14 @@ PacketPtr AckWithDelay(Simulator& sim, Time delay) {
 
 TEST(SwiftTest, TargetDelayDerivedFromBaseRtt) {
   Simulator sim;
-  SwiftAlgorithm cc(Config(), &sim);
+  SwiftAlgorithm cc(kConfig, &sim);
   EXPECT_EQ(cc.target_delay(), Microseconds(15));  // 1.25 * 12 us
   EXPECT_TRUE(cc.uses_window());
 }
 
 TEST(SwiftTest, BelowTargetGrowsWindow) {
   Simulator sim;
-  SwiftAlgorithm cc(Config(), &sim);
+  SwiftAlgorithm cc(kConfig, &sim);
   // Start from a decreased window so growth is visible under the cap.
   sim.RunUntil(Microseconds(100));
   cc.OnAck(*AckWithDelay(sim, Microseconds(60)), 0);
@@ -42,7 +44,7 @@ TEST(SwiftTest, BelowTargetGrowsWindow) {
 
 TEST(SwiftTest, AboveTargetDecreasesOncePerRtt) {
   Simulator sim;
-  SwiftAlgorithm cc(Config(), &sim);
+  SwiftAlgorithm cc(kConfig, &sim);
   sim.RunUntil(Microseconds(100));
   cc.OnAck(*AckWithDelay(sim, Microseconds(30)), 0);
   EXPECT_EQ(cc.decreases(), 1u);
@@ -57,7 +59,7 @@ TEST(SwiftTest, AboveTargetDecreasesOncePerRtt) {
 
 TEST(SwiftTest, DecreaseBoundedByMaxMdf) {
   Simulator sim;
-  SwiftAlgorithm cc(Config(), &sim);
+  SwiftAlgorithm cc(kConfig, &sim);
   const double before = cc.window_bytes();
   sim.RunUntil(Milliseconds(10));
   cc.OnAck(*AckWithDelay(sim, Milliseconds(5)), 0);  // enormous overshoot
@@ -66,7 +68,7 @@ TEST(SwiftTest, DecreaseBoundedByMaxMdf) {
 
 TEST(SwiftTest, MissingTimestampIgnored) {
   Simulator sim;
-  SwiftAlgorithm cc(Config(), &sim);
+  SwiftAlgorithm cc(kConfig, &sim);
   const double before = cc.window_bytes();
   PacketPtr ack = test::MakeAck(1, 0);
   cc.OnAck(*ack, 0);
@@ -75,7 +77,7 @@ TEST(SwiftTest, MissingTimestampIgnored) {
 
 TEST(SwiftTest, RateTracksWindow) {
   Simulator sim;
-  SwiftAlgorithm cc(Config(), &sim);
+  SwiftAlgorithm cc(kConfig, &sim);
   sim.RunUntil(Microseconds(50));
   cc.OnAck(*AckWithDelay(sim, Microseconds(40)), 0);
   const double expected =

@@ -7,6 +7,7 @@
 // worker handshake can't deadlock on an error'd run).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -88,7 +89,7 @@ TEST(DomainSchedulerTest, RepeatedRunUntilReusesParkedWorkers) {
   // The harness shape: many chunked RunUntil calls against one scheduler.
   Simulator sim;
   sim.Partition(2);
-  int ran = 0;
+  std::atomic<int> ran = 0;
   for (int i = 1; i <= 50; ++i) {
     ScheduleInLane(sim, i % 2, Microseconds(i), [&ran] { ++ran; });
   }
@@ -104,7 +105,7 @@ TEST(DomainSchedulerTest, WindowTelemetryCountsLanesAndWindows) {
   Simulator sim;
   sim.Partition(2);
   sim.set_domain_lookahead(Microseconds(1));
-  int ran = 0;
+  std::atomic<int> ran = 0;
   for (int i = 1; i <= 8; ++i) {
     ScheduleInLane(sim, i % 2, Microseconds(i), [&ran] { ++ran; });
   }

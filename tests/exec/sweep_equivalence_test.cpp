@@ -113,7 +113,7 @@ TEST(SweepEquivalenceTest, RepeatedParallelRunsAreStable) {
   }
 }
 
-// All seven CcModes — the receive-path devirtualization acceptance check:
+// All seven CcModes — the receive-path dispatch acceptance check:
 // the fig13-style dumbbell series and the fat-tree FCT records must be
 // bit-identical at 1 and 4 threads for every built-in algorithm, i.e. the
 // dense flow table + tagged CC dispatch changed the arithmetic of nothing.

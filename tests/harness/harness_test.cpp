@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "core/cc_factory.hpp"
 #include "harness/dumbbell_runner.hpp"
 #include "harness/scenario.hpp"
 
@@ -78,34 +77,6 @@ TEST(ScenarioConfigTest, CcKnobsForwarded) {
   EXPECT_DOUBLE_EQ(cc.wai_bytes, 4242);
   EXPECT_DOUBLE_EQ(cc.line_rate_gbps, 200.0);
   EXPECT_EQ(cc.base_rtt, Microseconds(10));
-}
-
-TEST(CcFactoryTest, CreatesEveryMode) {
-  Simulator sim;
-  CcConfig config;
-  config.base_rtt = Microseconds(12);
-  const struct {
-    CcMode mode;
-    const char* name;
-    bool window;
-  } expectations[] = {
-      {CcMode::kFncc, "FNCC", true},
-      {CcMode::kFnccNoLhcs, "FNCC-noLHCS", true},
-      {CcMode::kHpcc, "HPCC", true},
-      {CcMode::kDcqcn, "DCQCN", false},
-      {CcMode::kRocc, "RoCC", false},
-      {CcMode::kTimely, "Timely", false},
-      {CcMode::kSwift, "Swift", true},
-  };
-  for (const auto& e : expectations) {
-    config.mode = e.mode;
-    auto algo = MakeCcAlgorithm(config, &sim);
-    ASSERT_NE(algo, nullptr) << e.name;
-    EXPECT_STREQ(algo->name(), e.name);
-    EXPECT_EQ(algo->uses_window(), e.window) << e.name;
-    EXPECT_STREQ(CcModeName(e.mode), e.name);
-    algo->Shutdown();
-  }
 }
 
 TEST(IdealFctTest, SinglePacketFlowIsBaseRtt) {

@@ -4,7 +4,6 @@
 // relative to the no-LHCS ablation.
 #include <gtest/gtest.h>
 
-#include "core/fncc.hpp"
 #include "harness/scenario.hpp"
 #include "net/topology.hpp"
 #include "stats/percentile.hpp"
@@ -46,9 +45,7 @@ IncastOutcome RunIncastScenario(CcMode mode, int n, Time t_probe) {
   }
   for (SenderQp* qp : qps) {
     out.rates_gbps.push_back(qp->pacing_rate_gbps());
-    if (const auto* f = dynamic_cast<const FnccAlgorithm*>(&qp->cc())) {
-      out.lhcs_triggers += f->lhcs_triggers();
-    }
+    out.lhcs_triggers += qp->cc().lhcs_triggers();
   }
   out.pause_frames = topo.net.TotalPauseFrames();
   return out;

@@ -188,6 +188,45 @@ TEST(FlowTableTest, GenerationWrapAliasesAfterHorizon) {
   EXPECT_NE(t.Lookup(first), nullptr);
 }
 
+TEST(FlowTableTest, InternsResolvedConfigsByValue) {
+  // Register resolves each config before pooling it: value-identical flows
+  // share one pooled address, a different eta gets its own, and the pooled
+  // copy already holds the derived constants the algorithms read.
+  for (CcMode mode : {CcMode::kHpcc, CcMode::kFncc, CcMode::kTimely}) {
+    SCOPED_TRACE(CcModeName(mode));
+    Simulator sim;
+    Host host(&sim, 0, "tx", HostConfig{}, nullptr);
+    FlowTable& table = host.flow_table();
+    FlowSpec spec;
+    spec.src = 0;
+    spec.dst = 1;
+    spec.size_bytes = 1518;
+    spec.start_time = kTimeInfinity;  // pure table churn, no traffic
+
+    const CcConfig config = TestCcConfig(mode);  // Timely thresholds: auto
+    CcConfig other_eta = config;
+    other_eta.eta = 0.9;
+    const CcConfig& a = table.Register(&host, spec, config)->cc().config();
+    const CcConfig& b = table.Register(&host, spec, config)->cc().config();
+    const CcConfig& c = table.Register(&host, spec, other_eta)->cc().config();
+    EXPECT_EQ(&a, &b);
+    EXPECT_NE(&a, &c);
+    EXPECT_EQ(table.interned_configs(), 2u);
+
+    EXPECT_EQ(a, ResolveCcConfig(config));
+    if (mode == CcMode::kTimely) {
+      EXPECT_EQ(a.timely.min_rtt, Microseconds(12));
+      EXPECT_EQ(a.timely.t_low, Microseconds(18));
+      EXPECT_EQ(a.timely.t_high, Microseconds(60));
+    } else {
+      EXPECT_DOUBLE_EQ(a.hpcc_derived.t_sec, 12e-6);
+      EXPECT_NEAR(a.hpcc_derived.max_window_bytes, 150'000.0, 1e-6);
+      EXPECT_NEAR(a.hpcc_derived.wai_bytes, 150'000.0 * 0.05 / 4.0, 1e-6);
+      EXPECT_NEAR(c.hpcc_derived.wai_bytes, 150'000.0 * 0.1 / 4.0, 1e-6);
+    }
+  }
+}
+
 TEST(FlowTableTest, AbaStressRandomChurn) {
   // Modeled on the event-queue ABA stress: random register/release churn
   // with a shadow map. Every live id must resolve to its own QP; every
@@ -298,7 +337,7 @@ TEST(FlowTableTest, HotRowStaysCoherentThroughChurn) {
     EXPECT_EQ(row->generation, slot->generation);
     EXPECT_EQ(row->generation, FlowIdGeneration(id));
     EXPECT_EQ(row->qp, slot->qp());
-    EXPECT_EQ(row->mode, static_cast<std::uint8_t>(mode));
+    EXPECT_EQ(row->qp->cc().mode(), mode);
     EXPECT_EQ(row->src, slot->qp()->spec().src);
     EXPECT_EQ(row->size_bytes, spec.size_bytes);
   }
@@ -339,7 +378,6 @@ TEST_F(FlowTableHostTest, StaleAckNeverTouchesHotRow) {
   host_.ReceivePacket(std::move(cnp), 0);
 
   EXPECT_EQ(row->generation, snapshot.generation);
-  EXPECT_EQ(row->mode, snapshot.mode);
   EXPECT_EQ(row->flags, snapshot.flags);
   EXPECT_EQ(row->src, snapshot.src);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(row->words.rate_gbps),
