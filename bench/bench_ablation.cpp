@@ -10,22 +10,22 @@
 
 #include "bench_util.hpp"
 #include "core/ack_format.hpp"
-#include "harness/dumbbell_runner.hpp"
+#include "harness/experiment_runner.hpp"
 #include "stats/percentile.hpp"
 
 namespace {
 
 using namespace fncc;
 
-MicroRunConfig Base() {
-  MicroRunConfig config;
-  config.scenario.mode = CcMode::kFncc;
-  config.flows = {{0, 0}, {1, Microseconds(300)}};
-  config.duration = Microseconds(900);
-  return config;
+ExperimentSpec Base() {
+  ExperimentSpec spec;
+  spec.scenario.mode = CcMode::kFncc;
+  spec.wl.long_flows = {{0, 0}, {1, Microseconds(300)}};
+  spec.run.duration = Microseconds(900);
+  return spec;
 }
 
-void Report(const char* what, const MicroRunResult& r) {
+void Report(const char* what, const ExperimentPointResult& r) {
   const double f0 = r.flows[0].goodput_gbps.MeanOver(Microseconds(600),
                                                      Microseconds(900));
   const double f1 = r.flows[1].goodput_gbps.MeanOver(Microseconds(600),
@@ -43,9 +43,9 @@ int main() {
 
   Banner("Ablation 1: All_INT_Table refresh period (staleness)");
   for (double refresh_us : {0.0, 1.0, 5.0, 20.0, 100.0}) {
-    MicroRunConfig config = Base();
-    config.scenario.int_table_refresh = Microseconds(refresh_us);
-    const auto r = RunDumbbell(config);
+    ExperimentSpec spec = Base();
+    spec.scenario.int_table_refresh = Microseconds(refresh_us);
+    const auto r = RunExperimentPoint(spec);
     char label[64];
     std::snprintf(label, sizeof(label), "refresh=%gus%s", refresh_us,
                   refresh_us == 0 ? " (live)" : "");
@@ -54,9 +54,9 @@ int main() {
 
   Banner("Ablation 2: cumulative ACK coalescing m");
   for (int m : {1, 2, 4, 8, 16}) {
-    MicroRunConfig config = Base();
-    config.scenario.ack_every = m;
-    const auto r = RunDumbbell(config);
+    ExperimentSpec spec = Base();
+    spec.scenario.ack_every = m;
+    const auto r = RunExperimentPoint(spec);
     char label[32];
     std::snprintf(label, sizeof(label), "ack_every=%d", m);
     Report(label, r);
@@ -64,9 +64,11 @@ int main() {
 
   Banner("Ablation 3: LHCS beta (queue-draining margin), last-hop merge");
   for (double beta : {1.0, 0.95, 0.9, 0.8, 0.6}) {
-    MicroRunConfig config = Base();
-    config.scenario.lhcs_beta = beta;
-    const auto r = RunChainMerge(config, /*merge_switch=*/2);
+    ExperimentSpec spec = Base();
+    spec.topology = "chain_merge";
+    spec.topo.merge_switch = 2;
+    spec.scenario.lhcs_beta = beta;
+    const auto r = RunExperimentPoint(spec);
     char label[32];
     std::snprintf(label, sizeof(label), "beta=%g", beta);
     Report(label, r);
@@ -74,9 +76,9 @@ int main() {
 
   Banner("Ablation 4: W_AI additive-increase step");
   for (double wai : {100.0, 500.0, 2000.0, 8000.0}) {
-    MicroRunConfig config = Base();
-    config.scenario.wai_bytes = wai;
-    const auto r = RunDumbbell(config);
+    ExperimentSpec spec = Base();
+    spec.scenario.wai_bytes = wai;
+    const auto r = RunExperimentPoint(spec);
     char label[32];
     std::snprintf(label, sizeof(label), "wai=%gB", wai);
     Report(label, r);
@@ -84,11 +86,11 @@ int main() {
 
   Banner("Ablation 5: INT quantization (Fig. 7 64-bit entries, end to end)");
   {
-    MicroRunConfig config = Base();
-    config.scenario.quantize_int = false;
-    Report("full precision", RunDumbbell(config));
-    config.scenario.quantize_int = true;
-    Report("quantized (hw widths)", RunDumbbell(config));
+    ExperimentSpec spec = Base();
+    spec.scenario.quantize_int = false;
+    Report("full precision", RunExperimentPoint(spec));
+    spec.scenario.quantize_int = true;
+    Report("quantized (hw widths)", RunExperimentPoint(spec));
   }
   {
     // Worst-case relative error of each field after wire encoding.

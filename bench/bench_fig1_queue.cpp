@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "harness/dumbbell_runner.hpp"
+#include "harness/experiment_runner.hpp"
 
 int main() {
   using namespace fncc;
@@ -20,12 +20,12 @@ int main() {
 
   for (int ri = 0; ri < 3; ++ri) {
     for (int mi = 0; mi < 3; ++mi) {
-      MicroRunConfig config;
-      config.scenario.mode = modes[mi];
-      config.scenario.link_gbps = rates[ri];
-      config.flows = {{0, 0}, {1, Microseconds(300)}};
-      config.duration = Microseconds(650);
-      const MicroRunResult r = RunDumbbell(config);
+      ExperimentSpec spec;
+      spec.scenario.mode = modes[mi];
+      spec.scenario.link_gbps = rates[ri];
+      spec.wl.long_flows = {{0, 0}, {1, Microseconds(300)}};
+      spec.run.duration = Microseconds(650);
+      const ExperimentPointResult r = RunExperimentPoint(spec);
       peak[ri][mi] = r.queue_bytes.MaxOver(Microseconds(300),
                                            Microseconds(650));
       const std::string label = std::string(CcModeName(modes[mi])) + "@" +

@@ -6,7 +6,7 @@
 #include <string>
 
 #include "bench_util.hpp"
-#include "harness/dumbbell_runner.hpp"
+#include "harness/experiment_runner.hpp"
 
 int main() {
   using namespace fncc;
@@ -27,12 +27,12 @@ int main() {
 
   for (int ri = 0; ri < 3; ++ri) {
     for (int mi = 0; mi < 4; ++mi) {
-      MicroRunConfig config;
-      config.scenario.mode = modes[mi];
-      config.scenario.link_gbps = rates[ri];
-      config.flows = {{0, 0}, {1, Microseconds(300)}};
-      config.duration = Microseconds(1200);
-      const MicroRunResult r = RunDumbbell(config);
+      ExperimentSpec spec;
+      spec.scenario.mode = modes[mi];
+      spec.scenario.link_gbps = rates[ri];
+      spec.wl.long_flows = {{0, 0}, {1, Microseconds(300)}};
+      spec.run.duration = Microseconds(1200);
+      const ExperimentPointResult r = RunExperimentPoint(spec);
 
       const std::string tag = std::string(CcModeName(modes[mi])) + "@" +
                               std::to_string(static_cast<int>(rates[ri]));

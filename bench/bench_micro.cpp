@@ -12,7 +12,6 @@
 #include "cc/hpcc.hpp"
 #include "core/fncc.hpp"
 #include "exec/thread_pool.hpp"
-#include "harness/dumbbell_runner.hpp"
 #include "harness/experiment_runner.hpp"
 #include "harness/experiment_spec.hpp"
 #include "legacy_event_queue.hpp"
@@ -521,11 +520,11 @@ void BM_DumbbellSimulation(benchmark::State& state) {
   std::uint64_t pool_created = 0;
   std::uint64_t pool_acquired = 0;
   for (auto _ : state) {
-    MicroRunConfig config;
-    config.scenario.mode = static_cast<CcMode>(state.range(0));
-    config.flows = {{0, 0}, {1, Microseconds(300)}};
-    config.duration = Microseconds(600);
-    const MicroRunResult r = RunDumbbell(config);
+    ExperimentSpec spec;
+    spec.scenario.mode = static_cast<CcMode>(state.range(0));
+    spec.wl.long_flows = {{0, 0}, {1, Microseconds(300)}};
+    spec.run.duration = Microseconds(600);
+    const ExperimentPointResult r = RunExperimentPoint(spec);
     events += r.events_processed;
     pool_created += r.pool_packets_created;
     pool_acquired += r.pool_packets_acquired;
@@ -555,21 +554,20 @@ void BM_DumbbellManyFlows(benchmark::State& state) {
   constexpr int kSenders = 8;
   std::uint64_t events = 0;
   for (auto _ : state) {
-    MicroRunConfig config;
-    config.scenario.mode = CcMode::kFncc;
-    config.num_senders = kSenders;
-    config.flow_bytes = 4ull * config.scenario.mtu_bytes;
+    ExperimentSpec spec;
+    spec.scenario.mode = CcMode::kFncc;
+    spec.topo.num_senders = kSenders;
+    spec.wl.size_bytes = 4ull * spec.scenario.mtu_bytes;
     // Per-flow pacing/goodput sampling is 2 events/flow/us — at 64k flows
     // that would be ~130M sampler events per simulated ms, drowning the
     // packet path this bench is about. Aggregate counters are enough here.
-    config.monitor = false;
-    config.flows.clear();
-    config.flows.reserve(flows);
+    spec.run.monitor = false;
+    spec.wl.long_flows.reserve(flows);
     for (int i = 0; i < flows; ++i) {
-      config.flows.push_back({i % kSenders, 0, kTimeInfinity});
+      spec.wl.long_flows.push_back({i % kSenders, 0, kTimeInfinity});
     }
-    config.duration = Microseconds(400);
-    const MicroRunResult r = RunDumbbell(config);
+    spec.run.duration = Microseconds(400);
+    const ExperimentPointResult r = RunExperimentPoint(spec);
     events += r.events_processed;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));

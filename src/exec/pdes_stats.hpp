@@ -1,7 +1,7 @@
 // Opt-in window telemetry for the persistent-lane PDES engine
-// (`output.pdes_stats = true` in a spec, or FNCC_PDES_STATS=1 in the
-// environment). Collected by exec/DomainScheduler, written by the harness
-// as a separate `<point>_pdes_stats.json`.
+// (`output.pdes_stats = true` in a spec or as an fncc_run override).
+// Collected by exec/DomainScheduler, written by the harness as a separate
+// `<point>_pdes_stats.json`.
 //
 // The window-shape numbers (windows, per-lane windows, events-per-window
 // histogram) are deterministic at a fixed partitioning — the window

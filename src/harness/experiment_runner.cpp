@@ -1,8 +1,7 @@
 #include "harness/experiment_runner.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -59,14 +58,6 @@ bool CompletionBefore(const CompletionRecord& a, const CompletionRecord& b) {
   if (a_native != b_native) return b_native;
   if (!a_native) return a.order < b.order;
   return a.spec.launch_serial < b.spec.launch_serial;
-}
-
-/// Window telemetry opt-in: the spec key, or FNCC_PDES_STATS set to
-/// anything but "" / "0" in the environment.
-bool PdesStatsRequested(const ExperimentSpec& point) {
-  if (point.output.pdes_stats) return true;
-  const char* env = std::getenv("FNCC_PDES_STATS");
-  return env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0;
 }
 
 /// Schedules `qp`'s abort at `stop` — routed through the flow table's
@@ -319,9 +310,9 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
   // stay parked at the window barrier across every RunUntil chunk below.
   // Single-lane (or single-thread, untelemetered) points pick the serial
   // reference path instead.
-  const bool pdes_stats_on = PdesStatsRequested(point);
-  DomainScheduler sched(&sim, intra_threads,
-                        pdes_stats_on ? &result.pdes_stats : nullptr);
+  DomainScheduler sched(
+      &sim, intra_threads,
+      point.output.pdes_stats ? &result.pdes_stats : nullptr);
   if (streaming) {
     // Streaming injection: launch everything starting inside one lookahead
     // window of the clock, run to the window edge, drain (and release) the
@@ -399,15 +390,16 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
     sched.RunUntil(point.run.duration);
     drain();
   } else {
-    // Run in chunks until every flow finishes (or the wall is hit — only
-    // possible with a broken configuration, thanks to the RTO). Tallies
+    // Run in chunks until every flow finishes or the max_sim_time wall is
+    // hit. The last chunk stops exactly at the wall, as the streaming loop
+    // does, so eager and streamed runs of a truncated point agree. Tallies
     // are empty at each condition check (drained every chunk), so the
     // emitted count is the completion count.
     const Time chunk_len = 2 * kMillisecond;
     while (result.flows_completed < result.flows_total &&
            sim.Now() < point.run.max_sim_time) {
       if (sim.events_pending() == 0) break;
-      sched.RunUntil(sim.Now() + chunk_len);
+      sched.RunUntil(std::min(sim.Now() + chunk_len, point.run.max_sim_time));
       drain();
     }
   }

@@ -1,11 +1,11 @@
-// The unified experiment engine behind fncc_run and every harness batch
-// API. One code path executes any registered topology x workload point:
-// build fabric (registry) -> generate flows (registry) -> launch in order
-// -> optional congestion-point monitors -> run -> collect FCTs + counters.
-// It subsumes the old dumbbell/chain-merge micro runner (duration-bounded
-// elephants with samplers) and the fat-tree runner (run-to-completion flow
-// lists) — those survive as thin adapters over RunResolvedPoint, so their
-// outputs are unchanged.
+// The experiment engine behind fncc_run, the figure benches and the tests.
+// One code path executes any registered topology x workload point, always
+// described by an ExperimentSpec: build fabric (registry) -> generate
+// flows (registry) -> launch in order -> optional congestion-point
+// monitors -> run -> collect FCTs + counters. The same point shape covers
+// the Fig. 10/11 micro-benchmarks (duration-bounded elephants with
+// samplers: the spec defaults) and the §5.5 fat-tree runs
+// (run-to-completion poisson flow lists, run.duration = 0).
 //
 // Determinism: a point is a pure function of its spec. RunExperiment fans
 // expanded points over exec/SweepRunner with one Simulator + PacketPool +
@@ -55,9 +55,10 @@ struct ExperimentPointResult {
   std::uint64_t lhcs_triggers = 0;  // summed over FNCC senders
   std::uint64_t events_processed = 0;
 
-  // Packet-pool telemetry: see MicroRunResult's original comment — created
-  // is the warm-up high-water mark; acquired - created are allocation-free
-  // packet services.
+  // Packet-pool telemetry: created is the pool's high-water mark of
+  // simultaneously live packets (the warm-up cost); once warm, every
+  // further acquire is a recycle, so acquired - created is the number of
+  // allocation-free packet services.
   std::uint64_t pool_packets_created = 0;
   std::uint64_t pool_packets_acquired = 0;
 
@@ -69,9 +70,8 @@ struct ExperimentPointResult {
   std::uint64_t pdes_windows = 0;
 
   /// Window telemetry, filled only when the point ran with
-  /// output.pdes_stats (or FNCC_PDES_STATS=1); see exec/pdes_stats.hpp for
-  /// the machine-variant contract. pdes_stats.participants == 0 means
-  /// telemetry was off.
+  /// output.pdes_stats; see exec/pdes_stats.hpp for the machine-variant
+  /// contract. pdes_stats.participants == 0 means telemetry was off.
   PdesStats pdes_stats;
 
   /// Host wall-clock seconds (telemetry only; excluded from the
@@ -95,9 +95,12 @@ ExperimentPointResult RunExperimentPoint(const ExperimentSpec& point,
                                          FctSink* sink = nullptr);
 
 /// The trusted core: runs `point` with already-resolved topology/workload
-/// params (no validation, no cdf-name lookup). The adapters the legacy
-/// harness APIs are built on use this to inject programmatic params (e.g.
-/// a custom SizeCdf object).
+/// params (no validation, no cdf-name lookup), for callers that inject
+/// programmatic params a spec cannot name (e.g. a custom SizeCdf object).
+///
+/// point.run.duration > 0 runs exactly that long; 0 runs until every flow
+/// completes or point.run.max_sim_time is reached, whichever comes first
+/// (eager and streamed runs stop at the same instant).
 ///
 /// point.run.launch_window > 0 selects streaming flow injection: flows
 /// are pulled from the workload's FlowSource (which must yield

@@ -59,8 +59,8 @@ struct RunSpec {
   /// > 0 enables streaming flow injection: the runner pulls flows from the
   /// workload's FlowSource and launches them one lookahead window at a
   /// time instead of materializing the whole flow list (per-flow memory
-  /// O(live flows)). Requires run-to-completion (duration 0), monitor off,
-  /// a start-sorted workload, and forces a single exec domain. 0 = the
+  /// O(live flows)). Requires run-to-completion (duration 0), monitor off
+  /// and a start-sorted workload; composes with any exec_domains. 0 = the
   /// eager launch path (the default; bit-identical historical behavior).
   Time launch_window = 0;
 };
@@ -103,8 +103,8 @@ struct OutputSpec {
   /// Collect PDES window telemetry (exec/pdes_stats.hpp) and write it as a
   /// per-point `<name>_pdes_stats.json`. Machine-variant by contract
   /// (thread attribution, barrier waits), so the file is never listed in
-  /// the manifest and never part of equivalence assertions. FNCC_PDES_STATS=1
-  /// in the environment enables it without touching the spec.
+  /// the manifest and never part of equivalence assertions. The one switch:
+  /// set it in the spec or as the `output.pdes_stats=true` override.
   bool pdes_stats = false;
 };
 

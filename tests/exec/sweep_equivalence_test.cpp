@@ -1,8 +1,10 @@
-// Parallel-vs-serial equivalence: the same sweep run at 1, 2 and 8 threads
-// must produce bit-identical simulation output (wall_time_seconds is host
-// telemetry and explicitly excluded). This is the determinism contract of
-// exec/SweepRunner plus the per-job Simulator+PacketPool+RNG isolation in
-// the harness batch APIs — the property the fig12-fig15 benches rely on.
+// Parallel-vs-serial equivalence: the same point list run at 1, 2 and 8
+// threads must produce bit-identical simulation output (wall_time_seconds
+// is host telemetry and explicitly excluded). This is the determinism
+// contract of exec/SweepRunner plus the per-point Simulator + PacketPool +
+// RNG isolation in RunExperimentPoints — the property every figure bench
+// and fncc_run sweep relies on. The second half extends it to the
+// conservative-PDES partition (scenario.exec_domains).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -11,9 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "harness/dumbbell_runner.hpp"
 #include "harness/experiment_runner.hpp"
-#include "harness/fat_tree_runner.hpp"
 
 namespace fncc {
 namespace {
@@ -37,8 +37,40 @@ void ExpectSeriesIdentical(const TimeSeries& a, const TimeSeries& b) {
   }
 }
 
-void ExpectMicroResultsIdentical(const MicroRunResult& a,
-                                 const MicroRunResult& b) {
+/// Every simulated output of a point: counters, FCT records and monitored
+/// series. Pool telemetry depends on which lane's arena serviced a packet,
+/// so it is compared only when both runs share one partition (a thread
+/// count comparison), never across exec_domains values.
+void ExpectResultsIdentical(const ExperimentPointResult& a,
+                            const ExperimentPointResult& b,
+                            bool same_partition = true) {
+  EXPECT_EQ(a.flows_completed, b.flows_completed);
+  EXPECT_EQ(a.flows_total, b.flows_total);
+  EXPECT_EQ(a.pause_frames, b.pause_frames);
+  EXPECT_EQ(a.resume_frames, b.resume_frames);
+  EXPECT_EQ(a.drops, b.drops);
+  EXPECT_EQ(a.retransmits, b.retransmits);
+  EXPECT_EQ(a.out_of_order, b.out_of_order);
+  EXPECT_EQ(a.asymmetric_acks, b.asymmetric_acks);
+  EXPECT_EQ(a.lhcs_triggers, b.lhcs_triggers);
+  EXPECT_EQ(a.events_processed, b.events_processed);
+  if (same_partition) {
+    EXPECT_EQ(a.pool_packets_created, b.pool_packets_created);
+    EXPECT_EQ(a.pool_packets_acquired, b.pool_packets_acquired);
+  }
+  ASSERT_EQ(a.fct.count(), b.fct.count());
+  for (std::size_t f = 0; f < a.fct.count(); ++f) {
+    const FlowResult& fa = a.fct.results()[f];
+    const FlowResult& fb = b.fct.results()[f];
+    EXPECT_EQ(fa.spec.id, fb.spec.id) << "flow " << f;
+    EXPECT_EQ(fa.spec.src, fb.spec.src) << "flow " << f;
+    EXPECT_EQ(fa.spec.dst, fb.spec.dst) << "flow " << f;
+    EXPECT_EQ(fa.spec.size_bytes, fb.spec.size_bytes) << "flow " << f;
+    EXPECT_EQ(fa.spec.start_time, fb.spec.start_time) << "flow " << f;
+    EXPECT_EQ(fa.spec.ideal_fct, fb.spec.ideal_fct) << "flow " << f;
+    EXPECT_EQ(fa.fct, fb.fct) << "flow " << f;
+    EXPECT_TRUE(SameBits(fa.slowdown, fb.slowdown)) << "flow " << f;
+  }
   ExpectSeriesIdentical(a.queue_bytes, b.queue_bytes);
   ExpectSeriesIdentical(a.utilization, b.utilization);
   ASSERT_EQ(a.flows.size(), b.flows.size());
@@ -46,71 +78,81 @@ void ExpectMicroResultsIdentical(const MicroRunResult& a,
     ExpectSeriesIdentical(a.flows[i].pacing_gbps, b.flows[i].pacing_gbps);
     ExpectSeriesIdentical(a.flows[i].goodput_gbps, b.flows[i].goodput_gbps);
   }
-  EXPECT_EQ(a.pause_frames, b.pause_frames);
-  EXPECT_EQ(a.resume_frames, b.resume_frames);
-  EXPECT_EQ(a.drops, b.drops);
-  EXPECT_EQ(a.out_of_order, b.out_of_order);
-  EXPECT_EQ(a.asymmetric_acks, b.asymmetric_acks);
-  EXPECT_EQ(a.lhcs_triggers, b.lhcs_triggers);
-  EXPECT_EQ(a.events_processed, b.events_processed);
-  EXPECT_EQ(a.pool_packets_created, b.pool_packets_created);
-  EXPECT_EQ(a.pool_packets_acquired, b.pool_packets_acquired);
   // wall_time_seconds deliberately not compared: host telemetry.
 }
 
-std::vector<MicroSweepPoint> DumbbellSweepPoints() {
+/// Two elephants, flow1 joining flow0 at 40 us, over a 150 us run on the
+/// spec's default topology (the Fig. 10 dumbbell).
+ExperimentSpec TwoElephants(CcMode mode) {
+  ExperimentSpec spec;
+  spec.scenario.mode = mode;
+  spec.wl.long_flows = {{0, 0}, {1, Microseconds(40)}};
+  spec.run.duration = Microseconds(150);
+  return spec;
+}
+
+/// k=4 fat-tree, web_search poisson at 50% load, run to completion.
+ExperimentSpec SmallFatTree(CcMode mode, int num_flows) {
+  ExperimentSpec spec;
+  spec.topology = "fat_tree";
+  spec.topo.k = 4;
+  spec.workload = "poisson";
+  spec.cdf = "web_search";
+  spec.wl.load = 0.5;
+  spec.wl.num_flows = num_flows;
+  spec.scenario.mode = mode;
+  spec.run.duration = 0;
+  return spec;
+}
+
+void ExpectAllIdentical(const std::vector<ExperimentPointResult>& a,
+                        const std::vector<ExperimentPointResult>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE("point=" + std::to_string(i));
+    ExpectResultsIdentical(a[i], b[i]);
+  }
+}
+
+std::vector<ExperimentSpec> DumbbellSweepPoints() {
   // A small but non-trivial mix: different CC modes, topologies and seeds,
   // with enough traffic for INT stamping, pacing and sampling to all run.
-  std::vector<MicroSweepPoint> points;
+  std::vector<ExperimentSpec> points;
   const CcMode modes[] = {CcMode::kFncc, CcMode::kHpcc, CcMode::kDcqcn,
                           CcMode::kSwift};
   for (std::size_t m = 0; m < 4; ++m) {
-    MicroSweepPoint point;
-    point.config.scenario.mode = modes[m];
-    point.config.scenario.seed = m + 1;
-    point.config.flows = {{0, 0}, {1, Microseconds(40)}};
-    point.config.duration = Microseconds(150);
+    ExperimentSpec point = TwoElephants(modes[m]);
+    point.scenario.seed = m + 1;
     points.push_back(point);
   }
   // Two chain-merge points exercise the other topology path.
-  MicroSweepPoint merge;
-  merge.config.scenario.mode = CcMode::kFncc;
-  merge.config.num_switches = 3;
-  merge.config.flows = {{0, 0}, {1, Microseconds(40)}};
-  merge.config.duration = Microseconds(150);
-  merge.merge_switch = 1;
+  ExperimentSpec merge = TwoElephants(CcMode::kFncc);
+  merge.topology = "chain_merge";
+  merge.topo.num_switches = 3;
+  merge.topo.merge_switch = 1;
   points.push_back(merge);
-  merge.merge_switch = 2;
+  merge.topo.merge_switch = 2;
   points.push_back(merge);
   return points;
 }
 
 TEST(SweepEquivalenceTest, DumbbellSweepBitIdenticalAcrossThreadCounts) {
-  const std::vector<MicroSweepPoint> points = DumbbellSweepPoints();
-  const std::vector<MicroRunResult> serial = RunMicroSweep(points, 1);
+  const std::vector<ExperimentSpec> points = DumbbellSweepPoints();
+  const std::vector<ExperimentPointResult> serial =
+      RunExperimentPoints(points, 1);
   ASSERT_EQ(serial.size(), points.size());
   for (int threads : {2, 8}) {
-    const std::vector<MicroRunResult> parallel =
-        RunMicroSweep(points, threads);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) + " point=" +
-                   std::to_string(i));
-      ExpectMicroResultsIdentical(serial[i], parallel[i]);
-    }
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExpectAllIdentical(serial, RunExperimentPoints(points, threads));
   }
 }
 
 TEST(SweepEquivalenceTest, RepeatedParallelRunsAreStable) {
   // Same sweep twice at the same thread count: no run-to-run drift from
   // scheduling, the global uid counter, or pool reuse.
-  const std::vector<MicroSweepPoint> points = DumbbellSweepPoints();
-  const std::vector<MicroRunResult> first = RunMicroSweep(points, 8);
-  const std::vector<MicroRunResult> second = RunMicroSweep(points, 8);
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    SCOPED_TRACE("point=" + std::to_string(i));
-    ExpectMicroResultsIdentical(first[i], second[i]);
-  }
+  const std::vector<ExperimentSpec> points = DumbbellSweepPoints();
+  ExpectAllIdentical(RunExperimentPoints(points, 8),
+                     RunExperimentPoints(points, 8));
 }
 
 // All seven CcModes — the receive-path dispatch acceptance check:
@@ -125,99 +167,35 @@ constexpr CcMode kAllModes[] = {
 };
 
 TEST(SweepEquivalenceTest, DumbbellAllSevenModesBitIdentical1v4Threads) {
-  std::vector<MicroSweepPoint> points;
+  std::vector<ExperimentSpec> points;
   for (std::size_t m = 0; m < std::size(kAllModes); ++m) {
-    MicroSweepPoint point;
-    point.config.scenario.mode = kAllModes[m];
-    point.config.scenario.seed = m + 1;
-    point.config.flows = {{0, 0}, {1, Microseconds(40)}};
-    point.config.duration = Microseconds(150);
+    ExperimentSpec point = TwoElephants(kAllModes[m]);
+    point.scenario.seed = m + 1;
     points.push_back(point);
   }
-  const std::vector<MicroRunResult> serial = RunMicroSweep(points, 1);
-  const std::vector<MicroRunResult> parallel = RunMicroSweep(points, 4);
-  ASSERT_EQ(parallel.size(), serial.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    SCOPED_TRACE(std::string("mode=") + CcModeName(kAllModes[i]));
-    ExpectMicroResultsIdentical(serial[i], parallel[i]);
-  }
+  ExpectAllIdentical(RunExperimentPoints(points, 1),
+                     RunExperimentPoints(points, 4));
 }
 
 TEST(SweepEquivalenceTest, FatTreeAllSevenModesBitIdentical1v4Threads) {
-  std::vector<FatTreeRunConfig> configs(std::size(kAllModes));
-  for (std::size_t m = 0; m < std::size(kAllModes); ++m) {
-    configs[m].scenario.mode = kAllModes[m];
-    configs[m].k = 4;
-    configs[m].num_flows = 40;
-    configs[m].cdf = SizeCdf::WebSearch();
-    configs[m].load = 0.5;
-  }
-  const std::vector<FatTreeRunResult> serial = RunFatTreeSweep(configs, 1);
-  const std::vector<FatTreeRunResult> parallel = RunFatTreeSweep(configs, 4);
-  ASSERT_EQ(parallel.size(), serial.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    SCOPED_TRACE(std::string("mode=") + CcModeName(kAllModes[i]));
-    const FatTreeRunResult& a = serial[i];
-    const FatTreeRunResult& b = parallel[i];
-    EXPECT_EQ(a.flows_completed, b.flows_completed);
-    EXPECT_EQ(a.events_processed, b.events_processed);
-    ASSERT_EQ(a.fct.count(), b.fct.count());
-    for (std::size_t f = 0; f < a.fct.count(); ++f) {
-      const FlowResult& fa = a.fct.results()[f];
-      const FlowResult& fb = b.fct.results()[f];
-      EXPECT_EQ(fa.spec.id, fb.spec.id) << "flow " << f;
-      EXPECT_EQ(fa.fct, fb.fct) << "flow " << f;
-      EXPECT_TRUE(SameBits(fa.slowdown, fb.slowdown)) << "flow " << f;
-    }
-  }
+  std::vector<ExperimentSpec> points;
+  for (CcMode mode : kAllModes) points.push_back(SmallFatTree(mode, 40));
+  ExpectAllIdentical(RunExperimentPoints(points, 1),
+                     RunExperimentPoints(points, 4));
 }
 
 TEST(SweepEquivalenceTest, FatTreeFctRecordsBitIdenticalAcrossThreadCounts) {
   // The fig14/fig15 shape in miniature: per-mode fat-tree points whose FCT
   // records (the raw material of every slowdown stat) must not depend on
   // the thread count.
-  std::vector<FatTreeRunConfig> configs(3);
-  configs[0].scenario.mode = CcMode::kFncc;
-  configs[1].scenario.mode = CcMode::kHpcc;
-  configs[2].scenario.mode = CcMode::kDcqcn;
-  for (FatTreeRunConfig& c : configs) {
-    c.k = 4;
-    c.num_flows = 60;
-    c.cdf = SizeCdf::WebSearch();
-    c.load = 0.5;
-  }
-
-  const std::vector<FatTreeRunResult> serial = RunFatTreeSweep(configs, 1);
+  const std::vector<ExperimentSpec> points = {
+      SmallFatTree(CcMode::kFncc, 60), SmallFatTree(CcMode::kHpcc, 60),
+      SmallFatTree(CcMode::kDcqcn, 60)};
+  const std::vector<ExperimentPointResult> serial =
+      RunExperimentPoints(points, 1);
   for (int threads : {2, 8}) {
-    const std::vector<FatTreeRunResult> parallel =
-        RunFatTreeSweep(configs, threads);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) + " mode=" +
-                   std::to_string(i));
-      const FatTreeRunResult& a = serial[i];
-      const FatTreeRunResult& b = parallel[i];
-      EXPECT_EQ(a.flows_completed, b.flows_completed);
-      EXPECT_EQ(a.flows_total, b.flows_total);
-      EXPECT_EQ(a.pause_frames, b.pause_frames);
-      EXPECT_EQ(a.drops, b.drops);
-      EXPECT_EQ(a.retransmits, b.retransmits);
-      EXPECT_EQ(a.asymmetric_acks, b.asymmetric_acks);
-      EXPECT_EQ(a.events_processed, b.events_processed);
-      ASSERT_EQ(a.fct.count(), b.fct.count());
-      for (std::size_t f = 0; f < a.fct.count(); ++f) {
-        const FlowResult& fa = a.fct.results()[f];
-        const FlowResult& fb = b.fct.results()[f];
-        EXPECT_EQ(fa.spec.id, fb.spec.id) << "flow " << f;
-        EXPECT_EQ(fa.spec.src, fb.spec.src) << "flow " << f;
-        EXPECT_EQ(fa.spec.dst, fb.spec.dst) << "flow " << f;
-        EXPECT_EQ(fa.spec.size_bytes, fb.spec.size_bytes) << "flow " << f;
-        EXPECT_EQ(fa.spec.start_time, fb.spec.start_time) << "flow " << f;
-        EXPECT_EQ(fa.spec.ideal_fct, fb.spec.ideal_fct) << "flow " << f;
-        EXPECT_EQ(fa.fct, fb.fct) << "flow " << f;
-        EXPECT_TRUE(SameBits(fa.slowdown, fb.slowdown)) << "flow " << f;
-      }
-    }
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ExpectAllIdentical(serial, RunExperimentPoints(points, threads));
   }
 }
 
@@ -254,30 +232,12 @@ sweep.seed = 1
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     SCOPED_TRACE("point=" + points[i].label);
-    const ExperimentPointResult& a = serial[i];
-    const ExperimentPointResult& b = parallel[i];
-    EXPECT_EQ(a.flows_completed, b.flows_completed);
-    EXPECT_GT(a.flows_total, 0u);
-    EXPECT_EQ(a.flows_total, b.flows_total);
-    EXPECT_EQ(a.pause_frames, b.pause_frames);
-    EXPECT_EQ(a.drops, b.drops);
-    EXPECT_EQ(a.retransmits, b.retransmits);
-    EXPECT_EQ(a.events_processed, b.events_processed);
-    ASSERT_EQ(a.fct.count(), b.fct.count());
-    EXPECT_EQ(a.fct.count(), a.flows_total);  // shuffle ran to completion
-    for (std::size_t f = 0; f < a.fct.count(); ++f) {
-      const FlowResult& fa = a.fct.results()[f];
-      const FlowResult& fb = b.fct.results()[f];
-      EXPECT_EQ(fa.spec.id, fb.spec.id) << "flow " << f;
-      EXPECT_EQ(fa.spec.src, fb.spec.src) << "flow " << f;
-      EXPECT_EQ(fa.spec.dst, fb.spec.dst) << "flow " << f;
-      EXPECT_EQ(fa.fct, fb.fct) << "flow " << f;
-      EXPECT_TRUE(SameBits(fa.slowdown, fb.slowdown)) << "flow " << f;
-    }
+    EXPECT_GT(serial[i].flows_total, 0u);
+    // The shuffle ran to completion.
+    EXPECT_EQ(serial[i].fct.count(), serial[i].flows_total);
     // leaf_spine exposes a congestion point, so the monitored series run
     // through the same per-thread-count contract.
-    ExpectSeriesIdentical(a.queue_bytes, b.queue_bytes);
-    ExpectSeriesIdentical(a.utilization, b.utilization);
+    ExpectResultsIdentical(serial[i], parallel[i]);
   }
 }
 
@@ -298,39 +258,6 @@ ExperimentPointResult RunDomainPoint(const char* spec_text, CcMode mode,
   return RunExperimentPoint(spec, threads);
 }
 
-void ExpectDomainResultsIdentical(const ExperimentPointResult& a,
-                                  const ExperimentPointResult& b) {
-  EXPECT_EQ(a.flows_completed, b.flows_completed);
-  EXPECT_EQ(a.flows_total, b.flows_total);
-  EXPECT_EQ(a.pause_frames, b.pause_frames);
-  EXPECT_EQ(a.resume_frames, b.resume_frames);
-  EXPECT_EQ(a.drops, b.drops);
-  EXPECT_EQ(a.retransmits, b.retransmits);
-  EXPECT_EQ(a.out_of_order, b.out_of_order);
-  EXPECT_EQ(a.asymmetric_acks, b.asymmetric_acks);
-  EXPECT_EQ(a.lhcs_triggers, b.lhcs_triggers);
-  EXPECT_EQ(a.events_processed, b.events_processed);
-  ASSERT_EQ(a.fct.count(), b.fct.count());
-  for (std::size_t f = 0; f < a.fct.count(); ++f) {
-    const FlowResult& fa = a.fct.results()[f];
-    const FlowResult& fb = b.fct.results()[f];
-    EXPECT_EQ(fa.spec.id, fb.spec.id) << "flow " << f;
-    EXPECT_EQ(fa.spec.src, fb.spec.src) << "flow " << f;
-    EXPECT_EQ(fa.spec.dst, fb.spec.dst) << "flow " << f;
-    EXPECT_EQ(fa.spec.size_bytes, fb.spec.size_bytes) << "flow " << f;
-    EXPECT_EQ(fa.spec.start_time, fb.spec.start_time) << "flow " << f;
-    EXPECT_EQ(fa.fct, fb.fct) << "flow " << f;
-    EXPECT_TRUE(SameBits(fa.slowdown, fb.slowdown)) << "flow " << f;
-  }
-  ExpectSeriesIdentical(a.queue_bytes, b.queue_bytes);
-  ExpectSeriesIdentical(a.utilization, b.utilization);
-  ASSERT_EQ(a.flows.size(), b.flows.size());
-  for (std::size_t i = 0; i < a.flows.size(); ++i) {
-    ExpectSeriesIdentical(a.flows[i].pacing_gbps, b.flows[i].pacing_gbps);
-    ExpectSeriesIdentical(a.flows[i].goodput_gbps, b.flows[i].goodput_gbps);
-  }
-}
-
 void RunDomainMatrix(const char* spec_text) {
   for (CcMode mode : kAllModes) {
     const ExperimentPointResult base = RunDomainPoint(spec_text, mode, 1, 1);
@@ -340,8 +267,9 @@ void RunDomainMatrix(const char* spec_text) {
         SCOPED_TRACE(std::string("mode=") + CcModeName(mode) +
                      " domains=" + std::to_string(domains) +
                      " threads=" + std::to_string(threads));
-        ExpectDomainResultsIdentical(
-            base, RunDomainPoint(spec_text, mode, domains, threads));
+        ExpectResultsIdentical(
+            base, RunDomainPoint(spec_text, mode, domains, threads),
+            /*same_partition=*/false);
       }
     }
   }

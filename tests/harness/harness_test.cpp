@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "harness/dumbbell_runner.hpp"
+#include "harness/experiment_runner.hpp"
 #include "harness/scenario.hpp"
 
 namespace fncc {
@@ -115,11 +115,11 @@ TEST(IdealFctTest, LargeFlowAddsLineRateSerialization) {
 }
 
 TEST(RunnerTest, MonitorsProduceExpectedSampleCounts) {
-  MicroRunConfig config;
-  config.flows = {{0, 0}};
-  config.duration = Microseconds(100);
-  config.queue_sample_interval = Microseconds(10);
-  const MicroRunResult r = RunDumbbell(config);
+  ExperimentSpec spec;
+  spec.wl.long_flows = {{0, 0}};
+  spec.run.duration = Microseconds(100);
+  spec.run.queue_sample_interval = Microseconds(10);
+  const ExperimentPointResult r = RunExperimentPoint(spec);
   // One sample every 10 us over 100 us (first at t=10).
   EXPECT_EQ(r.queue_bytes.size(), 10u);
   ASSERT_EQ(r.flows.size(), 1u);
@@ -128,20 +128,20 @@ TEST(RunnerTest, MonitorsProduceExpectedSampleCounts) {
 
 TEST(RunnerTest, AutoFlowBudgetOutlastsDuration) {
   // A single elephant at line rate must not run out of bytes mid-run.
-  MicroRunConfig config;
-  config.flows = {{0, 0}};
-  config.duration = Microseconds(500);
-  const MicroRunResult r = RunDumbbell(config);
+  ExperimentSpec spec;
+  spec.wl.long_flows = {{0, 0}};
+  spec.run.duration = Microseconds(500);
+  const ExperimentPointResult r = RunExperimentPoint(spec);
   const double final_rate = r.flows[0].goodput_gbps.MeanOver(
       Microseconds(400), Microseconds(500));
   EXPECT_GT(final_rate, 80.0);  // still sending at the end
 }
 
 TEST(RunnerTest, StopAbortsFlowMidRun) {
-  MicroRunConfig config;
-  config.flows = {{0, 0, Microseconds(200)}};
-  config.duration = Microseconds(400);
-  const MicroRunResult r = RunDumbbell(config);
+  ExperimentSpec spec;
+  spec.wl.long_flows = {{0, 0, Microseconds(200)}};
+  spec.run.duration = Microseconds(400);
+  const ExperimentPointResult r = RunExperimentPoint(spec);
   EXPECT_GT(r.flows[0].goodput_gbps.MeanOver(Microseconds(100),
                                              Microseconds(200)),
             50.0);

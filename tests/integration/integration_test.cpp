@@ -1,24 +1,23 @@
 // End-to-end behaviour on the paper's scenarios, scaled for CI speed.
 #include <gtest/gtest.h>
 
-#include "harness/dumbbell_runner.hpp"
-#include "harness/fat_tree_runner.hpp"
+#include "harness/experiment_runner.hpp"
 #include "stats/percentile.hpp"
 
 namespace fncc {
 namespace {
 
-MicroRunConfig TwoElephants(CcMode mode, double gbps = 100.0) {
-  MicroRunConfig config;
-  config.scenario.mode = mode;
-  config.scenario.link_gbps = gbps;
-  config.flows = {{0, 0}, {1, Microseconds(300)}};
-  config.duration = Microseconds(800);
-  return config;
+ExperimentSpec TwoElephants(CcMode mode, double gbps = 100.0) {
+  ExperimentSpec spec;
+  spec.scenario.mode = mode;
+  spec.scenario.link_gbps = gbps;
+  spec.wl.long_flows = {{0, 0}, {1, Microseconds(300)}};
+  spec.run.duration = Microseconds(800);
+  return spec;
 }
 
 TEST(DumbbellIntegrationTest, FnccConvergesToFairShare) {
-  const auto r = RunDumbbell(TwoElephants(CcMode::kFncc));
+  const auto r = RunExperimentPoint(TwoElephants(CcMode::kFncc));
   // Between 600 and 800 us both elephants hold ~ eta/2 of the line.
   const double f0 = r.flows[0].pacing_gbps.MeanOver(Microseconds(600),
                                                     Microseconds(800));
@@ -31,22 +30,22 @@ TEST(DumbbellIntegrationTest, FnccConvergesToFairShare) {
 }
 
 TEST(DumbbellIntegrationTest, FnccKeepsShallowerQueueThanHpcc) {
-  const auto fncc = RunDumbbell(TwoElephants(CcMode::kFncc));
-  const auto hpcc = RunDumbbell(TwoElephants(CcMode::kHpcc));
+  const auto fncc = RunExperimentPoint(TwoElephants(CcMode::kFncc));
+  const auto hpcc = RunExperimentPoint(TwoElephants(CcMode::kHpcc));
   EXPECT_LT(fncc.queue_bytes.Max(), hpcc.queue_bytes.Max());
 }
 
 TEST(DumbbellIntegrationTest, HpccKeepsShallowerQueueThanDcqcn) {
-  const auto hpcc = RunDumbbell(TwoElephants(CcMode::kHpcc));
-  const auto dcqcn = RunDumbbell(TwoElephants(CcMode::kDcqcn));
+  const auto hpcc = RunExperimentPoint(TwoElephants(CcMode::kHpcc));
+  const auto dcqcn = RunExperimentPoint(TwoElephants(CcMode::kDcqcn));
   EXPECT_LT(hpcc.queue_bytes.Max(), dcqcn.queue_bytes.Max());
 }
 
 TEST(DumbbellIntegrationTest, FnccReactsBeforeHpcc) {
   // Reaction time: first instant after flow1 joins (300 us) where flow0's
   // pacing rate dips below 80 Gbps.
-  const auto fncc = RunDumbbell(TwoElephants(CcMode::kFncc));
-  const auto hpcc = RunDumbbell(TwoElephants(CcMode::kHpcc));
+  const auto fncc = RunExperimentPoint(TwoElephants(CcMode::kFncc));
+  const auto hpcc = RunExperimentPoint(TwoElephants(CcMode::kHpcc));
   const Time t_fncc =
       fncc.flows[0].pacing_gbps.FirstTimeBelow(80.0, Microseconds(300));
   const Time t_hpcc =
@@ -58,9 +57,9 @@ TEST(DumbbellIntegrationTest, FnccReactsBeforeHpcc) {
 
 TEST(DumbbellIntegrationTest, PauseFrameOrderingMatchesFig3) {
   for (double gbps : {200.0, 400.0}) {
-    const auto fncc = RunDumbbell(TwoElephants(CcMode::kFncc, gbps));
-    const auto hpcc = RunDumbbell(TwoElephants(CcMode::kHpcc, gbps));
-    const auto dcqcn = RunDumbbell(TwoElephants(CcMode::kDcqcn, gbps));
+    const auto fncc = RunExperimentPoint(TwoElephants(CcMode::kFncc, gbps));
+    const auto hpcc = RunExperimentPoint(TwoElephants(CcMode::kHpcc, gbps));
+    const auto dcqcn = RunExperimentPoint(TwoElephants(CcMode::kDcqcn, gbps));
     EXPECT_LE(fncc.pause_frames, hpcc.pause_frames) << gbps;
     EXPECT_LE(hpcc.pause_frames, dcqcn.pause_frames) << gbps;
     EXPECT_GT(dcqcn.pause_frames, 0u) << gbps;
@@ -68,7 +67,7 @@ TEST(DumbbellIntegrationTest, PauseFrameOrderingMatchesFig3) {
 }
 
 TEST(DumbbellIntegrationTest, UtilizationStaysHighForFncc) {
-  const auto r = RunDumbbell(TwoElephants(CcMode::kFncc));
+  const auto r = RunExperimentPoint(TwoElephants(CcMode::kFncc));
   // After convergence the bottleneck should run near eta.
   EXPECT_GT(r.utilization.MeanOver(Microseconds(500), Microseconds(800)),
             0.85);
@@ -76,45 +75,52 @@ TEST(DumbbellIntegrationTest, UtilizationStaysHighForFncc) {
 
 TEST(DumbbellIntegrationTest, LosslessForWindowBasedSchemes) {
   for (CcMode mode : {CcMode::kFncc, CcMode::kHpcc, CcMode::kFnccNoLhcs}) {
-    const auto r = RunDumbbell(TwoElephants(mode));
+    const auto r = RunExperimentPoint(TwoElephants(mode));
     EXPECT_EQ(r.drops, 0u);
     EXPECT_EQ(r.pause_frames, 0u) << CcModeName(mode);
   }
 }
 
 TEST(ChainMergeIntegrationTest, LhcsTriggersOnlyOnLastHop) {
-  MicroRunConfig config;
-  config.scenario.mode = CcMode::kFncc;
-  config.num_switches = 3;
-  config.flows = {{0, 0}, {1, Microseconds(300)}};
-  config.duration = Microseconds(800);
+  ExperimentSpec spec;
+  spec.topology = "chain_merge";
+  spec.scenario.mode = CcMode::kFncc;
+  spec.topo.num_switches = 3;
+  spec.wl.long_flows = {{0, 0}, {1, Microseconds(300)}};
+  spec.run.duration = Microseconds(800);
 
-  const auto first = RunChainMerge(config, /*merge_switch=*/0);
-  const auto last = RunChainMerge(config, /*merge_switch=*/2);
+  spec.topo.merge_switch = 0;
+  const auto first = RunExperimentPoint(spec);
+  spec.topo.merge_switch = 2;
+  const auto last = RunExperimentPoint(spec);
   EXPECT_EQ(first.lhcs_triggers, 0u);
   EXPECT_GT(last.lhcs_triggers, 0u);
 }
 
 TEST(ChainMergeIntegrationTest, LhcsCutsLastHopQueue) {
-  MicroRunConfig config;
-  config.num_switches = 3;
-  config.flows = {{0, 0}, {1, Microseconds(300)}};
-  config.duration = Microseconds(800);
+  ExperimentSpec spec;
+  spec.topology = "chain_merge";
+  spec.topo.num_switches = 3;
+  spec.topo.merge_switch = 2;
+  spec.wl.long_flows = {{0, 0}, {1, Microseconds(300)}};
+  spec.run.duration = Microseconds(800);
 
-  config.scenario.mode = CcMode::kFncc;
-  const auto with = RunChainMerge(config, 2);
-  config.scenario.mode = CcMode::kFnccNoLhcs;
-  const auto without = RunChainMerge(config, 2);
+  spec.scenario.mode = CcMode::kFncc;
+  const auto with = RunExperimentPoint(spec);
+  spec.scenario.mode = CcMode::kFnccNoLhcs;
+  const auto without = RunExperimentPoint(spec);
   EXPECT_LT(with.queue_bytes.Max(), without.queue_bytes.Max());
 }
 
 TEST(ChainMergeIntegrationTest, LhcsSnapsToFairRateTimesBeta) {
-  MicroRunConfig config;
-  config.scenario.mode = CcMode::kFncc;
-  config.num_switches = 3;
-  config.flows = {{0, 0}, {1, Microseconds(300)}};
-  config.duration = Microseconds(800);
-  const auto r = RunChainMerge(config, 2);
+  ExperimentSpec spec;
+  spec.topology = "chain_merge";
+  spec.scenario.mode = CcMode::kFncc;
+  spec.topo.num_switches = 3;
+  spec.topo.merge_switch = 2;
+  spec.wl.long_flows = {{0, 0}, {1, Microseconds(300)}};
+  spec.run.duration = Microseconds(800);
+  const auto r = RunExperimentPoint(spec);
   // Shortly after the join, both flows sit near fair * beta = 45 Gbps
   // (Fig. 13d) — clearly below the eta-governed 47.5 steady state.
   const double f0 = r.flows[0].pacing_gbps.MeanOver(Microseconds(330),
@@ -125,15 +131,15 @@ TEST(ChainMergeIntegrationTest, LhcsSnapsToFairRateTimesBeta) {
 TEST(FairnessIntegrationTest, StaggeredFlowsShareFairly) {
   // Scaled version of Fig. 13e: 4 flows join every 200 us and exit in
   // reverse order; while k flows are active each should get ~eta*B/k.
-  MicroRunConfig config;
-  config.scenario.mode = CcMode::kFncc;
-  config.num_senders = 4;
-  config.flows = {{0, 0, Microseconds(4000)},
-                  {1, Microseconds(500), Microseconds(3500)},
-                  {2, Microseconds(1000), Microseconds(3000)},
-                  {3, Microseconds(1500), Microseconds(2500)}};
-  config.duration = Microseconds(4200);
-  const auto r = RunDumbbell(config);
+  ExperimentSpec spec;
+  spec.scenario.mode = CcMode::kFncc;
+  spec.topo.num_senders = 4;
+  spec.wl.long_flows = {{0, 0, Microseconds(4000)},
+                        {1, Microseconds(500), Microseconds(3500)},
+                        {2, Microseconds(1000), Microseconds(3000)},
+                        {3, Microseconds(1500), Microseconds(2500)}};
+  spec.run.duration = Microseconds(4200);
+  const auto r = RunExperimentPoint(spec);
 
   // Four active flows in [1.8ms, 2.5ms]: fair share ~ 23.75 Gbps.
   std::vector<double> shares;
@@ -149,12 +155,15 @@ TEST(FairnessIntegrationTest, StaggeredFlowsShareFairly) {
 }
 
 TEST(FatTreeIntegrationTest, SmallFatTreeWorkloadCompletes) {
-  FatTreeRunConfig config;
-  config.k = 4;
-  config.scenario.mode = CcMode::kFncc;
-  config.cdf = SizeCdf::FbHadoop();
-  config.num_flows = 300;
-  const auto r = RunFatTree(config);
+  ExperimentSpec spec;
+  spec.topology = "fat_tree";
+  spec.topo.k = 4;
+  spec.workload = "poisson";
+  spec.cdf = "fb_hadoop";
+  spec.wl.num_flows = 300;
+  spec.scenario.mode = CcMode::kFncc;
+  spec.run.duration = 0;
+  const auto r = RunExperimentPoint(spec);
   EXPECT_EQ(r.flows_completed, r.flows_total);
   EXPECT_EQ(r.drops, 0u);
   EXPECT_EQ(r.retransmits, 0u);
@@ -164,16 +173,19 @@ TEST(FatTreeIntegrationTest, SmallFatTreeWorkloadCompletes) {
 }
 
 TEST(FatTreeIntegrationTest, FnccBeatsDcqcnOnSmallFlowTail) {
-  FatTreeRunConfig config;
-  config.k = 4;
-  config.cdf = SizeCdf::FbHadoop();
-  config.num_flows = 400;
-  config.load = 0.6;
+  ExperimentSpec spec;
+  spec.topology = "fat_tree";
+  spec.topo.k = 4;
+  spec.workload = "poisson";
+  spec.cdf = "fb_hadoop";
+  spec.wl.num_flows = 400;
+  spec.wl.load = 0.6;
+  spec.run.duration = 0;
 
-  config.scenario.mode = CcMode::kFncc;
-  const auto fncc = RunFatTree(config);
-  config.scenario.mode = CcMode::kDcqcn;
-  const auto dcqcn = RunFatTree(config);
+  spec.scenario.mode = CcMode::kFncc;
+  const auto fncc = RunExperimentPoint(spec);
+  spec.scenario.mode = CcMode::kDcqcn;
+  const auto dcqcn = RunExperimentPoint(spec);
 
   const auto fncc_small = fncc.fct.OverRange(0, 100'000);
   const auto dcqcn_small = dcqcn.fct.OverRange(0, 100'000);

@@ -3,33 +3,36 @@
 // because asymmetric routing silently invalidates return-path INT.
 #include <gtest/gtest.h>
 
-#include "harness/fat_tree_runner.hpp"
+#include "harness/experiment_runner.hpp"
 #include "harness/scenario.hpp"
 
 namespace fncc {
 namespace {
 
-FatTreeRunConfig BaseConfig() {
-  FatTreeRunConfig config;
-  config.k = 4;
-  config.cdf = SizeCdf::FbHadoop();
-  config.num_flows = 200;
-  config.scenario.mode = CcMode::kFncc;
-  return config;
+ExperimentSpec BaseSpec() {
+  ExperimentSpec spec;
+  spec.topology = "fat_tree";
+  spec.topo.k = 4;
+  spec.workload = "poisson";
+  spec.cdf = "fb_hadoop";
+  spec.wl.num_flows = 200;
+  spec.scenario.mode = CcMode::kFncc;
+  spec.run.duration = 0;
+  return spec;
 }
 
 TEST(PathSymmetryTest, SymmetricEcmpNeverFlagsAsymmetry) {
-  FatTreeRunConfig config = BaseConfig();
-  config.scenario.symmetric_ecmp = true;
-  const auto r = RunFatTree(config);
+  ExperimentSpec spec = BaseSpec();
+  spec.scenario.symmetric_ecmp = true;
+  const auto r = RunExperimentPoint(spec);
   EXPECT_EQ(r.flows_completed, r.flows_total);
   EXPECT_EQ(r.asymmetric_acks, 0u);
 }
 
 TEST(PathSymmetryTest, PlainEcmpIsDetectedBySender) {
-  FatTreeRunConfig config = BaseConfig();
-  config.scenario.symmetric_ecmp = false;  // per-direction hashing
-  const auto r = RunFatTree(config);
+  ExperimentSpec spec = BaseSpec();
+  spec.scenario.symmetric_ecmp = false;  // per-direction hashing
+  const auto r = RunExperimentPoint(spec);
   EXPECT_EQ(r.flows_completed, r.flows_total);
   // Inter-pod flows whose forward and reverse hashes diverge cross
   // different switch sets; the XOR pathID comparison must catch them.

@@ -3,7 +3,7 @@
 // and share the bottleneck fairly between two long flows.
 #include <gtest/gtest.h>
 
-#include "harness/dumbbell_runner.hpp"
+#include "harness/experiment_runner.hpp"
 #include "stats/percentile.hpp"
 #include "workload/traffic_gen.hpp"
 
@@ -25,18 +25,18 @@ std::string ParamName(const ::testing::TestParamInfo<SweepParam>& info) {
 
 class CcSweepTest : public ::testing::TestWithParam<SweepParam> {
  protected:
-  MicroRunConfig Config() const {
-    MicroRunConfig config;
-    config.scenario.mode = GetParam().mode;
-    config.scenario.link_gbps = GetParam().gbps;
-    config.flows = {{0, 0}, {1, Microseconds(300)}};
-    config.duration = Microseconds(900);
-    return config;
+  ExperimentSpec Spec() const {
+    ExperimentSpec spec;
+    spec.scenario.mode = GetParam().mode;
+    spec.scenario.link_gbps = GetParam().gbps;
+    spec.wl.long_flows = {{0, 0}, {1, Microseconds(300)}};
+    spec.run.duration = Microseconds(900);
+    return spec;
   }
 };
 
 TEST_P(CcSweepTest, LosslessUnderPfc) {
-  const auto r = RunDumbbell(Config());
+  const auto r = RunExperimentPoint(Spec());
   EXPECT_EQ(r.drops, 0u);
   // Single-path FIFO forwarding must never reorder (regression guard for
   // sender-side re-entrancy: a CC callback once overtook an MTU).
@@ -44,7 +44,7 @@ TEST_P(CcSweepTest, LosslessUnderPfc) {
 }
 
 TEST_P(CcSweepTest, QueueBoundedByPfcEnvelope) {
-  const auto r = RunDumbbell(Config());
+  const auto r = RunExperimentPoint(Spec());
   // With XOFF at 500 KB per ingress and 2 senders the congested egress can
   // never exceed ~2 * XOFF plus in-flight slack (propagation + the frames
   // already serializing when the pause lands; generous at 400 Gbps).
@@ -52,7 +52,7 @@ TEST_P(CcSweepTest, QueueBoundedByPfcEnvelope) {
 }
 
 TEST_P(CcSweepTest, WorkConservingAfterConvergence) {
-  const auto r = RunDumbbell(Config());
+  const auto r = RunExperimentPoint(Spec());
   // The bottleneck must not collapse. DCQCN's additive recovery after deep
   // cuts is very slow at these timescales (the paper's §5.1 observation),
   // so it gets a lower floor than the window-based schemes.
@@ -62,7 +62,7 @@ TEST_P(CcSweepTest, WorkConservingAfterConvergence) {
 }
 
 TEST_P(CcSweepTest, NoStarvation) {
-  const auto r = RunDumbbell(Config());
+  const auto r = RunExperimentPoint(Spec());
   const double f0 = r.flows[0].goodput_gbps.MeanOver(Microseconds(500),
                                                      Microseconds(900));
   const double f1 = r.flows[1].goodput_gbps.MeanOver(Microseconds(500),
@@ -76,7 +76,7 @@ TEST_P(CcSweepTest, WindowSchemesConvergeFairly) {
       GetParam().mode == CcMode::kTimely || GetParam().mode == CcMode::kSwift) {
     GTEST_SKIP() << "rate-based baselines converge slower than this window";
   }
-  const auto r = RunDumbbell(Config());
+  const auto r = RunExperimentPoint(Spec());
   const double f0 = r.flows[0].goodput_gbps.MeanOver(Microseconds(600),
                                                      Microseconds(900));
   const double f1 = r.flows[1].goodput_gbps.MeanOver(Microseconds(600),
@@ -105,12 +105,12 @@ INSTANTIATE_TEST_SUITE_P(
 class MtuSweepTest : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(MtuSweepTest, ConvergesAndStaysLossless) {
-  MicroRunConfig config;
-  config.scenario.mode = CcMode::kFncc;
-  config.scenario.mtu_bytes = GetParam();
-  config.flows = {{0, 0}, {1, Microseconds(300)}};
-  config.duration = Microseconds(800);
-  const auto r = RunDumbbell(config);
+  ExperimentSpec spec;
+  spec.scenario.mode = CcMode::kFncc;
+  spec.scenario.mtu_bytes = GetParam();
+  spec.wl.long_flows = {{0, 0}, {1, Microseconds(300)}};
+  spec.run.duration = Microseconds(800);
+  const auto r = RunExperimentPoint(spec);
   EXPECT_EQ(r.drops, 0u);
   const double f0 = r.flows[0].goodput_gbps.MeanOver(Microseconds(600),
                                                      Microseconds(800));
@@ -124,12 +124,12 @@ INSTANTIATE_TEST_SUITE_P(Mtus, MtuSweepTest,
 class HopSweepTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(HopSweepTest, FnccWorksAcrossPathDepths) {
-  MicroRunConfig config;
-  config.scenario.mode = CcMode::kFncc;
-  config.num_switches = GetParam();
-  config.flows = {{0, 0}, {1, Microseconds(300)}};
-  config.duration = Microseconds(1000);
-  const auto r = RunDumbbell(config);
+  ExperimentSpec spec;
+  spec.scenario.mode = CcMode::kFncc;
+  spec.topo.num_switches = GetParam();
+  spec.wl.long_flows = {{0, 0}, {1, Microseconds(300)}};
+  spec.run.duration = Microseconds(1000);
+  const auto r = RunExperimentPoint(spec);
   EXPECT_EQ(r.drops, 0u);
   const double f0 = r.flows[0].goodput_gbps.MeanOver(Microseconds(700),
                                                      Microseconds(1000));
@@ -142,12 +142,12 @@ INSTANTIATE_TEST_SUITE_P(Chains, HopSweepTest, ::testing::Values(1, 2, 3, 5, 8))
 
 /// Seed sweep: results must be deterministic per seed.
 TEST(DeterminismTest, IdenticalSeedsIdenticalResults) {
-  MicroRunConfig config;
-  config.scenario.mode = CcMode::kDcqcn;  // exercises the RNG (ECN marking)
-  config.flows = {{0, 0}, {1, Microseconds(300)}};
-  config.duration = Microseconds(600);
-  const auto a = RunDumbbell(config);
-  const auto b = RunDumbbell(config);
+  ExperimentSpec spec;
+  spec.scenario.mode = CcMode::kDcqcn;  // exercises the RNG (ECN marking)
+  spec.wl.long_flows = {{0, 0}, {1, Microseconds(300)}};
+  spec.run.duration = Microseconds(600);
+  const auto a = RunExperimentPoint(spec);
+  const auto b = RunExperimentPoint(spec);
   ASSERT_EQ(a.queue_bytes.size(), b.queue_bytes.size());
   for (std::size_t i = 0; i < a.queue_bytes.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.queue_bytes.samples()[i].value,

@@ -1,6 +1,7 @@
 // Streaming flow injection (run.launch_window > 0) against the eager
-// launch path: identical FCT records and counters on a Poisson point,
-// byte-identical streamed CSV, and the bounded-memory contract — a
+// launch path: identical FCT records and counters on a Poisson point and
+// on a point truncated by run.max_sim_time, byte-identical streamed CSV,
+// and the bounded-memory contract — a
 // 200k-flow trace replays without O(total flows) resident growth.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
@@ -89,6 +90,50 @@ TEST(StreamingLaunchTest, MatchesEagerOnPoissonPoint) {
   EXPECT_EQ(Slurp(stream_csv), Slurp(eager_csv));
   std::remove(eager_csv.c_str());
   std::remove(stream_csv.c_str());
+}
+
+// A run-to-completion point cut off by run.max_sim_time: the eager loop
+// must stop exactly at the wall, as the streaming loop does, so both
+// paths report the same truncated run (the eager loop once overshot to
+// the next 2 ms chunk boundary and completed more flows).
+TEST(StreamingLaunchTest, WallTruncatedPointMatchesEager) {
+  ExperimentSpec eager;
+  eager.name = "streaming_wall_truncated";
+  eager.topology = "fat_tree";
+  eager.topo.k = 4;
+  eager.workload = "poisson";
+  eager.cdf = "web_search";
+  eager.wl.num_flows = 60;
+  eager.scenario.mode = CcMode::kFncc;
+  eager.run.duration = 0;
+  eager.run.max_sim_time = 1 * kMillisecond;
+  eager.run.monitor = false;
+  const ExperimentPointResult ref = RunExperimentPoint(eager);
+  ASSERT_GT(ref.flows_completed, 0u);
+  ASSERT_LT(ref.flows_completed, ref.flows_total) << "the wall must bite";
+
+  ExperimentSpec streaming = eager;
+  streaming.run.launch_window = Microseconds(100);
+  const ExperimentPointResult got = RunExperimentPoint(streaming);
+
+  EXPECT_EQ(got.flows_completed, ref.flows_completed);
+  EXPECT_EQ(got.retransmits, ref.retransmits);
+  EXPECT_EQ(got.drops, ref.drops);
+  EXPECT_EQ(got.pause_frames, ref.pause_frames);
+  EXPECT_EQ(got.out_of_order, ref.out_of_order);
+  EXPECT_EQ(got.events_processed, ref.events_processed);
+  ASSERT_EQ(got.fct.count(), ref.fct.count());
+  for (std::size_t i = 0; i < ref.fct.count(); ++i) {
+    const FlowResult& a = ref.fct.results()[i];
+    const FlowResult& b = got.fct.results()[i];
+    EXPECT_EQ(b.spec.id, a.spec.id) << "record " << i;
+    EXPECT_EQ(b.spec.src, a.spec.src) << "record " << i;
+    EXPECT_EQ(b.spec.dst, a.spec.dst) << "record " << i;
+    EXPECT_EQ(b.spec.size_bytes, a.spec.size_bytes) << "record " << i;
+    EXPECT_EQ(b.spec.start_time, a.spec.start_time) << "record " << i;
+    EXPECT_EQ(b.fct, a.fct) << "record " << i;
+    EXPECT_DOUBLE_EQ(b.slowdown, a.slowdown) << "record " << i;
+  }
 }
 
 long PeakRssKb() {

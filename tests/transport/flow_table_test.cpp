@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "../test_util.hpp"
-#include "harness/fat_tree_runner.hpp"
+#include "harness/experiment_runner.hpp"
 #include "transport/flow_table.hpp"
 #include "transport/host.hpp"
 
@@ -397,21 +397,24 @@ TEST(FlowTableBatchTest, DeliveryBatchSizesBitIdenticalFcts) {
   // simulation results. Compared on a fat-tree run's FCT records (the
   // figures' raw material) plus the event/counter totals.
   const auto run = [](int batch) {
-    FatTreeRunConfig config;
-    config.scenario.mode = CcMode::kFncc;
-    config.scenario.delivery_batch = batch;
-    config.k = 4;
-    config.num_flows = 24;
-    config.cdf = SizeCdf::WebSearch();
-    config.load = 0.5;
-    return RunFatTree(config);
+    ExperimentSpec spec;
+    spec.topology = "fat_tree";
+    spec.topo.k = 4;
+    spec.workload = "poisson";
+    spec.wl.num_flows = 24;
+    spec.wl.load = 0.5;
+    spec.cdf = "web_search";
+    spec.scenario.mode = CcMode::kFncc;
+    spec.scenario.delivery_batch = batch;
+    spec.run.duration = 0;
+    return RunExperimentPoint(spec);
   };
 
-  const FatTreeRunResult reference = run(1);  // batch=1: no lookahead at all
+  const ExperimentPointResult reference = run(1);  // batch=1: no lookahead at all
   ASSERT_GT(reference.fct.count(), 0u);
   for (int batch : {4, 64}) {
     SCOPED_TRACE("delivery_batch=" + std::to_string(batch));
-    const FatTreeRunResult other = run(batch);
+    const ExperimentPointResult other = run(batch);
     EXPECT_EQ(other.flows_completed, reference.flows_completed);
     EXPECT_EQ(other.events_processed, reference.events_processed);
     EXPECT_EQ(other.pause_frames, reference.pause_frames);

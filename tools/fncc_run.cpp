@@ -17,6 +17,11 @@
 // concurrency. Multi-point sweeps fan points over it; a single point
 // hands it to the intra-point domain scheduler (scenario.exec_domains).
 // Results are bit-identical at any thread and domain count.
+//
+// Exit status: 0 on success; 1 on a spec or I/O error, or when a
+// run-to-completion point (run.duration_us = 0) ends with flows still
+// outstanding — outputs are written first, then each such point is named
+// on stderr; 2 on a malformed command line.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -71,8 +76,8 @@ void PrintPointSummary(std::size_t index, const ExperimentSpec& point,
               static_cast<unsigned long long>(r.retransmits),
               static_cast<unsigned long long>(r.events_processed),
               r.wall_time_seconds);
-  // Window telemetry headline (output.pdes_stats / FNCC_PDES_STATS=1):
-  // the full picture goes to the per-point _pdes_stats.json.
+  // Window telemetry headline (output.pdes_stats): the full picture goes
+  // to the per-point _pdes_stats.json.
   if (r.pdes_stats.participants > 0) {
     std::uint64_t steals = 0;
     for (std::uint64_t s : r.pdes_stats.thread_steals) steals += s;
@@ -394,7 +399,25 @@ int main(int argc, char** argv) {
     for (const std::string& file : artifacts.files) {
       std::printf("wrote %s\n", file.c_str());
     }
-    return 0;
+
+    // A run-to-completion point that stopped with flows outstanding (the
+    // run.max_sim_ms wall, or flows that can never finish) has FCT stats
+    // biased towards the flows that did: keep the outputs for inspection,
+    // but fail the run.
+    int incomplete = 0;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      const ExperimentPointResult& r = results[i];
+      if (points[i].run.duration > 0 || r.flows_completed >= r.flows_total) {
+        continue;
+      }
+      std::fprintf(stderr,
+                   "fncc_run: point %zu%s%s incomplete: %zu/%zu flows "
+                   "completed\n",
+                   i, r.label.empty() ? "" : " ", r.label.c_str(),
+                   r.flows_completed, r.flows_total);
+      ++incomplete;
+    }
+    return incomplete > 0 ? 1 : 0;
   } catch (const SpecError& e) {
     std::fprintf(stderr, "fncc_run: %s\n", e.what());
     return 1;
