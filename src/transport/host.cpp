@@ -119,6 +119,15 @@ void Host::HandleData(PacketPtr pkt) {
   // forever (the sender is gone — there is nothing useful to ACK).
   RecvCtx* ctx_ptr;
   if (FlowSlot* s = flows_->Lookup(pkt->flow)) {
+    // Late go-back-N duplicates of a flow whose sender has already seen
+    // the final ACK are dropped the same way: nothing waits for their
+    // ACK, and dropping from completion on (not only once the harness
+    // releases the slot) keeps the event stream independent of when the
+    // release happens.
+    if (s->recv.done && s->qp() != nullptr && s->qp()->complete()) {
+      ++stale_flow_packets_;
+      return;
+    }
     ctx_ptr = &s->recv;
   } else if (flows_->IsStale(pkt->flow)) {
     ++stale_flow_packets_;

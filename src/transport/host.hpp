@@ -89,8 +89,8 @@ class Host final : public Endpoint {
   [[nodiscard]] std::uint64_t out_of_order_packets() const {
     return out_of_order_;
   }
-  /// Data packets dropped because their flow was already released from
-  /// the table (late arrivals racing FlowTable::Release).
+  /// Data packets dropped because their flow's sender had already
+  /// completed (late go-back-N duplicates), released from the table or not.
   [[nodiscard]] std::uint64_t stale_flow_packets() const {
     return stale_flow_packets_;
   }
