@@ -46,11 +46,9 @@ struct LaneTally {
 /// the flow's dense launch serial. This is exactly the pop order of the
 /// partitioned event queues, so it matches execution order at every
 /// domain count — including one. The native tie-break is keyed by
-/// launch_serial, NOT spec.id: eager runs mint dense launch-ordered ids
-/// (serial == id, so nothing changes), but the streaming launcher
-/// recycles table slots, and a recycled id says nothing about launch
-/// order — the serial is the only identity that is both dense and
-/// partition-invariant.
+/// launch_serial, NOT spec.id: the launcher recycles the table slots of
+/// drained flows, and a recycled id says nothing about launch order — the
+/// serial is the only identity that is both dense and partition-invariant.
 bool CompletionBefore(const CompletionRecord& a, const CompletionRecord& b) {
   if (a.t != b.t) return a.t < b.t;
   const bool a_native = (a.order & kNativeOrderBit) != 0;
@@ -63,9 +61,9 @@ bool CompletionBefore(const CompletionRecord& a, const CompletionRecord& b) {
 /// Schedules `qp`'s abort at `stop` — routed through the flow table's
 /// generation check rather than a raw QP pointer, so a slot released (and
 /// possibly recycled) before the timer fires makes the abort a no-op
-/// instead of a dangling call. This is what lets streaming injection
-/// (which recycles slots per completion) carry flows with finite stop
-/// times. Must run under the source host's lane scope.
+/// instead of a dangling call. This is what lets the launcher (which
+/// releases slots per completion) carry flows with finite stop times.
+/// Must run under the source host's lane scope.
 void ScheduleFlowAbort(Simulator& sim, FlowTable* table, Time stop,
                        const SenderQp* qp) {
   sim.ScheduleAt(stop, [table, id = qp->spec().id] {
@@ -74,17 +72,30 @@ void ScheduleFlowAbort(Simulator& sim, FlowTable* table, Time stop,
   });
 }
 
+/// The QP behind `id` while its slot is live; null once the drain has
+/// released the flow (the generation check turns the id stale).
+const SenderQp* LiveQp(FlowTable* table, FlowId id) {
+  const FlowSlot* slot = table->Lookup(id);
+  return slot == nullptr ? nullptr : slot->qp();
+}
+
+/// `t` in microseconds, for error messages.
+std::string UsText(Time t) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.3f", ToMicroseconds(t));
+  return buf;
+}
+
 /// Resolves scenario.exec_domains to a concrete lane count for `point`.
 /// auto (0) picks the topology's natural partition, degrading to a single
 /// lane when there is no cross-domain lookahead to run ahead in (zero
 /// propagation delay) and clamping to the 64-lane engine limit. A pinned
 /// value (> 0) is honored EXACTLY or refused with a SpecError — never
 /// silently clamped: a user who asked for N lanes and got 1 would read a
-/// serial wall time as a scaling result. Streaming injection
-/// (run.launch_window > 0) composes with any lane count: flow starts
-/// carry partition-invariant launch-serial order words (see
-/// kFlowStartOrderBit), so recycled FlowTable ids no longer threaten the
-/// cross-lane completion merge.
+/// serial wall time as a scaling result. Every launch window composes
+/// with any lane count: flow starts carry partition-invariant
+/// launch-serial order words (see kFlowStartOrderBit), so recycled
+/// FlowTable ids never threaten the cross-lane completion merge.
 int ResolveDomainCount(const ExperimentSpec& point,
                        const TopologyParams& topo_params) {
   const ScenarioConfig& sc = point.scenario;
@@ -119,7 +130,6 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
                                        int intra_threads, FctSink* sink) {
   const WallTimer timer;
   const ScenarioConfig& sc = point.scenario;
-  const bool streaming = point.run.launch_window > 0;
   ExperimentPointResult result;
   result.label = point.label;
 
@@ -138,15 +148,6 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
   // the lookahead window from the narrowest cross-lane link.
   net.SealDomains();
 
-  WorkloadHosts roles{topo.hosts, topo.senders, topo.receiver};
-  // Streaming injection pulls from the workload's FlowSource below; the
-  // eager path materializes the whole flow list up front.
-  std::vector<GeneratedFlow> flows;
-  if (!streaming) {
-    flows = WorkloadRegistry::Generate(point.workload, rng, roles, wl_params);
-    result.flows_total = flows.size();
-  }
-
   // Completion hook before launch (records only — schedules nothing, so
   // the event stream is untouched). Records go to the active lane's tally
   // and are merged into canonical order chunk by chunk as the run
@@ -164,7 +165,7 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
     };
   }
 
-  // Streaming bookkeeping: the table id a launch minted -> the flow's QP
+  // Launch bookkeeping: the table id a launch minted -> the flow's QP
   // (counters are harvested before the slot is released) and its owning
   // lane (Release cancels the QP's pending events, and Simulator::Cancel
   // is only valid from the lane that scheduled them — the drain below
@@ -177,16 +178,17 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
   };
   std::unordered_map<FlowId, LiveFlow> live;
   // The fabric-shared flow table (every host holds the same one); abort
-  // timers are routed through its generation check in both launch paths.
+  // timers and per-flow samplers go through its generation check.
   FlowTable* flow_table =
       &static_cast<Host*>(net.hosts().front())->flow_table();
 
-  // Drains every tallied completion to the output (sink or recorder).
-  // Chunks partition time — RunUntil(T) processes every event at t <= T,
-  // same-time cascades included — and equal-key records (one delivery
-  // batch completing several flows) stay in lane push order under
-  // stable_sort, so the chunk-by-chunk emission order equals the old
-  // single global sort at every domain count.
+  // Drains every tallied completion to the output (sink or recorder) and
+  // releases the completed flows' table slots. Chunks partition time —
+  // RunUntil(T) processes every event at t <= T, same-time cascades
+  // included — and equal-key records (one delivery batch completing
+  // several flows) stay in lane push order under stable_sort, so the
+  // chunk-by-chunk emission order equals one global sort at every domain
+  // count and every drain cadence.
   std::vector<CompletionRecord> chunk;
   const auto drain = [&] {
     chunk.clear();
@@ -198,26 +200,24 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
     }
     std::stable_sort(chunk.begin(), chunk.end(), CompletionBefore);
     for (CompletionRecord& r : chunk) {
-      if (streaming) {
-        const auto it = live.find(r.spec.id);
-        // Every completion is a live registered flow; harvest the frozen
-        // QP counters before the slot goes away.
-        result.asymmetric_acks += it->second.qp->asymmetric_acks();
-        result.lhcs_triggers += it->second.qp->cc().lhcs_triggers();
-        const FlowId table_id = r.spec.id;
-        // Re-stamp with the dense launch serial — the id the eager path
-        // would have minted — so streamed records and CSV rows are
-        // byte-identical to eager runs.
-        r.spec.id = static_cast<FlowId>(r.spec.launch_serial);
-        // Release under the flow's owning lane: tearing the QP down
-        // cancels its remaining events (RTO, stale start bookkeeping) in
-        // the lane queue that holds them. Safe while workers are parked —
-        // the barrier's arrival chain ordered every lane's window work
-        // before this coordinator-side drain.
-        Simulator::ActiveLaneScope scope(&sim, it->second.lane);
-        live.erase(it);
-        flow_table->Release(table_id);
-      }
+      const auto it = live.find(r.spec.id);
+      // Every completion is a live registered flow; harvest the frozen
+      // QP counters before the slot goes away.
+      result.asymmetric_acks += it->second.qp->asymmetric_acks();
+      result.lhcs_triggers += it->second.qp->cc().lhcs_triggers();
+      const FlowId table_id = r.spec.id;
+      // Re-stamp with the dense launch serial: recycled table ids say
+      // nothing about launch order, the serial is the 1..N id every
+      // record and CSV row carries (equal to the table id until the
+      // first slot is recycled).
+      r.spec.id = static_cast<FlowId>(r.spec.launch_serial);
+      // Release under the flow's owning lane: tearing the QP down cancels
+      // its remaining events in the lane queue that holds them. Safe
+      // while workers are parked — the barrier's arrival chain ordered
+      // every lane's window work before this coordinator-side drain.
+      Simulator::ActiveLaneScope scope(&sim, it->second.lane);
+      live.erase(it);
+      flow_table->Release(table_id);
       if (sink != nullptr) {
         sink->Append(r.spec, r.fct);
       } else {
@@ -236,34 +236,78 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
                 10 * sc.mtu_bytes
           : 0;
 
-  std::vector<SenderQp*> qps;
-  qps.reserve(flows.size());
-  for (GeneratedFlow& gf : flows) {
-    if (gf.spec.size_bytes == 0) gf.spec.size_bytes = auto_budget;
-    // Launch (and the stop-abort timer) under the source host's lane: the
-    // start/abort events belong to the lane that owns the host.
-    Simulator::ActiveLaneScope scope(&sim, net.node(gf.spec.src)->domain());
-    SenderQp* qp = LaunchFlow(net, sc, gf.spec);
-    qps.push_back(qp);
-    if (gf.stop < kTimeInfinity) {
-      ScheduleFlowAbort(sim, flow_table, gf.stop, qp);
+  // Monitors sample from t = 0, so they need every flow launched before
+  // the run starts: window 0 only (the spec validator enforces it).
+  const Time window = point.run.launch_window;
+  const bool monitored =
+      window == 0 && point.run.monitor && topo.has_congestion_point();
+  std::vector<const SenderQp*> monitored_qps;  // launch order
+
+  // Launches every pulled flow starting at or before `horizon`. Each
+  // launch enters the source host's lane, so the start event and abort
+  // timer land in the owning queue before the next RunUntil chunk: the
+  // window engine's NextEventTime always sees pending starts and the
+  // lookahead never skips one.
+  WorkloadHosts roles{topo.hosts, topo.senders, topo.receiver};
+  std::unique_ptr<FlowSource> source =
+      WorkloadRegistry::MakeSource(point.workload, rng, roles, wl_params);
+  GeneratedFlow next_flow;
+  bool have_next = source->Next(&next_flow);
+  std::uint64_t launched = 0;
+  const auto launch_until = [&](Time horizon) {
+    while (have_next && next_flow.spec.start_time <= horizon) {
+      FlowSpec& spec = next_flow.spec;
+      if (spec.start_time < sim.Now()) {
+        throw SpecError(
+            "flow " + std::to_string(launched + 1) + " (" +
+            std::to_string(spec.src) + "->" + std::to_string(spec.dst) +
+            ") starts at " + UsText(spec.start_time) +
+            " us, behind the clock at " + UsText(sim.Now()) +
+            " us: a workload launched with run.launch_window_us > 0 must "
+            "come sorted by start time");
+      }
+      if (flow_table->live_flows() >= kFlowSlotMask) {
+        throw SpecError(
+            "flow " + std::to_string(launched + 1) +
+            " does not fit the flow table: its " +
+            std::to_string(kFlowSlotMask) +
+            " slots all hold flows that have not completed; set "
+            "run.launch_window_us > 0 so flows launch as the clock "
+            "reaches them and completed flows free their slots");
+      }
+      if (spec.size_bytes == 0) spec.size_bytes = auto_budget;
+      ++launched;
+      // The dense launch serial rides in the spec through Register to the
+      // flow-start order word and the drained completion record, so
+      // equal-time cross-lane merges order by launch position even when
+      // the table id is a recycled slot.
+      spec.launch_serial = launched;
+      const int lane = net.node(spec.src)->domain();
+      Simulator::ActiveLaneScope scope(&sim, lane);
+      SenderQp* qp = LaunchFlow(net, sc, spec);
+      if (next_flow.stop < kTimeInfinity) {
+        ScheduleFlowAbort(sim, flow_table, next_flow.stop, qp);
+      }
+      live.emplace(qp->spec().id, LiveFlow{qp, lane});
+      if (monitored) monitored_qps.push_back(qp);
+      have_next = source->Next(&next_flow);
     }
-  }
+  };
+  // Window 0 is the unbounded window: every flow launches before the run.
+  launch_until(window > 0 ? sim.Now() + window : kTimeInfinity);
 
   // Monitors; their lifetimes must cover the run loop below. Creation
-  // order (queue, utilization, then per-flow pacing/goodput pairs) is the
-  // historical micro-runner order — it fixes the (time, seq) order of
-  // simultaneous sampler events and therefore the exact event stream.
-  const bool monitored =
-      !streaming && point.run.monitor && topo.has_congestion_point();
+  // order (queue, utilization, then per-flow pacing/goodput pairs in
+  // launch order) fixes the (time, seq) order of simultaneous sampler
+  // events and therefore the exact event stream.
   std::unique_ptr<PeriodicSampler> queue_sampler;
   std::unique_ptr<PeriodicSampler> util_sampler;
   std::shared_ptr<RateMeter> util_meter;
   std::vector<std::unique_ptr<PeriodicSampler>> rate_samplers;
   std::vector<std::shared_ptr<RateMeter>> goodput_meters;
-  // Sized whether or not the monitors run, so callers can index per-flow
-  // series unconditionally (empty series when unmonitored).
-  result.flows.resize(flows.size());
+  // Sized at window 0 whether or not the monitors run, so callers can
+  // index per-flow series unconditionally (empty series when unmonitored).
+  if (window == 0) result.flows.resize(launched);
   if (monitored) {
     // Samplers schedule their first tick at construction and then
     // self-reschedule from inside their own events, so pinning the
@@ -287,20 +331,28 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
           },
           &result.utilization);
     }
-    for (std::size_t i = 0; i < qps.size(); ++i) {
-      SenderQp* qp = qps[i];
-      Simulator::ActiveLaneScope scope(
-          &sim, net.node(qp->spec().src)->domain());
+    for (std::size_t i = 0; i < monitored_qps.size(); ++i) {
+      const FlowSpec& spec = monitored_qps[i]->spec();
+      Simulator::ActiveLaneScope scope(&sim, net.node(spec.src)->domain());
+      // A drained flow's slot is released (the lookup goes stale): it
+      // reads as what the completed QP reported — pacing 0, every byte
+      // acknowledged.
       rate_samplers.push_back(std::make_unique<PeriodicSampler>(
           &sim, point.run.rate_sample_interval,
-          [qp] { return qp->complete() ? 0.0 : qp->pacing_rate_gbps(); },
+          [flow_table, id = spec.id] {
+            const SenderQp* qp = LiveQp(flow_table, id);
+            return qp == nullptr || qp->complete() ? 0.0
+                                                   : qp->pacing_rate_gbps();
+          },
           &result.flows[i].pacing_gbps));
       auto meter = std::make_shared<RateMeter>();
       goodput_meters.push_back(meter);
       rate_samplers.push_back(std::make_unique<PeriodicSampler>(
           &sim, point.run.rate_sample_interval,
-          [qp, meter, &sim] {
-            return meter->SampleGbps(sim.Now(), qp->snd_una());
+          [flow_table, id = spec.id, size = spec.size_bytes, meter, &sim] {
+            const SenderQp* qp = LiveQp(flow_table, id);
+            return meter->SampleGbps(sim.Now(),
+                                     qp == nullptr ? size : qp->snd_una());
           },
           &result.flows[i].goodput_gbps));
     }
@@ -313,99 +365,33 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
   DomainScheduler sched(
       &sim, intra_threads,
       point.output.pdes_stats ? &result.pdes_stats : nullptr);
-  if (streaming) {
-    // Streaming injection: launch everything starting inside one lookahead
-    // window of the clock, run to the window edge, drain (and release) the
-    // completions, repeat. Live per-flow state is bounded by the window's
-    // concurrency, not the workload length. Composes with any exec_domains
-    // partitioning: each launch enters the source host's lane (the start
-    // event and abort timer land in the owning queue, pre-scheduled before
-    // the next RunUntil chunk, so the window engine's NextEventTime always
-    // sees pending starts and the lookahead never skips one), and the
-    // per-lane completion tallies merge in canonical launch-serial order
-    // at each drain. All loop bookkeeping (source pull, launches, live
-    // map, releases) is coordinator-side between chunks, while the lane
-    // workers are parked at the window barrier.
-    const Time window = point.run.launch_window;
-    std::unique_ptr<FlowSource> source =
-        WorkloadRegistry::MakeSource(point.workload, rng, roles, wl_params);
-    GeneratedFlow next_flow;
-    bool have_next = source->Next(&next_flow);
-    Time last_start = 0;
-    std::uint64_t launched = 0;
-    while (true) {
-      const Time horizon = sim.Now() + window;
-      while (have_next && next_flow.spec.start_time <= horizon) {
-        if (next_flow.spec.start_time < last_start) {
-          throw SpecError(
-              "streaming launch (run.launch_window_us) needs a workload "
-              "sorted by start time: flow " +
-              std::to_string(launched + 1) + " starts at " +
-              std::to_string(next_flow.spec.start_time) +
-              " after a flow starting at " + std::to_string(last_start));
-        }
-        last_start = next_flow.spec.start_time;
-        if (next_flow.spec.size_bytes == 0) {
-          throw SpecError(
-              "streaming launch needs sized flows (duration-budget flows "
-              "with size_bytes = 0 require the eager path)");
-        }
-        ++launched;
-        // The dense launch serial: the identity the eager path's minted
-        // ids carry implicitly. It rides in the spec through Register to
-        // the flow-start order word and the drained completion record, so
-        // equal-time cross-lane merges order by launch position even
-        // though the table id below is a recycled slot.
-        next_flow.spec.launch_serial = launched;
-        const int lane = net.node(next_flow.spec.src)->domain();
-        Simulator::ActiveLaneScope scope(&sim, lane);
-        SenderQp* qp = LaunchFlow(net, sc, next_flow.spec);
-        if (next_flow.stop < kTimeInfinity) {
-          // Safe with recycled slots: the timer holds the FlowId, and the
-          // table's generation check turns a fired timer for a completed
-          // (released) flow into a no-op — even if the slot already hosts
-          // a new flow (possibly registered by a host in another lane;
-          // the timer itself stays lane-local to this source host).
-          ScheduleFlowAbort(sim, flow_table, next_flow.stop, qp);
-        }
-        live.emplace(qp->spec().id, LiveFlow{qp, lane});
-        have_next = source->Next(&next_flow);
-      }
-      if (!have_next && live.empty()) break;
-      if (sim.Now() >= point.run.max_sim_time) break;
-      Time target = horizon;
-      if (sim.events_pending() == 0) {
-        // Only aborted/stuck flows have no events; with no future flows
-        // either, nothing can make progress.
-        if (!have_next) break;
-        target = next_flow.spec.start_time;  // idle gap: jump to the next
-      }
-      if (target > point.run.max_sim_time) target = point.run.max_sim_time;
-      sched.RunUntil(target);
-      drain();
+  // Run a chunk, drain (and release) its completions, launch the next
+  // window's flows, repeat. Live per-flow state is bounded by the
+  // window's concurrency, not the workload length. Windowed points drain
+  // once per window; window-0 points every 2 ms (the chunk that fixes
+  // where a run-to-completion point stops, so events_processed of modes
+  // with perpetual switch timers is cadence-dependent). duration > 0
+  // runs to the duration; duration 0 runs until every launched flow
+  // completes or max_sim_time is reached.
+  const Time cadence = window > 0 ? window : 2 * kMillisecond;
+  const bool to_completion = point.run.duration <= 0;
+  const Time stop = to_completion ? point.run.max_sim_time : point.run.duration;
+  while (sim.Now() < stop) {
+    if (to_completion && !have_next && live.empty()) break;
+    Time target = sim.Now() + cadence;
+    if (sim.events_pending() == 0) {
+      // Only aborted/stuck flows have no events; with no future flows
+      // either, nothing can make progress.
+      if (!have_next) break;
+      target = next_flow.spec.start_time;  // idle gap: jump to the next
     }
+    sched.RunUntil(std::min(target, stop));
     drain();
-    result.flows_total = launched;
-  } else if (point.run.duration > 0) {
-    sched.RunUntil(point.run.duration);
-    drain();
-  } else {
-    // Run in chunks until every flow finishes or the max_sim_time wall is
-    // hit. The last chunk stops exactly at the wall, as the streaming loop
-    // does, so eager and streamed runs of a truncated point agree. Tallies
-    // are empty at each condition check (drained every chunk), so the
-    // emitted count is the completion count.
-    const Time chunk_len = 2 * kMillisecond;
-    while (result.flows_completed < result.flows_total &&
-           sim.Now() < point.run.max_sim_time) {
-      if (sim.events_pending() == 0) break;
-      sched.RunUntil(std::min(sim.Now() + chunk_len, point.run.max_sim_time));
-      drain();
-    }
+    launch_until(sim.Now() + window);
   }
+  result.flows_total = launched;
 
-  if (result.flows_completed < result.flows_total &&
-      point.run.duration <= 0) {
+  if (result.flows_completed < result.flows_total && to_completion) {
     Log(LogLevel::kWarn, sim.Now(), "experiment run incomplete: %zu/%zu flows",
         result.flows_completed, result.flows_total);
   }
@@ -418,18 +404,9 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
   for (Endpoint* ep : net.hosts()) {
     result.out_of_order += static_cast<Host*>(ep)->out_of_order_packets();
   }
-  // asymmetric_acks sums over *every* QP. SenderQp freezes its counters at
-  // completion, so for completed flows this equals the value the legacy
-  // fat-tree runner captured in its completion hook; incomplete (timed-out
-  // or aborted) flows are additionally counted, where the old hook-only
-  // accounting silently dropped them.
-  for (SenderQp* qp : qps) {
-    result.asymmetric_acks += qp->asymmetric_acks();
-    result.lhcs_triggers += qp->cc().lhcs_triggers();
-  }
-  // Streaming: completed flows were harvested at drain time; what's left
-  // in `live` is the incomplete tail (timed out). The sums are integers,
-  // so the map's iteration order doesn't matter.
+  // Completed flows were harvested at drain time; what's left in `live`
+  // is the incomplete tail (timed out or aborted), counted too. The sums
+  // are integers, so the map's iteration order doesn't matter.
   for (const auto& [id, lf] : live) {
     result.asymmetric_acks += lf.qp->asymmetric_acks();
     result.lhcs_triggers += lf.qp->cc().lhcs_triggers();

@@ -1,8 +1,9 @@
 // The experiment engine behind fncc_run, the figure benches and the tests.
 // One code path executes any registered topology x workload point, always
-// described by an ExperimentSpec: build fabric (registry) -> generate
-// flows (registry) -> launch in order -> optional congestion-point
-// monitors -> run -> collect FCTs + counters. The same point shape covers
+// described by an ExperimentSpec: build fabric (registry) -> pull flows
+// from the workload's source (registry) and launch them a window ahead of
+// the clock -> optional congestion-point monitors -> run and drain chunk
+// by chunk -> collect FCTs + counters. The same point shape covers
 // the Fig. 10/11 micro-benchmarks (duration-bounded elephants with
 // samplers: the spec defaults) and the §5.5 fat-tree runs
 // (run-to-completion poisson flow lists, run.duration = 0).
@@ -44,7 +45,9 @@ struct ExperimentPointResult {
 
   TimeSeries queue_bytes;   // congestion-point egress queue
   TimeSeries utilization;   // congestion-point link utilization, 0..1
-  std::vector<FlowSeries> flows;  // indexed like the generated flow list
+  // One per flow in launch order at run.launch_window = 0; empty for
+  // windowed points, whose flows are not all launched before the run.
+  std::vector<FlowSeries> flows;
 
   std::uint64_t pause_frames = 0;
   std::uint64_t resume_frames = 0;
@@ -99,21 +102,22 @@ ExperimentPointResult RunExperimentPoint(const ExperimentSpec& point,
 /// programmatic params a spec cannot name (e.g. a custom SizeCdf object).
 ///
 /// point.run.duration > 0 runs exactly that long; 0 runs until every flow
-/// completes or point.run.max_sim_time is reached, whichever comes first
-/// (eager and streamed runs stop at the same instant).
+/// completes or point.run.max_sim_time is reached, whichever comes first.
 ///
-/// point.run.launch_window > 0 selects streaming flow injection: flows
-/// are pulled from the workload's FlowSource (which must yield
-/// non-decreasing start times) and launched one lookahead window ahead of
-/// the clock; each drained completion releases its FlowTable slot, so
-/// live per-flow state is O(concurrent flows) instead of O(total flows).
-/// CSV/record output is unchanged: drained records are re-stamped with
-/// the flow's dense launch serial, the ids the eager path mints. The
-/// streaming path composes with scenario.exec_domains — launches enter
-/// the source host's lane and flow starts carry partition-invariant
-/// launch-serial order words (sim/event_queue.hpp), so streamed outputs
-/// stay byte-identical at every exec_domains x threads combination. It
-/// skips monitors (the spec validator enforces monitor = false).
+/// One launch loop: flows are pulled from the workload's FlowSource and
+/// launched point.run.launch_window ahead of the clock (0 = unbounded:
+/// every flow before the run starts; a flow whose start is already
+/// behind the clock is a SpecError). The run advances a window at a time
+/// (2 ms chunks at window 0); each drained completion releases its
+/// FlowTable slot, so live per-flow state is O(concurrent flows). Drained
+/// records are re-stamped with the flow's dense launch serial, so FCT
+/// records, CSVs and counters are identical at every window; launches
+/// enter the source host's lane and flow starts carry partition-invariant
+/// launch-serial order words (sim/event_queue.hpp), so they are also
+/// byte-identical at every exec_domains x threads combination. Monitors
+/// run at window 0 only (the spec validator enforces monitor = false
+/// otherwise). Throws SpecError before a launch would overflow the
+/// FlowTable's 1,048,575 live slots.
 ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
                                        const TopologyParams& topo_params,
                                        const WorkloadParams& wl_params,

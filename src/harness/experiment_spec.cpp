@@ -449,16 +449,12 @@ void ValidateSpec(const ExperimentSpec& spec) {
   Require(spec.run.rate_sample_interval > 0, "run.rate_sample_us must be > 0");
   Require(spec.run.util_sample_interval > 0, "run.util_sample_us must be > 0");
   Require(spec.run.launch_window >= 0, "run.launch_window_us must be >= 0");
-  if (spec.run.launch_window > 0) {
-    // Streaming injection drains completions chunk by chunk; a fixed-duration
-    // run or samplers would need the whole flow list up front.
-    Require(spec.run.duration == 0,
-            "run.launch_window_us > 0 (streaming injection) requires "
-            "run.duration_us = 0 (run to completion)");
-    Require(!spec.run.monitor,
-            "run.launch_window_us > 0 (streaming injection) requires "
-            "run.monitor = false");
-  }
+  // The samplers start at t = 0 and follow the flows launched by then;
+  // only window 0 launches every flow before the run starts.
+  Require(spec.run.launch_window == 0 || !spec.run.monitor,
+          "run.monitor = true needs run.launch_window_us = 0 (the samplers "
+          "start at t = 0 and need every flow launched by then); set "
+          "run.monitor = false to launch in windows");
 
   // Output ranges. buckets selects a bucket-edge table; the dispatch in
   // stats/fct (BucketEdgesByName) is the single source of truth for which

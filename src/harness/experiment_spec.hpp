@@ -56,12 +56,14 @@ struct RunSpec {
   /// exposes a congestion point. Sampler events interleave with the
   /// simulation, so toggling this changes event counts (not flow behavior).
   bool monitor = true;
-  /// > 0 enables streaming flow injection: the runner pulls flows from the
-  /// workload's FlowSource and launches them one lookahead window at a
-  /// time instead of materializing the whole flow list (per-flow memory
-  /// O(live flows)). Requires run-to-completion (duration 0), monitor off
-  /// and a start-sorted workload; composes with any exec_domains. 0 = the
-  /// eager launch path (the default; bit-identical historical behavior).
+  /// How far ahead of the clock flows launch. The runner pulls flows from
+  /// the workload's FlowSource and launches every flow starting within one
+  /// window of the clock, then runs and drains a window at a time; drained
+  /// flows free their table slots, so per-flow memory is O(live flows).
+  /// 0 (the default) is the unbounded window: every flow launches before
+  /// the run starts. A window > 0 needs monitor off and a start-sorted
+  /// workload. Outputs are identical at every window and compose with any
+  /// exec_domains.
   Time launch_window = 0;
 };
 

@@ -216,9 +216,8 @@ class FlowTable {
   /// slot. Both hosts are kept consistent: the sender forgets the QP
   /// (Host::qps() never dangles into a recycled slot) and an unfinished
   /// receiver claim is undone (active_inbound_flows never leaks).
-  /// Idempotent: a stale id is ignored. Not called by the harness runners
-  /// (they read QP stats until the end of the run); meant for long-lived
-  /// scenarios that churn through more flows than they keep.
+  /// Idempotent: a stale id is ignored. The harness releases every flow
+  /// it drains as completed, so live slots track concurrent flows.
   void Release(FlowId id);
 
   [[nodiscard]] std::size_t live_flows() const {

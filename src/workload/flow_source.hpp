@@ -1,22 +1,21 @@
-// Pull-based flow generation: the streaming interface over workload
-// builders. A FlowSource hands out one GeneratedFlow at a time, so the
-// harness can launch from a bounded lookahead window instead of
-// materializing a million-flow std::vector up front (run.launch_window_us
-// — see harness/experiment_runner). Eager builders become trivial
-// VectorFlowSource adapters; generators with a native incremental form
-// (poisson, trace replay) register a WorkloadSourceFn and keep per-flow
-// memory O(1).
+// Pull-based flow generation: the interface the harness launches from. A
+// FlowSource hands out one GeneratedFlow at a time, so the harness can
+// launch from a bounded lookahead window (run.launch_window_us — see
+// harness/experiment_runner) instead of materializing a million-flow
+// std::vector up front. List-only builders become trivial VectorFlowSource
+// adapters; generators with a native incremental form (poisson, trace
+// replay) register a WorkloadSourceFn and keep per-flow memory O(1).
 //
-// Contract: flows come back in generation order — the order the eager
-// builder would emit — which fixes launch order, FlowId density and RNG
-// draw order; streaming and eager runs of the same spec are bit-identical.
-// The streaming launcher additionally requires non-decreasing
-// spec.start_time (true for poisson and validated for traces; it rejects
-// out-of-order sources at run time). Generation order is also the dense
-// launch-serial order the launcher stamps into FlowSpec::launch_serial —
-// the partition-invariant identity behind the flow-start order word
-// (sim/event_queue.hpp) that lets streamed points fan out over
-// scenario.exec_domains with byte-identical outputs.
+// Contract: flows come back in generation order — the order
+// WorkloadRegistry::Generate returns them — which fixes launch order, RNG
+// draw order and the dense launch serial the launcher stamps into
+// FlowSpec::launch_serial, so runs at every launch window are
+// bit-identical. A window > 0 additionally needs non-decreasing
+// spec.start_time (true for poisson and validated for traces; the
+// launcher rejects a flow that starts behind the clock). The launch
+// serial is the partition-invariant identity behind the flow-start order
+// word (sim/event_queue.hpp) that keeps outputs byte-identical at every
+// scenario.exec_domains.
 #pragma once
 
 #include <cstddef>

@@ -178,9 +178,9 @@ int RunSmoke(int threads) {
       specs.push_back(std::move(spec));
     }
   }
-  // The streaming launch path at smoke scale: a poisson dumbbell pulled
-  // through the bounded lookahead window (must byte-match the eager run —
-  // the harness tests assert that; here it just has to complete).
+  // A bounded launch window at smoke scale: a poisson dumbbell launched
+  // 100 us ahead of the clock (it must byte-match the window-0 run — the
+  // streaming tests assert that; here it just has to complete).
   {
     ExperimentSpec spec;
     spec.name = "dumbbell-poisson-streaming";
