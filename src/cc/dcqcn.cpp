@@ -8,6 +8,9 @@ DcqcnAlgorithm::DcqcnAlgorithm(const CcConfig& config, Simulator* sim)
     : CcBase(config), sim_(sim) {
   rate_mut() = cfg().line_rate_gbps;
   rt_gbps_ = cfg().line_rate_gbps;
+}
+
+void DcqcnAlgorithm::Start() {
   ArmAlphaTimer();
   ArmIncreaseTimer();
 }

@@ -33,6 +33,10 @@ class DcqcnAlgorithm final : public CcBase {
   [[nodiscard]] int timer_stage() const { return t_stage_; }
   [[nodiscard]] int byte_stage() const { return b_stage_; }
 
+  /// Arms the periodic alpha-decay and rate-increase timers (flow
+  /// started). Their phase is the flow's start, not its construction.
+  void Start();
+
   /// Stops the periodic timers (flow finished).
   void Shutdown();
 

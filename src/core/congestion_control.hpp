@@ -61,7 +61,12 @@ class CongestionControl {
   }
 
   // DCQCN is the only scheme with CNPs, a sent-byte counter or timers to
-  // stop; every other mode ignores these three.
+  // start and stop; every other mode ignores these four.
+
+  /// Flow started: arm any self-rescheduling timers.
+  void Start() {
+    if (mode_ == CcMode::kDcqcn) u_.dcqcn.Start();
+  }
 
   /// DCQCN congestion notification packet.
   void OnCnp() {

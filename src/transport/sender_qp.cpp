@@ -36,10 +36,11 @@ SenderQp::SenderQp(Host* host, const FlowSpec& spec,
   // kFlowStartOrderBit): flows starting at the same timestamp in
   // different lanes must order by launch serial, not by which queue
   // minted a native counter — the serial is the same in every
-  // partitioning AND the same whether the table id was dense (eager) or
-  // recycled (streaming). At equal timestamps starts therefore run after
-  // the lane's minted natives (e.g. the CC's own DCQCN timers, enqueued
-  // by the member initializer) in launch order.
+  // partitioning AND whether the table id is dense or a recycled slot.
+  // At equal timestamps starts therefore run after the lane's minted
+  // natives, in launch order. Nothing else is scheduled here: the CC's
+  // own timers (DCQCN) are armed by Start(), so their phase is the flow's
+  // start and not the instant the launcher constructed the QP.
   assert(spec_.launch_serial != 0 && spec_.launch_serial < kFlowStartOrderBit);
   start_event_ = sim_->ScheduleAtOrdered(
       spec_.start_time,
@@ -66,6 +67,7 @@ void SenderQp::Start() {
   assert(!started_);
   started_ = true;
   next_send_time_ = sim_->Now();
+  cc_.Start();
   ArmRto();
   TrySend();
 }
