@@ -79,13 +79,6 @@ const SenderQp* LiveQp(FlowTable* table, FlowId id) {
   return slot == nullptr ? nullptr : slot->qp();
 }
 
-/// `t` in microseconds, for error messages.
-std::string UsText(Time t) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.3f", ToMicroseconds(t));
-  return buf;
-}
-
 /// Resolves scenario.exec_domains to a concrete lane count for `point`.
 /// auto (0) picks the topology's natural partition, degrading to a single
 /// lane when there is no cross-domain lookahead to run ahead in (zero
@@ -261,8 +254,8 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
         throw SpecError(
             "flow " + std::to_string(launched + 1) + " (" +
             std::to_string(spec.src) + "->" + std::to_string(spec.dst) +
-            ") starts at " + UsText(spec.start_time) +
-            " us, behind the clock at " + UsText(sim.Now()) +
+            ") starts at " + FormatTimeUs(spec.start_time) +
+            " us, behind the clock at " + FormatTimeUs(sim.Now()) +
             " us: a workload launched with run.launch_window_us > 0 must "
             "come sorted by start time");
       }

@@ -135,10 +135,14 @@ std::string FormatDouble(double d) {
   return buf;
 }
 
+}  // namespace
+
 std::string FormatTimeUs(Time t) {
   if (t % kMicrosecond == 0) return std::to_string(t / kMicrosecond);
   return FormatDouble(ToMicroseconds(t));
 }
+
+namespace {
 
 std::string FormatTimeMs(Time t) {
   if (t % kMillisecond == 0) return std::to_string(t / kMillisecond);

@@ -165,6 +165,9 @@ std::vector<ExperimentSpec> ExpandSweep(const ExperimentSpec& spec);
 /// run manifest relies on.
 std::string SpecToText(const ExperimentSpec& spec);
 
+/// `t` in microseconds, shortest round-tripping text (as SpecToText writes).
+std::string FormatTimeUs(Time t);
+
 /// The topology params a point resolves to: spec.topo with the link
 /// filled in from the scenario.
 [[nodiscard]] TopologyParams ResolveTopologyParams(const ExperimentSpec& spec);

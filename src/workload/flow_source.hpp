@@ -34,13 +34,9 @@ class FlowSource {
   /// Sources backed by external input (trace files) throw
   /// std::invalid_argument with file:line context on malformed rows.
   virtual bool Next(GeneratedFlow* out) = 0;
-
-  /// Total flow count when known up front (adapters, fixed-count
-  /// generators); 0 = unknown until exhausted (trace files).
-  [[nodiscard]] virtual std::size_t size_hint() const { return 0; }
 };
 
-/// The eager-builder adapter: owns a generated flow list and streams it.
+/// The list-builder adapter: owns a generated flow list and streams it.
 class VectorFlowSource final : public FlowSource {
  public:
   explicit VectorFlowSource(std::vector<GeneratedFlow> flows)
@@ -50,10 +46,6 @@ class VectorFlowSource final : public FlowSource {
     if (next_ >= flows_.size()) return false;
     *out = flows_[next_++];
     return true;
-  }
-
-  [[nodiscard]] std::size_t size_hint() const override {
-    return flows_.size();
   }
 
  private:

@@ -58,10 +58,6 @@ class PoissonFlowSource final : public FlowSource {
     return true;
   }
 
-  [[nodiscard]] std::size_t size_hint() const override {
-    return static_cast<std::size_t>(config_.num_flows);
-  }
-
  private:
   Rng& rng_;
   SizeCdf cdf_;
