@@ -6,7 +6,7 @@
 #include <fstream>
 #include <memory>
 #include <set>
-#include <unordered_map>
+#include <utility>
 
 #include "exec/domain_scheduler.hpp"
 #include "exec/sweep_runner.hpp"
@@ -31,14 +31,16 @@ struct CompletionRecord {
   std::uint64_t order = 0;
   FlowSpec spec;
   Time fct = 0;
-  std::uint64_t retransmits = 0;
 };
 
-/// Per-lane completion tally. Each lane's hooks only ever append to its
-/// own tally, so the hot path stays unsynchronized under DomainScheduler.
+/// Per-lane completion tally: the records plus the completed QPs' frozen
+/// counters. Each lane's hooks only ever append to its own tally, so the
+/// hot path stays unsynchronized under DomainScheduler.
 struct LaneTally {
   std::vector<CompletionRecord> records;
   std::uint64_t retransmits = 0;
+  std::uint64_t asymmetric_acks = 0;
+  std::uint64_t lhcs_triggers = 0;
 };
 
 /// Canonical completion order: by time; at equal time deliveries (bit 63
@@ -152,24 +154,13 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
     host->on_flow_complete = [&tallies, &sim](const SenderQp& qp) {
       LaneTally& tally = tallies[static_cast<std::size_t>(sim.ActiveLaneId())];
       const Simulator::OrderKey key = sim.CurrentOrderKey();
-      tally.records.push_back(
-          {key.t, key.order, qp.spec(), qp.fct(), qp.retransmit_events()});
+      tally.records.push_back({key.t, key.order, qp.spec(), qp.fct()});
       tally.retransmits += qp.retransmit_events();
+      tally.asymmetric_acks += qp.asymmetric_acks();
+      tally.lhcs_triggers += qp.cc().lhcs_triggers();
     };
   }
 
-  // Launch bookkeeping: the table id a launch minted -> the flow's QP
-  // (counters are harvested before the slot is released) and its owning
-  // lane (Release cancels the QP's pending events, and Simulator::Cancel
-  // is only valid from the lane that scheduled them — the drain below
-  // re-enters that lane's scope per release). Touched only from the
-  // coordinator thread between RunUntil chunks, while the lane workers
-  // are parked at the window barrier.
-  struct LiveFlow {
-    SenderQp* qp = nullptr;
-    int lane = 0;
-  };
-  std::unordered_map<FlowId, LiveFlow> live;
   // The fabric-shared flow table (every host holds the same one); abort
   // timers and per-flow samplers go through its generation check.
   FlowTable* flow_table =
@@ -186,30 +177,25 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
   const auto drain = [&] {
     chunk.clear();
     for (LaneTally& tally : tallies) {
-      result.retransmits += tally.retransmits;
-      tally.retransmits = 0;
+      result.retransmits += std::exchange(tally.retransmits, 0);
+      result.asymmetric_acks += std::exchange(tally.asymmetric_acks, 0);
+      result.lhcs_triggers += std::exchange(tally.lhcs_triggers, 0);
       chunk.insert(chunk.end(), tally.records.begin(), tally.records.end());
       tally.records.clear();
     }
     std::stable_sort(chunk.begin(), chunk.end(), CompletionBefore);
     for (CompletionRecord& r : chunk) {
-      const auto it = live.find(r.spec.id);
-      // Every completion is a live registered flow; harvest the frozen
-      // QP counters before the slot goes away.
-      result.asymmetric_acks += it->second.qp->asymmetric_acks();
-      result.lhcs_triggers += it->second.qp->cc().lhcs_triggers();
       const FlowId table_id = r.spec.id;
       // Re-stamp with the dense launch serial: recycled table ids say
       // nothing about launch order, the serial is the 1..N id every
       // record and CSV row carries (equal to the table id until the
       // first slot is recycled).
       r.spec.id = static_cast<FlowId>(r.spec.launch_serial);
-      // Release under the flow's owning lane: tearing the QP down cancels
+      // Release under the source host's lane: tearing the QP down cancels
       // its remaining events in the lane queue that holds them. Safe
       // while workers are parked — the barrier's arrival chain ordered
       // every lane's window work before this coordinator-side drain.
-      Simulator::ActiveLaneScope scope(&sim, it->second.lane);
-      live.erase(it);
+      Simulator::ActiveLaneScope scope(&sim, net.node(r.spec.src)->domain());
       flow_table->Release(table_id);
       if (sink != nullptr) {
         sink->Append(r.spec, r.fct);
@@ -275,13 +261,11 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
       // equal-time cross-lane merges order by launch position even when
       // the table id is a recycled slot.
       spec.launch_serial = launched;
-      const int lane = net.node(spec.src)->domain();
-      Simulator::ActiveLaneScope scope(&sim, lane);
+      Simulator::ActiveLaneScope scope(&sim, net.node(spec.src)->domain());
       SenderQp* qp = LaunchFlow(net, sc, spec);
       if (next_flow.stop < kTimeInfinity) {
         ScheduleFlowAbort(sim, flow_table, next_flow.stop, qp);
       }
-      live.emplace(qp->spec().id, LiveFlow{qp, lane});
       if (monitored) monitored_qps.push_back(qp);
       have_next = source->Next(&next_flow);
     }
@@ -370,7 +354,9 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
   const bool to_completion = point.run.duration <= 0;
   const Time stop = to_completion ? point.run.max_sim_time : point.run.duration;
   while (sim.Now() < stop) {
-    if (to_completion && !have_next && live.empty()) break;
+    if (to_completion && !have_next && result.flows_completed == launched) {
+      break;
+    }
     Time target = sim.Now() + cadence;
     if (sim.events_pending() == 0) {
       // Only aborted/stuck flows have no events; with no future flows
@@ -397,12 +383,14 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
   for (Endpoint* ep : net.hosts()) {
     result.out_of_order += static_cast<Host*>(ep)->out_of_order_packets();
   }
-  // Completed flows were harvested at drain time; what's left in `live`
-  // is the incomplete tail (timed out or aborted), counted too. The sums
-  // are integers, so the map's iteration order doesn't matter.
-  for (const auto& [id, lf] : live) {
-    result.asymmetric_acks += lf.qp->asymmetric_acks();
-    result.lhcs_triggers += lf.qp->cc().lhcs_triggers();
+  // Completed flows were counted by their completion hook and released;
+  // the QPs the hosts still hold are the incomplete tail (timed out or
+  // aborted), counted too.
+  for (Endpoint* ep : net.hosts()) {
+    for (const SenderQp* qp : static_cast<Host*>(ep)->qps()) {
+      result.asymmetric_acks += qp->asymmetric_acks();
+      result.lhcs_triggers += qp->cc().lhcs_triggers();
+    }
   }
   result.events_processed = sim.events_processed();
   result.pdes_windows = sim.windows_executed();
