@@ -133,6 +133,31 @@ TEST_F(FlowTableHostTest, StaleDataDroppedNotResurrected) {
   EXPECT_TRUE(sink_.received.empty());  // no ACK for a dead flow
 }
 
+TEST_F(FlowTableHostTest, LateDuplicateOfCompletedFlowDropped) {
+  // Once the sender has seen the final ACK, a late go-back-N duplicate is
+  // dropped like data of a released flow, so the event stream does not
+  // depend on when the harness releases the slot.
+  SenderQp* qp = Launch(1518);
+  const FlowId id = qp->spec().id;
+  sim_.RunUntil(Microseconds(1));  // started: the one packet is sent
+  PacketPtr data = test::MakeData(1, 0, 1518, id);
+  data->last_of_flow = true;
+  host_.ReceivePacket(std::move(data), 0);  // receiver half: done, ACKed
+  PacketPtr ack = test::MakeAck(1, 0, id);
+  ack->seq = 1518;
+  host_.ReceivePacket(std::move(ack), 0);
+  ASSERT_TRUE(qp->complete());
+  sim_.RunUntil(Microseconds(2));
+  const std::size_t sent = sink_.received.size();
+
+  PacketPtr dup = test::MakeData(1, 0, 1518, id);
+  dup->last_of_flow = true;
+  host_.ReceivePacket(std::move(dup), 0);
+  sim_.RunUntil(Microseconds(3));
+  EXPECT_EQ(host_.stale_flow_packets(), 1u);
+  EXPECT_EQ(sink_.received.size(), sent);  // no re-ACK
+}
+
 TEST_F(FlowTableHostTest, ReleaseIsIdempotentOnStaleIds) {
   SenderQp* qp = Launch(1518);
   const FlowId id = qp->spec().id;
