@@ -141,6 +141,9 @@ bool TraceFlowSource::Next(GeneratedFlow* out) {
   if (in_.bad()) {
     throw std::invalid_argument("trace " + path_ + ": read error");
   }
+  if (rows_read_ == 0) {
+    throw std::invalid_argument("trace " + path_ + ": no flow rows");
+  }
   return false;
 }
 

@@ -41,8 +41,8 @@ class TraceFlowSource final : public FlowSource {
 
   /// Next trace row as a flow; false at end of file. Throws
   /// std::invalid_argument ("trace <path>:<line>: ...") on malformed rows,
-  /// host indices out of [0, hosts), src == dst, bytes == 0, or a start
-  /// time earlier than the previous row's.
+  /// host indices out of [0, hosts), src == dst, bytes == 0, a start
+  /// time earlier than the previous row's, or a file without flow rows.
   bool Next(GeneratedFlow* out) override;
 
   /// Rows successfully produced so far.

@@ -112,6 +112,16 @@ TEST(TraceReplayTest, HeaderOnlyAfterFirstDataRow) {
                  3, "is not a number");
 }
 
+TEST(TraceReplayTest, RejectsTraceWithoutFlowRows) {
+  // Checked by the source itself, so a trace launched straight from it
+  // is refused just like one materialised as a list.
+  const std::string path =
+      WriteTrace("trace_empty.csv", "# nothing\nstart_us,src,dst,bytes\n");
+  TraceFlowSource source(path, kFourHosts, 10'000);
+  GeneratedFlow flow;
+  EXPECT_THROW(source.Next(&flow), std::invalid_argument);
+}
+
 TEST(TraceReplayTest, MissingFileAndBadTopology) {
   EXPECT_THROW(
       TraceFlowSource(testing::TempDir() + "nope.csv", kFourHosts, 10'000),
