@@ -9,11 +9,11 @@
 //     partition machinery when it degenerates to one lane. This ratio is
 //     what scripts/check_bench_regression.py gates (pair convention like
 //     BM_HostAckPath=BM_LegacyHostAckPath); it must stay ~1.
-//   - BM_FatTreePointStreamed/1 vs BM_FatTreePoint/1: the overhead of
-//     streaming injection (windowed launches + per-window drains + slot
-//     recycling) over the eager launch path on the same point — also
-//     ratio-gated at domains=1; the /2 and /8 args record the streamed
-//     multi-domain wall times alongside the eager ones.
+//   - BM_FatTreePointStreamed/1 vs BM_FatTreePoint/1: the overhead of a
+//     100 us launch window (windowed launches + per-window drains) over
+//     launch window 0 on the same point — also ratio-gated at
+//     domains=1; the /2 and /8 args record the windowed multi-domain
+//     wall times alongside the window-0 ones.
 //   - BM_FatTreePoint/{2,4,8} vs /1: the domain speedup. This is wall
 //     time, so it scales with the worker threads actually available —
 //     run_benches.sh stamps fncc_threads into the JSON context; on a
@@ -105,12 +105,12 @@ void BM_FatTreePointSerial(benchmark::State& state) {
 }
 BENCHMARK(BM_FatTreePointSerial)->Arg(1)->Unit(benchmark::kMillisecond);
 
-/// The same point with streaming injection composed on top: flows pulled
-/// from the workload source one launch window at a time, completions
-/// drained per window to a stats-only FctSink, FlowTable slots recycled.
+/// The same point with a 100 us launch window: flows pulled from the
+/// workload source one window at a time, completions drained per window
+/// to a stats-only FctSink, FlowTable slots recycled.
 /// BM_FatTreePointStreamed/1 vs BM_FatTreePoint/1 is the gated
-/// machine-independent streamed-vs-eager ratio (both run the same events
-/// in the same binary; only the injection/drain protocol differs). The
+/// machine-independent window-100-vs-window-0 ratio (both run the same
+/// events in the same binary; only the launch/drain cadence differs). The
 /// /2 and /8 args are wall-time entries like BM_FatTreePoint's —
 /// deliberately ungated, meaningful relative to fncc_hw_threads.
 void BM_FatTreePointStreamed(benchmark::State& state) {

@@ -47,7 +47,7 @@ struct ScenarioConfig {
   /// (TopologyNaturalDomains), degrading to 1 when propagation_delay is
   /// zero (no lookahead window). A pinned value > 1 is honored exactly or
   /// refused with a SpecError (never silently clamped). Composes with
-  /// streaming injection (run.launch_window_us). Outputs are bit-identical
+  /// every launch window (run.launch_window_us). Outputs are bit-identical
   /// at every setting; >1 only changes wall-clock time.
   int exec_domains = 1;
 

@@ -59,7 +59,7 @@ inline constexpr std::uint64_t kNativeOrderBit = 1ull << 63;
 /// (per-queue counters never reach 2^62). At equal timestamps, then:
 /// deliveries first (by wire position), minted natives next (per-queue
 /// FIFO), flow starts last (by launch order) — the same total order in
-/// every partitioning, which is what lets streaming injection (whose
+/// every partitioning, which is what lets the harness launcher (whose
 /// recycled FlowTable ids are NOT launch-ordered) fan out over exec
 /// domains. Any new native source that can fire at equal timestamps in
 /// different domains must mint its own invariant word the same way.

@@ -13,7 +13,7 @@
 // deliveries by edge order word, then natives by dense launch serial.
 // Every key in that order is partition-invariant, so the per-lane tallies
 // of a multi-domain (scenario.exec_domains) run merge into the exact
-// byte stream a single-lane run appends, streamed or eager. That fixes
+// byte stream a single-lane run appends, at any launch window. That fixes
 // the CSV bytes and the floating-point sum order; the sketches are
 // order-invariant (stats/quantile_sketch.hpp). The CSV row format is byte-identical to the
 // legacy WriteFctCsv output — WriteFctCsv is now implemented on top of

@@ -27,12 +27,11 @@ struct FlowSpec {
   /// Dense launch-order serial (1-based), the partition-invariant identity
   /// behind the flow-start order word (sim/event_queue.hpp,
   /// kFlowStartOrderBit) and the equal-time completion tie-break. 0 at
-  /// registration means "default to the minted id": eager runs never
-  /// recycle slots, so their ids ARE dense launch serials. The streaming
-  /// launcher, whose recycled table ids are not launch-ordered, stamps the
-  /// true serial before launch and re-stamps drained records with it —
-  /// keeping streamed outputs byte-identical to eager runs at every
-  /// exec_domains x threads combination.
+  /// registration means "default to the minted id", which is dense while
+  /// no slot is recycled. The harness launcher, whose recycled table ids
+  /// are not launch-ordered, stamps the true serial before launch and
+  /// re-stamps drained records with it — keeping outputs byte-identical
+  /// at every launch window and exec_domains x threads combination.
   std::uint64_t launch_serial = 0;
 };
 

@@ -1,7 +1,7 @@
-// Streaming injection composed with multi-domain conservative PDES: a
+// Launch windows composed with multi-domain conservative PDES: a
 // streamed run (run.launch_window > 0) fanned out over
-// scenario.exec_domains must reproduce the eager single-lane reference
-// byte for byte — FCT records, counters, and the streamed CSV — at every
+// scenario.exec_domains must reproduce the window-0 ("eager") single-lane
+// reference byte for byte — FCT records, counters, and the streamed CSV — at every
 // exec_domains x threads combination. The load-bearing invariant is the
 // flow-start order word (sim/event_queue.hpp kFlowStartOrderBit): the
 // streaming launcher recycles FlowTable slots, so FlowIds are NOT

@@ -1,7 +1,8 @@
-// Streaming flow injection (run.launch_window > 0) against the eager
-// launch path: identical FCT records and counters on a Poisson point and
-// on a point truncated by run.max_sim_time, byte-identical streamed CSV,
-// and the bounded-memory contract — a
+// A 100 us launch window (run.launch_window > 0) against window 0, where
+// every flow launches before the run ("eager" below): identical FCT
+// records and counters on a Poisson point and on a point truncated by
+// run.max_sim_time, byte-identical streamed CSV, and the bounded-memory
+// contract — a
 // 200k-flow trace replays without O(total flows) resident growth.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
@@ -92,10 +93,10 @@ TEST(StreamingLaunchTest, MatchesEagerOnPoissonPoint) {
   std::remove(stream_csv.c_str());
 }
 
-// A run-to-completion point cut off by run.max_sim_time: the eager loop
-// must stop exactly at the wall, as the streaming loop does, so both
-// paths report the same truncated run (the eager loop once overshot to
-// the next 2 ms chunk boundary and completed more flows).
+// A run-to-completion point cut off by run.max_sim_time: window 0 must
+// stop exactly at the wall, as a windowed run does, so both report the
+// same truncated run (window 0 once overshot to the next 2 ms chunk
+// boundary and completed more flows).
 TEST(StreamingLaunchTest, WallTruncatedPointMatchesEager) {
   ExperimentSpec eager;
   eager.name = "streaming_wall_truncated";
