@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -173,6 +174,23 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
   // several flows) stay in lane push order under stable_sort, so the
   // chunk-by-chunk emission order equals one global sort at every domain
   // count and every drain cadence.
+  // A slot is released once the clock is one settle delay past its
+  // completion; from then on the receiver drops the flow's late data with
+  // or without the slot (Host::HandleData), so the drain cadence never
+  // shows. Drained completions are in time order: a FIFO.
+  std::deque<CompletionRecord> pending_release;  // spec.id = table id
+  // Release under the source host's lane: tearing the QP down cancels its
+  // remaining events in the lane queue that holds them. Safe while
+  // workers are parked — the barrier's arrival chain ordered every lane's
+  // window work before this coordinator-side drain.
+  const auto release_until = [&](Time horizon) {
+    for (; !pending_release.empty() && pending_release.front().t <= horizon;
+         pending_release.pop_front()) {
+      const FlowSpec& spec = pending_release.front().spec;
+      Simulator::ActiveLaneScope scope(&sim, net.node(spec.src)->domain());
+      flow_table->Release(spec.id);
+    }
+  };
   std::vector<CompletionRecord> chunk;
   const auto drain = [&] {
     chunk.clear();
@@ -185,18 +203,12 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
     }
     std::stable_sort(chunk.begin(), chunk.end(), CompletionBefore);
     for (CompletionRecord& r : chunk) {
-      const FlowId table_id = r.spec.id;
+      pending_release.push_back(r);
       // Re-stamp with the dense launch serial: recycled table ids say
       // nothing about launch order, the serial is the 1..N id every
       // record and CSV row carries (equal to the table id until the
       // first slot is recycled).
       r.spec.id = static_cast<FlowId>(r.spec.launch_serial);
-      // Release under the source host's lane: tearing the QP down cancels
-      // its remaining events in the lane queue that holds them. Safe
-      // while workers are parked — the barrier's arrival chain ordered
-      // every lane's window work before this coordinator-side drain.
-      Simulator::ActiveLaneScope scope(&sim, net.node(r.spec.src)->domain());
-      flow_table->Release(table_id);
       if (sink != nullptr) {
         sink->Append(r.spec, r.fct);
       } else {
@@ -204,6 +216,7 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
       }
     }
     result.flows_completed += chunk.size();
+    release_until(sim.Now() - sim.settle_delay());
   };
 
   // Unbounded flows (size 0): line rate for the entire duration, rounded
@@ -368,6 +381,9 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
     drain();
     launch_until(sim.Now() + window);
   }
+  // The run is over: release the rest, so Host::qps() below holds only
+  // the incomplete tail.
+  release_until(kTimeInfinity);
   result.flows_total = launched;
 
   if (result.flows_completed < result.flows_total && to_completion) {
@@ -382,6 +398,7 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
   result.drops = net.TotalDrops();
   for (Endpoint* ep : net.hosts()) {
     result.out_of_order += static_cast<Host*>(ep)->out_of_order_packets();
+    result.late_data_drops += static_cast<Host*>(ep)->stale_flow_packets();
   }
   // Completed flows were counted by their completion hook and released;
   // the QPs the hosts still hold are the incomplete tail (timed out or

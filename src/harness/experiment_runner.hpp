@@ -54,6 +54,9 @@ struct ExperimentPointResult {
   std::uint64_t drops = 0;
   std::uint64_t retransmits = 0;
   std::uint64_t out_of_order = 0;  // receiver-side sequence gaps
+  // Late data of completed flows the receivers dropped (Host::
+  // stale_flow_packets). Partition-invariant; not written to manifests.
+  std::uint64_t late_data_drops = 0;
   std::uint64_t asymmetric_acks = 0;  // Fig. 7 pathID mismatches
   std::uint64_t lhcs_triggers = 0;  // summed over FNCC senders
   std::uint64_t events_processed = 0;
@@ -108,8 +111,9 @@ ExperimentPointResult RunExperimentPoint(const ExperimentSpec& point,
 /// launched point.run.launch_window ahead of the clock (0 = unbounded:
 /// every flow before the run starts; a flow whose start is already
 /// behind the clock is a SpecError). The run advances a window at a time
-/// (2 ms chunks at window 0); each drained completion releases its
-/// FlowTable slot, so live per-flow state is O(concurrent flows). Drained
+/// (2 ms chunks at window 0); a drained completion releases its FlowTable
+/// slot once the clock is one Simulator::settle_delay() past it, so live
+/// per-flow state is O(concurrent flows). Drained
 /// records are re-stamped with the flow's dense launch serial, so FCT
 /// records, CSVs and counters are identical at every window; launches
 /// enter the source host's lane and flow starts carry partition-invariant

@@ -86,6 +86,11 @@ Endpoint* Network::AddHost(const HostFactory& factory,
 }
 
 void Network::SealDomains() {
+  Time max_prop = 0;
+  for (const std::vector<Adjacency>& edges : adj_) {
+    for (const Adjacency& e : edges) max_prop = std::max(max_prop, e.prop);
+  }
+  sim_->set_settle_delay(max_prop);
   if (sim_->num_lanes() <= 1) return;
   Time min_prop = kTimeInfinity;
   for (std::size_t a = 0; a < nodes_.size(); ++a) {

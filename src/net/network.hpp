@@ -69,9 +69,10 @@ class Network {
   /// Finalizes domain partitioning after all wiring: marks every link
   /// whose endpoints live in different event lanes as a cross-lane handoff
   /// edge (both directions) and sets the simulator's conservative
-  /// lookahead to the minimum propagation delay over those links. Call
-  /// exactly once, after the last Connect and before any traffic; no-op on
-  /// unpartitioned simulators.
+  /// lookahead to the minimum propagation delay over those links. Also
+  /// sets the simulator's settle_delay() (the largest delay over all
+  /// links) at every lane count. Call exactly once, after the last Connect
+  /// and before any traffic.
   void SealDomains();
 
   /// Wires a full-duplex link between (a, port_a) and (b, port_b) with the

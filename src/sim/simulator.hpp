@@ -254,6 +254,13 @@ class Simulator {
   void set_domain_lookahead(Time l) { lookahead_ = l; }
   [[nodiscard]] Time domain_lookahead() const { return lookahead_; }
 
+  /// Largest link propagation delay (Network::SealDomains, at every lane
+  /// count): a partition-invariant bound on the lookahead, so another
+  /// lane's write stamped at or before Now() - settle_delay() was made in
+  /// a finished window and reads (atomically) the same at any partitioning.
+  void set_settle_delay(Time d) { settle_delay_ = d; }
+  [[nodiscard]] Time settle_delay() const { return settle_delay_; }
+
   /// Registers a cross-lane mailbox: `drain(ctx)` runs under lane
   /// `dst_lane`'s scope at every window barrier and moves the *sealed*
   /// outbox buffer's handoffs into that lane's queue
@@ -348,6 +355,7 @@ class Simulator {
   std::atomic<bool> stopped_{false};
   int delivery_batch_ = 16;
   Time lookahead_ = kTimeInfinity;
+  Time settle_delay_ = 0;
   std::uint32_t next_edge_ = 0;
 
   struct Mailbox {

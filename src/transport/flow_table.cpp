@@ -55,6 +55,7 @@ SenderQp* FlowTable::Register(Host* host, FlowSpec spec,
   HotFlowRow& row = RowRef(slot);
   assert(!s.qp_live && "free slot still holds a QP");
   s.recv = RecvCtx{};  // fresh receiver state for the new tenant
+  s.sender_done_at.store(kTimeInfinity, std::memory_order_relaxed);
   row = HotFlowRow{};
   row.generation = s.generation;  // the coherence invariant
   spec.id = MakeFlowId(slot, s.generation);

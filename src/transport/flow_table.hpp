@@ -55,6 +55,7 @@
 //     Parallel sweeps build one table per job (inside the host factory).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <new>
@@ -116,6 +117,9 @@ struct FlowSlot {
   std::uint32_t generation = 0;  // always kept masked to kFlowGenMask
   bool qp_live = false;
   RecvCtx recv;
+  /// When the sender saw the final ACK. Written by the sender's lane, read
+  /// by the receiver's under Simulator::settle_delay() (Host::HandleData).
+  std::atomic<Time> sender_done_at{kTimeInfinity};
   alignas(SenderQp) unsigned char qp_mem[sizeof(SenderQp)];
 
   [[nodiscard]] SenderQp* qp() {

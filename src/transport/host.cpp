@@ -119,12 +119,13 @@ void Host::HandleData(PacketPtr pkt) {
   // forever (the sender is gone — there is nothing useful to ACK).
   RecvCtx* ctx_ptr;
   if (FlowSlot* s = flows_->Lookup(pkt->flow)) {
-    // Late go-back-N duplicates of a flow whose sender has already seen
-    // the final ACK are dropped the same way: nothing waits for their
-    // ACK, and dropping from completion on (not only once the harness
-    // releases the slot) keeps the event stream independent of when the
-    // release happens.
-    if (s->recv.done && s->qp() != nullptr && s->qp()->complete()) {
+    // Late go-back-N duplicates are dropped the same way from one settle
+    // delay after the sender saw the final ACK: nothing waits for their
+    // ACK, the harness releases no slot earlier, and a completion that
+    // old reads the same at every partitioning and thread count.
+    if (s->recv.done &&
+        s->sender_done_at.load(std::memory_order_relaxed) <=
+            sim()->Now() - sim()->settle_delay()) {
       ++stale_flow_packets_;
       return;
     }
@@ -221,6 +222,9 @@ void Host::MaybeSendCnp(const Packet& data, RecvCtx& ctx) {
 }
 
 void Host::NotifyFlowComplete(SenderQp* qp) {
+  if (FlowSlot* s = flows_->Lookup(qp->spec().id)) {
+    s->sender_done_at.store(sim()->Now(), std::memory_order_relaxed);
+  }
   if (on_flow_complete) on_flow_complete(*qp);
 }
 

@@ -89,8 +89,9 @@ class Host final : public Endpoint {
   [[nodiscard]] std::uint64_t out_of_order_packets() const {
     return out_of_order_;
   }
-  /// Data packets dropped because their flow's sender had already
-  /// completed (late go-back-N duplicates), released from the table or not.
+  /// Data packets dropped because their flow's sender had completed at
+  /// least one settle delay earlier (late go-back-N duplicates), released
+  /// from the table or not.
   [[nodiscard]] std::uint64_t stale_flow_packets() const {
     return stale_flow_packets_;
   }

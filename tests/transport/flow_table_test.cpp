@@ -134,9 +134,11 @@ TEST_F(FlowTableHostTest, StaleDataDroppedNotResurrected) {
 }
 
 TEST_F(FlowTableHostTest, LateDuplicateOfCompletedFlowDropped) {
-  // Once the sender has seen the final ACK, a late go-back-N duplicate is
-  // dropped like data of a released flow, so the event stream does not
-  // depend on when the harness releases the slot.
+  // One settle delay after the sender saw the final ACK, a late go-back-N
+  // duplicate is dropped like data of a released flow, so the event
+  // stream does not depend on when the harness releases the slot. Before
+  // that instant it is re-ACKed as usual.
+  sim_.set_settle_delay(Microseconds(1));
   SenderQp* qp = Launch(1518);
   const FlowId id = qp->spec().id;
   sim_.RunUntil(Microseconds(1));  // started: the one packet is sent
@@ -145,16 +147,25 @@ TEST_F(FlowTableHostTest, LateDuplicateOfCompletedFlowDropped) {
   host_.ReceivePacket(std::move(data), 0);  // receiver half: done, ACKed
   PacketPtr ack = test::MakeAck(1, 0, id);
   ack->seq = 1518;
-  host_.ReceivePacket(std::move(ack), 0);
+  host_.ReceivePacket(std::move(ack), 0);  // sender completes at 1 us
   ASSERT_TRUE(qp->complete());
-  sim_.RunUntil(Microseconds(2));
-  const std::size_t sent = sink_.received.size();
+  const auto send_dup = [&] {
+    PacketPtr dup = test::MakeData(1, 0, 1518, id);
+    dup->last_of_flow = true;
+    host_.ReceivePacket(std::move(dup), 0);
+  };
 
-  PacketPtr dup = test::MakeData(1, 0, 1518, id);
-  dup->last_of_flow = true;
-  host_.ReceivePacket(std::move(dup), 0);
+  sim_.RunUntil(Microseconds(1) + Nanoseconds(999));
+  std::size_t sent = sink_.received.size();
+  send_dup();  // within the settle delay: re-ACKed
+  EXPECT_EQ(host_.stale_flow_packets(), 0u);
   sim_.RunUntil(Microseconds(3));
+  EXPECT_EQ(sink_.received.size(), sent + 1);
+
+  sent = sink_.received.size();
+  send_dup();  // past the settle delay: dropped
   EXPECT_EQ(host_.stale_flow_packets(), 1u);
+  sim_.RunUntil(Microseconds(5));
   EXPECT_EQ(sink_.received.size(), sent);  // no re-ACK
 }
 
