@@ -262,10 +262,12 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
         throw SpecError(
             "flow " + std::to_string(launched + 1) +
             " does not fit the flow table: its " +
-            std::to_string(kFlowSlotMask) +
-            " slots all hold flows that have not completed; set "
-            "run.launch_window_us > 0 so flows launch as the clock "
-            "reaches them and completed flows free their slots");
+            std::to_string(kFlowSlotMask) + " slots all hold live flows; " +
+            (window == 0 ? "set run.launch_window_us > 0 so completed flows "
+                           "free their slots"
+                         : "run.launch_window_us = " + FormatTimeUs(window) +
+                               " launches too far ahead: use a smaller "
+                               "window or fewer concurrent flows"));
       }
       if (spec.size_bytes == 0) spec.size_bytes = auto_budget;
       ++launched;
@@ -379,12 +381,16 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
     }
     sched.RunUntil(std::min(target, stop));
     drain();
-    launch_until(sim.Now() + window);
+    if (sim.Now() < stop) launch_until(sim.Now() + window);
   }
   // The run is over: release the rest, so Host::qps() below holds only
   // the incomplete tail.
   release_until(kTimeInfinity);
-  result.flows_total = launched;
+  // Flows the run ended before launching count as generated, exactly as
+  // window 0 launches (and counts) them all up front.
+  std::uint64_t unlaunched = 0;
+  for (; have_next; have_next = source->Next(&next_flow)) ++unlaunched;
+  result.flows_total = launched + unlaunched;
 
   if (result.flows_completed < result.flows_total && to_completion) {
     Log(LogLevel::kWarn, sim.Now(), "experiment run incomplete: %zu/%zu flows",

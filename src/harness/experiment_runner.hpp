@@ -113,7 +113,8 @@ ExperimentPointResult RunExperimentPoint(const ExperimentSpec& point,
 /// behind the clock is a SpecError). The run advances a window at a time
 /// (2 ms chunks at window 0); a drained completion releases its FlowTable
 /// slot once the clock is one Simulator::settle_delay() past it, so live
-/// per-flow state is O(concurrent flows). Drained
+/// per-flow state is O(concurrent flows). Flows the run ends before
+/// launching still count in flows_total, as at window 0. Drained
 /// records are re-stamped with the flow's dense launch serial, so FCT
 /// records, CSVs and counters are identical at every window; launches
 /// enter the source host's lane and flow starts carry partition-invariant

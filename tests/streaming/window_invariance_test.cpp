@@ -45,12 +45,16 @@ void ExpectWindowInvariant(ExperimentSpec spec, bool events_exact) {
   EXPECT_EQ(FctCsvBytes(got, tag + "_w100.csv"),
             FctCsvBytes(ref, tag + "_w0.csv"));
   EXPECT_EQ(got.flows_total, ref.flows_total);
+  EXPECT_EQ(got.flows_total, spec.wl.long_flows.empty()
+                                 ? static_cast<std::size_t>(spec.wl.num_flows)
+                                 : spec.wl.long_flows.size());
   EXPECT_EQ(got.flows_completed, ref.flows_completed);
   EXPECT_EQ(got.pause_frames, ref.pause_frames);
   EXPECT_EQ(got.resume_frames, ref.resume_frames);
   EXPECT_EQ(got.drops, ref.drops);
   EXPECT_EQ(got.retransmits, ref.retransmits);
   EXPECT_EQ(got.out_of_order, ref.out_of_order);
+  EXPECT_EQ(got.late_data_drops, ref.late_data_drops);
   EXPECT_EQ(got.asymmetric_acks, ref.asymmetric_acks);
   EXPECT_EQ(got.lhcs_triggers, ref.lhcs_triggers);
   if (events_exact) {
@@ -77,13 +81,16 @@ TEST(WindowInvarianceTest, PoissonFatTreeEveryMode) {
 
 TEST(WindowInvarianceTest, DurationBudgetDumbbellEveryMode) {
   // The default point: two elephants sized to the 1300 us run, the second
-  // starting at 300 us — past the first window, so it launches mid-run.
-  // Both runs stop at the duration, so every event count matches.
+  // starting at 300 us — past the first window, so it launches mid-run —
+  // and a third starting at 2000 us, after the run: window 0 launches it
+  // and window 100 never does, yet both count it in flows_total. Both
+  // runs stop at the duration, so every event count matches.
   for (CcMode mode : kAllCcModes) {
     SCOPED_TRACE(CcModeName(mode));
     ExperimentSpec spec;
     spec.name = "window_dumbbell";
-    ApplySpecOverrides(spec, {"workload.flows=0@0,1@300", "run.monitor=false"});
+    ApplySpecOverrides(spec, {"workload.flows=0@0,1@300,0@2000",
+                              "run.monitor=false"});
     spec.scenario.mode = mode;
     ASSERT_EQ(spec.wl.size_bytes, 0u);
     ExpectWindowInvariant(spec, /*events_exact=*/true);
