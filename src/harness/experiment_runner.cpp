@@ -609,26 +609,18 @@ ExperimentArtifacts WriteExperimentOutputs(
                     ec.message());
   }
 
-  std::vector<std::string> labels;
-  labels.reserve(results.size());
-  for (const ExperimentPointResult& r : results) labels.push_back(r.label);
-  const std::vector<std::string> tags = PointTags(labels);
-
-  std::vector<std::string> fct_files(results.size());
+  const std::vector<std::string> tags = PointTags(SpecLabels(points));
+  const std::vector<std::string> fct_files = PointFctCsvPaths(spec, points);
   std::vector<std::string> series_files(results.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
-    if (!spec.output.fct_csv.empty()) {
-      const std::string path =
-          (dir / InsertTag(spec.output.fct_csv, tags[i])).string();
-      if (spec.output.stream_fct) {
-        // The per-point FctSink already wrote this file during the run
-        // (PointFctCsvPaths hands streaming callers these exact paths);
-        // just record it in the manifest's file map.
-      } else if (!WriteFctCsv(path, results[i].fct)) {
-        throw SpecError("failed to write " + path);
+    if (!fct_files[i].empty()) {
+      // A streamed point's FctSink already wrote its file during the run;
+      // the manifest's file map just records it.
+      if (!spec.output.stream_fct &&
+          !WriteFctCsv(fct_files[i], results[i].fct)) {
+        throw SpecError("failed to write " + fct_files[i]);
       }
-      fct_files[i] = path;
-      artifacts.files.push_back(path);
+      artifacts.files.push_back(fct_files[i]);
     }
     if (!spec.output.timeseries_csv.empty()) {
       std::vector<std::pair<std::string, const TimeSeries*>> series;

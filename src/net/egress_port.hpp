@@ -86,7 +86,6 @@ class EgressPort {
   /// deliveries instead of scheduling into the peer's queue and turn off
   /// delivery prefetch (the chain would touch peer-lane state mid-window).
   void SetCrossLane(int peer_lane);
-  [[nodiscard]] bool cross_lane() const { return cross_lane_; }
 
   /// Injects the sealed (previous-window) outbox buffer into the peer
   /// lane's queue. Called by the simulator inside the destination lane's
@@ -139,9 +138,6 @@ class EgressPort {
   [[nodiscard]] double bandwidth_gbps() const { return bandwidth_gbps_; }
   [[nodiscard]] Time propagation_delay() const { return prop_delay_; }
   [[nodiscard]] const Peer& peer() const { return peer_; }
-  [[nodiscard]] std::size_t packets_queued() const {
-    return data_q_.count + ctrl_q_.count;
-  }
   /// Packets serialized but not yet delivered through the prefetch chain
   /// (0 unless the peer installed a prefetch hook).
   [[nodiscard]] std::size_t packets_in_flight() const { return inflight_count_; }

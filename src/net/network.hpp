@@ -64,7 +64,6 @@ class Network {
   /// `group % sim->num_lanes()`, so their construction-time timers land in
   /// the lane that will run them.
   void SetNodeGroup(int group) { node_group_ = group; }
-  [[nodiscard]] int node_group() const { return node_group_; }
 
   /// Finalizes domain partitioning after all wiring: marks every link
   /// whose endpoints live in different event lanes as a cross-lane handoff

@@ -79,10 +79,6 @@ struct FatTreeTopology {
   std::vector<NodeId> edges;  // pod-major: pod p edge e = edges[p*k/2+e]
   std::vector<NodeId> aggs;   // pod-major
   std::vector<NodeId> cores;  // core_{x,y} = cores[x*k/2+y]
-
-  [[nodiscard]] int pod_of_host(int host_index) const {
-    return host_index / ((k / 2) * (k / 2));
-  }
 };
 
 FatTreeTopology BuildFatTree(Simulator* sim, const HostFactory& hosts,

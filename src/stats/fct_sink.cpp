@@ -11,9 +11,7 @@ constexpr std::size_t kIoBufferBytes = 1u << 18;
 }  // namespace
 
 FctSink::FctSink(FctSinkOptions options)
-    : options_(std::move(options)),
-      slowdown_(options_.sketch_alpha),
-      fct_us_(options_.sketch_alpha) {
+    : options_(std::move(options)), slowdown_(options_.sketch_alpha) {
   bucket_state_.reserve(options_.bucket_edges.size());
   for (std::size_t i = 0; i < options_.bucket_edges.size(); ++i) {
     bucket_state_.emplace_back(options_.sketch_alpha);
@@ -52,9 +50,7 @@ bool FctSink::Append(const FlowSpec& spec, Time fct) {
     }
   }
   slowdown_.Add(slowdown);
-  fct_us_.Add(ToMicroseconds(fct));
   slowdown_sum_ += slowdown;
-  fct_us_sum_ += ToMicroseconds(fct);
   if (!bucket_state_.empty()) {
     // FctRecorder::Bucketed's placement: first edge with size <= edge;
     // oversize flows land in the last bucket.

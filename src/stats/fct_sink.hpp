@@ -2,9 +2,8 @@
 // FctRecorder, then WriteFctCsv at the end". Completed flows are appended
 // one at a time — in the harness's canonical completion order — and the
 // sink (1) writes the CSV row immediately through a large stdio buffer and
-// (2) folds the sample into online state only: count, exact sums (mean
-// numerators), and QuantileSketch per metric, globally and per size
-// bucket. Memory is O(log value-range + buckets), independent of the flow
+// (2) folds the slowdown into online state only: count, exact sum (the
+// mean numerator) and a QuantileSketch, globally and per size bucket. Memory is O(log value-range + buckets), independent of the flow
 // count; a million-flow point holds kilobytes instead of a hundred MB of
 // FlowResults.
 //
@@ -69,22 +68,13 @@ class FctSink {
   [[nodiscard]] double mean_slowdown() const {
     return count() ? slowdown_sum_ / static_cast<double>(count()) : 0.0;
   }
-  [[nodiscard]] double mean_fct_us() const {
-    return count() ? fct_us_sum_ / static_cast<double>(count()) : 0.0;
-  }
   /// Approximate percentiles (p in [0, 100], within options.sketch_alpha
   /// relative error — see QuantileSketch).
   [[nodiscard]] double SlowdownQuantile(double p) const {
     return slowdown_.Quantile(p);
   }
-  [[nodiscard]] double FctUsQuantile(double p) const {
-    return fct_us_.Quantile(p);
-  }
   [[nodiscard]] const QuantileSketch& slowdown_sketch() const {
     return slowdown_;
-  }
-  [[nodiscard]] const QuantileSketch& fct_us_sketch() const {
-    return fct_us_;
   }
 
   /// Per-size-bucket slowdown stats from the online state — the streaming
@@ -108,9 +98,7 @@ class FctSink {
   bool ok_ = true;
 
   QuantileSketch slowdown_;
-  QuantileSketch fct_us_;
   double slowdown_sum_ = 0.0;  // accumulated in append order (canonical)
-  double fct_us_sum_ = 0.0;
   std::vector<BucketState> bucket_state_;  // parallel to options_.bucket_edges
   FctRecorder recorder_;
 };

@@ -227,7 +227,6 @@ class FlowTable {
   [[nodiscard]] std::size_t live_flows() const {
     return next_unused_ - free_.size();
   }
-  [[nodiscard]] std::size_t slots_allocated() const { return next_unused_; }
   [[nodiscard]] std::size_t interned_configs() const {
     return config_pool_.size();
   }

@@ -53,7 +53,6 @@ class SenderQp {
   [[nodiscard]] const FlowSpec& spec() const { return spec_; }
   [[nodiscard]] bool started() const { return started_; }
   [[nodiscard]] bool complete() const { return complete_; }
-  [[nodiscard]] Time completion_time() const { return completion_time_; }
   [[nodiscard]] Time fct() const { return completion_time_ - spec_.start_time; }
 
   [[nodiscard]] std::uint64_t snd_nxt() const { return hot_->snd_nxt; }
@@ -65,7 +64,6 @@ class SenderQp {
   /// Current pacing rate — the signal Fig. 9/13 plot per sender.
   [[nodiscard]] double pacing_rate_gbps() const { return cc_.rate_gbps(); }
   [[nodiscard]] const CongestionControl& cc() const { return cc_; }
-  [[nodiscard]] const HotFlowRow& hot_row() const { return *hot_; }
 
   /// Go-back-N retransmissions triggered (0 in a healthy lossless run).
   [[nodiscard]] std::uint64_t retransmit_events() const { return rto_count_; }
