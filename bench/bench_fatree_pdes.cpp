@@ -21,8 +21,9 @@
 //     handoff overhead, not speedup. The windows_per_s counter is the
 //     engine's coordination throughput (one window = one barrier cycle).
 //   - BM_WindowBarrier/N vs BM_LegacyWindowPair/N: one persistent-engine
-//     barrier cycle against the two ThreadPool Submit+Wait round-trips it
-//     replaced per window — also ratio-gated; the barrier must win.
+//     barrier cycle against the two job-pool Submit+Wait round-trips it
+//     replaced per window (bench/legacy_window_pair.hpp) — also
+//     ratio-gated; the barrier must win.
 //
 // Every configuration produces bit-identical simulation output (the
 // domain-equivalence suite in tests/exec pins this); only wall time may
@@ -33,9 +34,9 @@
 #include <thread>
 #include <vector>
 
-#include "exec/thread_pool.hpp"
 #include "exec/window_barrier.hpp"
 #include "harness/experiment_runner.hpp"
+#include "legacy_window_pair.hpp"
 #include "stats/fct_sink.hpp"
 
 namespace {
@@ -85,7 +86,7 @@ void RunPoint(benchmark::State& state, int exec_domains, int threads) {
 /// FNCC_THREADS (default: hardware concurrency) clamped to the lane count.
 void BM_FatTreePoint(benchmark::State& state) {
   RunPoint(state, static_cast<int>(state.range(0)),
-           ThreadPool::DefaultThreadCount());
+           DefaultThreadCount());
 }
 // Record with --benchmark_min_warmup_time=0.5 (run_benches.sh and the CI
 // step both pass it): each entry's ~1s iterations are long enough that
@@ -115,7 +116,7 @@ BENCHMARK(BM_FatTreePointSerial)->Arg(1)->Unit(benchmark::kMillisecond);
 /// deliberately ungated, meaningful relative to fncc_hw_threads.
 void BM_FatTreePointStreamed(benchmark::State& state) {
   const int exec_domains = static_cast<int>(state.range(0));
-  const int threads = ThreadPool::DefaultThreadCount();
+  const int threads = DefaultThreadCount();
   ExperimentSpec spec = FatTreePointSpec(exec_domains);
   spec.run.monitor = false;
   spec.run.launch_window = Microseconds(100);
@@ -146,7 +147,7 @@ BENCHMARK(BM_FatTreePointStreamed)->Arg(1)->Arg(2)->Arg(8)
 // ---------------------------------------------------------------------------
 // Window-coordination microbenchmarks: the per-window synchronization cost
 // in isolation, with zero simulation work. One persistent-engine window is
-// ONE WindowBarrier cycle; one legacy engine window was TWO ThreadPool
+// ONE WindowBarrier cycle; one legacy engine window was TWO job-pool
 // Submit+Wait round-trips (run phase + drain phase). The regression gate
 // pairs them (BM_WindowBarrier=BM_LegacyWindowPair at matching arg): the
 // barrier cycle must stay cheaper than the pair it replaced. Arg = the
@@ -184,12 +185,12 @@ void BM_WindowBarrier(benchmark::State& state) {
 BENCHMARK(BM_WindowBarrier)->Arg(2)->Arg(4)->UseRealTime();
 
 /// The replaced protocol's skeleton: per iteration, two rounds of
-/// (one no-op job per participant, then Wait) on a ThreadPool of the same
+/// (one no-op job per participant, then Wait) on a job pool of the same
 /// size — the run-phase and drain-phase round-trips of the old
 /// DomainScheduler window.
 void BM_LegacyWindowPair(benchmark::State& state) {
   const int participants = static_cast<int>(state.range(0));
-  ThreadPool pool(participants);
+  bench::LegacyJobPool pool(participants);
   for (auto _ : state) {
     for (int phase = 0; phase < 2; ++phase) {
       for (int i = 0; i < participants; ++i) {

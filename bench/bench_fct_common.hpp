@@ -2,9 +2,9 @@
 // Each figure is one declarative ExperimentSpec (fat-tree + poisson with
 // sweep.mode over the three schemes) executed on the unified experiment
 // engine — the same code path `fncc_run specs/fig14_websearch.exp` drives.
-// Points run as one parallel sweep (exec/SweepRunner, FNCC_THREADS
-// threads); outputs are bit-identical to the serial run, only wall time
-// changes.
+// Points run as one parallel sweep (RunExperimentPoints on
+// DefaultThreadCount() threads); outputs are bit-identical to the serial
+// run, only wall time changes.
 #pragma once
 
 #include <cstdio>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "exec/thread_pool.hpp"
 #include "harness/experiment_runner.hpp"
 
 namespace fncc::bench {
@@ -26,7 +25,9 @@ struct FctBenchSetup {
   int default_flows = 800;
 };
 
-inline void RunFctBench(const FctBenchSetup& setup) {
+/// Runs the figure and prints its tables; returns the process exit status
+/// (1 when BENCH_<figure>.json cannot be written).
+inline int RunFctBench(const FctBenchSetup& setup) {
   Banner((std::string("FCT slowdown, ") + setup.workload_name +
           " at 50% load, fat-tree k=8 (128 hosts)")
              .c_str());
@@ -45,7 +46,7 @@ inline void RunFctBench(const FctBenchSetup& setup) {
   const CcMode modes[] = {CcMode::kDcqcn, CcMode::kHpcc, CcMode::kFncc};
   spec.sweep.modes.assign(std::begin(modes), std::end(modes));
 
-  const int threads = ThreadPool::DefaultThreadCount();  // FNCC_THREADS-aware
+  const int threads = DefaultThreadCount();  // FNCC_THREADS-aware
   WallTimer sweep_timer;
   std::vector<ExperimentPointResult> sweep = RunExperiment(spec, threads);
   const double sweep_seconds = sweep_timer.Seconds();
@@ -66,7 +67,8 @@ inline void RunFctBench(const FctBenchSetup& setup) {
     point_meta.push_back({CcModeName(modes[i]), r.wall_time_seconds});
     results.emplace(modes[i], std::move(sweep[i]));
   }
-  WriteSweepMeta(setup.figure, threads, sweep_seconds, point_meta);
+  const bool meta_written =
+      WriteSweepMeta(setup.figure, threads, sweep_seconds, point_meta);
 
   const char* stat_names[] = {"average", "median", "p95", "p99"};
   for (int stat = 0; stat < 4; ++stat) {
@@ -138,6 +140,7 @@ inline void RunFctBench(const FctBenchSetup& setup) {
                       : Fmt("FNCC %.2f", f_all.avg) + " HPCC " +
                             Fmt("%.2f", h_all.avg) + " DCQCN " +
                             Fmt("%.2f", d_all.avg));
+  return meta_written ? 0 : 1;
 }
 
 }  // namespace fncc::bench

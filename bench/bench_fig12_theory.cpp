@@ -7,7 +7,6 @@
 
 #include "bench_util.hpp"
 #include "core/notification_model.hpp"
-#include "exec/sweep_runner.hpp"
 
 int main() {
   using namespace fncc;
@@ -40,17 +39,14 @@ int main() {
       (d.gain[0] > d.gain[1] && d.gain[1] > d.gain[2]) ? "first > middle > last"
                                                        : "violated");
 
-  // Sweep: deeper chains, faster links. The model is analytic — the whole
-  // sweep costs microseconds, so it runs on the serial SweepRunner path
-  // (same index-ordered API as the simulation sweeps, no pool spun up).
+  // Sweep: deeper chains.
   const std::vector<int> depths = {2, 3, 5, 8};
-  SweepRunner runner(1);
-  const std::vector<NotificationDelays> sweep =
-      runner.Map<NotificationDelays>(depths.size(), [&](std::size_t i) {
-        NotificationChain c;
-        c.num_switches = depths[i];
-        return ComputeNotificationDelays(c);
-      });
+  std::vector<NotificationDelays> sweep;
+  for (const int depth : depths) {
+    NotificationChain c;
+    c.num_switches = depth;
+    sweep.push_back(ComputeNotificationDelays(c));
+  }
   std::printf("\nchain-depth sweep (gain at first hop):\n");
   for (std::size_t i = 0; i < depths.size(); ++i) {
     std::printf("  %d switches: HPCC %.2f us -> FNCC %.2f us\n", depths[i],

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "exec/thread_pool.hpp"
 #include "harness/experiment_runner.hpp"
 
 int main() {
@@ -34,7 +33,7 @@ int main() {
   // All nine (hop, mode) points as one parallel sweep; results come back
   // in expansion order (mode outer, merge_switch inner), bit-identical to
   // the serial run.
-  const int threads = ThreadPool::DefaultThreadCount();
+  const int threads = DefaultThreadCount();
   WallTimer sweep_timer;
   const std::vector<ExperimentPointResult> sweep =
       RunExperiment(spec, threads);
@@ -108,6 +107,5 @@ int main() {
   PaperVsMeasured("fig13", "LHCS adds most on last hop",
                   "LHCS reduction >> no-LHCS reduction",
                   reduction[3] > reduction[2] ? "confirmed" : "violated");
-  WriteSweepMeta("fig13", threads, sweep_seconds, point_meta);
-  return 0;
+  return WriteSweepMeta("fig13", threads, sweep_seconds, point_meta) ? 0 : 1;
 }

@@ -9,7 +9,6 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "exec/thread_pool.hpp"
 #include "harness/experiment_runner.hpp"
 #include "stats/percentile.hpp"
 
@@ -34,11 +33,12 @@ int main() {
   spec.run.duration = 8 * stage + Microseconds(50);
   spec.run.rate_sample_interval = stage / 100;
   const std::vector<LongFlow>& flows = spec.wl.long_flows;
-  const int threads = ThreadPool::DefaultThreadCount();
+  const int threads = DefaultThreadCount();
   WallTimer sweep_timer;
   const ExperimentPointResult r = RunExperiment(spec, threads).front();
-  WriteSweepMeta("fig13e", threads, sweep_timer.Seconds(),
-                 {{"fncc_staircase", r.wall_time_seconds}});
+  const bool meta_written =
+      WriteSweepMeta("fig13e", threads, sweep_timer.Seconds(),
+                     {{"fncc_staircase", r.wall_time_seconds}});
 
   for (int i = 0; i < 4; ++i) {
     PrintSeries("fig13e", "flow" + std::to_string(i),
@@ -75,5 +75,5 @@ int main() {
                            : "unfair stage found");
   PaperVsMeasured("fig13e", "pause frames", "none expected",
                   Fmt("%.0f", static_cast<double>(r.pause_frames)));
-  return 0;
+  return meta_written ? 0 : 1;
 }

@@ -12,6 +12,5 @@ int main() {
   setup.cdf = "web_search";
   setup.edges = WebSearchBucketEdges();
   setup.default_flows = 1000;
-  RunFctBench(setup);
-  return 0;
+  return RunFctBench(setup);
 }

@@ -12,6 +12,5 @@ int main() {
   setup.cdf = "fb_hadoop";
   setup.edges = HadoopBucketEdges();
   setup.default_flows = 20000;
-  RunFctBench(setup);
-  return 0;
+  return RunFctBench(setup);
 }

@@ -11,7 +11,6 @@
 
 #include "cc/hpcc.hpp"
 #include "core/fncc.hpp"
-#include "exec/thread_pool.hpp"
 #include "harness/experiment_runner.hpp"
 #include "harness/experiment_spec.hpp"
 #include "legacy_event_queue.hpp"
@@ -496,7 +495,7 @@ void BM_StreamingLaunchDomains(benchmark::State& state) {
   const TopologyParams topo = ResolveTopologyParams(spec);
   WorkloadParams wl = ResolveWorkloadParams(spec);
   wl.cdf = SizeCdf({{4'000.0, 0.5}, {16'000.0, 1.0}});
-  const int threads = ThreadPool::DefaultThreadCount();
+  const int threads = DefaultThreadCount();
   std::uint64_t completed = 0;
   for (auto _ : state) {
     FctSinkOptions options;

@@ -3,8 +3,10 @@
 #pragma once
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -65,10 +67,11 @@ struct SweepPointMeta {
 /// serial cost the sweep hid behind other points). Wall-time fields are
 /// machine- and thread-count-dependent; never compare them across runs
 /// with different thread counts. Also prints a one-line "sweep," CSV
-/// summary.
-inline void WriteSweepMeta(const char* figure, int threads,
-                           double wall_time_seconds,
-                           const std::vector<SweepPointMeta>& points) {
+/// summary. Returns false, after naming the path and the OS error on
+/// stderr, when the JSON cannot be written; the bench then exits 1.
+[[nodiscard]] inline bool WriteSweepMeta(
+    const char* figure, int threads, double wall_time_seconds,
+    const std::vector<SweepPointMeta>& points) {
   // Record how the sweep actually executed: a sweep never uses more
   // threads than it has points (and a single-point sweep runs inline).
   threads = std::min(threads, static_cast<int>(std::max<std::size_t>(
@@ -81,29 +84,34 @@ inline void WriteSweepMeta(const char* figure, int threads,
       wall_time_seconds > 0.0 ? serial_seconds / wall_time_seconds : 0.0;
 
   const std::string path = std::string("BENCH_") + figure + ".json";
-  if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-    std::fprintf(f,
-                 "{\n  \"figure\": \"%s\",\n  \"threads\": %d,\n"
-                 "  \"wall_time_seconds\": %.6f,\n"
-                 "  \"serial_wall_time_seconds\": %.6f,\n"
-                 "  \"speedup\": %.3f,\n  \"points\": [\n",
-                 figure, threads, wall_time_seconds, serial_seconds, speedup);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      std::fprintf(
-          f,
-          "    {\"label\": \"%s\", \"wall_time_seconds\": %.6f, "
-          "\"wall_time_share\": %.3f}%s\n",
-          points[i].label.c_str(), points[i].wall_time_seconds,
-          wall_time_seconds > 0.0
-              ? points[i].wall_time_seconds / wall_time_seconds
-              : 0.0,
-          i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
+                 std::strerror(errno));
+    return false;
   }
+  std::fprintf(f,
+               "{\n  \"figure\": \"%s\",\n  \"threads\": %d,\n"
+               "  \"wall_time_seconds\": %.6f,\n"
+               "  \"serial_wall_time_seconds\": %.6f,\n"
+               "  \"speedup\": %.3f,\n  \"points\": [\n",
+               figure, threads, wall_time_seconds, serial_seconds, speedup);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    std::fprintf(
+        f,
+        "    {\"label\": \"%s\", \"wall_time_seconds\": %.6f, "
+        "\"wall_time_share\": %.3f}%s\n",
+        points[i].label.c_str(), points[i].wall_time_seconds,
+        wall_time_seconds > 0.0
+            ? points[i].wall_time_seconds / wall_time_seconds
+            : 0.0,
+        i + 1 < points.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]\n}\n");
+  std::fclose(f);
   std::printf("sweep,%s,threads=%d,wall_s=%.3f,serial_s=%.3f,speedup=%.2f\n",
               figure, threads, wall_time_seconds, serial_seconds, speedup);
+  return true;
 }
 
 }  // namespace fncc::bench

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/thread_pool.hpp"
 #include "harness/experiment_runner.hpp"
 #include "stats/percentile.hpp"
 
@@ -42,7 +41,7 @@ int main(int argc, char** argv) {
 
     const std::vector<ExperimentSpec> points = ExpandSweep(spec);
     const std::vector<ExperimentPointResult> sweep =
-        RunExperimentPoints(points, ThreadPool::DefaultThreadCount());
+        RunExperimentPoints(points);
 
     std::printf("two elephants on the Fig. 10 dumbbell at %.0f Gbps; flow1 "
                 "joins at 300 us\n\n",

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/thread_pool.hpp"
 #include "harness/experiment_runner.hpp"
 #include "stats/percentile.hpp"
 
@@ -52,7 +51,7 @@ int main(int argc, char** argv) {
 
     const std::vector<ExperimentSpec> points = ExpandSweep(spec);
     const std::vector<ExperimentPointResult> sweep =
-        RunExperimentPoints(points, ThreadPool::DefaultThreadCount());
+        RunExperimentPoints(points);
     for (std::size_t i = 0; i < sweep.size(); ++i) {
       const ExperimentPointResult& r = sweep[i];
       Time makespan = 0;

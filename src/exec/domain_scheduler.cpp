@@ -155,8 +155,8 @@ void DomainScheduler::RunWindowPhase(int thread_id) {
       error_ = std::current_exception();
     }
     // Fall through to the barrier: the other participants finish their
-    // lanes (ThreadPool ran every submitted job too), PrepareWindow sees
-    // the flag and parks everyone.
+    // claimed lanes of this window, PrepareWindow sees the flag and parks
+    // everyone.
   }
 }
 

@@ -1,7 +1,7 @@
 // Persistent-lane driver for a lane-partitioned Simulator: conservative-
 // PDES windows executed by worker threads that live for the whole point.
 //
-// The historical engine submitted one ThreadPool job per lane per phase
+// The historical engine submitted one pool job per lane per phase
 // and paid two full Submit+Wait round-trips per window — job-queue mutex
 // traffic, condvar broadcasts, and a cold worker restart, hundreds of
 // thousands of times per point. Here the workers persist across windows
@@ -26,11 +26,10 @@
 // words, per-lane arenas) are untouched; only which *thread* runs a lane
 // changes, which is already asserted output-invariant.
 //
-// Exception semantics match ThreadPool::Wait: the first exception (in
-// completion order) is captured, every other lane still finishes its
-// window, the workers park at the barrier, and the coordinating thread
-// rethrows from RunUntil — leaving the scheduler reusable and
-// destructible.
+// Exceptions: the first exception (in completion order) is captured,
+// later ones are dropped, every other lane still finishes its window, the
+// workers park at the barrier, and the coordinating thread rethrows from
+// RunUntil — leaving the scheduler reusable and destructible.
 #pragma once
 
 #include <atomic>
@@ -115,9 +114,8 @@ class DomainScheduler {
   std::atomic<bool> shutdown_{false};
   std::atomic<int> ticket_{0};
 
-  // First-exception-wins capture (ThreadPool::Wait semantics): the CAS
-  // winner stores, PrepareWindow observes the flag at the next barrier,
-  // RunUntil rethrows.
+  // First-exception-wins capture: the CAS winner stores, PrepareWindow
+  // observes the flag at the next barrier, RunUntil rethrows.
   std::atomic<bool> has_error_{false};
   std::exception_ptr error_;
 

@@ -6,7 +6,7 @@
 // arrive; the last arriver runs a completion callback (the single-threaded
 // window prologue: flip outbox phase, compute the next window close) and
 // then releases everyone by bumping the generation counter. Compared with
-// the ThreadPool Submit+Wait pair the old scheduler paid per window, a
+// the job-pool Submit+Wait pair the old scheduler paid per window, a
 // cycle costs each participant one fetch_add and (at worst) one futex
 // sleep/wake — no job-queue mutex, no condvar broadcast per phase, and no
 // cold restart of the worker loop.

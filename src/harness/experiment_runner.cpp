@@ -1,16 +1,19 @@
 #include "harness/experiment_runner.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <deque>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <set>
+#include <thread>
 #include <utility>
 
 #include "exec/domain_scheduler.hpp"
-#include "exec/sweep_runner.hpp"
 #include "exec/wall_timer.hpp"
 #include "net/packet_pool.hpp"
 #include "sim/log.hpp"
@@ -456,19 +459,50 @@ std::vector<ExperimentPointResult> RunExperimentPoints(
   // single-lane points); multi-point lists parallelize across points and
   // run each point's domains inline. Either way results are bit-identical
   // to the all-serial run.
+  const int threads = num_threads > 0 ? num_threads : DefaultThreadCount();
   if (points.size() == 1) {
-    const int threads =
-        num_threads > 0 ? num_threads : ThreadPool::DefaultThreadCount();
     return {RunExperimentPoint(points[0], threads, sink_for(0))};
   }
-  SweepRunner runner(num_threads);
-  // wall_time_seconds is stamped inside RunResolvedPoint — one source of
-  // truth whether a point runs through a sweep or standalone. Each sink
-  // belongs to exactly one point's job, so the fan-out needs no locking.
-  return runner.Map<ExperimentPointResult>(
-      points.size(), [&](std::size_t i) {
-        return RunExperimentPoint(points[i], 1, sink_for(i));
-      });
+  // Participants claim points from one ticket; the calling thread is the
+  // last participant, so threads = 1 is this loop with no workers. Every
+  // point runs even when another throws, and each failure lands in its
+  // own slot, so the rethrown error is the lowest-index one at any thread
+  // count. Results and sinks belong to exactly one point, so nothing here
+  // needs a lock; the joins publish them to the calling thread.
+  std::vector<ExperimentPointResult> results(points.size());
+  std::vector<std::exception_ptr> errors(points.size());
+  std::atomic<std::size_t> ticket{0};
+  const auto participate = [&] {
+    for (std::size_t i = ticket++; i < points.size(); i = ticket++) {
+      try {
+        results[i] = RunExperimentPoint(points[i], 1, sink_for(i));
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  };
+  {
+    std::vector<std::jthread> workers;
+    const std::size_t participants =
+        std::min(static_cast<std::size_t>(threads), points.size());
+    for (std::size_t w = 1; w < participants; ++w) {
+      workers.emplace_back(participate);
+    }
+    participate();
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+  return results;
+}
+
+int DefaultThreadCount() {
+  if (const char* env = std::getenv("FNCC_THREADS")) {
+    const long v = std::atol(env);
+    if (v > 0) return static_cast<int>(v);
+  }
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
 std::vector<ExperimentPointResult> RunExperiment(const ExperimentSpec& spec,

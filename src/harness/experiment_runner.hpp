@@ -9,8 +9,8 @@
 // (run-to-completion poisson flow lists, run.duration = 0).
 //
 // Determinism: a point is a pure function of its spec. RunExperiment fans
-// expanded points over exec/SweepRunner with one Simulator + PacketPool +
-// seeded RNG per point, so results are bit-identical at every thread count
+// expanded points across threads with one Simulator + PacketPool + seeded
+// RNG per point, so results are bit-identical at every thread count
 // (wall_time_seconds excepted — host telemetry).
 #pragma once
 
@@ -129,18 +129,25 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
                                        int intra_threads = 1,
                                        FctSink* sink = nullptr);
 
-/// Runs every point as an independent SweepRunner job (per-job Simulator,
-/// PacketPool and RNG), results in point order. num_threads = 0 picks
-/// FNCC_THREADS / hardware concurrency; 1 is the serial reference path.
-/// The thread budget goes to one level of parallelism: multi-point lists
-/// parallelize across points (each point's domains run inline); a single
-/// point hands the whole budget to its intra-point domain scheduler.
+/// Runs every point in isolation (per-point Simulator, PacketPool and
+/// RNG), results in point order. num_threads = 0 picks
+/// DefaultThreadCount(); 1 runs the points in index order on the calling
+/// thread. The thread budget goes to one level of parallelism: multi-point
+/// lists parallelize across points (each point's domains run inline); a
+/// single point hands the whole budget to its intra-point domain
+/// scheduler. Every point runs even when another throws; then the
+/// lowest-index point's exception is rethrown, whatever the thread count.
 /// `sinks` (empty, or one per point — entries may be null) streams each
 /// point's completions to its own FctSink; a sink is only ever touched by
-/// the job running its point, so the fan-out stays unsynchronized.
+/// the thread running its point, so the fan-out stays unsynchronized.
 std::vector<ExperimentPointResult> RunExperimentPoints(
     const std::vector<ExperimentSpec>& points, int num_threads = 0,
     const std::vector<FctSink*>& sinks = {});
+
+/// The thread count a num_threads = 0 budget resolves to: FNCC_THREADS
+/// when it is set to a positive integer, else
+/// std::thread::hardware_concurrency() (>= 1).
+int DefaultThreadCount();
 
 /// ExpandSweep(spec) + RunExperimentPoints.
 std::vector<ExperimentPointResult> RunExperiment(const ExperimentSpec& spec,

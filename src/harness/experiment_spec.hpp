@@ -22,8 +22,8 @@
 // Section headers only set a key prefix: `[topology]` + `kind = x` is the
 // same as the flat `topology.kind = x`, and dotted keys are accepted
 // anywhere. ExpandSweep() turns one spec into the cross product of its
-// sweep axes — each point a self-contained spec the experiment runner can
-// execute as one isolated SweepRunner job.
+// sweep axes — each point a self-contained spec the experiment runner
+// executes in isolation (RunExperimentPoints).
 #pragma once
 
 #include <cstdint>

@@ -31,7 +31,7 @@ class PacketPool;  // net/packet_pool.hpp; owned here as an opaque arena
 /// cross-lane packet handoffs buffer in per-port mailboxes drained at
 /// window barriers. Order words (see event_queue.hpp) make pop order — and
 /// every simulation output — bit-identical at any lane count, whether
-/// windows run serially (RunUntil here) or on a thread pool
+/// windows run serially (RunUntil here) or on persistent worker threads
 /// (exec/DomainScheduler).
 class Simulator {
  public:

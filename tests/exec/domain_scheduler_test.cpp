@@ -1,10 +1,10 @@
 // DomainScheduler regression tests for the persistent-lane engine's
-// failure path: ThreadPool::Wait's first-exception-wins contract must
-// survive the move to parked workers. A lane callback that throws mid-
-// window must propagate out of RunUntil on the coordinating thread, the
-// other lanes must still finish their window, and the scheduler must
-// remain both reusable (the next RunUntil works) and destructible (the
-// worker handshake can't deadlock on an error'd run).
+// failure path: the first-exception-wins contract must hold with parked
+// workers. A lane callback that throws mid-window must propagate out of
+// RunUntil on the coordinating thread, the other lanes must still finish
+// their window, and the scheduler must remain both reusable (the next
+// RunUntil works) and destructible (the worker handshake can't deadlock on
+// an error'd run).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -43,7 +43,7 @@ TEST(DomainSchedulerTest, LaneExceptionPropagatesFromRunUntil) {
   EXPECT_THROW(sched.RunUntil(Microseconds(10)), ThrowError);
   // Lane 0's event belongs to the same window and still ran — an error
   // stops the run at the window boundary, it does not abandon peers
-  // mid-window (the ThreadPool::Wait behavior).
+  // mid-window.
   EXPECT_EQ(ran, std::vector<int>{0});
 }
 

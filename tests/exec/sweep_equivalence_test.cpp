@@ -1,8 +1,8 @@
 // Parallel-vs-serial equivalence: the same point list run at 1, 2 and 8
 // threads must produce bit-identical simulation output (wall_time_seconds
 // is host telemetry and explicitly excluded). This is the determinism
-// contract of exec/SweepRunner plus the per-point Simulator + PacketPool +
-// RNG isolation in RunExperimentPoints — the property every figure bench
+// contract of RunExperimentPoints' point fan-out plus its per-point
+// Simulator + PacketPool + RNG isolation — the property every figure bench
 // and fncc_run sweep relies on. The second half extends it to the
 // conservative-PDES partition (scenario.exec_domains).
 #include <gtest/gtest.h>

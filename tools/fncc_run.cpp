@@ -22,6 +22,7 @@
 // run-to-completion point (run.duration_us = 0) ends with flows still
 // outstanding — outputs are written first, then each such point is named
 // on stderr; 2 on a malformed command line.
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -32,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/thread_pool.hpp"
 #include "exec/wall_timer.hpp"
 #include "harness/experiment_runner.hpp"
 #include "stats/fct_sink.hpp"
@@ -292,11 +292,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--smoke") {
       smoke = true;
     } else if (arg == "--threads") {
-      if (i + 1 >= argc || (cli_threads = std::atoi(argv[++i])) < 1) {
+      // The whole argument must be the number: "4x" is an error, not 4.
+      char* end = nullptr;
+      const long n = i + 1 < argc ? std::strtol(argv[++i], &end, 10) : 0;
+      if (n < 1 || n > INT_MAX || *end != '\0') {
         std::fprintf(stderr,
                      "fncc_run: --threads needs a positive integer\n");
         return 2;
       }
+      cli_threads = static_cast<int>(n);
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: fncc_run [--list | --smoke | --print] [--threads N] "
@@ -317,8 +321,7 @@ int main(int argc, char** argv) {
   }
 
   // --threads beats FNCC_THREADS beats hardware concurrency.
-  const int threads =
-      cli_threads > 0 ? cli_threads : ThreadPool::DefaultThreadCount();
+  const int threads = cli_threads > 0 ? cli_threads : DefaultThreadCount();
 
   try {
     if (list) {
