@@ -435,8 +435,8 @@ ExperimentPointResult RunExperimentPoint(const ExperimentSpec& point,
   if (!point.sweep.empty()) {
     throw SpecError(
         "spec still has sweep axes (" + std::to_string(point.sweep.size()) +
-        " points); expand with ExpandSweep/RunExperiment instead of running "
-        "it as a single point");
+        " points); expand with ExpandSweep/RunExperimentPoints instead of "
+        "running it as a single point");
   }
   ValidateSpec(point);
   return RunResolvedPoint(point, ResolveTopologyParams(point),
@@ -503,11 +503,6 @@ int DefaultThreadCount() {
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
-}
-
-std::vector<ExperimentPointResult> RunExperiment(const ExperimentSpec& spec,
-                                                 int num_threads) {
-  return RunExperimentPoints(ExpandSweep(spec), num_threads);
 }
 
 // ---------------------------------------------------------------- outputs

@@ -1,4 +1,4 @@
-// The experiment engine behind fncc_run, the figure benches and the tests.
+// The experiment engine behind fncc_run, the benches and the tests.
 // One code path executes any registered topology x workload point, always
 // described by an ExperimentSpec: build fabric (registry) -> pull flows
 // from the workload's source (registry) and launch them a window ahead of
@@ -8,10 +8,10 @@
 // samplers: the spec defaults) and the §5.5 fat-tree runs
 // (run-to-completion poisson flow lists, run.duration = 0).
 //
-// Determinism: a point is a pure function of its spec. RunExperiment fans
-// expanded points across threads with one Simulator + PacketPool + seeded
-// RNG per point, so results are bit-identical at every thread count
-// (wall_time_seconds excepted — host telemetry).
+// Determinism: a point is a pure function of its spec. RunExperimentPoints
+// fans ExpandSweep's points across threads with one Simulator +
+// PacketPool + seeded RNG per point, so results are bit-identical at
+// every thread count (wall_time_seconds excepted — host telemetry).
 #pragma once
 
 #include <string>
@@ -148,10 +148,6 @@ std::vector<ExperimentPointResult> RunExperimentPoints(
 /// when it is set to a positive integer, else
 /// std::thread::hardware_concurrency() (>= 1).
 int DefaultThreadCount();
-
-/// ExpandSweep(spec) + RunExperimentPoints.
-std::vector<ExperimentPointResult> RunExperiment(const ExperimentSpec& spec,
-                                                 int num_threads = 0);
 
 /// Files written by WriteExperimentOutputs, in emission order.
 struct ExperimentArtifacts {

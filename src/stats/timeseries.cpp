@@ -10,13 +10,6 @@ double TimeSeries::Max() const {
   return m;
 }
 
-double TimeSeries::Mean() const {
-  if (samples_.empty()) return 0.0;
-  double sum = 0.0;
-  for (const Sample& s : samples_) sum += s.value;
-  return sum / static_cast<double>(samples_.size());
-}
-
 double TimeSeries::MeanOver(Time from, Time to) const {
   double sum = 0.0;
   std::size_t n = 0;
@@ -29,33 +22,9 @@ double TimeSeries::MeanOver(Time from, Time to) const {
   return n == 0 ? 0.0 : sum / static_cast<double>(n);
 }
 
-double TimeSeries::MaxOver(Time from, Time to) const {
-  double m = 0.0;
-  for (const Sample& s : samples_) {
-    if (s.t >= from && s.t < to) m = std::max(m, s.value);
-  }
-  return m;
-}
-
-double TimeSeries::ValueAt(Time t) const {
-  double v = 0.0;
-  for (const Sample& s : samples_) {
-    if (s.t > t) break;
-    v = s.value;
-  }
-  return v;
-}
-
 Time TimeSeries::FirstTimeBelow(double threshold, Time from) const {
   for (const Sample& s : samples_) {
     if (s.t >= from && s.value < threshold) return s.t;
-  }
-  return kTimeInfinity;
-}
-
-Time TimeSeries::FirstTimeAbove(double threshold, Time from) const {
-  for (const Sample& s : samples_) {
-    if (s.t >= from && s.value > threshold) return s.t;
   }
   return kTimeInfinity;
 }

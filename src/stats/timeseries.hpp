@@ -10,8 +10,8 @@
 
 namespace fncc {
 
-/// An ordered (time, value) series with the summary reductions the figure
-/// harnesses need.
+/// An ordered (time, value) series with the summary reductions the tests
+/// and benches need.
 class TimeSeries {
  public:
   struct Sample {
@@ -28,16 +28,11 @@ class TimeSeries {
   [[nodiscard]] std::size_t size() const { return samples_.size(); }
 
   [[nodiscard]] double Max() const;
-  [[nodiscard]] double Mean() const;
   /// Mean restricted to samples with t in [from, to).
   [[nodiscard]] double MeanOver(Time from, Time to) const;
-  [[nodiscard]] double MaxOver(Time from, Time to) const;
-  /// Last sample at or before t (0.0 if none).
-  [[nodiscard]] double ValueAt(Time t) const;
-  /// First time the series reaches `threshold` at or after `from`
+  /// First time the series drops below `threshold` at or after `from`
   /// (kTimeInfinity if never) — used for reaction-time measurements.
   [[nodiscard]] Time FirstTimeBelow(double threshold, Time from) const;
-  [[nodiscard]] Time FirstTimeAbove(double threshold, Time from) const;
 
  private:
   std::vector<Sample> samples_;

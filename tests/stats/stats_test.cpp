@@ -43,19 +43,7 @@ TEST(TimeSeriesTest, Reductions) {
   ts.Add(20, 5.0);
   ts.Add(30, 3.0);
   EXPECT_DOUBLE_EQ(ts.Max(), 5.0);
-  EXPECT_DOUBLE_EQ(ts.Mean(), 3.0);
   EXPECT_DOUBLE_EQ(ts.MeanOver(15, 35), 4.0);
-  EXPECT_DOUBLE_EQ(ts.MaxOver(25, 35), 3.0);
-}
-
-TEST(TimeSeriesTest, ValueAtStepSemantics) {
-  TimeSeries ts;
-  ts.Add(10, 1.0);
-  ts.Add(20, 2.0);
-  EXPECT_DOUBLE_EQ(ts.ValueAt(5), 0.0);
-  EXPECT_DOUBLE_EQ(ts.ValueAt(10), 1.0);
-  EXPECT_DOUBLE_EQ(ts.ValueAt(15), 1.0);
-  EXPECT_DOUBLE_EQ(ts.ValueAt(25), 2.0);
 }
 
 TEST(TimeSeriesTest, FirstCrossingQueries) {
@@ -66,7 +54,6 @@ TEST(TimeSeriesTest, FirstCrossingQueries) {
   EXPECT_EQ(ts.FirstTimeBelow(60.0, 0), 20);
   EXPECT_EQ(ts.FirstTimeBelow(60.0, 25), 30);
   EXPECT_EQ(ts.FirstTimeBelow(5.0, 0), kTimeInfinity);
-  EXPECT_EQ(ts.FirstTimeAbove(80.0, 0), 10);
 }
 
 TEST(PeriodicSamplerTest, SamplesAtInterval) {
