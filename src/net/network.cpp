@@ -4,6 +4,7 @@
 #include <cassert>
 #include <deque>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 
 namespace fncc {
@@ -268,6 +269,11 @@ std::vector<NodeId> Network::Path(NodeId src, NodeId dst, std::uint16_t sport,
     assert(node(cur)->IsSwitch() && "path wandered into a non-dst host");
     assert(path.size() < nodes_.size() && "routing loop");
     const auto* sw = static_cast<const Switch*>(node(cur));
+    if (sw->num_spanning_trees() == 0 && !sw->routing().HasRoute(dst)) {
+      throw std::logic_error("no route at switch " + sw->name() +
+                             " toward " + node(dst)->name() +
+                             " (was Network::ComputeRoutes run?)");
+    }
     const int out = sw->RoutePacket(probe);
     const auto it =
         std::find_if(adj_[cur].begin(), adj_[cur].end(),

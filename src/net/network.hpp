@@ -103,6 +103,8 @@ class Network {
   void ComputeSpanningTreeRoutes(int num_trees, std::uint32_t salt = 0);
 
   /// Node ids a packet with this header would visit, src and dst inclusive.
+  /// Throws std::logic_error naming the switch and the destination when a
+  /// switch on the way has no route to dst (the fabric was never routed).
   [[nodiscard]] std::vector<NodeId> Path(NodeId src, NodeId dst,
                                          std::uint16_t sport,
                                          std::uint16_t dport) const;

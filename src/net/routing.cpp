@@ -49,7 +49,6 @@ void RoutingTable::SetNextHops(NodeId dst, const std::vector<int>& ports) {
   }
   r.base = static_cast<std::uint32_t>(pool_.size());
   r.count = static_cast<std::uint32_t>(ports.size());
-  pool_.reserve(pool_.size() + ports.size());
   for (const int p : ports) pool_.push_back(static_cast<std::uint16_t>(p));
 }
 

@@ -40,6 +40,10 @@ class RoutingTable {
     return dst < routes_.size() && routes_[dst].count != 0;
   }
 
+  /// Ports held by the ECMP pool: the summed width of every multi-port
+  /// route set so far (routing a fabric again appends, it does not reuse).
+  [[nodiscard]] std::size_t pool_size() const { return pool_.size(); }
+
   /// Picks the output port for `pkt` using ECMP among the equal-cost set.
   [[nodiscard]] int Select(const Packet& pkt, std::uint32_t salt,
                            bool symmetric) const;

@@ -77,6 +77,7 @@ class Switch final : public Node {
   [[nodiscard]] const EgressPort& port(int i) const { return ports_.at(i); }
 
   [[nodiscard]] RoutingTable& routing() { return routing_; }
+  [[nodiscard]] const RoutingTable& routing() const { return routing_; }
   void SetEcmp(std::uint32_t salt, bool symmetric) {
     ecmp_salt_ = salt;
     ecmp_symmetric_ = symmetric;

@@ -61,10 +61,9 @@ class TraceFlowSource final : public FlowSource {
   bool saw_data_row_ = false;
 };
 
-/// The WorkloadSourceFn behind the registered "trace" workload:
-/// params.trace_file must name a readable trace CSV. The eager build form
-/// drains this source (so the trace workload also runs un-streamed, e.g.
-/// in fncc_run --smoke).
+/// The source behind the registered "trace" workload: params.trace_file
+/// must name a readable trace CSV. WorkloadRegistry::Generate drains it,
+/// so the trace workload also runs un-streamed (e.g. in fncc_run --smoke).
 std::unique_ptr<FlowSource> MakeTraceSource(const WorkloadHosts& hosts,
                                             const WorkloadParams& params);
 

@@ -1,13 +1,13 @@
 // Traffic generation: open-loop Poisson arrivals at a target load over a
 // flow-size CDF (the §5.5 methodology), incast / permutation / shuffle
-// patterns, and long-lived "elephant" flows — all behind a name-keyed
-// WorkloadRegistry so experiment specs can select any pattern declaratively
-// ("workload.kind = all_to_all"). New workloads register a generator; the
-// experiment runner and fncc_run pick them up with no further wiring.
+// patterns, long-lived "elephant" flows and trace replay — all behind a
+// name-keyed WorkloadRegistry so experiment specs can select any pattern
+// declaratively ("workload.kind = all_to_all"). A new workload is a source
+// function plus a row in traffic_gen.cpp's table; the experiment runner and
+// fncc_run pick it up with no further wiring.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,70 +17,6 @@
 #include "workload/cdf.hpp"
 
 namespace fncc {
-
-struct PoissonTrafficConfig {
-  /// Average load on each host's access link, 0..1 (§5.5 uses 0.5).
-  double load = 0.5;
-  double link_gbps = 100.0;
-  Time start_time = 0;
-  int num_flows = 1000;
-  /// First id assigned to the *generated* FlowSpecs — generator-local
-  /// bookkeeping only. Launching a flow re-mints spec.id from the flow
-  /// table (registration order, starting at 1), so recorded FCT ids equal
-  /// the generated ones exactly when the flows are launched in generation
-  /// order on a fresh table with first_flow_id = 1 (the harness default).
-  FlowId first_flow_id = 1;
-  /// Ephemeral port range for ECMP entropy.
-  std::uint16_t port_base = 10'000;
-};
-
-/// Draws `num_flows` flows: exponential inter-arrivals at the aggregate
-/// rate matching `load`, uniform source, uniform distinct destination, and
-/// sizes from `cdf`. ideal_fct is left 0 (the harness resolves it against
-/// the topology).
-std::vector<FlowSpec> GeneratePoisson(Rng& rng, const SizeCdf& cdf,
-                                      const std::vector<NodeId>& hosts,
-                                      const PoissonTrafficConfig& config);
-
-/// N-to-1 incast: every listed sender starts a `size_bytes` flow to `dst`
-/// at `start_time` (plus `stagger` per sender).
-std::vector<FlowSpec> GenerateIncast(const std::vector<NodeId>& senders,
-                                     NodeId dst, std::uint64_t size_bytes,
-                                     Time start_time, Time stagger = 0,
-                                     FlowId first_flow_id = 1,
-                                     std::uint16_t port_base = 10'000);
-
-/// Random permutation: each host sends one flow to a distinct peer.
-std::vector<FlowSpec> GeneratePermutation(Rng& rng,
-                                          const std::vector<NodeId>& hosts,
-                                          std::uint64_t size_bytes,
-                                          Time start_time,
-                                          FlowId first_flow_id = 1,
-                                          std::uint16_t port_base = 10'000);
-
-/// All-to-all shuffle: every host sends `size_bytes` to every other host.
-/// Flows are emitted source-major; source i's flows start at
-/// `start_time + i * stagger` (stagger staggers the reduce wave).
-std::vector<FlowSpec> GenerateAllToAll(const std::vector<NodeId>& hosts,
-                                       std::uint64_t size_bytes,
-                                       Time start_time, Time stagger = 0,
-                                       FlowId first_flow_id = 1,
-                                       std::uint16_t port_base = 10'000);
-
-/// Staggered multi-group incast: hosts are partitioned into `groups`
-/// contiguous groups; within each group every host but the last sends
-/// `size_bytes` to the group's last host. Group g's burst starts at
-/// `start_time + g * group_stagger`; within a group, sender j is offset a
-/// further `j * stagger`. Models several racks' synchronized reduces
-/// landing at staggered times.
-std::vector<FlowSpec> GenerateStaggeredIncast(
-    const std::vector<NodeId>& hosts, int groups, std::uint64_t size_bytes,
-    Time start_time, Time group_stagger, Time stagger = 0,
-    FlowId first_flow_id = 1, std::uint16_t port_base = 10'000);
-
-// --------------------------------------------------------------------------
-// Declarative workload registry
-// --------------------------------------------------------------------------
 
 /// One long-lived flow in a micro-benchmark. `stop` < infinity aborts the
 /// flow at that time (fairness experiment); size is effectively unbounded.
@@ -125,50 +61,31 @@ struct WorkloadParams {
   std::string trace_file;             // trace (CSV path; see trace_replay)
 };
 
-using WorkloadBuildFn = std::function<std::vector<GeneratedFlow>(
-    Rng& rng, const WorkloadHosts& hosts, const WorkloadParams& params)>;
-
 class FlowSource;  // workload/flow_source.hpp
 
-/// Optional native streaming form of a workload: builds a FlowSource that
-/// draws flows incrementally (identical flows, in the identical order, to
-/// the eager WorkloadBuildFn — including RNG draw order). The referenced
-/// rng/hosts/params must outlive the returned source.
-using WorkloadSourceFn = std::function<std::unique_ptr<FlowSource>(
-    Rng& rng, const WorkloadHosts& hosts, const WorkloadParams& params)>;
-
-/// Process-global name -> generator map. Built-ins (elephants, poisson,
-/// incast, permutation, all_to_all, staggered_incast) are installed
-/// eagerly; extensions may Register before the first Generate. Not
-/// thread-safe for concurrent registration — register before fanning out
-/// sweeps.
+/// Process-global name -> workload table of the built-ins (elephants,
+/// poisson, incast, permutation, all_to_all, staggered_incast, trace).
+/// Every entry is one function that validates the params and returns the
+/// workload's FlowSource: poisson and trace draw flows incrementally, the
+/// list workloads stream a VectorFlowSource.
 class WorkloadRegistry {
  public:
-  /// Throws std::invalid_argument on a duplicate name. The overload with a
-  /// WorkloadSourceFn additionally registers a native streaming form
-  /// (workloads without one stream through a VectorFlowSource adapter).
-  static void Register(const std::string& name, const std::string& description,
-                       WorkloadBuildFn build);
-  static void Register(const std::string& name, const std::string& description,
-                       WorkloadBuildFn build, WorkloadSourceFn source);
-
   [[nodiscard]] static bool Contains(const std::string& name);
 
-  /// Generates `name` (throws std::invalid_argument for an unknown name or
-  /// bad params). Flows come back in launch order; ids are dense from 1.
-  static std::vector<GeneratedFlow> Generate(const std::string& name,
-                                             Rng& rng,
-                                             const WorkloadHosts& hosts,
-                                             const WorkloadParams& params);
-
-  /// The streaming form of `name`: the registered native source when one
-  /// exists, else a VectorFlowSource over Generate(). Either way the
-  /// stream replays the eager builder's flows in generation order. The
+  /// The workload `name` as a flow stream in generation order (throws
+  /// std::invalid_argument for an unknown name or bad params). The
   /// referenced rng/hosts/params must outlive the source.
   static std::unique_ptr<FlowSource> MakeSource(const std::string& name,
                                                 Rng& rng,
                                                 const WorkloadHosts& hosts,
                                                 const WorkloadParams& params);
+
+  /// MakeSource drained into a list: the same flows, in the same order,
+  /// with the same RNG draws. Ids are dense from 1.
+  static std::vector<GeneratedFlow> Generate(const std::string& name,
+                                             Rng& rng,
+                                             const WorkloadHosts& hosts,
+                                             const WorkloadParams& params);
 
   /// Registered names, sorted; and a one-line description per name.
   [[nodiscard]] static std::vector<std::string> Names();

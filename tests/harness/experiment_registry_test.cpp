@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -41,28 +42,95 @@ TEST(TopologyRegistryTest, NamesAndUnknownRejection) {
   EXPECT_THROW(TopologyRegistry::Build("torus", &sim, MakeHostFactory(sc),
                                        MakeSwitchConfig(sc), &rng, {}),
                std::invalid_argument);
-  EXPECT_THROW(
-      TopologyRegistry::Register("dumbbell", "duplicate", nullptr),
-      std::invalid_argument);
+}
+
+/// Node names of `ids`, in order.
+std::vector<std::string> Names(const Network& net,
+                               const std::vector<NodeId>& ids) {
+  std::vector<std::string> names;
+  for (const NodeId id : ids) names.push_back(net.node(id)->name());
+  return names;
+}
+
+/// One topology's expected roles: hosts in creation order, the senders and
+/// receiver, and the node the congestion egress faces ("" = no congestion
+/// point).
+struct RoleRow {
+  std::string topology;
+  TopologyParams params;
+  std::vector<std::string> hosts;
+  std::vector<std::string> senders;
+  std::string receiver;
+  std::string congestion_switch;
+  std::string congestion_peer;
+};
+
+std::vector<std::string> Numbered(const std::string& prefix, int n) {
+  std::vector<std::string> names;
+  for (int i = 0; i < n; ++i) names.push_back(prefix + std::to_string(i));
+  return names;
 }
 
 TEST(TopologyRegistryTest, BuildersExposeRolesAndCongestionPoints) {
+  const std::vector<std::string> two = {"sender0", "sender1"};
+  const std::vector<std::string> two_and_receiver = {"sender0", "sender1",
+                                                     "receiver0"};
+  const std::vector<std::string> four = Numbered("sender", 4);
+  std::vector<std::string> four_and_receiver = four;
+  four_and_receiver.push_back("receiver0");
+  const std::vector<RoleRow> rows = {
+      // Fig. 10: switch0's uplink toward switch1 is the bottleneck...
+      {"dumbbell", {.num_senders = 2, .num_switches = 3}, two_and_receiver,
+       two, "receiver0", "switch0", "switch1"},
+      // ...or its port toward the receiver on a one-switch dumbbell.
+      {"dumbbell", {.num_senders = 4, .num_switches = 1}, four_and_receiver,
+       four, "receiver0", "switch0", "receiver0"},
+      // Fig. 11: the merge switch's egress toward the next hop...
+      {"chain_merge", {.num_switches = 3, .merge_switch = 1},
+       two_and_receiver, two, "receiver0", "switch1", "switch2"},
+      {"chain_merge", {.num_switches = 3, .merge_switch = 0},
+       two_and_receiver, two, "receiver0", "switch0", "switch1"},
+      // ...or toward the receiver when the merge is at the last hop.
+      {"chain_merge", {.num_switches = 3, .merge_switch = 2},
+       two_and_receiver, two, "receiver0", "switch2", "receiver0"},
+      // No distinguished roles: all-but-last send, last receives.
+      {"fat_tree", {.k = 4}, Numbered("h", 16), Numbered("h", 15), "h15",
+       "", ""},
+      {"leaf_spine", {.leaves = 2, .spines = 2, .hosts_per_leaf = 2},
+       Numbered("h", 4), Numbered("h", 3), "h3", "leaf1", "h3"},
+      // The rails re-converge at switch B's egress toward the receiver.
+      {"multirail_dumbbell", {.num_senders = 2, .rails = 3},
+       two_and_receiver, two, "receiver0", "switchB", "receiver0"},
+  };
   ScenarioConfig sc;
-  for (const std::string& name : TopologyRegistry::Names()) {
-    SCOPED_TRACE(name);
+  std::set<std::string> covered;
+  for (const RoleRow& row : rows) {
+    SCOPED_TRACE(row.topology + " -> " + row.congestion_peer);
+    covered.insert(row.topology);
     Simulator sim;
     Rng rng(1);
-    TopologyParams params;
+    TopologyParams params = row.params;
     params.link = sc.link();
     const BuiltTopology topo =
-        TopologyRegistry::Build(name, &sim, MakeHostFactory(sc),
+        TopologyRegistry::Build(row.topology, &sim, MakeHostFactory(sc),
                                 MakeSwitchConfig(sc), &rng, params);
-    EXPECT_GE(topo.hosts.size(), 2u);
-    EXPECT_FALSE(topo.senders.empty());
-    EXPECT_NE(topo.receiver, kInvalidNode);
-    if (topo.has_congestion_point()) {
-      EXPECT_NE(topo.congestion_switch(), nullptr);
+    EXPECT_EQ(Names(topo.net, topo.hosts), row.hosts);
+    EXPECT_EQ(Names(topo.net, topo.senders), row.senders);
+    ASSERT_NE(topo.receiver, kInvalidNode);
+    EXPECT_EQ(topo.net.node(topo.receiver)->name(), row.receiver);
+    if (row.congestion_peer.empty()) {
+      EXPECT_FALSE(topo.has_congestion_point());
+      continue;
     }
+    ASSERT_TRUE(topo.has_congestion_point());
+    const Switch* sw = topo.congestion_switch();
+    EXPECT_EQ(sw->name(), row.congestion_switch);
+    EXPECT_EQ(sw->port(topo.congestion_port).peer().node->name(),
+              row.congestion_peer);
+  }
+  // Every registered topology has a row.
+  for (const std::string& name : TopologyRegistry::Names()) {
+    EXPECT_EQ(covered.count(name), 1u) << name;
   }
 }
 
@@ -143,18 +211,23 @@ TEST(ExperimentRegistryTest, MultiRailSpreadsFlowsAcrossRails) {
   Simulator sim;
   Rng rng(1);
   const int kSenders = 8, kRails = 4;
-  MultiRailDumbbellTopology topo = BuildMultiRailDumbbell(
-      &sim, MakeHostFactory(sc), MakeSwitchConfig(sc), &rng, kSenders,
-      kRails, sc.link());
+  TopologyParams params;
+  params.num_senders = kSenders;
+  params.rails = kRails;
+  params.link = sc.link();
+  BuiltTopology topo =
+      TopologyRegistry::Build("multirail_dumbbell", &sim, MakeHostFactory(sc),
+                              MakeSwitchConfig(sc), &rng, params);
   topo.net.ComputeRoutes(sc.ecmp_salt, sc.symmetric_ecmp);
 
-  const auto flows =
-      GenerateIncast(topo.senders, topo.receiver, /*size=*/100'000,
-                     /*start=*/0);
-  for (const FlowSpec& f : flows) LaunchFlow(topo.net, sc, f);
+  WorkloadParams incast;
+  incast.size_bytes = 100'000;
+  const auto flows = WorkloadRegistry::Generate(
+      "incast", rng, {topo.hosts, topo.senders, topo.receiver}, incast);
+  for (const GeneratedFlow& f : flows) LaunchFlow(topo.net, sc, f.spec);
   sim.RunUntil(Microseconds(200));
 
-  auto* sw_a = static_cast<Switch*>(topo.net.node(topo.switch_a));
+  const Switch* sw_a = topo.net.switches()[0];
   int active_rails = 0;
   for (int r = 0; r < kRails; ++r) {
     if (sw_a->port(kSenders + r).tx_bytes() > 0) ++active_rails;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "harness/experiment_runner.hpp"
 #include "harness/scenario.hpp"
 
@@ -79,12 +81,20 @@ TEST(ScenarioConfigTest, CcKnobsForwarded) {
   EXPECT_EQ(cc.base_rtt, Microseconds(10));
 }
 
+/// The Fig. 10 dumbbell (2 senders, 3 switches) built for `sc`, unrouted.
+BuiltTopology Dumbbell(Simulator* sim, Rng* rng, const ScenarioConfig& sc) {
+  TopologyParams params;
+  params.link = sc.link();
+  return TopologyRegistry::Build("dumbbell", sim, MakeHostFactory(sc),
+                                 MakeSwitchConfig(sc), rng, params);
+}
+
 TEST(IdealFctTest, SinglePacketFlowIsBaseRtt) {
   ScenarioConfig sc;
   Simulator sim;
   Rng rng(1);
-  auto topo = BuildDumbbell(&sim, MakeHostFactory(sc), MakeSwitchConfig(sc),
-                            &rng, 2, 3, sc.link());
+  BuiltTopology topo = Dumbbell(&sim, &rng, sc);
+  topo.net.ComputeRoutes(sc.ecmp_salt, sc.symmetric_ecmp);
   FlowSpec spec;
   spec.src = topo.senders[0];
   spec.dst = topo.receiver;
@@ -100,8 +110,8 @@ TEST(IdealFctTest, LargeFlowAddsLineRateSerialization) {
   ScenarioConfig sc;
   Simulator sim;
   Rng rng(1);
-  auto topo = BuildDumbbell(&sim, MakeHostFactory(sc), MakeSwitchConfig(sc),
-                            &rng, 2, 3, sc.link());
+  BuiltTopology topo = Dumbbell(&sim, &rng, sc);
+  topo.net.ComputeRoutes(sc.ecmp_salt, sc.symmetric_ecmp);
   FlowSpec spec;
   spec.src = topo.senders[0];
   spec.dst = topo.receiver;
@@ -112,6 +122,20 @@ TEST(IdealFctTest, LargeFlowAddsLineRateSerialization) {
   const Time rtt =
       topo.net.BaseRtt(spec.src, spec.dst, 7, 8, 1518, kAckBytes);
   EXPECT_EQ(ideal, rtt + SerializationDelay(9 * 1518, 100.0));
+}
+
+TEST(LaunchFlowTest, UnroutedFabricThrows) {
+  // Registry builders leave the fabric unrouted; launching a flow before
+  // ComputeRoutes must fail loudly instead of reading an empty table.
+  ScenarioConfig sc;
+  Simulator sim;
+  Rng rng(1);
+  BuiltTopology topo = Dumbbell(&sim, &rng, sc);
+  FlowSpec spec;
+  spec.src = topo.senders[0];
+  spec.dst = topo.receiver;
+  spec.size_bytes = 1000;
+  EXPECT_THROW(LaunchFlow(topo.net, sc, spec), std::logic_error);
 }
 
 TEST(RunnerTest, MonitorsProduceExpectedSampleCounts) {

@@ -25,16 +25,23 @@ IncastOutcome RunIncastScenario(CcMode mode, int n, Time t_probe) {
   sc.mode = mode;
   Simulator sim;
   Rng rng(1);
-  auto topo = BuildDumbbell(&sim, MakeHostFactory(sc), MakeSwitchConfig(sc),
-                            &rng, n, /*switches=*/1, sc.link());
+  TopologyParams params;
+  params.num_senders = n;
+  params.num_switches = 1;
+  params.link = sc.link();
+  BuiltTopology topo =
+      TopologyRegistry::Build("dumbbell", &sim, MakeHostFactory(sc),
+                              MakeSwitchConfig(sc), &rng, params);
   topo.net.ComputeRoutes(sc.ecmp_salt, sc.symmetric_ecmp);
-  const auto flows =
-      GenerateIncast(topo.senders, topo.receiver, /*size=*/50'000'000, 0);
+  WorkloadParams incast;
+  incast.size_bytes = 50'000'000;
+  const auto flows = WorkloadRegistry::Generate(
+      "incast", rng, {topo.hosts, topo.senders, topo.receiver}, incast);
   std::vector<SenderQp*> qps;
-  for (const auto& f : flows) qps.push_back(LaunchFlow(topo.net, sc, f));
+  for (const auto& f : flows) qps.push_back(LaunchFlow(topo.net, sc, f.spec));
 
   IncastOutcome out;
-  EgressPort& cport = topo.congestion_switch()->port(topo.congestion_port());
+  EgressPort& cport = topo.congestion_switch()->port(topo.congestion_port);
   while (sim.Now() < t_probe) {
     sim.RunUntil(sim.Now() + Microseconds(2));
     out.peak_queue = std::max(out.peak_queue, cport.qlen_bytes());

@@ -3,6 +3,8 @@
 // because asymmetric routing silently invalidates return-path INT.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "harness/experiment_runner.hpp"
 #include "harness/scenario.hpp"
 
@@ -19,6 +21,14 @@ ExperimentSpec BaseSpec() {
   spec.scenario.mode = CcMode::kFncc;
   spec.run.duration = 0;
   return spec;
+}
+
+/// The registered topology `name` built for `sc`, wired but unrouted.
+BuiltTopology Build(const std::string& name, TopologyParams params,
+                    Simulator* sim, Rng* rng, const ScenarioConfig& sc) {
+  params.link = sc.link();
+  return TopologyRegistry::Build(name, sim, MakeHostFactory(sc),
+                                 MakeSwitchConfig(sc), rng, params);
 }
 
 TEST(PathSymmetryTest, SymmetricEcmpNeverFlagsAsymmetry) {
@@ -47,8 +57,7 @@ TEST(PathSymmetryTest, IntraRackFlowsAlwaysSymmetric) {
   sc.symmetric_ecmp = false;
   Simulator sim;
   Rng rng(1);
-  auto topo = BuildFatTree(&sim, MakeHostFactory(sc), MakeSwitchConfig(sc),
-                           &rng, 4, sc.link());
+  BuiltTopology topo = Build("fat_tree", {.k = 4}, &sim, &rng, sc);
   topo.net.ComputeRoutes(sc.ecmp_salt, sc.symmetric_ecmp);
   FlowSpec spec;
   spec.id = 1;
@@ -69,8 +78,7 @@ TEST(PathSymmetryTest, SpanningTreesAreSymmetricWithPlainHashing) {
   sc.mode = CcMode::kFncc;
   Simulator sim;
   Rng rng(1);
-  auto topo = BuildFatTree(&sim, MakeHostFactory(sc), MakeSwitchConfig(sc),
-                           &rng, 4, sc.link());
+  BuiltTopology topo = Build("fat_tree", {.k = 4}, &sim, &rng, sc);
   topo.net.ComputeSpanningTreeRoutes(4, /*salt=*/99);
   Rng pick(5);
   std::vector<SenderQp*> qps;
@@ -102,8 +110,8 @@ TEST(PathSymmetryTest, FnccStillConvergesOnSpanningTreeDumbbell) {
   sc.mode = CcMode::kFncc;
   Simulator sim;
   Rng rng(1);
-  auto topo = BuildDumbbell(&sim, MakeHostFactory(sc), MakeSwitchConfig(sc),
-                            &rng, 2, 3, sc.link());
+  BuiltTopology topo = Build(
+      "dumbbell", {.num_senders = 2, .num_switches = 3}, &sim, &rng, sc);
   topo.net.ComputeSpanningTreeRoutes(2);
   FlowSpec a;
   a.id = 1;
@@ -136,8 +144,8 @@ TEST(IntQuantizationTest, FnccConvergesThroughWireEncoding) {
   sc.quantize_int = true;
   Simulator sim;
   Rng rng(1);
-  auto topo = BuildDumbbell(&sim, MakeHostFactory(sc), MakeSwitchConfig(sc),
-                            &rng, 2, 3, sc.link());
+  BuiltTopology topo = Build(
+      "dumbbell", {.num_senders = 2, .num_switches = 3}, &sim, &rng, sc);
   topo.net.ComputeRoutes(sc.ecmp_salt, sc.symmetric_ecmp);
   FlowSpec a;
   a.id = 1;
@@ -158,8 +166,7 @@ TEST(IntQuantizationTest, FnccConvergesThroughWireEncoding) {
   EXPECT_NEAR(qa->pacing_rate_gbps(), 47.5, 8.0);
   EXPECT_NEAR(qb->pacing_rate_gbps(), 47.5, 8.0);
   // And the queue stays controlled despite 64 B qLen granularity.
-  EXPECT_LT(topo.congestion_switch()->port(topo.congestion_port())
-                .qlen_bytes(),
+  EXPECT_LT(topo.congestion_switch()->port(topo.congestion_port).qlen_bytes(),
             200'000u);
 }
 

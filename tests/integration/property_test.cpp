@@ -161,17 +161,17 @@ TEST(DeterminismTest, DifferentSeedsDivergeForRandomizedWorkloads) {
   // the Kmin..Kmax band), so test seed sensitivity where randomness is
   // structural: the Poisson workload generator.
   Rng a(1), b(2);
-  PoissonTrafficConfig config;
-  config.num_flows = 50;
-  const auto fa = GeneratePoisson(a, SizeCdf::WebSearch(), {0, 1, 2, 3},
-                                  config);
-  const auto fb = GeneratePoisson(b, SizeCdf::WebSearch(), {0, 1, 2, 3},
-                                  config);
+  WorkloadHosts hosts;
+  hosts.all = {0, 1, 2, 3};
+  WorkloadParams params;
+  params.num_flows = 50;
+  const auto fa = WorkloadRegistry::Generate("poisson", a, hosts, params);
+  const auto fb = WorkloadRegistry::Generate("poisson", b, hosts, params);
   bool any_diff = false;
   for (std::size_t i = 0; i < fa.size(); ++i) {
-    any_diff |= fa[i].size_bytes != fb[i].size_bytes ||
-                fa[i].start_time != fb[i].start_time ||
-                fa[i].src != fb[i].src;
+    any_diff |= fa[i].spec.size_bytes != fb[i].spec.size_bytes ||
+                fa[i].spec.start_time != fb[i].spec.start_time ||
+                fa[i].spec.src != fb[i].spec.src;
   }
   EXPECT_TRUE(any_diff);
 }

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
+#include <string>
 
 #include "../test_util.hpp"
 #include "net/topology.hpp"
@@ -11,23 +13,23 @@
 namespace fncc {
 namespace {
 
-using test::SinkFactory;
+using test::BuildSinkTopology;
 
 class SpanningTreeTest : public ::testing::TestWithParam<int> {
  protected:
-  void Build(int k, int num_trees) {
-    topo_ = std::make_unique<FatTreeTopology>(
-        BuildFatTree(&sim_, SinkFactory(), SwitchConfig{}, &rng_, k, {}));
+  void BuildTrees(int k, int num_trees) {
+    topo_ = std::make_unique<BuiltTopology>(
+        BuildSinkTopology(&sim_, &rng_, "fat_tree", {.k = k}));
     topo_->net.ComputeSpanningTreeRoutes(num_trees, /*salt=*/0x7ee5);
   }
 
   Simulator sim_;
   Rng rng_{1};
-  std::unique_ptr<FatTreeTopology> topo_;
+  std::unique_ptr<BuiltTopology> topo_;
 };
 
 TEST_P(SpanningTreeTest, AllPairsReachable) {
-  Build(4, GetParam());
+  BuildTrees(4, GetParam());
   const auto& hosts = topo_->hosts;
   for (std::size_t s = 0; s < hosts.size(); ++s) {
     for (std::size_t d = 0; d < hosts.size(); ++d) {
@@ -47,7 +49,7 @@ TEST_P(SpanningTreeTest, AllPairsReachable) {
 TEST_P(SpanningTreeTest, EveryPathIsSymmetric) {
   // The headline property: symmetry holds by construction, for every flow,
   // with no per-switch hash coordination at all.
-  Build(8, GetParam());
+  BuildTrees(8, GetParam());
   Rng pick(3);
   for (int trial = 0; trial < 100; ++trial) {
     const auto s = static_cast<std::size_t>(
@@ -72,7 +74,7 @@ INSTANTIATE_TEST_SUITE_P(TreeCounts, SpanningTreeTest,
 TEST(SpanningTreeDiversityTest, MultipleTreesSpreadLoad) {
   Simulator sim;
   Rng rng(1);
-  auto topo = BuildFatTree(&sim, SinkFactory(), SwitchConfig{}, &rng, 8, {});
+  BuiltTopology topo = BuildSinkTopology(&sim, &rng, "fat_tree", {.k = 8});
   topo.net.ComputeSpanningTreeRoutes(8, 0x7ee5);
   // Many flows between the same host pair must use more than one path.
   std::set<std::vector<NodeId>> paths;
@@ -86,7 +88,7 @@ TEST(SpanningTreeDiversityTest, MultipleTreesSpreadLoad) {
 TEST(SpanningTreeDiversityTest, SingleTreeIsDeterministic) {
   Simulator sim;
   Rng rng(1);
-  auto topo = BuildFatTree(&sim, SinkFactory(), SwitchConfig{}, &rng, 4, {});
+  BuiltTopology topo = BuildSinkTopology(&sim, &rng, "fat_tree", {.k = 4});
   topo.net.ComputeSpanningTreeRoutes(1, 0x7ee5);
   std::set<std::vector<NodeId>> paths;
   for (std::uint16_t p = 0; p < 32; ++p) {
@@ -99,8 +101,9 @@ TEST(SpanningTreeDiversityTest, SingleTreeIsDeterministic) {
 TEST(SpanningTreeDumbbellTest, WorksOnSingleBathTopologies) {
   Simulator sim;
   Rng rng(1);
-  auto topo =
-      BuildDumbbell(&sim, SinkFactory(), SwitchConfig{}, &rng, 2, 3, {});
+  BuiltTopology topo =
+      BuildSinkTopology(&sim, &rng, "dumbbell",
+                        {.num_senders = 2, .num_switches = 3});
   topo.net.ComputeSpanningTreeRoutes(2);
   const auto path = topo.net.Path(topo.senders[0], topo.receiver, 1, 2);
   EXPECT_EQ(path.size(), 5u);  // unique path anyway

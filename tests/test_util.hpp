@@ -2,12 +2,14 @@
 // records everything it receives, and mini-network construction.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "net/network.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
 #include "net/egress_port.hpp"
+#include "net/topology.hpp"
 
 namespace fncc::test {
 
@@ -46,6 +48,15 @@ inline HostFactory SinkFactory() {
   return [](Simulator* sim, NodeId id, const std::string& name) {
     return std::make_unique<SinkEndpoint>(sim, id, name);
   };
+}
+
+/// The registered topology `name` over SinkEndpoint hosts and default
+/// switches, wired but unrouted.
+inline BuiltTopology BuildSinkTopology(Simulator* sim, Rng* rng,
+                                       const std::string& name,
+                                       const TopologyParams& params) {
+  return TopologyRegistry::Build(name, sim, SinkFactory(), SwitchConfig{},
+                                 rng, params);
 }
 
 inline PacketPtr MakeData(NodeId src, NodeId dst, std::uint32_t bytes,

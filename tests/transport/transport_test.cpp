@@ -12,8 +12,9 @@ namespace {
 struct MiniNet {
   explicit MiniNet(const ScenarioConfig& sc)
       : rng(sc.seed),
-        topo(BuildDumbbell(&sim, MakeHostFactory(sc), MakeSwitchConfig(sc),
-                           &rng, /*senders=*/2, /*switches=*/1, sc.link())) {
+        topo(TopologyRegistry::Build(
+            "dumbbell", &sim, MakeHostFactory(sc), MakeSwitchConfig(sc), &rng,
+            {.num_senders = 2, .num_switches = 1, .link = sc.link()})) {
     topo.net.ComputeRoutes(sc.ecmp_salt, sc.symmetric_ecmp);
   }
 
@@ -24,7 +25,7 @@ struct MiniNet {
 
   Simulator sim;
   Rng rng;
-  DumbbellTopology topo;
+  BuiltTopology topo;
 };
 
 FlowSpec Spec(const MiniNet& net, std::uint64_t bytes, FlowId id = 1,

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "workload/cdf.hpp"
 #include "workload/traffic_gen.hpp"
@@ -53,71 +55,94 @@ TEST(SizeCdfTest, HadoopIsMostlySmall) {
   EXPECT_GT(small, kN / 2);
 }
 
+/// Only the host pool: enough for the poisson and list workloads that
+/// draw from every host.
+WorkloadHosts Pool(std::vector<NodeId> all) {
+  WorkloadHosts hosts;
+  hosts.all = std::move(all);
+  return hosts;
+}
+
 TEST(PoissonTrafficTest, LoadMatchesTarget) {
-  const SizeCdf cdf = SizeCdf::WebSearch();
   Rng rng(11);
-  const std::vector<NodeId> hosts{0, 1, 2, 3, 4, 5, 6, 7};
-  PoissonTrafficConfig config;
-  config.load = 0.5;
-  config.link_gbps = 100.0;
-  config.num_flows = 20'000;
-  const auto flows = GeneratePoisson(rng, cdf, hosts, config);
+  WorkloadParams p;
+  p.cdf = SizeCdf::WebSearch();
+  p.load = 0.5;
+  p.link_gbps = 100.0;
+  p.num_flows = 20'000;
+  const auto flows = WorkloadRegistry::Generate(
+      "poisson", rng, Pool({0, 1, 2, 3, 4, 5, 6, 7}), p);
   ASSERT_EQ(flows.size(), 20'000u);
   double total_bytes = 0;
-  for (const auto& f : flows) total_bytes += static_cast<double>(f.size_bytes);
-  const double span_sec = ToSeconds(flows.back().start_time);
+  for (const auto& f : flows) {
+    total_bytes += static_cast<double>(f.spec.size_bytes);
+  }
+  const double span_sec = ToSeconds(flows.back().spec.start_time);
   const double offered_gbps = total_bytes * 8.0 / span_sec / 1e9;
   // Aggregate offered rate = load * link * num_hosts = 400 Gbps.
   EXPECT_NEAR(offered_gbps / 400.0, 1.0, 0.1);
 }
 
 TEST(PoissonTrafficTest, ArrivalsMonotoneAndSrcNeverDst) {
-  const SizeCdf cdf = SizeCdf::FbHadoop();
   Rng rng(13);
-  const std::vector<NodeId> hosts{3, 5, 9, 11};
-  PoissonTrafficConfig config;
-  config.num_flows = 5'000;
-  const auto flows = GeneratePoisson(rng, cdf, hosts, config);
+  WorkloadParams p;
+  p.cdf = SizeCdf::FbHadoop();
+  p.num_flows = 5'000;
+  const auto flows =
+      WorkloadRegistry::Generate("poisson", rng, Pool({3, 5, 9, 11}), p);
   Time prev = -1;
   for (const auto& f : flows) {
-    EXPECT_GE(f.start_time, prev);
-    prev = f.start_time;
-    EXPECT_NE(f.src, f.dst);
+    EXPECT_GE(f.spec.start_time, prev);
+    prev = f.spec.start_time;
+    EXPECT_NE(f.spec.src, f.spec.dst);
   }
 }
 
 TEST(PoissonTrafficTest, FlowIdsDense) {
-  const SizeCdf cdf = SizeCdf::FbHadoop();
   Rng rng(17);
-  PoissonTrafficConfig config;
-  config.num_flows = 100;
-  config.first_flow_id = 42;
-  const auto flows = GeneratePoisson(rng, cdf, {0, 1, 2}, config);
+  WorkloadParams p;
+  p.cdf = SizeCdf::FbHadoop();
+  p.num_flows = 100;
+  const auto flows =
+      WorkloadRegistry::Generate("poisson", rng, Pool({0, 1, 2}), p);
+  ASSERT_EQ(flows.size(), 100u);
   for (std::size_t i = 0; i < flows.size(); ++i) {
-    EXPECT_EQ(flows[i].id, 42u + i);
+    EXPECT_EQ(flows[i].spec.id, 1u + i);
   }
 }
 
 TEST(IncastTest, AllSendersTargetDst) {
-  const auto flows =
-      GenerateIncast({1, 2, 3, 4}, 9, 64'000, Microseconds(10));
+  Rng rng(1);
+  WorkloadHosts hosts;
+  hosts.senders = {1, 2, 3, 4};
+  hosts.receiver = 9;
+  WorkloadParams p;
+  p.size_bytes = 64'000;
+  p.start_time = Microseconds(10);
+  const auto flows = WorkloadRegistry::Generate("incast", rng, hosts, p);
   ASSERT_EQ(flows.size(), 4u);
   std::set<std::uint16_t> sports;
   for (const auto& f : flows) {
-    EXPECT_EQ(f.dst, 9);
-    EXPECT_EQ(f.size_bytes, 64'000u);
-    EXPECT_EQ(f.start_time, Microseconds(10));
-    sports.insert(f.sport);
+    EXPECT_EQ(f.spec.dst, 9);
+    EXPECT_EQ(f.spec.size_bytes, 64'000u);
+    EXPECT_EQ(f.spec.start_time, Microseconds(10));
+    sports.insert(f.spec.sport);
   }
   EXPECT_EQ(sports.size(), 4u);  // distinct ports for ECMP entropy
 }
 
 TEST(IncastTest, StaggerSpacesStarts) {
-  const auto flows =
-      GenerateIncast({1, 2, 3}, 9, 1000, 0, Microseconds(5));
-  EXPECT_EQ(flows[0].start_time, 0);
-  EXPECT_EQ(flows[1].start_time, Microseconds(5));
-  EXPECT_EQ(flows[2].start_time, Microseconds(10));
+  Rng rng(1);
+  WorkloadHosts hosts;
+  hosts.senders = {1, 2, 3};
+  hosts.receiver = 9;
+  WorkloadParams p;
+  p.size_bytes = 1000;
+  p.stagger = Microseconds(5);
+  const auto flows = WorkloadRegistry::Generate("incast", rng, hosts, p);
+  EXPECT_EQ(flows[0].spec.start_time, 0);
+  EXPECT_EQ(flows[1].spec.start_time, Microseconds(5));
+  EXPECT_EQ(flows[2].spec.start_time, Microseconds(10));
 }
 
 TEST(SizeCdfTest, RejectsMalformedInput) {
@@ -152,49 +177,62 @@ TEST(SizeCdfTest, ByNameRoundTrip) {
 
 TEST(PermutationTest, NoSelfFlowsAndAllDistinct) {
   Rng rng(23);
-  const std::vector<NodeId> hosts{0, 1, 2, 3, 4, 5, 6, 7};
-  const auto flows = GeneratePermutation(rng, hosts, 1'000'000, 0);
-  ASSERT_EQ(flows.size(), hosts.size());
+  const std::vector<NodeId> all{0, 1, 2, 3, 4, 5, 6, 7};
+  WorkloadParams p;
+  p.size_bytes = 1'000'000;
+  const auto flows =
+      WorkloadRegistry::Generate("permutation", rng, Pool(all), p);
+  ASSERT_EQ(flows.size(), all.size());
   std::set<NodeId> dsts;
   for (const auto& f : flows) {
-    EXPECT_NE(f.src, f.dst);
-    dsts.insert(f.dst);
+    EXPECT_NE(f.spec.src, f.spec.dst);
+    dsts.insert(f.spec.dst);
   }
-  EXPECT_EQ(dsts.size(), hosts.size());  // a permutation
+  EXPECT_EQ(dsts.size(), all.size());  // a permutation
 }
 
 TEST(AllToAllTest, FullMeshWithStagger) {
-  const std::vector<NodeId> hosts{0, 1, 2, 3};
+  Rng rng(1);
+  const std::vector<NodeId> all{0, 1, 2, 3};
+  WorkloadParams p;
+  p.size_bytes = 50'000;
+  p.start_time = Microseconds(10);
+  p.stagger = Microseconds(5);
   const auto flows =
-      GenerateAllToAll(hosts, 50'000, Microseconds(10), Microseconds(5));
-  ASSERT_EQ(flows.size(), hosts.size() * (hosts.size() - 1));
+      WorkloadRegistry::Generate("all_to_all", rng, Pool(all), p);
+  ASSERT_EQ(flows.size(), all.size() * (all.size() - 1));
   std::set<std::pair<NodeId, NodeId>> pairs;
   for (const auto& f : flows) {
-    EXPECT_NE(f.src, f.dst);
-    EXPECT_EQ(f.size_bytes, 50'000u);
-    pairs.insert({f.src, f.dst});
+    EXPECT_NE(f.spec.src, f.spec.dst);
+    EXPECT_EQ(f.spec.size_bytes, 50'000u);
+    pairs.insert({f.spec.src, f.spec.dst});
     // Source i starts at 10 us + i * 5 us.
-    EXPECT_EQ(f.start_time, Microseconds(10) + f.src * Microseconds(5));
+    EXPECT_EQ(f.spec.start_time,
+              Microseconds(10) + f.spec.src * Microseconds(5));
   }
   EXPECT_EQ(pairs.size(), flows.size());  // every ordered pair exactly once
 }
 
 TEST(StaggeredIncastTest, GroupsTargetTheirOwnReceiver) {
-  const std::vector<NodeId> hosts{0, 1, 2, 3, 4, 5};
-  const auto flows = GenerateStaggeredIncast(
-      hosts, /*groups=*/2, 10'000, /*start=*/0,
-      /*group_stagger=*/Microseconds(100), /*stagger=*/Microseconds(1));
+  Rng rng(1);
+  WorkloadParams p;
+  p.groups = 2;
+  p.size_bytes = 10'000;
+  p.group_stagger = Microseconds(100);
+  p.stagger = Microseconds(1);
+  const auto flows = WorkloadRegistry::Generate(
+      "staggered_incast", rng, Pool({0, 1, 2, 3, 4, 5}), p);
   // Two groups of 3: two senders each.
   ASSERT_EQ(flows.size(), 4u);
-  EXPECT_EQ(flows[0].dst, 2);
-  EXPECT_EQ(flows[1].dst, 2);
-  EXPECT_EQ(flows[2].dst, 5);
-  EXPECT_EQ(flows[3].dst, 5);
-  EXPECT_EQ(flows[0].start_time, 0);
-  EXPECT_EQ(flows[1].start_time, Microseconds(1));
-  EXPECT_EQ(flows[2].start_time, Microseconds(100));
-  EXPECT_EQ(flows[3].start_time, Microseconds(101));
-  for (const auto& f : flows) EXPECT_NE(f.src, f.dst);
+  EXPECT_EQ(flows[0].spec.dst, 2);
+  EXPECT_EQ(flows[1].spec.dst, 2);
+  EXPECT_EQ(flows[2].spec.dst, 5);
+  EXPECT_EQ(flows[3].spec.dst, 5);
+  EXPECT_EQ(flows[0].spec.start_time, 0);
+  EXPECT_EQ(flows[1].spec.start_time, Microseconds(1));
+  EXPECT_EQ(flows[2].spec.start_time, Microseconds(100));
+  EXPECT_EQ(flows[3].spec.start_time, Microseconds(101));
+  for (const auto& f : flows) EXPECT_NE(f.spec.src, f.spec.dst);
 }
 
 TEST(WorkloadRegistryTest, NamesAndUnknownRejection) {
