@@ -1,6 +1,6 @@
 // Shared helpers for the bench programs a spec cannot express (the fig12
-// closed-form model, the fig1a vendor table, the ablations): a banner per
-// table plus paper-vs-measured summary lines.
+// closed-form model, the fig1a vendor table): a banner per table plus
+// paper-vs-measured summary lines.
 #pragma once
 
 #include <cstdio>

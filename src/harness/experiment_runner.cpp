@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
@@ -10,6 +11,7 @@
 #include <fstream>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -434,9 +436,8 @@ ExperimentPointResult RunExperimentPoint(const ExperimentSpec& point,
                                          int intra_threads, FctSink* sink) {
   if (!point.sweep.empty()) {
     throw SpecError(
-        "spec still has sweep axes (" + std::to_string(point.sweep.size()) +
-        " points); expand with ExpandSweep/RunExperimentPoints instead of "
-        "running it as a single point");
+        "spec still has sweep axes; expand with ExpandSweep/"
+        "RunExperimentPoints instead of running it as a single point");
   }
   ValidateSpec(point);
   return RunResolvedPoint(point, ResolveTopologyParams(point),
@@ -497,12 +498,20 @@ std::vector<ExperimentPointResult> RunExperimentPoints(
 }
 
 int DefaultThreadCount() {
-  if (const char* env = std::getenv("FNCC_THREADS")) {
-    const long v = std::atol(env);
-    if (v > 0) return static_cast<int>(v);
+  const char* env = std::getenv("FNCC_THREADS");
+  if (env == nullptr || *env == '\0') {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw > 0 ? static_cast<int>(hw) : 1;
   }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  // The whole value must be the number: "2x" is an error, not 2.
+  char* end = nullptr;
+  const long v = std::strtol(env, &end, 10);
+  if (v < 1 || v > INT_MAX || *end != '\0') {
+    throw std::invalid_argument(
+        std::string("FNCC_THREADS must be a positive integer, got '") + env +
+        "'");
+  }
+  return static_cast<int>(v);
 }
 
 // ---------------------------------------------------------------- outputs

@@ -145,8 +145,10 @@ std::vector<ExperimentPointResult> RunExperimentPoints(
     const std::vector<FctSink*>& sinks = {});
 
 /// The thread count a num_threads = 0 budget resolves to: FNCC_THREADS
-/// when it is set to a positive integer, else
-/// std::thread::hardware_concurrency() (>= 1).
+/// when it is set (and not empty), else
+/// std::thread::hardware_concurrency() (>= 1). Throws
+/// std::invalid_argument naming FNCC_THREADS when the variable is set but
+/// is not a positive integer ("2x", "abc", "-3").
 int DefaultThreadCount();
 
 /// Files written by WriteExperimentOutputs, in emission order.

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "sim/named_registry.hpp"
 #include "stats/fct.hpp"
@@ -107,7 +108,7 @@ Time TimeFromScaled(const std::string& key, const std::string& v,
                     double scale) {
   const double value = ToDouble(key, v);
   const double ps = value * scale;
-  if (!(ps >= -9.2e18 && ps <= 9.2e18)) {
+  if (!(ps >= -kMaxParsedTimePs && ps <= kMaxParsedTimePs)) {
     Bad(key, "'" + v + "' is outside the representable time range");
   }
   const Time t = static_cast<Time>(std::llround(ps));
@@ -198,17 +199,155 @@ std::string FlowsToList(const std::vector<LongFlow>& flows) {
   return out;
 }
 
-/// SplitList for sweep axes: an empty list is a spec error.
-std::vector<std::string> SweepList(const std::string& key,
-                                   const std::string& value) {
-  std::vector<std::string> items = SplitList(value);
-  if (items.empty()) {
-    Bad(key, "empty axis value (drop the key to leave the axis unswept)");
-  }
-  return items;
+// ------------------------------------------------------------ key dispatch
+
+/// One settable key: its full dotted name and the parser that turns value
+/// text into the field. Spec files, overrides and sweep points all set
+/// fields through this table.
+struct KeyDef {
+  const char* key;
+  void (*set)(ExperimentSpec& spec, const std::string& key,
+              const std::string& value);
+};
+
+// clang-format off
+constexpr KeyDef kKeys[] = {
+  {"name", [](auto& s, auto&, auto& v) { s.name = v; }},
+
+  {"topology.kind", [](auto& s, auto&, auto& v) { s.topology = v; }},
+  {"topology.num_senders", [](auto& s, auto& k, auto& v) { s.topo.num_senders = ToBoundedInt(k, v); }},
+  {"topology.num_switches", [](auto& s, auto& k, auto& v) { s.topo.num_switches = ToBoundedInt(k, v); }},
+  {"topology.merge_switch", [](auto& s, auto& k, auto& v) { s.topo.merge_switch = ToBoundedInt(k, v); }},
+  {"topology.k", [](auto& s, auto& k, auto& v) { s.topo.k = ToBoundedInt(k, v); }},
+  {"topology.leaves", [](auto& s, auto& k, auto& v) { s.topo.leaves = ToBoundedInt(k, v); }},
+  {"topology.spines", [](auto& s, auto& k, auto& v) { s.topo.spines = ToBoundedInt(k, v); }},
+  {"topology.hosts_per_leaf", [](auto& s, auto& k, auto& v) { s.topo.hosts_per_leaf = ToBoundedInt(k, v); }},
+  {"topology.oversubscription", [](auto& s, auto& k, auto& v) { s.topo.oversubscription = ToDouble(k, v); }},
+  {"topology.rails", [](auto& s, auto& k, auto& v) { s.topo.rails = ToBoundedInt(k, v); }},
+
+  {"workload.kind", [](auto& s, auto&, auto& v) { s.workload = v; }},
+  {"workload.load", [](auto& s, auto& k, auto& v) { s.wl.load = ToDouble(k, v); }},
+  {"workload.num_flows", [](auto& s, auto& k, auto& v) { s.wl.num_flows = ToBoundedInt(k, v); }},
+  {"workload.size_bytes", [](auto& s, auto& k, auto& v) { s.wl.size_bytes = ToU64(k, v); }},
+  {"workload.cdf", [](auto& s, auto&, auto& v) { s.cdf = v; }},
+  {"workload.start_us", [](auto& s, auto& k, auto& v) { s.wl.start_time = TimeFromUs(k, v); }},
+  {"workload.stagger_us", [](auto& s, auto& k, auto& v) { s.wl.stagger = TimeFromUs(k, v); }},
+  {"workload.groups", [](auto& s, auto& k, auto& v) { s.wl.groups = ToBoundedInt(k, v); }},
+  {"workload.group_stagger_us", [](auto& s, auto& k, auto& v) { s.wl.group_stagger = TimeFromUs(k, v); }},
+  {"workload.flows", [](auto& s, auto& k, auto& v) { s.wl.long_flows = FlowsFromList(k, v); }},
+  {"workload.port_base", [](auto& s, auto& k, auto& v) { s.wl.port_base = static_cast<std::uint16_t>(ToBoundedU64(k, v, 65'535)); }},
+  {"workload.trace_file", [](auto& s, auto&, auto& v) { s.wl.trace_file = v; }},
+
+  {"scenario.mode", [](auto& s, auto& k, auto& v) { s.scenario.mode = ModeFromName(k, v); }},
+  {"scenario.link_gbps", [](auto& s, auto& k, auto& v) { s.scenario.link_gbps = ToDouble(k, v); }},
+  {"scenario.propagation_delay_us", [](auto& s, auto& k, auto& v) { s.scenario.propagation_delay = TimeFromUs(k, v); }},
+  {"scenario.mtu_bytes", [](auto& s, auto& k, auto& v) { s.scenario.mtu_bytes = static_cast<std::uint32_t>(ToBoundedU64(k, v, 0xFFFFFFFFull)); }},
+  {"scenario.pfc", [](auto& s, auto& k, auto& v) { s.scenario.pfc_enabled = ToBool(k, v); }},
+  {"scenario.pfc_xoff_bytes", [](auto& s, auto& k, auto& v) { s.scenario.pfc_xoff_bytes = ToU64(k, v); }},
+  {"scenario.pfc_xon_bytes", [](auto& s, auto& k, auto& v) { s.scenario.pfc_xon_bytes = ToU64(k, v); }},
+  {"scenario.ack_every", [](auto& s, auto& k, auto& v) { s.scenario.ack_every = ToBoundedInt(k, v); }},
+  {"scenario.seed", [](auto& s, auto& k, auto& v) { s.scenario.seed = ToU64(k, v); }},
+  {"scenario.symmetric_ecmp", [](auto& s, auto& k, auto& v) { s.scenario.symmetric_ecmp = ToBool(k, v); }},
+  {"scenario.ecmp_salt", [](auto& s, auto& k, auto& v) { s.scenario.ecmp_salt = static_cast<std::uint32_t>(ToBoundedU64(k, v, 0xFFFFFFFFull)); }},
+  {"scenario.int_table_refresh_us", [](auto& s, auto& k, auto& v) { s.scenario.int_table_refresh = TimeFromUs(k, v); }},
+  {"scenario.quantize_int", [](auto& s, auto& k, auto& v) { s.scenario.quantize_int = ToBool(k, v); }},
+  {"scenario.delivery_batch", [](auto& s, auto& k, auto& v) { s.scenario.delivery_batch = ToBoundedInt(k, v); }},
+  {"scenario.exec_domains", [](auto& s, auto& k, auto& v) { s.scenario.exec_domains = v == "auto" ? 0 : ToBoundedInt(k, v); }},
+  {"scenario.eta", [](auto& s, auto& k, auto& v) { s.scenario.eta = ToDouble(k, v); }},
+  {"scenario.max_stage", [](auto& s, auto& k, auto& v) { s.scenario.max_stage = ToBoundedInt(k, v); }},
+  {"scenario.wai_bytes", [](auto& s, auto& k, auto& v) { s.scenario.wai_bytes = ToDouble(k, v); }},
+  {"scenario.lhcs_alpha", [](auto& s, auto& k, auto& v) { s.scenario.lhcs_alpha = ToDouble(k, v); }},
+  {"scenario.lhcs_beta", [](auto& s, auto& k, auto& v) { s.scenario.lhcs_beta = ToDouble(k, v); }},
+
+  {"run.duration_us", [](auto& s, auto& k, auto& v) { s.run.duration = TimeFromUs(k, v); }},
+  {"run.max_sim_ms", [](auto& s, auto& k, auto& v) { s.run.max_sim_time = TimeFromMs(k, v); }},
+  {"run.queue_sample_us", [](auto& s, auto& k, auto& v) { s.run.queue_sample_interval = TimeFromUs(k, v); }},
+  {"run.rate_sample_us", [](auto& s, auto& k, auto& v) { s.run.rate_sample_interval = TimeFromUs(k, v); }},
+  {"run.util_sample_us", [](auto& s, auto& k, auto& v) { s.run.util_sample_interval = TimeFromUs(k, v); }},
+  {"run.monitor", [](auto& s, auto& k, auto& v) { s.run.monitor = ToBool(k, v); }},
+  {"run.launch_window_us", [](auto& s, auto& k, auto& v) { s.run.launch_window = TimeFromUs(k, v); }},
+
+  {"output.dir", [](auto& s, auto&, auto& v) { s.output.dir = v; }},
+  {"output.fct_csv", [](auto& s, auto&, auto& v) { s.output.fct_csv = v; }},
+  {"output.timeseries_csv", [](auto& s, auto&, auto& v) { s.output.timeseries_csv = v; }},
+  {"output.manifest", [](auto& s, auto&, auto& v) { s.output.manifest = v; }},
+  {"output.buckets", [](auto& s, auto&, auto& v) { s.output.buckets = v; }},
+  {"output.stream_fct", [](auto& s, auto& k, auto& v) { s.output.stream_fct = ToBool(k, v); }},
+  {"output.pdes_stats", [](auto& s, auto& k, auto& v) { s.output.pdes_stats = ToBool(k, v); }},
+};
+// clang-format on
+
+std::string_view LastComponent(std::string_view key) {
+  return key.substr(key.rfind('.') + 1);
 }
 
-// ------------------------------------------------------------ key dispatch
+/// Keys a sweep may vary: the name and outputs belong to the run, not to
+/// a point.
+bool IsPointKey(std::string_view key) {
+  return key != "name" && !key.starts_with("output.");
+}
+
+/// The key a `sweep.<axis>` axis varies: `axis` itself when it is a key,
+/// else the one key whose last component it is (`mode` -> scenario.mode).
+const KeyDef& SweepTarget(const std::string& axis) {
+  const std::string key = "sweep." + axis;
+  std::vector<std::string> matches;
+  const KeyDef* target = nullptr;
+  for (const KeyDef& def : kKeys) {
+    if (axis == def.key || LastComponent(def.key) == axis) {
+      matches.emplace_back(def.key);
+      target = &def;
+    }
+  }
+  if (matches.size() == 1 && IsPointKey(target->key)) return *target;
+  if (matches.size() == 1 || axis.starts_with("sweep.")) {
+    Bad(key, "'" + (target ? matches[0] : axis) +
+                 "' cannot be swept: the name, outputs and sweep belong to "
+                 "the run, not to a point");
+  }
+  if (!target) {
+    for (const KeyDef& def : kKeys) {
+      if (IsPointKey(def.key)) matches.emplace_back(def.key);
+    }
+  }
+  Bad(key, (target ? "'" + axis + "' is ambiguous"
+                   : "no spec key '" + axis + "' to sweep") +
+               " (candidates: " + JoinNames(matches) + ")");
+}
+
+/// Declares `sweep.<axis> = value`, or re-declares it in place. Each value
+/// is parsed on a scratch copy here; ValidateSpec range-checks them.
+void SetSweepAxis(ExperimentSpec& spec, const std::string& axis,
+                  const std::string& value) {
+  const std::string key = "sweep." + axis;
+  const KeyDef& target = SweepTarget(axis);
+  // An empty value is rejected, not treated as "clear the axis" — a spec
+  // file whose value line was accidentally emptied must not silently
+  // collapse the sweep to one default point.
+  std::vector<std::string> values = SplitList(value);
+  if (values.empty()) {
+    Bad(key, "empty axis value (drop the key to leave the axis unswept)");
+  }
+  if (std::string_view(target.key) == "scenario.mode" && value == "all") {
+    values.clear();
+    for (CcMode m : kAllCcModes) values.emplace_back(CcModeName(m));
+  }
+  ExperimentSpec scratch = spec;
+  for (const std::string& v : values) {
+    if (v.find('/') != std::string::npos) {
+      Bad(key, "value '" + v + "' must not contain '/' (point labels "
+                   "become file names)");
+    }
+    target.set(scratch, key, v);
+  }
+  for (SweepAxis& declared : spec.sweep) {
+    if (&SweepTarget(declared.key) == &target) {
+      declared = {axis, std::move(values)};
+      return;
+    }
+  }
+  spec.sweep.push_back({axis, std::move(values)});
+}
 
 void ApplyKey(ExperimentSpec& spec, const std::string& key,
               const std::string& value) {
@@ -219,114 +358,16 @@ void ApplyKey(ExperimentSpec& spec, const std::string& key,
   if (value.find_first_of("#\n\r") != std::string::npos) {
     Bad(key, "value must not contain '#' or newlines");
   }
-  // clang-format off
-  if (key == "name") { spec.name = value; return; }
-
-  if (key == "topology.kind") { spec.topology = value; return; }
-  if (key == "topology.num_senders") { spec.topo.num_senders = ToBoundedInt(key, value); return; }
-  if (key == "topology.num_switches") { spec.topo.num_switches = ToBoundedInt(key, value); return; }
-  if (key == "topology.merge_switch") { spec.topo.merge_switch = ToBoundedInt(key, value); return; }
-  if (key == "topology.k") { spec.topo.k = ToBoundedInt(key, value); return; }
-  if (key == "topology.leaves") { spec.topo.leaves = ToBoundedInt(key, value); return; }
-  if (key == "topology.spines") { spec.topo.spines = ToBoundedInt(key, value); return; }
-  if (key == "topology.hosts_per_leaf") { spec.topo.hosts_per_leaf = ToBoundedInt(key, value); return; }
-  if (key == "topology.oversubscription") { spec.topo.oversubscription = ToDouble(key, value); return; }
-  if (key == "topology.rails") { spec.topo.rails = ToBoundedInt(key, value); return; }
-
-  if (key == "workload.kind") { spec.workload = value; return; }
-  if (key == "workload.load") { spec.wl.load = ToDouble(key, value); return; }
-  if (key == "workload.num_flows") { spec.wl.num_flows = ToBoundedInt(key, value); return; }
-  if (key == "workload.size_bytes") { spec.wl.size_bytes = ToU64(key, value); return; }
-  if (key == "workload.cdf") { spec.cdf = value; return; }
-  if (key == "workload.start_us") { spec.wl.start_time = TimeFromUs(key, value); return; }
-  if (key == "workload.stagger_us") { spec.wl.stagger = TimeFromUs(key, value); return; }
-  if (key == "workload.groups") { spec.wl.groups = ToBoundedInt(key, value); return; }
-  if (key == "workload.group_stagger_us") { spec.wl.group_stagger = TimeFromUs(key, value); return; }
-  if (key == "workload.flows") { spec.wl.long_flows = FlowsFromList(key, value); return; }
-  if (key == "workload.port_base") { spec.wl.port_base = static_cast<std::uint16_t>(ToBoundedU64(key, value, 65'535)); return; }
-  if (key == "workload.trace_file") { spec.wl.trace_file = value; return; }
-
-  if (key == "scenario.mode") { spec.scenario.mode = ModeFromName(key, value); return; }
-  if (key == "scenario.link_gbps") { spec.scenario.link_gbps = ToDouble(key, value); return; }
-  if (key == "scenario.propagation_delay_us") { spec.scenario.propagation_delay = TimeFromUs(key, value); return; }
-  if (key == "scenario.mtu_bytes") { spec.scenario.mtu_bytes = static_cast<std::uint32_t>(ToBoundedU64(key, value, 0xFFFFFFFFull)); return; }
-  if (key == "scenario.pfc") { spec.scenario.pfc_enabled = ToBool(key, value); return; }
-  if (key == "scenario.pfc_xoff_bytes") { spec.scenario.pfc_xoff_bytes = ToU64(key, value); return; }
-  if (key == "scenario.pfc_xon_bytes") { spec.scenario.pfc_xon_bytes = ToU64(key, value); return; }
-  if (key == "scenario.ack_every") { spec.scenario.ack_every = ToBoundedInt(key, value); return; }
-  if (key == "scenario.seed") { spec.scenario.seed = ToU64(key, value); return; }
-  if (key == "scenario.symmetric_ecmp") { spec.scenario.symmetric_ecmp = ToBool(key, value); return; }
-  if (key == "scenario.ecmp_salt") { spec.scenario.ecmp_salt = static_cast<std::uint32_t>(ToBoundedU64(key, value, 0xFFFFFFFFull)); return; }
-  if (key == "scenario.int_table_refresh_us") { spec.scenario.int_table_refresh = TimeFromUs(key, value); return; }
-  if (key == "scenario.quantize_int") { spec.scenario.quantize_int = ToBool(key, value); return; }
-  if (key == "scenario.delivery_batch") { spec.scenario.delivery_batch = ToBoundedInt(key, value); return; }
-  if (key == "scenario.exec_domains") { spec.scenario.exec_domains = value == "auto" ? 0 : ToBoundedInt(key, value); return; }
-  if (key == "scenario.eta") { spec.scenario.eta = ToDouble(key, value); return; }
-  if (key == "scenario.max_stage") { spec.scenario.max_stage = ToBoundedInt(key, value); return; }
-  if (key == "scenario.wai_bytes") { spec.scenario.wai_bytes = ToDouble(key, value); return; }
-  if (key == "scenario.lhcs_alpha") { spec.scenario.lhcs_alpha = ToDouble(key, value); return; }
-  if (key == "scenario.lhcs_beta") { spec.scenario.lhcs_beta = ToDouble(key, value); return; }
-
-  if (key == "run.duration_us") { spec.run.duration = TimeFromUs(key, value); return; }
-  if (key == "run.max_sim_ms") { spec.run.max_sim_time = TimeFromMs(key, value); return; }
-  if (key == "run.queue_sample_us") { spec.run.queue_sample_interval = TimeFromUs(key, value); return; }
-  if (key == "run.rate_sample_us") { spec.run.rate_sample_interval = TimeFromUs(key, value); return; }
-  if (key == "run.util_sample_us") { spec.run.util_sample_interval = TimeFromUs(key, value); return; }
-  if (key == "run.monitor") { spec.run.monitor = ToBool(key, value); return; }
-  if (key == "run.launch_window_us") { spec.run.launch_window = TimeFromUs(key, value); return; }
-
-  // Sweep axes. An empty value is rejected, not treated as "clear the
-  // axis" — a spec file whose value line was accidentally emptied must not
-  // silently collapse the sweep to one default point.
-  if (key == "sweep.mode") {
-    spec.sweep.modes.clear();
-    if (value == "all") {
-      spec.sweep.modes.assign(std::begin(kAllCcModes), std::end(kAllCcModes));
-    } else {
-      for (const std::string& v : SweepList(key, value)) {
-        spec.sweep.modes.push_back(ModeFromName(key, v));
-      }
-    }
+  if (key.starts_with("sweep.")) {
+    SetSweepAxis(spec, key.substr(6), value);
     return;
   }
-  if (key == "sweep.seed") {
-    spec.sweep.seeds.clear();
-    for (const std::string& v : SweepList(key, value)) {
-      spec.sweep.seeds.push_back(ToU64(key, v));
+  for (const KeyDef& def : kKeys) {
+    if (key == def.key) {
+      def.set(spec, key, value);
+      return;
     }
-    return;
   }
-  if (key == "sweep.load") {
-    spec.sweep.loads.clear();
-    for (const std::string& v : SweepList(key, value)) {
-      spec.sweep.loads.push_back(ToDouble(key, v));
-    }
-    return;
-  }
-  if (key == "sweep.num_flows") {
-    spec.sweep.num_flows.clear();
-    for (const std::string& v : SweepList(key, value)) {
-      spec.sweep.num_flows.push_back(ToBoundedInt(key, v));
-    }
-    return;
-  }
-  if (key == "sweep.merge_switch") {
-    spec.sweep.merge_switches.clear();
-    for (const std::string& v : SweepList(key, value)) {
-      spec.sweep.merge_switches.push_back(ToBoundedInt(key, v));
-    }
-    return;
-  }
-
-  if (key == "output.dir") { spec.output.dir = value; return; }
-  if (key == "output.fct_csv") { spec.output.fct_csv = value; return; }
-  if (key == "output.timeseries_csv") { spec.output.timeseries_csv = value; return; }
-  if (key == "output.manifest") { spec.output.manifest = value; return; }
-  if (key == "output.buckets") { spec.output.buckets = value; return; }
-  if (key == "output.stream_fct") { spec.output.stream_fct = ToBool(key, value); return; }
-  if (key == "output.pdes_stats") { spec.output.pdes_stats = ToBool(key, value); return; }
-  // clang-format on
-
   throw SpecError("unknown key '" + key + "'");
 }
 
@@ -337,15 +378,6 @@ void Require(bool ok, const std::string& what) {
 }  // namespace
 
 // ---------------------------------------------------------------- validate
-
-std::size_t SweepAxes::size() const {
-  std::size_t n = 1;
-  for (std::size_t axis : {modes.size(), seeds.size(), loads.size(),
-                           num_flows.size(), merge_switches.size()}) {
-    if (axis != 0) n *= axis;
-  }
-  return n;
-}
 
 void ValidateSpec(const ExperimentSpec& spec) {
   Require(!spec.name.empty(), "name must not be empty");
@@ -383,11 +415,6 @@ void ValidateSpec(const ExperimentSpec& spec) {
     Require(spec.topo.merge_switch >= 0 &&
                 spec.topo.merge_switch < spec.topo.num_switches,
             "topology.merge_switch must be in [0, topology.num_switches)");
-    for (int m : spec.sweep.merge_switches) {
-      Require(m >= 0 && m < spec.topo.num_switches,
-              "sweep.merge_switch value " + std::to_string(m) +
-                  " outside [0, topology.num_switches)");
-    }
   }
 
   // Workload ranges.
@@ -471,12 +498,22 @@ void ValidateSpec(const ExperimentSpec& spec) {
     }
   }
 
-  // Sweep ranges.
-  for (double load : spec.sweep.loads) {
-    Require(load > 0.0 && load <= 1.0, "sweep.load values must be in (0, 1]");
-  }
-  for (int n : spec.sweep.num_flows) {
-    Require(n >= 1, "sweep.num_flows values must be >= 1");
+  // Sweep axes: every value must make a valid spec on its own
+  // (ExpandSweep validates each combination again).
+  for (const SweepAxis& axis : spec.sweep) {
+    const std::string key = "sweep." + axis.key;
+    const KeyDef& target = SweepTarget(axis.key);
+    Require(!axis.values.empty(), key + " has no values");
+    for (const std::string& value : axis.values) {
+      ExperimentSpec scratch = spec;
+      scratch.sweep.clear();
+      try {
+        target.set(scratch, key, value);
+        ValidateSpec(scratch);
+      } catch (const SpecError& e) {
+        throw SpecError(key + " value '" + value + "': " + e.what());
+      }
+    }
   }
 }
 
@@ -525,9 +562,10 @@ ExperimentSpec ParseSpecText(const std::string& text,
       std::string key = Trim(line.substr(0, eq));
       const std::string value = Trim(line.substr(eq + 1));
       if (key.empty()) throw SpecError("empty key");
-      // A dotted key is absolute; a bare key picks up the section prefix.
-      if (!section.empty() && key.find('.') == std::string::npos &&
-          key != "name") {
+      // A dotted key is absolute and a bare key picks up the section
+      // prefix, except under [sweep], where every key names an axis.
+      if (!section.empty() && key != "name" &&
+          (section == "sweep" || key.find('.') == std::string::npos)) {
         key = section + "." + key;
       }
       ApplyKey(spec, key, value);
@@ -566,66 +604,35 @@ ExperimentSpec ParseSpecFile(const std::string& path) {
 
 std::vector<ExperimentSpec> ExpandSweep(const ExperimentSpec& spec) {
   ValidateSpec(spec);
-  const SweepAxes& ax = spec.sweep;
+  const std::vector<SweepAxis>& axes = spec.sweep;
+  std::vector<const KeyDef*> targets;
+  for (const SweepAxis& axis : axes) targets.push_back(&SweepTarget(axis.key));
+  ExperimentSpec base = spec;
+  base.sweep.clear();
+  base.label.clear();
 
-  // Materialize each axis with a single "keep the scalar" entry when the
-  // axis is not swept, so one nested loop covers every combination.
-  const std::vector<CcMode> modes =
-      ax.modes.empty() ? std::vector<CcMode>{spec.scenario.mode} : ax.modes;
-  const std::vector<std::uint64_t> seeds =
-      ax.seeds.empty() ? std::vector<std::uint64_t>{spec.scenario.seed}
-                       : ax.seeds;
-  const std::vector<double> loads =
-      ax.loads.empty() ? std::vector<double>{spec.wl.load} : ax.loads;
-  const std::vector<int> flows =
-      ax.num_flows.empty() ? std::vector<int>{spec.wl.num_flows}
-                           : ax.num_flows;
-  const std::vector<int> merges =
-      ax.merge_switches.empty() ? std::vector<int>{spec.topo.merge_switch}
-                                : ax.merge_switches;
-
+  // An odometer over the axes: digit i indexes axis i's values, and the
+  // last axis turns fastest.
+  std::vector<std::size_t> digit(axes.size(), 0);
   std::vector<ExperimentSpec> points;
-  points.reserve(modes.size() * seeds.size() * loads.size() * flows.size() *
-                 merges.size());
-  for (CcMode mode : modes) {
-    for (std::uint64_t seed : seeds) {
-      for (double load : loads) {
-        for (int num_flows : flows) {
-          for (int merge : merges) {
-            ExperimentSpec point = spec;
-            point.sweep = SweepAxes{};
-            point.scenario.mode = mode;
-            point.scenario.seed = seed;
-            point.wl.load = load;
-            point.wl.num_flows = num_flows;
-            point.topo.merge_switch = merge;
-            std::vector<std::string> parts;
-            if (!ax.modes.empty()) parts.emplace_back(CcModeName(mode));
-            if (!ax.seeds.empty()) {
-              parts.push_back("seed" + std::to_string(seed));
-            }
-            if (!ax.loads.empty()) {
-              parts.push_back("load" + FormatDouble(load));
-            }
-            if (!ax.num_flows.empty()) {
-              parts.push_back("flows" + std::to_string(num_flows));
-            }
-            if (!ax.merge_switches.empty()) {
-              parts.push_back("merge" + std::to_string(merge));
-            }
-            std::string label;
-            for (const std::string& p : parts) {
-              if (!label.empty()) label += "-";
-              label += p;
-            }
-            point.label = label;
-            points.push_back(std::move(point));
-          }
-        }
-      }
+  while (true) {
+    ExperimentSpec point = base;
+    for (std::size_t i = 0; i < axes.size(); ++i) {
+      const std::string_view key = targets[i]->key;
+      const std::string& value = axes[i].values[digit[i]];
+      targets[i]->set(point, "sweep." + axes[i].key, value);
+      if (!point.label.empty()) point.label += '-';
+      if (key != "scenario.mode") point.label += LastComponent(key);
+      point.label += value;
     }
+    ValidateSpec(point);
+    points.push_back(std::move(point));
+    std::size_t i = axes.size();
+    while (i > 0 && ++digit[i - 1] == axes[i - 1].values.size()) {
+      digit[--i] = 0;
+    }
+    if (i == 0) return points;
   }
-  return points;
 }
 
 // -------------------------------------------------------------- serialize
@@ -713,38 +720,10 @@ std::string SpecToText(const ExperimentSpec& spec) {
 
   if (!spec.sweep.empty()) {
     out << "\n[sweep]\n";
-    if (!spec.sweep.modes.empty()) {
-      out << "mode = ";
-      for (std::size_t i = 0; i < spec.sweep.modes.size(); ++i) {
-        out << (i ? "," : "") << CcModeName(spec.sweep.modes[i]);
-      }
-      out << "\n";
-    }
-    if (!spec.sweep.seeds.empty()) {
-      out << "seed = ";
-      for (std::size_t i = 0; i < spec.sweep.seeds.size(); ++i) {
-        out << (i ? "," : "") << spec.sweep.seeds[i];
-      }
-      out << "\n";
-    }
-    if (!spec.sweep.loads.empty()) {
-      out << "load = ";
-      for (std::size_t i = 0; i < spec.sweep.loads.size(); ++i) {
-        out << (i ? "," : "") << FormatDouble(spec.sweep.loads[i]);
-      }
-      out << "\n";
-    }
-    if (!spec.sweep.num_flows.empty()) {
-      out << "num_flows = ";
-      for (std::size_t i = 0; i < spec.sweep.num_flows.size(); ++i) {
-        out << (i ? "," : "") << spec.sweep.num_flows[i];
-      }
-      out << "\n";
-    }
-    if (!spec.sweep.merge_switches.empty()) {
-      out << "merge_switch = ";
-      for (std::size_t i = 0; i < spec.sweep.merge_switches.size(); ++i) {
-        out << (i ? "," : "") << spec.sweep.merge_switches[i];
+    for (const SweepAxis& axis : spec.sweep) {
+      out << axis.key << " = ";
+      for (std::size_t i = 0; i < axis.values.size(); ++i) {
+        out << (i ? "," : "") << axis.values[i];
       }
       out << "\n";
     }

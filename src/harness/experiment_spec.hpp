@@ -18,12 +18,14 @@
 //   duration_us = 800
 //   [sweep]
 //   mode = FNCC,HPCC         # or `all` for every implemented algorithm
+//   scenario.ack_every = 1,4 # any topology/workload/scenario/run key
 //
 // Section headers only set a key prefix: `[topology]` + `kind = x` is the
-// same as the flat `topology.kind = x`, and dotted keys are accepted
-// anywhere. ExpandSweep() turns one spec into the cross product of its
-// sweep axes — each point a self-contained spec the experiment runner
-// executes in isolation (RunExperimentPoints).
+// same as the flat `topology.kind = x`, and dotted keys are absolute
+// anywhere except under `[sweep]`, where every key names an axis.
+// ExpandSweep() turns one spec into the cross product of its sweep axes —
+// each point a self-contained spec the experiment runner executes in
+// isolation (RunExperimentPoints).
 #pragma once
 
 #include <cstdint>
@@ -67,22 +69,14 @@ struct RunSpec {
   Time launch_window = 0;
 };
 
-/// Cross-product sweep axes; empty vector = axis not swept. Expansion
-/// order is fixed (mode outermost, then seed, load, num_flows,
-/// merge_switch innermost) so point indices are stable for a given spec.
-struct SweepAxes {
-  std::vector<CcMode> modes;
-  std::vector<std::uint64_t> seeds;
-  std::vector<double> loads;
-  std::vector<int> num_flows;
-  std::vector<int> merge_switches;
-
-  [[nodiscard]] bool empty() const {
-    return modes.empty() && seeds.empty() && loads.empty() &&
-           num_flows.empty() && merge_switches.empty();
-  }
-  /// Number of expanded points (>= 1; empty axes count as 1).
-  [[nodiscard]] std::size_t size() const;
+/// One sweep axis: a spec key and the values it takes, both as written
+/// (`mode = all` is stored expanded to every CC mode). `key` is a full
+/// `topology.*`/`workload.*`/`scenario.*`/`run.*` key or the last
+/// component of exactly one (`mode`, `seed`, `ack_every`); each value is
+/// applied to a point through the same parser as `key = value`.
+struct SweepAxis {
+  std::string key;
+  std::vector<std::string> values;
 };
 
 /// What fncc_run writes. Empty filename = skip that artifact. Filenames
@@ -122,12 +116,15 @@ struct ExperimentSpec {
 
   ScenarioConfig scenario;
   RunSpec run;
-  SweepAxes sweep;
+  /// Cross-product axes in declaration order, the first outermost (so
+  /// point indices are stable for a given spec); empty = one point.
+  std::vector<SweepAxis> sweep;
   OutputSpec output;
 
-  /// Set by ExpandSweep on each point ("" when nothing is swept): the
-  /// axis values joined with '-', e.g. "FNCC-seed2-load0.5". Derived —
-  /// never parsed, never serialized.
+  /// Set by ExpandSweep on each point ("" when nothing is swept): one
+  /// part per axis joined with '-', the bare value for a scenario.mode
+  /// axis and <last key component><value> otherwise, e.g.
+  /// "FNCC-seed2-load0.5". Derived — never parsed, never serialized.
   std::string label;
 };
 
@@ -154,10 +151,10 @@ void ApplySpecOverrides(ExperimentSpec& spec,
 /// again after mutating a spec programmatically. Throws SpecError.
 void ValidateSpec(const ExperimentSpec& spec);
 
-/// Cross product of the sweep axes: self-contained points in fixed axis
-/// order with scalar fields substituted, `sweep` cleared and `label` set.
-/// A spec with no axes expands to one point (label ""). Points are
-/// validated.
+/// Cross product of the sweep axes: self-contained points in declaration
+/// order (first axis outermost) with each axis value applied, `sweep`
+/// cleared and `label` set. A spec with no axes expands to one point
+/// (label ""). Points are validated.
 std::vector<ExperimentSpec> ExpandSweep(const ExperimentSpec& spec);
 
 /// Serializes every field (including defaults) as sectioned spec text.

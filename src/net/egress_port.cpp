@@ -13,15 +13,15 @@ EgressPort::EgressPort(EgressPort&& other) noexcept
       deliver_(std::exchange(other.deliver_, nullptr)),
       bandwidth_gbps_(other.bandwidth_gbps_),
       prop_delay_(other.prop_delay_),
+      order_base_(other.order_base_),
+      order_count_(other.order_count_),
+      cross_lane_(other.cross_lane_),
+      peer_lane_(other.peer_lane_),
       tx_hook_(std::exchange(other.tx_hook_, nullptr)),
       tx_hook_ctx_(std::exchange(other.tx_hook_ctx_, nullptr)),
       tx_hook_arg_(other.tx_hook_arg_),
       prefetch_(std::exchange(other.prefetch_, nullptr)),
       lookahead_(other.lookahead_),
-      order_base_(other.order_base_),
-      order_count_(other.order_count_),
-      cross_lane_(other.cross_lane_),
-      peer_lane_(other.peer_lane_),
       data_q_(std::exchange(other.data_q_, Fifo{})),
       ctrl_q_(std::exchange(other.ctrl_q_, Fifo{})),
       tx_pkt_(std::move(other.tx_pkt_)),

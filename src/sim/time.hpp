@@ -22,6 +22,10 @@ inline constexpr Time kSecond = 1'000'000'000'000;
 /// A time value that compares greater than any schedulable event time.
 inline constexpr Time kTimeInfinity = INT64_MAX;
 
+/// Largest |picoseconds| a parsed double may hold and still round to a
+/// Time (below INT64_MAX ~ 9.223e18); parsers reject, never wrap, beyond.
+inline constexpr double kMaxParsedTimePs = 9.2e18;
+
 constexpr Time Nanoseconds(double ns) {
   return static_cast<Time>(ns * static_cast<double>(kNanosecond));
 }

@@ -115,8 +115,12 @@ bool TraceFlowSource::Next(GeneratedFlow* out) {
     }
     if (bytes == 0) Fail("bytes must be > 0");
 
-    const Time start = static_cast<Time>(
-        std::llround(start_us * static_cast<double>(kMicrosecond)));
+    const double start_ps = start_us * static_cast<double>(kMicrosecond);
+    if (start_ps > kMaxParsedTimePs) {
+      Fail("start_us " + fields[0] +
+           " is outside the representable time range");
+    }
+    const Time start = static_cast<Time>(std::llround(start_ps));
     if (saw_data_row_ && start < prev_start_) {
       Fail("start_us " + fields[0] +
            " goes backwards (traces must be sorted by start time)");

@@ -6,6 +6,7 @@
 
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -91,8 +92,14 @@ TEST(PointFanoutTest, DefaultThreadCountHonorsEnvOverride) {
   EXPECT_GE(hardware, 1);
   ASSERT_EQ(setenv("FNCC_THREADS", "3", /*overwrite=*/1), 0);
   EXPECT_EQ(DefaultThreadCount(), 3);
-  ASSERT_EQ(setenv("FNCC_THREADS", "not-a-number", 1), 0);
-  EXPECT_EQ(DefaultThreadCount(), hardware) << "garbage falls back";
+  ASSERT_EQ(setenv("FNCC_THREADS", "", 1), 0);
+  EXPECT_EQ(DefaultThreadCount(), hardware) << "empty means unset";
+  // Anything else that is not a positive integer is an error, never a
+  // silent fallback or a truncated number.
+  for (const char* bad : {"not-a-number", "2x", "-3", "0"}) {
+    ASSERT_EQ(setenv("FNCC_THREADS", bad, 1), 0);
+    EXPECT_THROW((void)DefaultThreadCount(), std::invalid_argument) << bad;
+  }
   ASSERT_EQ(unsetenv("FNCC_THREADS"), 0);
 }
 

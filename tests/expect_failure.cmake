@@ -1,7 +1,9 @@
 # Runs a command and passes only when it exits non-zero AND its combined
-# stdout/stderr matches the regular expression EXPECT:
+# stdout/stderr matches the regular expression EXPECT (and, when EXPECT_RC
+# is given, the exit status is exactly EXPECT_RC):
 #
-#   cmake -DEXPECT=<regex> -P expect_failure.cmake <program> [args...]
+#   cmake -DEXPECT=<regex> [-DEXPECT_RC=<n>] -P expect_failure.cmake
+#         <program> [args...]
 #
 # Everything after the script path is the command line.
 set(cmd)
@@ -24,6 +26,9 @@ execute_process(COMMAND ${cmd} RESULT_VARIABLE rc OUTPUT_VARIABLE out
                 ERROR_VARIABLE err)
 if(rc EQUAL 0)
   message(FATAL_ERROR "expected a non-zero exit, got 0:\n${out}${err}")
+endif()
+if(DEFINED EXPECT_RC AND NOT rc EQUAL EXPECT_RC)
+  message(FATAL_ERROR "expected exit ${EXPECT_RC}, got ${rc}:\n${out}${err}")
 endif()
 if(NOT "${out}${err}" MATCHES "${EXPECT}")
   message(FATAL_ERROR

@@ -1,6 +1,7 @@
 // The declarative spec layer: parse round-trips, strict unknown-key
 // rejection, CLI override precedence, range validation, and sweep-axis
-// expansion — the contracts fncc_run and the examples rely on.
+// naming and expansion — the contracts fncc_run and the specs/ files rely
+// on.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -11,6 +12,28 @@
 
 namespace fncc {
 namespace {
+
+/// Number of points ExpandSweep makes: the product of the axis lengths.
+std::size_t PointCount(const ExperimentSpec& spec) {
+  std::size_t n = 1;
+  for (const SweepAxis& axis : spec.sweep) n *= axis.values.size();
+  return n;
+}
+
+/// Expects `fn` to throw SpecError whose message contains every `needles`.
+template <typename Fn>
+void ExpectSpecError(Fn fn, const std::vector<std::string>& needles) {
+  try {
+    fn();
+    ADD_FAILURE() << "expected SpecError";
+  } catch (const SpecError& e) {
+    const std::string what = e.what();
+    for (const std::string& needle : needles) {
+      EXPECT_NE(what.find(needle), std::string::npos) << needle << " / "
+                                                      << what;
+    }
+  }
+}
 
 TEST(ExperimentSpecTest, DefaultsAreValid) {
   ExperimentSpec spec;
@@ -98,7 +121,10 @@ buckets = fb_hadoop
   EXPECT_EQ(reparsed.topo.leaves, 4);
   EXPECT_DOUBLE_EQ(reparsed.topo.oversubscription, 2.5);
   EXPECT_EQ(reparsed.scenario.propagation_delay, Nanoseconds(750));
-  EXPECT_EQ(reparsed.sweep.seeds, (std::vector<std::uint64_t>{1, 2, 3}));
+  ASSERT_EQ(reparsed.sweep.size(), 3u);
+  EXPECT_EQ(reparsed.sweep[1].key, "seed");
+  EXPECT_EQ(reparsed.sweep[1].values,
+            (std::vector<std::string>{"1", "2", "3"}));
   EXPECT_EQ(reparsed.output.buckets, "fb_hadoop");
 }
 
@@ -243,7 +269,7 @@ TEST(ExperimentSpecTest, SweepExpansionCrossProduct) {
   ExperimentSpec spec;
   ApplySpecOverrides(spec, {"sweep.mode=FNCC,HPCC", "sweep.seed=1,2,3",
                             "workload.load=0.5"});
-  EXPECT_EQ(spec.sweep.size(), 6u);
+  EXPECT_EQ(PointCount(spec), 6u);
   const std::vector<ExperimentSpec> points = ExpandSweep(spec);
   ASSERT_EQ(points.size(), 6u);
   // Fixed order: mode outermost, then seed.
@@ -269,6 +295,101 @@ TEST(ExperimentSpecTest, SweepModeAllCoversEveryAlgorithm) {
   for (std::size_t i = 0; i < points.size(); ++i) {
     EXPECT_EQ(points[i].scenario.mode, kAllCcModes[i]);
   }
+}
+
+TEST(ExperimentSpecTest, SweepAnyKeyByFullOrBareName) {
+  ExperimentSpec spec;
+  ApplySpecOverrides(spec, {"sweep.scenario.ack_every=1,4",
+                            "sweep.lhcs_beta=0.5,0.9"});
+  ASSERT_EQ(spec.sweep.size(), 2u);
+  EXPECT_EQ(spec.sweep[0].key, "scenario.ack_every");  // stored as written
+  EXPECT_EQ(spec.sweep[1].key, "lhcs_beta");
+  const std::vector<ExperimentSpec> points = ExpandSweep(spec);
+  ASSERT_EQ(points.size(), 4u);
+  EXPECT_EQ(points[0].scenario.ack_every, 1);
+  EXPECT_DOUBLE_EQ(points[0].scenario.lhcs_beta, 0.5);
+  EXPECT_EQ(points[3].scenario.ack_every, 4);
+  EXPECT_DOUBLE_EQ(points[3].scenario.lhcs_beta, 0.9);
+  // Labels: <last key component><value> per axis.
+  EXPECT_EQ(points[0].label, "ack_every1-lhcs_beta0.5");
+  EXPECT_EQ(points[3].label, "ack_every4-lhcs_beta0.9");
+}
+
+TEST(ExperimentSpecTest, SweepAxesExpandInDeclarationOrder) {
+  ExperimentSpec spec;
+  ApplySpecOverrides(spec, {"sweep.seed=1,2", "sweep.mode=FNCC,HPCC"});
+  std::vector<ExperimentSpec> points = ExpandSweep(spec);
+  ASSERT_EQ(points.size(), 4u);
+  EXPECT_EQ(points[0].label, "seed1-FNCC");  // first declared is outermost
+  EXPECT_EQ(points[1].label, "seed1-HPCC");
+  EXPECT_EQ(points[2].label, "seed2-FNCC");
+  // A re-declared axis keeps its place, whichever name it is given by.
+  ApplySpecOverride(spec, "sweep.scenario.seed", "7");
+  ASSERT_EQ(spec.sweep.size(), 2u);
+  EXPECT_EQ(spec.sweep[0].key, "scenario.seed");
+  points = ExpandSweep(spec);
+  ASSERT_EQ(points.size(), 2u);
+  EXPECT_EQ(points[0].label, "seed7-FNCC");
+  EXPECT_EQ(points[1].scenario.seed, 7u);
+}
+
+TEST(ExperimentSpecTest, SweepAxisNamesMustResolveToOnePointKey) {
+  ExperimentSpec spec;
+  ExpectSpecError([&] { ApplySpecOverride(spec, "sweep.kind", "dumbbell"); },
+                  {"sweep.kind", "ambiguous", "topology.kind",
+                   "workload.kind"});
+  ExpectSpecError([&] { ApplySpecOverride(spec, "sweep.ack_evry", "1,2"); },
+                  {"sweep.ack_evry", "no spec key", "scenario.ack_every"});
+  ExpectSpecError(
+      [&] { ApplySpecOverride(spec, "sweep.scenario.nope", "1"); },
+      {"sweep.scenario.nope", "no spec key"});
+  // The name, outputs and the sweep itself belong to the run.
+  for (const char* key : {"sweep.name", "sweep.output.dir", "sweep.fct_csv",
+                          "sweep.sweep.mode"}) {
+    ExpectSpecError([&] { ApplySpecOverride(spec, key, "a,b"); },
+                    {key, "cannot be swept"});
+  }
+  // Labels become file names.
+  ExpectSpecError(
+      [&] { ApplySpecOverride(spec, "sweep.workload.trace_file", "a/b.csv"); },
+      {"sweep.workload.trace_file", "'/'"});
+  // A malformed value fails at parse time, naming the sweep key.
+  ExpectSpecError([&] { ApplySpecOverride(spec, "sweep.ack_every", "1,x"); },
+                  {"sweep.ack_every", "'x'"});
+  EXPECT_TRUE(spec.sweep.empty());
+}
+
+TEST(ExperimentSpecTest, OutOfRangeSweptValueFailsValidation) {
+  ExperimentSpec spec;
+  ApplySpecOverride(spec, "sweep.scenario.lhcs_beta", "0.5,2");
+  ExpectSpecError([&] { ValidateSpec(spec); },
+                  {"sweep.scenario.lhcs_beta", "'2'", "must be in (0, 1]"});
+  // Ranges that depend on another key are checked against the spec the
+  // value lands in.
+  ExperimentSpec chain;
+  ApplySpecOverrides(chain, {"topology.kind=chain_merge",
+                             "sweep.merge_switch=0,1,3"});
+  ExpectSpecError([&] { ValidateSpec(chain); },
+                  {"sweep.merge_switch", "'3'", "topology.merge_switch"});
+}
+
+TEST(ExperimentSpecTest, FullKeyAxisRoundTrips) {
+  ExperimentSpec spec = ParseSpecText("name = rt\n[sweep]\nmode = FNCC,HPCC\n");
+  ApplySpecOverride(spec, "sweep.scenario.int_table_refresh_us", "0,1.5");
+  const std::string text = SpecToText(spec);
+  EXPECT_NE(text.find("[sweep]\nmode = FNCC,HPCC\n"
+                      "scenario.int_table_refresh_us = 0,1.5\n"),
+            std::string::npos)
+      << text;
+  // Under [sweep] a dotted key names an axis, not an absolute key.
+  const ExperimentSpec reparsed = ParseSpecText(text);
+  EXPECT_EQ(SpecToText(reparsed), text);
+  ASSERT_EQ(reparsed.sweep.size(), 2u);
+  EXPECT_EQ(reparsed.sweep[1].key, "scenario.int_table_refresh_us");
+  const std::vector<ExperimentSpec> points = ExpandSweep(reparsed);
+  ASSERT_EQ(points.size(), 4u);
+  EXPECT_EQ(points[1].scenario.int_table_refresh, Nanoseconds(1500));
+  EXPECT_EQ(points[1].label, "FNCC-int_table_refresh_us1.5");
 }
 
 TEST(ExperimentSpecTest, SingleSpecExpandsToOneUnlabeledPoint) {

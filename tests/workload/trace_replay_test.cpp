@@ -91,6 +91,12 @@ TEST(TraceReplayTest, RejectsMalformedRows) {
   ExpectRowError("0,0,3,20000\n1,0,3\n", 2, "expected 4 fields");
   ExpectRowError("0,0,3,20000\nabc,0,3,500\n", 2, "is not a number");
   ExpectRowError("-1,0,3,20000\n", 1, "start_us must be >= 0");
+  // Past what a Time holds (9.3e12 us = 9.3e18 ps), never wrapped to a
+  // negative or a smaller start.
+  ExpectRowError("1e300,0,1,1000\n", 1,
+                 "start_us 1e300 is outside the representable time range");
+  ExpectRowError("0,0,1,1000\n9300000000000,0,1,1000\n", 2,
+                 "outside the representable time range");
   ExpectRowError("0,0,x,20000\n", 1, "is not an integer");
   ExpectRowError("0,0,4,20000\n", 1, "outside [0, 4) hosts");
   ExpectRowError("0,0,-1,20000\n", 1, "outside [0, 4) hosts");

@@ -21,7 +21,7 @@
 // Exit status: 0 on success; 1 on a spec or I/O error, or when a
 // run-to-completion point (run.duration_us = 0) ends with flows still
 // outstanding — outputs are written first, then each such point is named
-// on stderr; 2 on a malformed command line.
+// on stderr; 2 on a malformed command line or FNCC_THREADS.
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -30,6 +30,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -320,8 +321,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --threads beats FNCC_THREADS beats hardware concurrency.
-  const int threads = cli_threads > 0 ? cli_threads : DefaultThreadCount();
+  // --threads beats FNCC_THREADS beats hardware concurrency; a malformed
+  // FNCC_THREADS is a command-line error like a malformed --threads.
+  int threads = cli_threads;
+  try {
+    if (threads == 0) threads = DefaultThreadCount();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "fncc_run: %s\n", e.what());
+    return 2;
+  }
 
   try {
     if (list) {
