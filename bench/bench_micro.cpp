@@ -149,6 +149,35 @@ void BM_PacketPoolAcquireRelease(benchmark::State& state) {
 }
 BENCHMARK(BM_PacketPoolAcquireRelease);
 
+void BM_PacketPoolIntAck(benchmark::State& state) {
+  // The per-ACK INT cost on top of the plain acquire/release above: an
+  // FNCC ACK crossing a 3-level fat-tree path gets 5 hops stamped, which
+  // takes an INT block from the pool on the first hop and returns it with
+  // the packet. Not gated; steady_heap_allocs covers packets and blocks.
+  PacketPool pool;
+  {
+    PacketPtr warm = pool.Acquire();
+    warm->PushInt(IntEntry{});
+  }
+  const std::size_t created_after_warmup =
+      pool.total_created() + pool.int_blocks_created();
+  Time ts = 0;
+  for (auto _ : state) {
+    PacketPtr ack = pool.Acquire();
+    ack->type = PacketType::kAck;
+    ack->int_reversed = true;
+    for (int h = 0; h < 5; ++h) {
+      ack->PushInt(IntEntry{100.0, ++ts, 12'500, 40'000});
+    }
+    benchmark::DoNotOptimize(ack.get());
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["steady_heap_allocs"] = static_cast<double>(
+      pool.total_created() + pool.int_blocks_created() -
+      created_after_warmup);
+}
+BENCHMARK(BM_PacketPoolIntAck);
+
 void BM_MakeUniquePacket(benchmark::State& state) {
   // The pre-refactor allocation path: one make_unique + free per packet.
   for (auto _ : state) {
@@ -208,7 +237,7 @@ PacketPtr IntAck(std::uint64_t seq, Time ts, std::uint64_t tx, bool reversed) {
   ack->int_reversed = reversed;
   ack->concurrent_flows = 2;
   for (int h = 0; h < 3; ++h) {
-    ack->int_stack.push_back(IntEntry{100.0, ts, tx, 40'000});
+    ack->PushInt(IntEntry{100.0, ts, tx, 40'000});
   }
   return ack;
 }
@@ -293,7 +322,7 @@ void FillBenchAck(Packet& ack, FlowId flow, Time ts) {
   ack.int_reversed = true;
   ack.concurrent_flows = 2;
   for (int h = 0; h < 3; ++h) {
-    ack.int_stack.push_back(
+    ack.PushInt(
         IntEntry{100.0, ts, 12'500u * static_cast<std::uint64_t>(h + 1),
                  40'000});
   }

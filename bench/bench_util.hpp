@@ -1,6 +1,6 @@
-// Shared helpers for the bench programs a spec cannot express (the fig12
-// closed-form model, the fig1a vendor table): a banner per table plus
-// paper-vs-measured summary lines.
+// Helpers for the bench program a spec cannot express (the fig12
+// closed-form model): a banner per table plus paper-vs-measured summary
+// lines.
 #pragma once
 
 #include <cstdio>

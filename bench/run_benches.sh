@@ -143,6 +143,10 @@ heap = ips("BM_MakeUniquePacket")
 if pool:
     print(f"  pool acquire+release   {pool['items_per_second']/1e6:8.1f}M pkts/s"
           f"  steady_heap_allocs={pool.get('steady_heap_allocs', '?')}")
+int_ack = by_name.get("BM_PacketPoolIntAck")
+if int_ack:
+    print(f"  INT ACK (5 hops)       {int_ack['items_per_second']/1e6:8.1f}M acks/s"
+          f"  steady_heap_allocs={int_ack.get('steady_heap_allocs', '?')}")
 if heap:
     print(f"  make_unique baseline   {heap/1e6:8.1f}M pkts/s")
 

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 
 #include "net/packet.hpp"
 
@@ -14,7 +15,7 @@ namespace fncc {
 class IntView {
  public:
   explicit IntView(const Packet& ack)
-      : stack_(ack.int_stack), reversed_(ack.int_reversed) {}
+      : stack_(ack.int_stack()), reversed_(ack.int_reversed) {}
 
   [[nodiscard]] std::size_t hops() const { return stack_.size(); }
   [[nodiscard]] bool empty() const { return stack_.empty(); }
@@ -27,7 +28,7 @@ class IntView {
   [[nodiscard]] std::size_t last_hop_index() const { return hops() - 1; }
 
  private:
-  const StaticVector<IntEntry, kMaxIntHops>& stack_;
+  std::span<const IntEntry> stack_;
   bool reversed_;
 };
 

@@ -428,6 +428,7 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
   // exclude it.
   result.pool_packets_created = sim.pool_total_created();
   result.pool_packets_acquired = sim.pool_acquires();
+  result.pool_int_blocks_created = sim.pool_int_blocks_created();
   result.wall_time_seconds = timer.Seconds();
   return result;
 }

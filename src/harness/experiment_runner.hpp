@@ -67,6 +67,9 @@ struct ExperimentPointResult {
   // allocation-free packet services.
   std::uint64_t pool_packets_created = 0;
   std::uint64_t pool_packets_acquired = 0;
+  // INT blocks the arenas allocated (PacketPool::int_blocks_created): 0
+  // for a point whose packets never carried INT (DCQCN).
+  std::uint64_t pool_int_blocks_created = 0;
 
   /// PDES windows the point executed (0 for unpartitioned points).
   /// Deterministic at a fixed partitioning — the serial and threaded

@@ -215,6 +215,9 @@ void EgressPort::FinishTransmit() {
     const int phase = sim_->outbox_phase();
     const Time t = sim_->Now() + prop_delay_;
     outbox_[phase].push_back(Handoff{t, order, *raw});
+    const std::span<const IntEntry> ints = raw->int_stack();
+    outbox_int_[phase].insert(outbox_int_[phase].end(), ints.begin(),
+                              ints.end());
     if (t < outbox_min_[phase]) outbox_min_[phase] = t;
     WrapRawPacket(raw);
   } else if (lookahead_ > 0) {
@@ -271,16 +274,14 @@ void EgressPort::DrainHandoffs() {
   const int sealed = sim_->outbox_phase() ^ 1;
   std::vector<Handoff>& box = outbox_[sealed];
   if (box.empty()) return;
+  const IntEntry* ints = outbox_int_[sealed].data();
   for (const Handoff& h : box) {
     // Re-materialize in the destination lane's arena (the active lane
-    // here): acquire, copy every field, then restore the handle plumbing
-    // the struct copy clobbered — the acquiring pool's reclaimer and the
-    // chain link.
+    // here): acquire, then copy the header and its INT entries (which take
+    // a block from this lane's pool).
     Packet* raw = ReleaseToRaw(sim_->packet_pool().Acquire());
-    PacketPool* pool = raw->pool;
-    *raw = h.pkt;
-    raw->pool = pool;
-    raw->next = nullptr;
+    raw->CopyFrom(h.hdr, ints);
+    ints += h.hdr.int_hops;
     sim_->ScheduleAtOrdered(
         h.t, h.order,
         TypedEvent{.run = deliver_,
@@ -290,6 +291,7 @@ void EgressPort::DrainHandoffs() {
                    .arg = static_cast<std::uint64_t>(peer_.port)});
   }
   box.clear();  // keeps capacity; the outbox stays allocation-warm
+  outbox_int_[sealed].clear();
   outbox_min_[sealed] = kTimeInfinity;
 }
 

@@ -29,15 +29,15 @@
 // (Simulator::Partition) and this port's peer lives in another lane
 // (SetCrossLane, applied by Network::SealDomains), finished transmissions
 // are not scheduled into the peer's queue directly — that queue belongs to
-// another thread mid-window. Instead each handoff is buffered by value in
-// the port's outbox and injected at the next window barrier
-// (DrainHandoffs, run under the destination lane's scope). Conservative
-// lookahead makes the barrier early enough: delivery time is
-// send-time + propagation >= window-start + min-cross-lane-propagation,
-// which is exactly where the window closed. Every delivery — local or
-// handoff — carries the same (edge << 32 | nth) order word, so injection
-// order cannot matter: the destination queue re-establishes the one global
-// (t, order) sequence.
+// another thread mid-window. Instead each handoff is buffered by value
+// (header plus live INT entries) in the port's outbox and injected at the
+// next window barrier (DrainHandoffs, run under the destination lane's
+// scope). Conservative lookahead makes the barrier early enough: delivery
+// time is send-time + propagation >= window-start +
+// min-cross-lane-propagation, which is exactly where the window closed.
+// Every delivery — local or handoff — carries the same (edge << 32 | nth)
+// order word, so injection order cannot matter: the destination queue
+// re-establishes the one global (t, order) sequence.
 #pragma once
 
 #include <cstddef>
@@ -216,14 +216,16 @@ class EgressPort {
   std::uint64_t order_base_ = 0;   // minted at Connect()
   std::uint64_t order_count_ = 0;  // per-edge FIFO counter
 
-  /// One buffered cross-lane delivery. The packet rides by value: the
-  /// source lane returns its original to its own arena immediately and the
-  /// destination lane re-materializes the copy from its arena at the
-  /// barrier, so neither arena is ever touched from a foreign lane.
+  /// One buffered cross-lane delivery. The packet rides by value — its
+  /// header here, its `hdr.int_hops` INT entries appended to the phase's
+  /// outbox_int_ in handoff order: the source lane returns its original
+  /// (and its INT block) to its own arena immediately and the destination
+  /// lane re-materializes the copy from its arena at the barrier, so
+  /// neither arena is ever touched from a foreign lane.
   struct Handoff {
     Time t;               // delivery (arrival) time
     std::uint64_t order;  // this edge's order word for the packet
-    Packet pkt;
+    PacketHeader hdr;
   };
   /// Double-buffered by the simulator's window phase: sends of window w
   /// append to outbox_[phase] while the destination lane drains the sealed
@@ -232,6 +234,7 @@ class EgressPort {
   /// earliest delivery time so Simulator::NextEventTime can bound the next
   /// window by handoffs not yet in any queue.
   std::vector<Handoff> outbox_[2];
+  std::vector<IntEntry> outbox_int_[2];
   Time outbox_min_[2] = {kTimeInfinity, kTimeInfinity};
   bool cross_lane_ = false;
   int peer_lane_ = 0;

@@ -1,5 +1,6 @@
 #include "net/packet.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 
@@ -14,6 +15,26 @@ std::atomic<std::uint64_t> g_next_uid{1};
 
 std::uint64_t NextPacketUid() {
   return g_next_uid.fetch_add(1, std::memory_order_relaxed);
+}
+
+void Packet::AttachIntBlock() {
+  assert(pool != nullptr && "INT needs a pooled packet (the block's owner)");
+  int_block_ = pool->AcquireIntBlock();
+}
+
+void Packet::AssignInt(std::span<const IntEntry> entries) {
+  assert(entries.size() <= static_cast<std::size_t>(kMaxIntHops));
+  if (!entries.empty() && int_block_ == nullptr) AttachIntBlock();
+  std::copy(entries.begin(), entries.end(), int_block_);
+  int_hops = static_cast<std::uint8_t>(entries.size());
+}
+
+void Packet::CopyFrom(const PacketHeader& hdr, const IntEntry* entries) {
+  PacketPool* const own = pool;
+  static_cast<PacketHeader&>(*this) = hdr;
+  pool = own;
+  next = nullptr;
+  AssignInt({entries, hdr.int_hops});
 }
 
 void PacketReclaimer::operator()(Packet* p) const noexcept {

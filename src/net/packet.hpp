@@ -2,10 +2,11 @@
 // frames; the INT stack follows the FNCC ACK format of Fig. 7 in the paper.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
+#include <span>
 
-#include "sim/static_vector.hpp"
 #include "sim/time.hpp"
 
 namespace fncc {
@@ -52,45 +53,55 @@ struct IntEntry {
 };
 
 class PacketPool;
+struct Packet;
 
-struct Packet {
-  std::uint64_t uid = 0;  // unique per simulation, for tracing
+/// A packet's fixed-size fields: everything except the INT entries, which
+/// live out of line in a block from the owning PacketPool (see Packet).
+/// Copying a header never copies or shares INT storage, so the header is
+/// also what a cross-lane handoff buffers (net/egress_port.hpp).
+///
+/// Field order is access order: the first cache line holds what the egress
+/// FIFO, the pool, ECMP routing, PFC accounting and INT stamping touch on
+/// every hop; the per-flow payload fields follow.
+struct PacketHeader {
+  /// Transport plumbing. `next` links the packet into an EgressPort's
+  /// intrusive FIFO while ownership is flattened to a raw pointer. `pool`
+  /// is the pool that owns the packet (null for a plain heap packet): set
+  /// at acquire, it lets WrapRawPacket rebuild the handle and gives the
+  /// packet its INT blocks.
+  Packet* next = nullptr;
+  PacketPool* pool = nullptr;
+
+  PacketType type = PacketType::kData;
+  /// Entries in the INT stack; written only by Packet's INT methods.
+  std::uint8_t int_hops = 0;
+  /// HPCC stamps DATA along the request path and the receiver copies the
+  /// stack into the ACK (L[0] = first hop from the sender). FNCC stamps
+  /// the ACK on the return path (Alg. 1), so entries appear
+  /// last-request-hop first; int_reversed marks that ordering.
+  bool int_reversed = false;
+  bool ecn_ce = false;  // ECN congestion-experienced mark (DCQCN)
+  std::uint32_t size_bytes = 0;  // wire size; grows when INT is inserted
   FlowId flow = 0;
   NodeId src = kInvalidNode;
   NodeId dst = kInvalidNode;
   std::uint16_t sport = 0;  // ECMP five-tuple ports
   std::uint16_t dport = 0;
 
-  PacketType type = PacketType::kData;
-  std::uint32_t size_bytes = 0;  // wire size; grows when INT is inserted
-
-  // Data: first byte offset of the segment. ACK: cumulative bytes received.
-  std::uint64_t seq = 0;
-  std::uint32_t payload_bytes = 0;  // data only
-  bool last_of_flow = false;
-
-  bool ecn_ce = false;  // ECN congestion-experienced mark (DCQCN)
-
-  /// FNCC: number of concurrent inbound flows N, written by the receiver
-  /// into every ACK (16-bit field in Fig. 7).
-  std::uint16_t concurrent_flows = 0;
-
-  /// RoCC: minimum fair rate stamped by congested switches on the return
-  /// path; <= 0 means "no feedback".
-  double rocc_rate_gbps = 0.0;
-
-  /// INT stack. HPCC: stamped on DATA along the request path and copied
-  /// into the ACK by the receiver (L[0] = first hop from the sender).
-  /// FNCC: stamped on the ACK along the return path (Alg. 1), so entries
-  /// appear last-request-hop first; int_reversed marks that ordering.
-  StaticVector<IntEntry, kMaxIntHops> int_stack;
-  bool int_reversed = false;
-
-  Time t_sent = 0;  // sender timestamp of the data packet, echoed in ACKs
+  /// Switch-local metadata: the port this packet entered the current switch
+  /// on. For an ACK this equals the request path's output port at that
+  /// switch (Observation 3), which is what Alg. 1 indexes All_INT_Table by.
+  std::uint16_t ingress_port = 0;
 
   /// Fig. 7 pathID: XOR of the (12-bit) ids of every switch this packet
   /// crossed, maintained by the data plane for data packets and ACKs alike.
   std::uint16_t path_id = 0;
+
+  bool last_of_flow = false;
+
+  /// FNCC: number of concurrent inbound flows N, written by the receiver
+  /// into every ACK (16-bit field in Fig. 7).
+  std::uint16_t concurrent_flows = 0;
 
   /// ACK only: the request path's pathID as observed by the receiver on
   /// the data packets. A sender running FNCC compares this against the
@@ -99,53 +110,74 @@ struct Packet {
   /// (Observation 2's precondition is violated).
   std::uint16_t req_path_id = 0;
 
-  /// Switch-local metadata: the port this packet entered the current switch
-  /// on. For an ACK this equals the request path's output port at that
-  /// switch (Observation 3), which is what Alg. 1 indexes All_INT_Table by.
-  std::uint16_t ingress_port = 0;
+  std::uint32_t payload_bytes = 0;  // data only
 
-  /// Transport-plumbing fields, meaningful only while ownership is
-  /// flattened to a raw pointer: `next` links the packet into an
-  /// EgressPort's intrusive FIFO; `pool` snapshots the owning PacketPtr's
-  /// reclaimer so the handle can be reconstructed (see WrapRawPacket).
-  /// Refreshed at each hand-off; never read while a PacketPtr is live.
-  Packet* next = nullptr;
-  PacketPool* pool = nullptr;
+  std::uint64_t uid = 0;  // unique per simulation, for tracing
+
+  // Data: first byte offset of the segment. ACK: cumulative bytes received.
+  std::uint64_t seq = 0;
+
+  Time t_sent = 0;  // sender timestamp of the data packet, echoed in ACKs
+
+  /// RoCC: minimum fair rate stamped by congested switches on the return
+  /// path; <= 0 means "no feedback".
+  double rocc_rate_gbps = 0.0;
 
   [[nodiscard]] bool IsControl() const {
     return type == PacketType::kPfcPause || type == PacketType::kPfcResume;
   }
-
-  /// Restores every field to its default without touching the INT stack's
-  /// backing storage (clear() only resets its size) — the cheap reset the
-  /// PacketPool hot path relies on. When adding a field to Packet, reset it
-  /// here; tests/net/packet_pool_test.cpp checks recycled packets are
-  /// indistinguishable from fresh ones.
-  void Reset() {
-    uid = 0;
-    flow = 0;
-    src = kInvalidNode;
-    dst = kInvalidNode;
-    sport = 0;
-    dport = 0;
-    type = PacketType::kData;
-    size_bytes = 0;
-    seq = 0;
-    payload_bytes = 0;
-    last_of_flow = false;
-    ecn_ce = false;
-    concurrent_flows = 0;
-    rocc_rate_gbps = 0.0;
-    int_stack.clear();
-    int_reversed = false;
-    t_sent = 0;
-    path_id = 0;
-    req_path_id = 0;
-    ingress_port = 0;
-    next = nullptr;
-    pool = nullptr;
-  }
 };
+
+/// One packet: data, ACK, CNP or PFC frame. The INT stack is a block of
+/// kMaxIntHops entries taken from the owning pool on the first push and
+/// returned to it when the packet is released, so only packets that carry
+/// INT pay for it (DCQCN never does; FNCC stamps only ACKs). Packets are
+/// not copyable: PacketPool::Clone and CopyFrom copy the header plus the
+/// live entries, never the block pointer.
+struct Packet : PacketHeader {
+  Packet() = default;
+  Packet(const Packet&) = delete;
+  Packet& operator=(const Packet&) = delete;
+
+  /// The INT stack, in stamping order.
+  [[nodiscard]] std::span<const IntEntry> int_stack() const {
+    return {int_block_, int_hops};
+  }
+  [[nodiscard]] bool int_full() const { return int_hops == kMaxIntHops; }
+
+  /// Appends one hop's telemetry. The packet must belong to a pool (the
+  /// block's source) and the stack must not be full.
+  void PushInt(const IntEntry& entry) {
+    assert(!int_full() && "INT stack overflow");
+    if (int_block_ == nullptr) AttachIntBlock();
+    int_block_[int_hops++] = entry;
+  }
+
+  /// Replaces the INT stack with `entries`, copying only those entries.
+  void AssignInt(std::span<const IntEntry> entries);
+
+  /// Copies `hdr` and its `hdr.int_hops` INT entries (read from
+  /// `entries`) into this packet, keeping this packet's pool and INT block
+  /// and unlinking it from any FIFO.
+  void CopyFrom(const PacketHeader& hdr, const IntEntry* entries);
+
+  /// Restores every field to its default — the cheap reset the PacketPool
+  /// hot path relies on. The INT block must already be back in the pool.
+  void Reset() {
+    assert(int_block_ == nullptr);
+    static_cast<PacketHeader&>(*this) = PacketHeader{};
+  }
+
+ private:
+  friend class PacketPool;
+  void AttachIntBlock();  // takes a block from `pool`
+
+  IntEntry* int_block_ = nullptr;  // kMaxIntHops entries, owned by `pool`
+};
+
+// Packets are the largest live population of a run (a k=8 fat-tree DCQCN
+// point holds ~560k at its peak), so the per-packet size is peak memory.
+static_assert(sizeof(Packet) <= 128, "Packet must stay compact");
 
 /// Deleter for pooled packets: hands the packet back to its owning pool's
 /// free list instead of freeing it. A default-constructed reclaimer (null
@@ -161,13 +193,10 @@ struct PacketReclaimer {
 using PacketPtr = std::unique_ptr<Packet, PacketReclaimer>;
 
 /// Flattens a PacketPtr to a raw pointer (for intrusive FIFOs and typed
-/// events), snapshotting the reclaimer into the packet so WrapRawPacket can
-/// rebuild an equivalent handle later.
+/// events); the packet's `pool` lets WrapRawPacket rebuild the handle.
 inline Packet* ReleaseToRaw(PacketPtr p) {
-  Packet* raw = p.get();
-  raw->pool = p.get_deleter().pool;
-  p.release();
-  return raw;
+  assert(p->pool == p.get_deleter().pool && "handle and packet disagree");
+  return p.release();
 }
 
 /// Rebuilds the owning handle a ReleaseToRaw call flattened.

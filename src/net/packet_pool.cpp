@@ -10,6 +10,7 @@ PacketPool::~PacketPool() {
   // order (pool before event queue) guarantees this for model code.
   assert(free_.size() == arena_.size() &&
          "PacketPool destroyed with packets still outstanding");
+  assert(int_blocks_outstanding() == 0);
 }
 
 PacketPtr PacketPool::Acquire() {
@@ -20,8 +21,9 @@ PacketPtr PacketPool::Acquire() {
   } else {
     p = free_.back();
     free_.pop_back();
-    p->Reset();  // INT stack, marks, path ids — everything back to defaults
+    p->Reset();  // INT count, marks, path ids — everything back to defaults
   }
+  p->pool = this;
   p->uid = NextPacketUid();
   ++acquires_;
   return PacketPtr(p, PacketReclaimer{this});
@@ -30,13 +32,22 @@ PacketPtr PacketPool::Acquire() {
 PacketPtr PacketPool::Clone(const Packet& src) {
   PacketPtr p = Acquire();
   const std::uint64_t uid = p->uid;
-  *p = src;
+  p->CopyFrom(src, src.int_stack().data());  // only the live INT entries
   p->uid = uid;
-  // Transport-plumbing fields describe the source's queue position and
-  // owner, not the clone's; the hand-off helpers refresh them as needed.
-  p->next = nullptr;
-  p->pool = nullptr;
   return p;
+}
+
+IntEntry* PacketPool::CarveIntBlock() {
+  const std::size_t in_slab = int_blocks_created_ % kIntBlocksPerSlab;
+  if (in_slab == 0) {
+    int_slabs_.push_back(std::make_unique<IntEntry[]>(
+        kIntBlocksPerSlab * static_cast<std::size_t>(kMaxIntHops)));
+    // Room on the free list for every block the slabs hold keeps Release
+    // allocation-free (it runs in a noexcept deleter).
+    int_free_.reserve(int_slabs_.size() * kIntBlocksPerSlab);
+  }
+  ++int_blocks_created_;
+  return int_slabs_.back().get() + in_slab * kMaxIntHops;
 }
 
 PacketPool& DefaultPacketPool() {

@@ -23,6 +23,13 @@
 //   - Recycled packets are indistinguishable from fresh ones: Acquire()
 //     resets every field to its default and stamps a new uid, so no INT
 //     telemetry, ECN marks or path ids leak across reuses.
+//   - INT blocks: a packet's INT entries live in a block of kMaxIntHops
+//     entries from this pool's block slabs, taken on the packet's first INT
+//     push and returned to this pool's block free list when the packet is
+//     released. A block belongs to exactly one packet at a time and never
+//     leaves its pool's lane (cross-lane handoffs copy the entries). Both
+//     free lists only grow to their high-water mark, so steady-state
+//     traffic, INT-carrying or not, performs no heap allocation.
 #pragma once
 
 #include <cstddef>
@@ -64,14 +71,44 @@ class PacketPool {
   [[nodiscard]] std::uint64_t recycles() const {
     return acquires_ - arena_.size();
   }
+  /// INT blocks ever handed out fresh from a slab == the high-water mark
+  /// of simultaneously live INT-carrying packets. 0 for a pool that never
+  /// saw INT.
+  [[nodiscard]] std::size_t int_blocks_created() const {
+    return int_blocks_created_;
+  }
+  /// INT blocks currently attached to packets.
+  [[nodiscard]] std::size_t int_blocks_outstanding() const {
+    return int_blocks_created() - int_free_.size();
+  }
 
  private:
   friend struct PacketReclaimer;
-  void Release(Packet* p) noexcept { free_.push_back(p); }
+  friend struct Packet;
+
+  static constexpr std::size_t kIntBlocksPerSlab = 64;
+
+  void Release(Packet* p) noexcept {
+    if (p->int_block_ != nullptr) {
+      int_free_.push_back(p->int_block_);  // capacity reserved per slab
+      p->int_block_ = nullptr;
+    }
+    free_.push_back(p);
+  }
+  IntEntry* AcquireIntBlock() {
+    if (int_free_.empty()) return CarveIntBlock();
+    IntEntry* block = int_free_.back();
+    int_free_.pop_back();
+    return block;
+  }
+  IntEntry* CarveIntBlock();  // the next unused block of the newest slab
 
   std::vector<std::unique_ptr<Packet>> arena_;
   std::vector<Packet*> free_;
   std::uint64_t acquires_ = 0;
+  std::vector<std::unique_ptr<IntEntry[]>> int_slabs_;
+  std::size_t int_blocks_created_ = 0;
+  std::vector<IntEntry*> int_free_;
 };
 
 /// Per-thread fallback pool behind MakePacket()/ClonePacket() when no

@@ -155,8 +155,8 @@ void Switch::OnTransmitStart(int port_idx, Packet& pkt) {
 
   // HPCC: the egress pipeline appends this hop's INT to data packets.
   if (config_.stamp_data_int && pkt.type == PacketType::kData &&
-      !pkt.int_stack.full()) {
-    pkt.int_stack.push_back(IntFor(port_idx));
+      !pkt.int_full()) {
+    pkt.PushInt(IntFor(port_idx));
     pkt.size_bytes += config_.int_bytes_per_hop;
   }
 
@@ -164,8 +164,8 @@ void Switch::OnTransmitStart(int port_idx, Packet& pkt) {
   // the ACK's input port — the request path's output port at this switch —
   // and inserts that entry into the ACK.
   if (config_.stamp_ack_int && pkt.type == PacketType::kAck &&
-      !pkt.int_stack.full()) {
-    pkt.int_stack.push_back(IntFor(pkt.ingress_port));
+      !pkt.int_full()) {
+    pkt.PushInt(IntFor(pkt.ingress_port));
     pkt.int_reversed = true;  // entries accumulate last-request-hop first
     pkt.size_bytes += config_.int_bytes_per_hop;
   }

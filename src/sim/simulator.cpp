@@ -67,6 +67,12 @@ std::uint64_t Simulator::pool_acquires() const {
   return n;
 }
 
+std::uint64_t Simulator::pool_int_blocks_created() const {
+  std::uint64_t n = 0;
+  for (const auto& p : pools_) n += p->int_blocks_created();
+  return n;
+}
+
 void Simulator::Partition(int lanes) {
   assert(!multi_ && "Partition called twice");
   assert(lane0_.queue.Empty() && lane0_.now == 0 &&

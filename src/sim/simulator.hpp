@@ -171,6 +171,7 @@ class Simulator {
   /// thread counts at a fixed partitioning but not across lane counts.
   [[nodiscard]] std::uint64_t pool_total_created() const;
   [[nodiscard]] std::uint64_t pool_acquires() const;
+  [[nodiscard]] std::uint64_t pool_int_blocks_created() const;
 
   /// Upper bound on delivery_batch (sizes the drain paths' stack arrays).
   static constexpr int kMaxDeliveryBatch = 64;

@@ -55,6 +55,7 @@
 //     Parallel sweeps build one table per job (inside the host factory).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -62,7 +63,6 @@
 #include <vector>
 
 #include "net/packet.hpp"
-#include "sim/static_vector.hpp"
 #include "sim/time.hpp"
 #include "transport/hot_flow.hpp"
 #include "transport/sender_qp.hpp"
@@ -100,8 +100,10 @@ struct RecvCtx {
   Host* claimed_by = nullptr;
   bool claimed = false;
   bool done = false;
-  // HPCC: latest INT stack observed on this flow's data packets.
-  StaticVector<IntEntry, kMaxIntHops> last_int;
+  // HPCC: the INT stack of the latest data packet on this flow (its first
+  // last_int_hops entries), echoed into the next ACK.
+  std::array<IntEntry, kMaxIntHops> last_int{};
+  std::uint8_t last_int_hops = 0;
   // Fig. 7 pathID of the request path, echoed into ACKs so the sender
   // can verify path symmetry.
   std::uint16_t last_path_id = 0;

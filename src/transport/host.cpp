@@ -1,6 +1,8 @@
 #include "transport/host.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <span>
 
 #include "net/packet_pool.hpp"
 #include "sim/log.hpp"
@@ -159,7 +161,9 @@ void Host::HandleData(PacketPtr pkt) {
   // (seq < rcv_nxt: duplicate from go-back-N; just re-ACK.)
 
   if (config_.attach_int_to_ack) {
-    ctx.last_int = pkt->int_stack;
+    const std::span<const IntEntry> ints = pkt->int_stack();
+    std::copy(ints.begin(), ints.end(), ctx.last_int.begin());
+    ctx.last_int_hops = pkt->int_hops;
   }
   ctx.last_path_id = pkt->path_id;
 
@@ -198,10 +202,9 @@ void Host::SendAck(const Packet& data, RecvCtx& ctx) {
   }
   if (config_.attach_int_to_ack) {
     // HPCC: the receiver echoes the request path's INT (request order).
-    ack->int_stack = ctx.last_int;
+    ack->AssignInt({ctx.last_int.data(), ctx.last_int_hops});
     ack->int_reversed = false;
-    ack->size_bytes += static_cast<std::uint32_t>(ctx.last_int.size()) *
-                       kIntBytesPerHop;
+    ack->size_bytes += ctx.last_int_hops * kIntBytesPerHop;
   }
   nic_.Enqueue(std::move(ack));
 }

@@ -30,8 +30,8 @@ PacketPtr FnccAck(std::uint64_t seq, Time ts, std::uint64_t tx,
   ack->seq = seq;
   ack->int_reversed = true;
   ack->concurrent_flows = n;
-  ack->int_stack.push_back(IntEntry{kLine, ts, tx, qlen_last});   // last hop
-  ack->int_stack.push_back(IntEntry{kLine, ts, tx, qlen_first});  // first hop
+  ack->PushInt(IntEntry{kLine, ts, tx, qlen_last});   // last hop
+  ack->PushInt(IntEntry{kLine, ts, tx, qlen_first});  // first hop
   return ack;
 }
 
@@ -112,9 +112,9 @@ TEST_F(FnccLhcsTest, EqualCongestionEverywherePrefersEarlierHop) {
 TEST(FnccTest, ReversedIntViewMapsHopsCorrectly) {
   PacketPtr ack = test::MakeAck(1, 0);
   ack->int_reversed = true;
-  ack->int_stack.push_back(IntEntry{100.0, 1, 10, 111});  // last request hop
-  ack->int_stack.push_back(IntEntry{100.0, 2, 20, 222});
-  ack->int_stack.push_back(IntEntry{100.0, 3, 30, 333});  // first request hop
+  ack->PushInt(IntEntry{100.0, 1, 10, 111});  // last request hop
+  ack->PushInt(IntEntry{100.0, 2, 20, 222});
+  ack->PushInt(IntEntry{100.0, 3, 30, 333});  // first request hop
   const IntView view(*ack);
   EXPECT_EQ(view.hops(), 3u);
   EXPECT_EQ(view.hop(0).qlen_bytes, 333u);  // first hop from sender
@@ -124,8 +124,8 @@ TEST(FnccTest, ReversedIntViewMapsHopsCorrectly) {
 
 TEST(FnccTest, ForwardIntViewIsIdentity) {
   PacketPtr ack = test::MakeAck(1, 0);
-  ack->int_stack.push_back(IntEntry{100.0, 1, 10, 111});
-  ack->int_stack.push_back(IntEntry{100.0, 2, 20, 222});
+  ack->PushInt(IntEntry{100.0, 1, 10, 111});
+  ack->PushInt(IntEntry{100.0, 2, 20, 222});
   const IntView view(*ack);
   EXPECT_EQ(view.hop(0).qlen_bytes, 111u);
   EXPECT_EQ(view.hop(1).qlen_bytes, 222u);
@@ -147,8 +147,8 @@ TEST(FnccTest, InheritsHpccControlWhenNoLastHopCongestion) {
     auto fncc_ack = FnccAck(i * 1000, ts, tx, 0, 200'000, 2);
     PacketPtr hpcc_ack = test::MakeAck(1, 0);
     hpcc_ack->seq = i * 1000;
-    hpcc_ack->int_stack.push_back(IntEntry{kLine, ts, tx, 200'000});
-    hpcc_ack->int_stack.push_back(IntEntry{kLine, ts, tx, 0});
+    hpcc_ack->PushInt(IntEntry{kLine, ts, tx, 200'000});
+    hpcc_ack->PushInt(IntEntry{kLine, ts, tx, 0});
     fncc.OnAck(*fncc_ack, i * 1000);
     hpcc.OnAck(*hpcc_ack, i * 1000);
   }

@@ -26,7 +26,7 @@ PacketPtr AckWithInt(std::uint64_t seq, Time ts, std::uint64_t tx_bytes,
                      std::uint64_t qlen, double gbps = kLine) {
   PacketPtr ack = test::MakeAck(1, 0);
   ack->seq = seq;
-  ack->int_stack.push_back(IntEntry{gbps, ts, tx_bytes, qlen});
+  ack->PushInt(IntEntry{gbps, ts, tx_bytes, qlen});
   return ack;
 }
 
@@ -170,8 +170,8 @@ TEST(HpccTest, MostCongestedHopGovernsMultiHopPath) {
                    std::uint64_t q0, std::uint64_t q1) {
     PacketPtr ack = test::MakeAck(1, 0);
     ack->seq = seq;
-    ack->int_stack.push_back(IntEntry{kLine, ts, tx, q0});
-    ack->int_stack.push_back(IntEntry{kLine, ts, tx, q1});
+    ack->PushInt(IntEntry{kLine, ts, tx, q0});
+    ack->PushInt(IntEntry{kLine, ts, tx, q1});
     return ack;
   };
   std::uint64_t tx = 0;

@@ -67,8 +67,8 @@ TEST_P(CongestionControlTest, OnlyFnccCountsLhcsTriggers) {
     p->seq = seq;
     p->int_reversed = true;
     p->concurrent_flows = 4;
-    p->int_stack.push_back(IntEntry{100.0, ts, tx, 300'000});  // last hop
-    p->int_stack.push_back(IntEntry{100.0, ts, tx, 0});        // first hop
+    p->PushInt(IntEntry{100.0, ts, tx, 300'000});  // last hop
+    p->PushInt(IntEntry{100.0, ts, tx, 0});        // first hop
     return p;
   };
   cc.OnAck(*ack(1, Microseconds(1), 0), 1);

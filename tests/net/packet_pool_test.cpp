@@ -3,11 +3,31 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <random>
 #include <set>
 #include <vector>
 
+#include "harness/experiment_runner.hpp"
+#include "harness/experiment_spec.hpp"
+#include "net/switch.hpp"
 #include "sim/simulator.hpp"
+
+// Heap-allocation counter for the zero-allocation checks below: every
+// operator new in this test binary goes through here and is counted.
+namespace {
+std::atomic<std::uint64_t> g_heap_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace fncc {
 namespace {
@@ -19,7 +39,7 @@ TEST(PacketPoolTest, AcquireGivesDefaultPacketWithFreshUid) {
   EXPECT_NE(a->uid, 0u);
   EXPECT_NE(a->uid, b->uid);
   EXPECT_EQ(a->type, PacketType::kData);
-  EXPECT_TRUE(a->int_stack.empty());
+  EXPECT_TRUE(a->int_stack().empty());
   EXPECT_EQ(pool.total_created(), 2u);
   EXPECT_EQ(pool.outstanding(), 2u);
 }
@@ -52,7 +72,7 @@ TEST(PacketPoolTest, RecycledPacketIsIndistinguishableFromFresh) {
     p->t_sent = 8;
     p->ingress_port = 9;
     for (int i = 0; i < 5; ++i) {
-      p->int_stack.push_back(IntEntry{100.0, 123, 456, 789});
+      p->PushInt(IntEntry{100.0, 123, 456, 789});
     }
   }  // returns to the pool
 
@@ -61,7 +81,7 @@ TEST(PacketPoolTest, RecycledPacketIsIndistinguishableFromFresh) {
   EXPECT_EQ(pool.total_created(), 1u);
   EXPECT_NE(q->uid, first_uid) << "recycled packet must get a fresh uid";
   // No telemetry or header state leaks across the reuse.
-  EXPECT_TRUE(q->int_stack.empty());
+  EXPECT_TRUE(q->int_stack().empty());
   EXPECT_EQ(q->type, PacketType::kData);
   EXPECT_EQ(q->flow, 0u);
   EXPECT_FALSE(q->ecn_ce);
@@ -88,7 +108,7 @@ TEST(PacketPoolTest, CloneCopiesEverythingExceptUid) {
   src->type = PacketType::kAck;
   src->flow = 3;
   src->seq = 1'000'000;
-  src->int_stack.push_back(IntEntry{400.0, 1, 2, 3});
+  src->PushInt(IntEntry{400.0, 1, 2, 3});
   src->int_reversed = true;
 
   PacketPtr copy = pool.Clone(*src);
@@ -97,8 +117,8 @@ TEST(PacketPoolTest, CloneCopiesEverythingExceptUid) {
   EXPECT_EQ(copy->flow, 3u);
   EXPECT_EQ(copy->seq, 1'000'000u);
   EXPECT_TRUE(copy->int_reversed);
-  ASSERT_EQ(copy->int_stack.size(), 1u);
-  EXPECT_EQ(copy->int_stack[0], (IntEntry{400.0, 1, 2, 3}));
+  ASSERT_EQ(copy->int_stack().size(), 1u);
+  EXPECT_EQ(copy->int_stack()[0], (IntEntry{400.0, 1, 2, 3}));
 }
 
 TEST(PacketPoolTest, PoolSizeStaysBoundedUnderLongRun) {
@@ -201,6 +221,176 @@ TEST(PacketPoolTest, PacketsHeldInScheduledEventsDrainSafely) {
   EXPECT_EQ(sim.packet_pool().outstanding(), 8u);
   // Destroying `sim` at scope exit must not trip the pool's
   // all-packets-returned assertion.
+}
+
+// ---------------------------------------------------------------- INT blocks
+
+constexpr IntEntry kHop{100.0, 123, 456, 789};
+
+TEST(PacketPoolIntTest, ReleasedPacketReturnsItsBlock) {
+  PacketPool pool;
+  PacketPtr plain = pool.Acquire();
+  EXPECT_EQ(pool.int_blocks_created(), 0u) << "no INT, no block";
+  {
+    PacketPtr p = pool.Acquire();
+    p->PushInt(kHop);
+    p->PushInt(kHop);  // the second hop reuses the packet's block
+    EXPECT_EQ(pool.int_blocks_outstanding(), 1u);
+  }
+  EXPECT_EQ(pool.int_blocks_outstanding(), 0u);
+  EXPECT_EQ(pool.int_blocks_created(), 1u);
+  for (int i = 0; i < 1000; ++i) {
+    PacketPtr p = pool.Acquire();
+    p->PushInt(kHop);
+  }
+  EXPECT_EQ(pool.int_blocks_created(), 1u) << "blocks are recycled";
+  EXPECT_EQ(pool.int_blocks_outstanding(), 0u);
+}
+
+TEST(PacketPoolIntTest, RecycledPacketHasAnEmptyIntStack) {
+  PacketPool pool;
+  Packet* addr = nullptr;
+  {
+    PacketPtr p = pool.Acquire();
+    addr = p.get();
+    for (int i = 0; i < kMaxIntHops; ++i) p->PushInt(kHop);
+    EXPECT_TRUE(p->int_full());
+  }
+  PacketPtr q = pool.Acquire();
+  ASSERT_EQ(q.get(), addr);
+  EXPECT_TRUE(q->int_stack().empty());
+  EXPECT_FALSE(q->int_full());
+  EXPECT_EQ(pool.int_blocks_outstanding(), 0u);
+  q->PushInt(IntEntry{1.0, 2, 3, 4});  // a fresh stack, one entry deep
+  ASSERT_EQ(q->int_stack().size(), 1u);
+  EXPECT_EQ(q->int_stack()[0], (IntEntry{1.0, 2, 3, 4}));
+}
+
+TEST(PacketPoolIntTest, CloneDeepCopiesExactlyTheLiveEntries) {
+  PacketPool pool;
+  // Leave a stale full stack in the block `src` will reuse (the block free
+  // list is LIFO), so entries past src's size hold markers.
+  constexpr IntEntry kStale{-1.0, -1, 1, 1};
+  {
+    PacketPtr old = pool.Acquire();
+    for (int i = 0; i < kMaxIntHops; ++i) old->PushInt(kStale);
+  }
+  PacketPtr src = pool.Acquire();
+  const IntEntry hops[] = {{100.0, 1, 2, 3}, {200.0, 4, 5, 6},
+                           {400.0, 7, 8, 9}};
+  for (const IntEntry& h : hops) src->PushInt(h);
+  src->int_reversed = true;
+  ASSERT_EQ(src->int_stack().data()[3], kStale);
+
+  PacketPtr copy = pool.Clone(*src);
+  ASSERT_EQ(copy->int_stack().size(), 3u);
+  EXPECT_NE(copy->int_stack().data(), src->int_stack().data())
+      << "the clone owns its own block";
+  EXPECT_TRUE(copy->int_reversed);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(copy->int_stack()[i], hops[i]);
+  // Only the live entries moved: the clone's (fresh) block past its size
+  // holds no stale marker from src's block.
+  const IntEntry* block = copy->int_stack().data();
+  for (int i = 3; i < kMaxIntHops; ++i) EXPECT_EQ(block[i], IntEntry{}) << i;
+  EXPECT_EQ(pool.int_blocks_outstanding(), 2u);
+
+  src.reset();  // the source's block goes back; the clone's entries stay
+  EXPECT_EQ(pool.int_blocks_outstanding(), 1u);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(copy->int_stack()[i], hops[i]);
+  copy->PushInt(kHop);  // the clone grows independently
+  EXPECT_EQ(copy->int_stack().size(), 4u);
+
+  PacketPtr bare = pool.Clone(*pool.Acquire());
+  EXPECT_TRUE(bare->int_stack().empty());
+  EXPECT_EQ(pool.int_blocks_outstanding(), 1u) << "no INT, no block";
+}
+
+/// Drops every delivery (a receiver that reclaims without storing).
+class DropSink final : public Endpoint {
+ public:
+  DropSink(Simulator* sim, NodeId id) : Endpoint(sim, id, "drop"), nic_(sim) {}
+  EgressPort& nic() override { return nic_; }
+  void ReceivePacket(PacketPtr, int) override {}
+
+ private:
+  EgressPort nic_;
+};
+
+/// Feeds bursts of ACKs through a two-port switch and returns the heap
+/// allocations of 20 bursts after a warm-up burst. With `stamp`, the ACKs
+/// arrive carrying 4 upstream INT hops and the switch stamps one more
+/// (FNCC); without, no packet carries INT. INT adds no wire bytes here
+/// (int_bytes_per_hop = 0), so both variants schedule the identical event
+/// sequence and any difference in allocations is the INT path's.
+std::uint64_t SteadyAllocsForwardingAcks(bool stamp) {
+  Simulator sim;
+  Rng rng(1);
+  SwitchConfig config;
+  config.num_ports = 2;
+  config.stamp_ack_int = stamp;
+  config.int_bytes_per_hop = 0;
+  Switch sw(&sim, 0, "sw", config, &rng);
+  DropSink a(&sim, 1), b(&sim, 2);
+  sw.port(0).Connect({&a, 0}, 100.0, Nanoseconds(100));
+  a.nic().Connect({&sw, 0}, 100.0, Nanoseconds(100));
+  sw.port(1).Connect({&b, 0}, 100.0, Nanoseconds(100));
+  b.nic().Connect({&sw, 1}, 100.0, Nanoseconds(100));
+  sw.routing().Resize(3);
+  sw.routing().SetNextHops(1, {0});
+  sw.routing().SetNextHops(2, {1});
+  PacketPool& pool = sim.packet_pool();
+
+  const auto burst = [&] {
+    for (int i = 0; i < 64; ++i) {
+      PacketPtr ack = pool.Acquire();
+      ack->type = PacketType::kAck;
+      ack->src = 2;
+      ack->dst = 1;
+      ack->size_bytes = kAckBytes;
+      if (stamp) {
+        for (int h = 0; h < 4; ++h) ack->PushInt(kHop);
+      }
+      sw.ReceivePacket(std::move(ack), 1);
+    }
+    sim.RunUntil(sim.Now() + Microseconds(50));
+  };
+  burst();  // warm-up: packets, INT blocks, queue slots
+  EXPECT_EQ(pool.int_blocks_created() > 0, stamp);
+  const std::size_t packets = pool.total_created();
+  const std::size_t blocks = pool.int_blocks_created();
+  const std::uint64_t before = g_heap_allocs.load();
+  for (int round = 0; round < 20; ++round) burst();
+  const std::uint64_t allocs = g_heap_allocs.load() - before;
+  EXPECT_EQ(pool.total_created(), packets);
+  EXPECT_EQ(pool.int_blocks_created(), blocks);
+  EXPECT_EQ(pool.int_blocks_outstanding(), 0u);
+  return allocs;
+}
+
+TEST(PacketPoolIntTest, StampingFnccAcksAllocatesNothingOnceWarm) {
+  // The event queue's buckets still warm up over the first milliseconds
+  // of simulated time (their allocations are the same in both runs); the
+  // INT blocks, once the pool is warm, add none.
+  EXPECT_EQ(SteadyAllocsForwardingAcks(/*stamp=*/true),
+            SteadyAllocsForwardingAcks(/*stamp=*/false));
+}
+
+ExperimentPointResult ShortDumbbellPoint(CcMode mode) {
+  ExperimentSpec spec;  // two elephants on the default dumbbell
+  spec.scenario.mode = mode;
+  spec.run.duration = Microseconds(100);
+  spec.run.monitor = false;
+  return RunExperimentPoint(spec);
+}
+
+TEST(PacketPoolIntTest, OnlyIntCarryingModesAllocateBlocks) {
+  const ExperimentPointResult dcqcn = ShortDumbbellPoint(CcMode::kDcqcn);
+  EXPECT_GT(dcqcn.pool_packets_created, 0u);
+  EXPECT_EQ(dcqcn.pool_int_blocks_created, 0u);
+  const ExperimentPointResult fncc = ShortDumbbellPoint(CcMode::kFncc);
+  EXPECT_GT(fncc.pool_int_blocks_created, 0u);
+  // FNCC stamps only ACKs: far fewer blocks than packets.
+  EXPECT_LT(fncc.pool_int_blocks_created, fncc.pool_packets_created);
 }
 
 TEST(PacketPoolTest, DetachedPacketPtrOwnsPlainHeapPacket) {

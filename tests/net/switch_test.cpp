@@ -57,7 +57,7 @@ TEST_F(SwitchTest, NoIntStampingByDefault) {
   h0_->nic().Enqueue(MakeData(h0_->id(), h1_->id(), 1518));
   sim_.Run();
   ASSERT_EQ(h1_->received.size(), 1u);
-  EXPECT_TRUE(h1_->received[0]->int_stack.empty());
+  EXPECT_TRUE(h1_->received[0]->int_stack().empty());
   EXPECT_EQ(h1_->received[0]->size_bytes, 1518u);
 }
 
@@ -69,15 +69,15 @@ TEST_F(SwitchTest, HpccModeStampsDataInt) {
   sim_.Run();
   ASSERT_EQ(h1_->received.size(), 1u);
   const Packet& p = *h1_->received[0];
-  ASSERT_EQ(p.int_stack.size(), 1u);
+  ASSERT_EQ(p.int_stack().size(), 1u);
   EXPECT_FALSE(p.int_reversed);
-  EXPECT_DOUBLE_EQ(p.int_stack[0].bandwidth_gbps, 100.0);
+  EXPECT_DOUBLE_EQ(p.int_stack()[0].bandwidth_gbps, 100.0);
   EXPECT_EQ(p.size_bytes, 1518u + kIntBytesPerHop);
   // ACKs are not stamped in HPCC mode.
   h1_->nic().Enqueue(MakeAck(h1_->id(), h0_->id()));
   sim_.Run();
   ASSERT_EQ(h0_->received.size(), 1u);
-  EXPECT_TRUE(h0_->received[0]->int_stack.empty());
+  EXPECT_TRUE(h0_->received[0]->int_stack().empty());
 }
 
 TEST_F(SwitchTest, FnccModeStampsAckWithRequestPathPort) {
@@ -89,16 +89,16 @@ TEST_F(SwitchTest, FnccModeStampsAckWithRequestPathPort) {
     h0_->nic().Enqueue(MakeData(h0_->id(), h1_->id(), 1518));
   }
   sim_.Run();
-  EXPECT_TRUE(h1_->received[0]->int_stack.empty());  // data untouched
+  EXPECT_TRUE(h1_->received[0]->int_stack().empty());  // data untouched
 
   // The ACK from h1 must carry INT of the port toward h1 (request path).
   h1_->nic().Enqueue(MakeAck(h1_->id(), h0_->id()));
   sim_.Run();
   ASSERT_EQ(h0_->received.size(), 1u);
   const Packet& ack = *h0_->received[0];
-  ASSERT_EQ(ack.int_stack.size(), 1u);
+  ASSERT_EQ(ack.int_stack().size(), 1u);
   EXPECT_TRUE(ack.int_reversed);
-  EXPECT_EQ(ack.int_stack[0].tx_bytes, 3u * 1518u);
+  EXPECT_EQ(ack.int_stack()[0].tx_bytes, 3u * 1518u);
   EXPECT_EQ(ack.size_bytes, kAckBytes + kIntBytesPerHop);
 }
 
@@ -220,14 +220,14 @@ TEST_F(SwitchTest, IntTableRefreshIntroducesStaleness) {
   h1_->nic().Enqueue(MakeAck(h1_->id(), h0_->id()));
   sim_.RunUntil(Microseconds(20));
   ASSERT_EQ(h0_->received.size(), 1u);
-  EXPECT_EQ(h0_->received[0]->int_stack[0].ts, 0);
+  EXPECT_EQ(h0_->received[0]->int_stack()[0].ts, 0);
 
   // After a refresh the table carries a recent timestamp.
   sim_.RunUntil(Microseconds(60));
   h1_->nic().Enqueue(MakeAck(h1_->id(), h0_->id()));
   sim_.RunUntil(Microseconds(80));
   ASSERT_EQ(h0_->received.size(), 2u);
-  EXPECT_GE(h0_->received[1]->int_stack[0].ts, Microseconds(50));
+  EXPECT_GE(h0_->received[1]->int_stack()[0].ts, Microseconds(50));
 }
 
 }  // namespace

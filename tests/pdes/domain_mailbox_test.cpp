@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "../test_util.hpp"
 #include "net/egress_port.hpp"
+#include "net/packet_pool.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 
@@ -146,6 +148,55 @@ TEST(DomainMailboxTest, HandoffPreservesPacketFields) {
   EXPECT_EQ(got.dport, 2222);
   EXPECT_EQ(got.size_bytes, 1234u);
   EXPECT_TRUE(got.ecn_ce);
+}
+
+// An INT-carrying ACK crossing a lane boundary: the entries arrive bit for
+// bit in a block of the destination lane's pool, and the source packet's
+// block goes back to the source lane's pool at the handoff.
+TEST(DomainMailboxTest, HandoffCarriesIntEntriesAndReturnsTheSourceBlock) {
+  Simulator sim;
+  sim.Partition(2);
+  SinkEndpoint sink(&sim, 7, "sink");
+  EgressPort port(&sim);
+  port.Connect({&sink, 3}, 100.0, Microseconds(1));
+  port.SetCrossLane(1);
+  sim.set_domain_lookahead(Microseconds(1));
+  PacketPool* src_pool = nullptr;
+  PacketPool* dst_pool = nullptr;
+  {
+    Simulator::ActiveLaneScope scope(&sim, 1);
+    dst_pool = &sim.packet_pool();
+  }
+
+  const IntEntry hops[] = {{100.0, 11, 1'518, 0},
+                           {400.0, 22, 3'036, 40'000},
+                           {25.0, 33, 4'554, 123'456'789}};
+  {
+    Simulator::ActiveLaneScope scope(&sim, 0);
+    src_pool = &sim.packet_pool();
+    PacketPtr ack = src_pool->Acquire();
+    ack->type = PacketType::kAck;
+    ack->src = 4;
+    ack->dst = 7;
+    ack->size_bytes = kAckBytes;
+    for (const IntEntry& h : hops) ack->PushInt(h);
+    ack->int_reversed = true;
+    EXPECT_EQ(src_pool->int_blocks_outstanding(), 1u);
+    port.Enqueue(std::move(ack));
+  }
+  ASSERT_NE(src_pool, dst_pool);
+  sim.Run();
+
+  EXPECT_GT(src_pool->int_blocks_created(), 0u);
+  EXPECT_EQ(src_pool->int_blocks_outstanding(), 0u)
+      << "the source block returns to the source lane's pool";
+  ASSERT_EQ(sink.received.size(), 1u);
+  const Packet& got = *sink.received[0];
+  EXPECT_EQ(got.pool, dst_pool);
+  EXPECT_EQ(dst_pool->int_blocks_outstanding(), 1u);
+  EXPECT_TRUE(got.int_reversed);
+  ASSERT_EQ(got.int_stack().size(), 3u);
+  EXPECT_EQ(std::memcmp(got.int_stack().data(), hops, sizeof(hops)), 0);
 }
 
 // The partitioned run and the classic single-queue run of the same

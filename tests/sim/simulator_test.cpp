@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "sim/rng.hpp"
-#include "sim/static_vector.hpp"
 #include "sim/time.hpp"
 #include "sim/unique_function.hpp"
 
@@ -143,33 +142,6 @@ TEST(RngTest, UniformIntCoversRangeInclusive) {
   }
   EXPECT_TRUE(saw_lo);
   EXPECT_TRUE(saw_hi);
-}
-
-TEST(StaticVectorTest, PushPopAndIteration) {
-  StaticVector<int, 4> v;
-  EXPECT_TRUE(v.empty());
-  v.push_back(1);
-  v.push_back(2);
-  v.push_back(3);
-  EXPECT_EQ(v.size(), 3u);
-  EXPECT_EQ(v.front(), 1);
-  EXPECT_EQ(v.back(), 3);
-  int sum = 0;
-  for (int x : v) sum += x;
-  EXPECT_EQ(sum, 6);
-  v.pop_back();
-  EXPECT_EQ(v.size(), 2u);
-  v.clear();
-  EXPECT_TRUE(v.empty());
-}
-
-TEST(StaticVectorTest, FullAndEquality) {
-  StaticVector<int, 2> a{1, 2};
-  StaticVector<int, 2> b{1, 2};
-  StaticVector<int, 2> c{1};
-  EXPECT_TRUE(a.full());
-  EXPECT_EQ(a, b);
-  EXPECT_FALSE(a == c);
 }
 
 TEST(UniqueFunctionTest, InvokesAndMoves) {
