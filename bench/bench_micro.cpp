@@ -182,7 +182,6 @@ void BM_MakeUniquePacket(benchmark::State& state) {
   // The pre-refactor allocation path: one make_unique + free per packet.
   for (auto _ : state) {
     auto p = std::make_unique<Packet>();
-    p->uid = NextPacketUid();
     p->size_bytes = kDefaultMtuBytes;
     benchmark::DoNotOptimize(p.get());
   }
@@ -230,8 +229,9 @@ CcConfig MicroCcConfig(CcMode mode) {
   return ResolveCcConfig(c);
 }
 
-PacketPtr IntAck(std::uint64_t seq, Time ts, std::uint64_t tx, bool reversed) {
-  PacketPtr ack = MakePacket();
+PacketPtr IntAck(PacketPool& pool, std::uint64_t seq, Time ts, std::uint64_t tx,
+                 bool reversed) {
+  PacketPtr ack = pool.Acquire();
   ack->type = PacketType::kAck;
   ack->seq = seq;
   ack->int_reversed = reversed;
@@ -245,6 +245,7 @@ PacketPtr IntAck(std::uint64_t seq, Time ts, std::uint64_t tx, bool reversed) {
 void BM_HpccAckProcessing(benchmark::State& state) {
   const CcConfig config = MicroCcConfig(CcMode::kHpcc);
   HpccAlgorithm cc(config);
+  PacketPool pool;
   std::uint64_t seq = 1;
   Time ts = 0;
   std::uint64_t tx = 0;
@@ -252,7 +253,7 @@ void BM_HpccAckProcessing(benchmark::State& state) {
     ts += Microseconds(1);
     tx += 12'500;
     seq += 1518;
-    cc.OnAck(*IntAck(seq, ts, tx, false), seq + 150'000);
+    cc.OnAck(*IntAck(pool, seq, ts, tx, false), seq + 150'000);
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -261,6 +262,7 @@ BENCHMARK(BM_HpccAckProcessing);
 void BM_FnccAckProcessing(benchmark::State& state) {
   const CcConfig config = MicroCcConfig(CcMode::kFncc);
   FnccAlgorithm cc(config);
+  PacketPool pool;
   std::uint64_t seq = 1;
   Time ts = 0;
   std::uint64_t tx = 0;
@@ -268,7 +270,7 @@ void BM_FnccAckProcessing(benchmark::State& state) {
     ts += Microseconds(1);
     tx += 12'500;
     seq += 1518;
-    cc.OnAck(*IntAck(seq, ts, tx, true), seq + 150'000);
+    cc.OnAck(*IntAck(pool, seq, ts, tx, true), seq + 150'000);
   }
   state.SetItemsProcessed(state.iterations());
 }

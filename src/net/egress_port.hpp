@@ -144,8 +144,8 @@ class EgressPort {
 
  private:
   /// Intrusive FIFO threaded through Packet::next. Packets are held as raw
-  /// pointers with their reclaimer snapshotted (ReleaseToRaw), so queueing
-  /// moves one pointer instead of a deque node.
+  /// pointers (ReleaseToRaw; each records its pool), so queueing moves one
+  /// pointer instead of a deque node.
   struct Fifo {
     Packet* head = nullptr;
     Packet* tail = nullptr;

@@ -66,9 +66,9 @@ struct Packet;
 struct PacketHeader {
   /// Transport plumbing. `next` links the packet into an EgressPort's
   /// intrusive FIFO while ownership is flattened to a raw pointer. `pool`
-  /// is the pool that owns the packet (null for a plain heap packet): set
-  /// at acquire, it lets WrapRawPacket rebuild the handle and gives the
-  /// packet its INT blocks.
+  /// is the pool that owns the packet: set at acquire, it is where the
+  /// PacketPtr deleter returns the packet and where its INT blocks come
+  /// from.
   Packet* next = nullptr;
   PacketPool* pool = nullptr;
 
@@ -112,8 +112,6 @@ struct PacketHeader {
 
   std::uint32_t payload_bytes = 0;  // data only
 
-  std::uint64_t uid = 0;  // unique per simulation, for tracing
-
   // Data: first byte offset of the segment. ACK: cumulative bytes received.
   std::uint64_t seq = 0;
 
@@ -132,8 +130,8 @@ struct PacketHeader {
 /// kMaxIntHops entries taken from the owning pool on the first push and
 /// returned to it when the packet is released, so only packets that carry
 /// INT pay for it (DCQCN never does; FNCC stamps only ACKs). Packets are
-/// not copyable: PacketPool::Clone and CopyFrom copy the header plus the
-/// live entries, never the block pointer.
+/// not copyable: CopyFrom copies the header plus the live entries, never
+/// the block pointer.
 struct Packet : PacketHeader {
   Packet() = default;
   Packet(const Packet&) = delete;
@@ -179,45 +177,24 @@ struct Packet : PacketHeader {
 // point holds ~560k at its peak), so the per-packet size is peak memory.
 static_assert(sizeof(Packet) <= 128, "Packet must stay compact");
 
-/// Deleter for pooled packets: hands the packet back to its owning pool's
-/// free list instead of freeing it. A default-constructed reclaimer (null
-/// pool) deletes, so a PacketPtr can also own a plain heap packet.
+/// Deleter for pooled packets: hands the packet back to the free list of
+/// the pool it records (`p->pool`) instead of freeing it.
 struct PacketReclaimer {
-  PacketPool* pool = nullptr;
   void operator()(Packet* p) const noexcept;
 };
 
-/// Owning handle to a packet. RAII: destroying the handle returns the packet
-/// to its pool for reuse. The pool must outlive every handle it issued (see
-/// PacketPool's class comment for the ownership contract).
+/// Owning handle to a packet, issued by PacketPool::Acquire. RAII:
+/// destroying the handle returns the packet to its pool for reuse. The pool
+/// must outlive every handle it issued (see PacketPool's class comment for
+/// the ownership contract).
 using PacketPtr = std::unique_ptr<Packet, PacketReclaimer>;
+static_assert(sizeof(PacketPtr) == sizeof(Packet*));
 
 /// Flattens a PacketPtr to a raw pointer (for intrusive FIFOs and typed
-/// events); the packet's `pool` lets WrapRawPacket rebuild the handle.
-inline Packet* ReleaseToRaw(PacketPtr p) {
-  assert(p->pool == p.get_deleter().pool && "handle and packet disagree");
-  return p.release();
-}
+/// events); WrapRawPacket rebuilds the handle.
+inline Packet* ReleaseToRaw(PacketPtr p) { return p.release(); }
 
 /// Rebuilds the owning handle a ReleaseToRaw call flattened.
-inline PacketPtr WrapRawPacket(Packet* raw) {
-  return PacketPtr(raw, PacketReclaimer{raw->pool});
-}
-
-/// Next value of the process-wide packet uid counter. Shared by every pool
-/// so uids stay unique per simulation even with multiple pools alive.
-std::uint64_t NextPacketUid();
-
-/// Allocates a packet with a fresh uid from the implicit pool: the sole
-/// live Simulator's pool on this thread when there is one (so the packet
-/// shares that run's arena and lifetime), else the thread-default pool —
-/// an escape hatch for single-threaded tests and tools. Several live
-/// Simulators on one thread are ambiguous and debug-assert; hot-path
-/// simulation components allocate from their Simulator's pool directly.
-PacketPtr MakePacket();
-
-/// Clones every field except uid (fresh) — used by tests and mirroring.
-/// Served from the same implicit pool as MakePacket().
-PacketPtr ClonePacket(const Packet& p);
+inline PacketPtr WrapRawPacket(Packet* raw) { return PacketPtr(raw); }
 
 }  // namespace fncc

@@ -24,17 +24,8 @@ PacketPtr PacketPool::Acquire() {
     p->Reset();  // INT count, marks, path ids — everything back to defaults
   }
   p->pool = this;
-  p->uid = NextPacketUid();
   ++acquires_;
-  return PacketPtr(p, PacketReclaimer{this});
-}
-
-PacketPtr PacketPool::Clone(const Packet& src) {
-  PacketPtr p = Acquire();
-  const std::uint64_t uid = p->uid;
-  p->CopyFrom(src, src.int_stack().data());  // only the live INT entries
-  p->uid = uid;
-  return p;
+  return PacketPtr(p);
 }
 
 IntEntry* PacketPool::CarveIntBlock() {
@@ -48,11 +39,6 @@ IntEntry* PacketPool::CarveIntBlock() {
   }
   ++int_blocks_created_;
   return int_slabs_.back().get() + in_slab * kMaxIntHops;
-}
-
-PacketPool& DefaultPacketPool() {
-  thread_local PacketPool pool;
-  return pool;
 }
 
 }  // namespace fncc

@@ -13,16 +13,12 @@
 //     issued, belong to exactly one thread at a time — PacketPool is not
 //     internally synchronized. Each sweep job owns a full Simulator +
 //     PacketPool + RNG built and torn down inside the job, so pools are
-//     never shared across threads. MakePacket()/ClonePacket() follow the
-//     rule automatically: they allocate from the sole live Simulator's
-//     pool on the calling thread, and only fall back to the thread-local
-//     default pool (an escape hatch for single-threaded tests and tools,
-//     alive until thread exit) when no Simulator is alive; several live
-//     Simulators on one thread make the implicit pool ambiguous and
-//     debug-assert (see ImplicitPacketPool in packet.cpp).
+//     never shared across threads. Acquire() is the only way to get a
+//     packet, so every packet names its pool, and the PacketPtr deleter
+//     returns it there (Packet::pool).
 //   - Recycled packets are indistinguishable from fresh ones: Acquire()
-//     resets every field to its default and stamps a new uid, so no INT
-//     telemetry, ECN marks or path ids leak across reuses.
+//     resets every field to its default, so no INT telemetry, ECN marks or
+//     path ids leak across reuses.
 //   - INT blocks: a packet's INT entries live in a block of kMaxIntHops
 //     entries from this pool's block slabs, taken on the packet's first INT
 //     push and returned to this pool's block free list when the packet is
@@ -47,12 +43,9 @@ class PacketPool {
   PacketPool& operator=(const PacketPool&) = delete;
   ~PacketPool();
 
-  /// Hands out a default-initialized packet with a fresh uid. Allocation-free
-  /// when the free list is non-empty (the steady state).
+  /// Hands out a default-initialized packet. Allocation-free when the free
+  /// list is non-empty (the steady state).
   PacketPtr Acquire();
-
-  /// Pool-backed equivalent of ClonePacket: every field copied, fresh uid.
-  PacketPtr Clone(const Packet& src);
 
   // -- Allocation telemetry (the counters behind BENCH_micro.json) --
 
@@ -65,7 +58,7 @@ class PacketPool {
   [[nodiscard]] std::size_t outstanding() const {
     return arena_.size() - free_.size();
   }
-  /// Total Acquire()/Clone() calls served.
+  /// Total Acquire() calls served.
   [[nodiscard]] std::uint64_t acquires() const { return acquires_; }
   /// Acquires served from the free list (no heap allocation).
   [[nodiscard]] std::uint64_t recycles() const {
@@ -110,12 +103,5 @@ class PacketPool {
   std::size_t int_blocks_created_ = 0;
   std::vector<IntEntry*> int_free_;
 };
-
-/// Per-thread fallback pool behind MakePacket()/ClonePacket() when no
-/// Simulator is alive on the calling thread — an escape hatch for
-/// single-threaded tests and tools only. Simulation code must allocate
-/// from its Simulator's pool (directly or via the MakePacket routing);
-/// see the pool-ownership rule in the class comment above.
-PacketPool& DefaultPacketPool();
 
 }  // namespace fncc

@@ -11,48 +11,20 @@
 
 namespace fncc {
 
-namespace {
-// Registry of the Simulators alive on this thread, in construction order.
-// Small (one entry in every sane configuration); linear erase is fine.
-thread_local std::vector<Simulator*> t_live_simulators;
-}  // namespace
-
 Simulator::Simulator() {
   pools_.push_back(std::make_unique<PacketPool>());
   lane0_.pool = pools_.front().get();
   lanes_.push_back(&lane0_);
-  t_live_simulators.push_back(this);
 }
 
 Simulator::~Simulator() {
   // A partitioned run leaves the constructing thread's active lane pointing
   // into this simulator; clear it so a later simulator on this thread does
   // not inherit a dangling lane.
-  if (t_active_sim_ == this) {
-    t_active_sim_ = nullptr;
+  if (std::find(lanes_.begin(), lanes_.end(), t_active_lane_) !=
+      lanes_.end()) {
     t_active_lane_ = nullptr;
   }
-  auto& live = t_live_simulators;
-  const auto it = std::find(live.begin(), live.end(), this);
-  // Absent here means construction happened on a different thread — a
-  // contract violation (see CurrentOnThread) that would otherwise leave a
-  // dangling registry pointer on the constructing thread.
-  assert(it != live.end() &&
-         "Simulator destroyed on a different thread than it was "
-         "constructed on");
-  if (it != live.end()) live.erase(it);
-}
-
-Simulator* Simulator::CurrentOnThread() {
-  // The active-lane scope wins: it covers partitioned setup and lane
-  // execution on worker threads, where the construction-thread registry is
-  // empty or ambiguous.
-  if (t_active_sim_ != nullptr) return t_active_sim_;
-  return t_live_simulators.size() == 1 ? t_live_simulators.front() : nullptr;
-}
-
-int Simulator::LiveOnThread() {
-  return static_cast<int>(t_live_simulators.size());
 }
 
 std::uint64_t Simulator::pool_total_created() const {
@@ -91,7 +63,6 @@ void Simulator::Partition(int lanes) {
   // The constructing thread keeps working (building the fabric, launching
   // flows): give it lane 0 so un-scoped setup code stays well-defined.
   t_active_lane_ = &lane0_;
-  t_active_sim_ = this;
 }
 
 void Simulator::RegisterMailbox(int dst_lane, void* ctx, MailboxDrainFn drain,

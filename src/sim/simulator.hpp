@@ -62,20 +62,6 @@ class Simulator {
   /// holding PacketPtrs at teardown return them to a live pool.
   [[nodiscard]] PacketPool& packet_pool() { return *lane().pool; }
 
-  /// The Simulator whose pool MakePacket()/ClonePacket() implicitly target:
-  /// the thread's active-lane Simulator (set by ActiveLaneScope, covering
-  /// partitioned setup and window execution on worker threads), else the
-  /// sole Simulator alive on the calling thread, or nullptr when zero or
-  /// several are alive (several = ambiguous; the implicit path then
-  /// debug-asserts and falls back to the thread-default pool). Each
-  /// Simulator registers itself per-thread at construction, so it must be
-  /// constructed and destroyed on the same thread — which parallel sweeps
-  /// satisfy by building one Simulator per job, entirely inside the job.
-  [[nodiscard]] static Simulator* CurrentOnThread();
-
-  /// Number of Simulators currently alive on the calling thread.
-  [[nodiscard]] static int LiveOnThread();
-
   /// Current simulation time (of the calling thread's active lane).
   [[nodiscard]] Time Now() const { return lane().now; }
 
@@ -216,27 +202,20 @@ class Simulator {
   }
 
   /// RAII: makes lane `id` of `sim` the calling thread's active lane. All
-  /// Schedule/Now/packet_pool calls on that simulator route to it, and
-  /// CurrentOnThread() resolves to `sim`. Used during setup (constructing a
-  /// node inside its domain) and by the window runner around each lane's
-  /// event batch.
+  /// Schedule/Now/packet_pool calls on that simulator route to it. Used
+  /// during setup (constructing a node inside its domain) and by the window
+  /// runner around each lane's event batch.
   class ActiveLaneScope {
    public:
-    ActiveLaneScope(Simulator* sim, int id)
-        : prev_lane_(t_active_lane_), prev_sim_(t_active_sim_) {
+    ActiveLaneScope(Simulator* sim, int id) : prev_lane_(t_active_lane_) {
       t_active_lane_ = sim->lanes_[static_cast<std::size_t>(id)];
-      t_active_sim_ = sim;
     }
-    ~ActiveLaneScope() {
-      t_active_lane_ = prev_lane_;
-      t_active_sim_ = prev_sim_;
-    }
+    ~ActiveLaneScope() { t_active_lane_ = prev_lane_; }
     ActiveLaneScope(const ActiveLaneScope&) = delete;
     ActiveLaneScope& operator=(const ActiveLaneScope&) = delete;
 
    private:
     Lane* prev_lane_;
-    Simulator* prev_sim_;
   };
 
   /// Mints the order-word base for the next directed link: the edge index
@@ -369,10 +348,9 @@ class Simulator {
   int outbox_phase_ = 0;
   std::uint64_t windows_executed_ = 0;
 
-  /// The calling thread's active lane / simulator (see ActiveLaneScope).
-  /// Only consulted when multi_ — unpartitioned simulators never touch it.
+  /// The calling thread's active lane (see ActiveLaneScope). Only consulted
+  /// when multi_ — unpartitioned simulators never touch it.
   inline static thread_local Lane* t_active_lane_ = nullptr;
-  inline static thread_local Simulator* t_active_sim_ = nullptr;
 };
 
 }  // namespace fncc

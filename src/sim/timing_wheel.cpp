@@ -61,7 +61,11 @@ void TimingWheel::Remove(std::uint32_t slot, std::uint32_t loc) {
 
 void TimingWheel::DrainBucket(std::uint32_t s) {
   assert(drain_.empty() && drain_head_ == 0);
-  drain_.swap(Bucket(0, s));  // capacities circulate; no allocation when warm
+  // Capacities circulate only through this swap, so every bucket still
+  // allocates the first time an event lands in it; the run is allocation-
+  // free once each bucket it uses has been filled once (measured: ~18 ms of
+  // simulated time, ~505 allocations, for one switch forwarding ACKs).
+  drain_.swap(Bucket(0, s));
   bitmap_[0] &= ~(1ull << s);
   const bool dirty = (dirty_[0] >> s) & 1;
   dirty_[0] &= ~(1ull << s);

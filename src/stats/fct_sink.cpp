@@ -11,11 +11,8 @@ constexpr std::size_t kIoBufferBytes = 1u << 18;
 }  // namespace
 
 FctSink::FctSink(FctSinkOptions options)
-    : options_(std::move(options)), slowdown_(options_.sketch_alpha) {
-  bucket_state_.reserve(options_.bucket_edges.size());
-  for (std::size_t i = 0; i < options_.bucket_edges.size(); ++i) {
-    bucket_state_.emplace_back(options_.sketch_alpha);
-  }
+    : options_(std::move(options)),
+      bucket_state_(options_.bucket_edges.size()) {
   if (!options_.csv_path.empty()) {
     file_ = std::fopen(options_.csv_path.c_str(), "w");
     if (!file_) {
@@ -62,7 +59,6 @@ bool FctSink::Append(const FlowSpec& spec, Time fct) {
     bucket_state_[i].slowdown.Add(slowdown);
     bucket_state_[i].slowdown_sum += slowdown;
   }
-  if (options_.retain_records) recorder_.Record(spec, fct);
   return ok_;
 }
 

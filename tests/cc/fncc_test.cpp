@@ -21,12 +21,15 @@ CcConfig Config() {
 
 const CcConfig kConfig = Config();
 
+// The packets of these sender-side tests: every test returns what it takes.
+PacketPool pool;
+
 /// FNCC-style ACK: INT accumulated on the return path (reversed order,
 /// stack[0] = last request hop) plus the receiver's N.
 PacketPtr FnccAck(std::uint64_t seq, Time ts, std::uint64_t tx,
                   std::uint64_t qlen_last, std::uint64_t qlen_first,
                   std::uint16_t n) {
-  PacketPtr ack = test::MakeAck(1, 0);
+  PacketPtr ack = test::MakeAck(pool, 1, 0);
   ack->seq = seq;
   ack->int_reversed = true;
   ack->concurrent_flows = n;
@@ -110,7 +113,7 @@ TEST_F(FnccLhcsTest, EqualCongestionEverywherePrefersEarlierHop) {
 }
 
 TEST(FnccTest, ReversedIntViewMapsHopsCorrectly) {
-  PacketPtr ack = test::MakeAck(1, 0);
+  PacketPtr ack = test::MakeAck(pool, 1, 0);
   ack->int_reversed = true;
   ack->PushInt(IntEntry{100.0, 1, 10, 111});  // last request hop
   ack->PushInt(IntEntry{100.0, 2, 20, 222});
@@ -123,7 +126,7 @@ TEST(FnccTest, ReversedIntViewMapsHopsCorrectly) {
 }
 
 TEST(FnccTest, ForwardIntViewIsIdentity) {
-  PacketPtr ack = test::MakeAck(1, 0);
+  PacketPtr ack = test::MakeAck(pool, 1, 0);
   ack->PushInt(IntEntry{100.0, 1, 10, 111});
   ack->PushInt(IntEntry{100.0, 2, 20, 222});
   const IntView view(*ack);
@@ -145,7 +148,7 @@ TEST(FnccTest, InheritsHpccControlWhenNoLastHopCongestion) {
     const std::uint64_t tx = 150'000ULL * i;
     // FNCC sees reversed order; HPCC sees request order — same telemetry.
     auto fncc_ack = FnccAck(i * 1000, ts, tx, 0, 200'000, 2);
-    PacketPtr hpcc_ack = test::MakeAck(1, 0);
+    PacketPtr hpcc_ack = test::MakeAck(pool, 1, 0);
     hpcc_ack->seq = i * 1000;
     hpcc_ack->PushInt(IntEntry{kLine, ts, tx, 200'000});
     hpcc_ack->PushInt(IntEntry{kLine, ts, tx, 0});

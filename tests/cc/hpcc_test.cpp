@@ -21,10 +21,13 @@ CcConfig Config() {
 
 const CcConfig kConfig = Config();
 
+// The packets of these sender-side tests: every test returns what it takes.
+PacketPool pool;
+
 /// ACK carrying a single-hop INT snapshot (request order).
 PacketPtr AckWithInt(std::uint64_t seq, Time ts, std::uint64_t tx_bytes,
                      std::uint64_t qlen, double gbps = kLine) {
-  PacketPtr ack = test::MakeAck(1, 0);
+  PacketPtr ack = test::MakeAck(pool, 1, 0);
   ack->seq = seq;
   ack->PushInt(IntEntry{gbps, ts, tx_bytes, qlen});
   return ack;
@@ -46,7 +49,7 @@ TEST(HpccTest, FirstIntAckOnlyBootstraps) {
 
 TEST(HpccTest, AckWithoutIntIgnored) {
   HpccAlgorithm cc(kConfig);
-  PacketPtr ack = test::MakeAck(1, 0);
+  PacketPtr ack = test::MakeAck(pool, 1, 0);
   ack->seq = 5000;
   cc.OnAck(*ack, 6000);
   EXPECT_DOUBLE_EQ(cc.window_bytes(), kBdp);
@@ -168,7 +171,7 @@ TEST(HpccTest, MostCongestedHopGovernsMultiHopPath) {
   HpccAlgorithm cc(kConfig);
   auto multi = [&](std::uint64_t seq, Time ts, std::uint64_t tx,
                    std::uint64_t q0, std::uint64_t q1) {
-    PacketPtr ack = test::MakeAck(1, 0);
+    PacketPtr ack = test::MakeAck(pool, 1, 0);
     ack->seq = seq;
     ack->PushInt(IntEntry{kLine, ts, tx, q0});
     ack->PushInt(IntEntry{kLine, ts, tx, q1});

@@ -18,7 +18,7 @@ CcConfig Config() {
 const CcConfig kConfig = Config();
 
 PacketPtr AckWithDelay(Simulator& sim, Time delay) {
-  PacketPtr ack = test::MakeAck(1, 0);
+  PacketPtr ack = test::MakeAck(sim.packet_pool(), 1, 0);
   ack->t_sent = sim.Now() - delay;
   return ack;
 }
@@ -70,7 +70,7 @@ TEST(SwiftTest, MissingTimestampIgnored) {
   Simulator sim;
   SwiftAlgorithm cc(kConfig, &sim);
   const double before = cc.window_bytes();
-  PacketPtr ack = test::MakeAck(1, 0);
+  PacketPtr ack = test::MakeAck(sim.packet_pool(), 1, 0);
   cc.OnAck(*ack, 0);
   EXPECT_DOUBLE_EQ(cc.window_bytes(), before);
 }

@@ -62,8 +62,8 @@ TEST_P(CongestionControlTest, OnlyFnccCountsLhcsTriggers) {
   // FnccLhcsTest scenario): FNCC snaps to the fair share once; every other
   // mode — the no-LHCS ablation included — reports 0.
   CongestionControl cc(config_, &sim_);
-  const auto ack = [](std::uint64_t seq, Time ts, std::uint64_t tx) {
-    PacketPtr p = test::MakeAck(1, 0);
+  const auto ack = [this](std::uint64_t seq, Time ts, std::uint64_t tx) {
+    PacketPtr p = test::MakeAck(sim_.packet_pool(), 1, 0);
     p->seq = seq;
     p->int_reversed = true;
     p->concurrent_flows = 4;

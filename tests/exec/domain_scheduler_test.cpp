@@ -58,12 +58,14 @@ TEST(DomainSchedulerTest, SchedulerReusableAfterThrow) {
   EXPECT_THROW(sched.RunUntil(Microseconds(10)), ThrowError);
 
   // Same scheduler, fresh events: the error state must have been fully
-  // reset when RunUntil rethrew.
-  std::vector<int> ran;
-  ScheduleInLane(sim, 0, Microseconds(20), [&ran] { ran.push_back(0); });
-  ScheduleInLane(sim, 1, Microseconds(20), [&ran] { ran.push_back(1); });
+  // reset when RunUntil rethrew. The two lanes may run on two workers in
+  // the same window, so each records into its own slot.
+  std::atomic<int> ran[2] = {0, 0};
+  ScheduleInLane(sim, 0, Microseconds(20), [&ran] { ++ran[0]; });
+  ScheduleInLane(sim, 1, Microseconds(20), [&ran] { ++ran[1]; });
   sched.RunUntil(Microseconds(30));
-  EXPECT_EQ(ran.size(), 2u);
+  EXPECT_EQ(ran[0], 1);
+  EXPECT_EQ(ran[1], 1);
   EXPECT_EQ(sim.Now(), Microseconds(30));
 }
 

@@ -149,7 +149,7 @@ TEST(SweepEquivalenceTest, DumbbellSweepBitIdenticalAcrossThreadCounts) {
 
 TEST(SweepEquivalenceTest, RepeatedParallelRunsAreStable) {
   // Same sweep twice at the same thread count: no run-to-run drift from
-  // scheduling, the global uid counter, or pool reuse.
+  // scheduling or pool reuse.
   const std::vector<ExperimentSpec> points = DumbbellSweepPoints();
   ExpectAllIdentical(RunExperimentPoints(points, 8),
                      RunExperimentPoints(points, 8));

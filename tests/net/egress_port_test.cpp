@@ -7,13 +7,16 @@
 namespace fncc {
 namespace {
 
-using test::MakeData;
 using test::SinkEndpoint;
 
 class EgressPortTest : public ::testing::Test {
  protected:
   void Connect(double gbps = 100.0, Time prop = Microseconds(1.5)) {
     port_.Connect({&sink_, 0}, gbps, prop);
+  }
+  /// A data packet of `bytes` from node 1 to the sink.
+  PacketPtr Data(std::uint32_t bytes) {
+    return test::MakeData(sim_.packet_pool(), 1, 0, bytes);
   }
 
   Simulator sim_;
@@ -23,7 +26,7 @@ class EgressPortTest : public ::testing::Test {
 
 TEST_F(EgressPortTest, DeliversAfterSerializationPlusPropagation) {
   Connect();
-  port_.Enqueue(MakeData(1, 0, 1518));
+  port_.Enqueue(Data(1518));
   sim_.Run();
   ASSERT_EQ(sink_.received.size(), 1u);
   // 121.44 ns serialization + 1.5 us propagation.
@@ -33,8 +36,8 @@ TEST_F(EgressPortTest, DeliversAfterSerializationPlusPropagation) {
 TEST_F(EgressPortTest, BackToBackPacketsSpacedBySerialization) {
   Connect();
   std::vector<Time> arrivals;
-  port_.Enqueue(MakeData(1, 0, 1518));
-  port_.Enqueue(MakeData(1, 0, 1518));
+  port_.Enqueue(Data(1518));
+  port_.Enqueue(Data(1518));
   sim_.Schedule(0, [] {});
   while (sink_.received.size() < 2) sim_.RunUntil(sim_.Now() + kMicrosecond);
   // Second packet finishes serializing one slot later.
@@ -43,8 +46,8 @@ TEST_F(EgressPortTest, BackToBackPacketsSpacedBySerialization) {
 
 TEST_F(EgressPortTest, QueueLengthTracksDataOnly) {
   Connect();
-  port_.Enqueue(MakeData(1, 0, 1000));
-  port_.Enqueue(MakeData(1, 0, 500));
+  port_.Enqueue(Data(1000));
+  port_.Enqueue(Data(500));
   // First packet begins serializing immediately, leaving one queued.
   EXPECT_EQ(port_.qlen_bytes(), 500u);
   sim_.Run();
@@ -53,8 +56,8 @@ TEST_F(EgressPortTest, QueueLengthTracksDataOnly) {
 
 TEST_F(EgressPortTest, TxBytesAccumulate) {
   Connect();
-  port_.Enqueue(MakeData(1, 0, 1000));
-  port_.Enqueue(MakeData(1, 0, 500));
+  port_.Enqueue(Data(1000));
+  port_.Enqueue(Data(500));
   sim_.Run();
   EXPECT_EQ(port_.tx_bytes(), 1500u);
 }
@@ -62,8 +65,8 @@ TEST_F(EgressPortTest, TxBytesAccumulate) {
 TEST_F(EgressPortTest, PauseBlocksDataButNotControl) {
   Connect();
   port_.SetPaused(true);
-  port_.Enqueue(MakeData(1, 0, 1518));
-  PacketPtr ctrl = MakePacket();
+  port_.Enqueue(Data(1518));
+  PacketPtr ctrl = sim_.packet_pool().Acquire();
   ctrl->type = PacketType::kPfcPause;
   ctrl->size_bytes = kPfcFrameBytes;
   port_.EnqueueControl(std::move(ctrl));
@@ -80,7 +83,7 @@ TEST_F(EgressPortTest, PauseBlocksDataButNotControl) {
 
 TEST_F(EgressPortTest, InFlightPacketCompletesDespitePause) {
   Connect();
-  port_.Enqueue(MakeData(1, 0, 1518));  // starts serializing at t=0
+  port_.Enqueue(Data(1518));  // starts serializing at t=0
   sim_.Schedule(10, [this] { port_.SetPaused(true); });
   sim_.RunUntil(Microseconds(10));
   EXPECT_EQ(sink_.received.size(), 1u);  // not preempted
@@ -88,9 +91,9 @@ TEST_F(EgressPortTest, InFlightPacketCompletesDespitePause) {
 
 TEST_F(EgressPortTest, ControlHasStrictPriority) {
   Connect();
-  port_.Enqueue(MakeData(1, 0, 1518));
-  port_.Enqueue(MakeData(1, 0, 1518));
-  PacketPtr ctrl = MakePacket();
+  port_.Enqueue(Data(1518));
+  port_.Enqueue(Data(1518));
+  PacketPtr ctrl = sim_.packet_pool().Acquire();
   ctrl->type = PacketType::kPfcResume;
   ctrl->size_bytes = kPfcFrameBytes;
   port_.EnqueueControl(std::move(ctrl));  // queued behind in-flight pkt only
@@ -104,7 +107,7 @@ TEST_F(EgressPortTest, TransmitHookMayGrowPacket) {
   Connect();
   port_.set_transmit_hook(
       [](void*, std::uint64_t, Packet& p) { p.size_bytes += 8; }, nullptr, 0);
-  port_.Enqueue(MakeData(1, 0, 1518));
+  port_.Enqueue(Data(1518));
   sim_.Run();
   ASSERT_EQ(sink_.received.size(), 1u);
   EXPECT_EQ(sink_.received[0]->size_bytes, 1526u);
@@ -115,7 +118,7 @@ TEST_F(EgressPortTest, TransmitHookMayGrowPacket) {
 
 TEST_F(EgressPortTest, HigherRateServesFaster) {
   Connect(400.0, 0);
-  port_.Enqueue(MakeData(1, 0, 1518));
+  port_.Enqueue(Data(1518));
   sim_.Run();
   EXPECT_EQ(sim_.Now(), 30'360);  // 1518 B at 400 Gbps
 }

@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <new>
 #include <random>
-#include <set>
 #include <vector>
 
 #include "harness/experiment_runner.hpp"
@@ -32,12 +31,12 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 namespace fncc {
 namespace {
 
-TEST(PacketPoolTest, AcquireGivesDefaultPacketWithFreshUid) {
+TEST(PacketPoolTest, AcquireGivesDefaultPacketOwnedByThePool) {
   PacketPool pool;
   PacketPtr a = pool.Acquire();
   PacketPtr b = pool.Acquire();
-  EXPECT_NE(a->uid, 0u);
-  EXPECT_NE(a->uid, b->uid);
+  EXPECT_EQ(a->pool, &pool);
+  EXPECT_NE(a.get(), b.get());
   EXPECT_EQ(a->type, PacketType::kData);
   EXPECT_TRUE(a->int_stack().empty());
   EXPECT_EQ(pool.total_created(), 2u);
@@ -46,11 +45,9 @@ TEST(PacketPoolTest, AcquireGivesDefaultPacketWithFreshUid) {
 
 TEST(PacketPoolTest, RecycledPacketIsIndistinguishableFromFresh) {
   PacketPool pool;
-  std::uint64_t first_uid = 0;
   Packet* first_addr = nullptr;
   {
     PacketPtr p = pool.Acquire();
-    first_uid = p->uid;
     first_addr = p.get();
     // Dirty every field a stale reuse could leak.
     p->type = PacketType::kAck;
@@ -79,7 +76,6 @@ TEST(PacketPoolTest, RecycledPacketIsIndistinguishableFromFresh) {
   PacketPtr q = pool.Acquire();
   EXPECT_EQ(q.get(), first_addr) << "free list should recycle the packet";
   EXPECT_EQ(pool.total_created(), 1u);
-  EXPECT_NE(q->uid, first_uid) << "recycled packet must get a fresh uid";
   // No telemetry or header state leaks across the reuse.
   EXPECT_TRUE(q->int_stack().empty());
   EXPECT_EQ(q->type, PacketType::kData);
@@ -102,17 +98,21 @@ TEST(PacketPoolTest, RecycledPacketIsIndistinguishableFromFresh) {
   EXPECT_EQ(q->ingress_port, 0);
 }
 
-TEST(PacketPoolTest, CloneCopiesEverythingExceptUid) {
-  PacketPool pool;
-  PacketPtr src = pool.Acquire();
+TEST(PacketPoolTest, CopyFromCopiesTheHeaderAndKeepsItsOwnPool) {
+  // The cross-lane handoff: a packet of one pool is re-made in another.
+  PacketPool src_pool;
+  PacketPool dst_pool;
+  PacketPtr src = src_pool.Acquire();
   src->type = PacketType::kAck;
   src->flow = 3;
   src->seq = 1'000'000;
   src->PushInt(IntEntry{400.0, 1, 2, 3});
   src->int_reversed = true;
 
-  PacketPtr copy = pool.Clone(*src);
-  EXPECT_NE(copy->uid, src->uid);
+  PacketPtr copy = dst_pool.Acquire();
+  copy->CopyFrom(*src, src->int_stack().data());
+  EXPECT_EQ(copy->pool, &dst_pool);
+  EXPECT_EQ(dst_pool.int_blocks_outstanding(), 1u);
   EXPECT_EQ(copy->type, PacketType::kAck);
   EXPECT_EQ(copy->flow, 3u);
   EXPECT_EQ(copy->seq, 1'000'000u);
@@ -143,60 +143,6 @@ TEST(PacketPoolTest, PoolSizeStaysBoundedUnderLongRun) {
   inflight.clear();
   EXPECT_EQ(pool.outstanding(), 0u);
   EXPECT_EQ(pool.free_count(), pool.total_created());
-}
-
-TEST(PacketPoolTest, UidsUniqueAcrossPools) {
-  PacketPool a;
-  PacketPool b;
-  std::set<std::uint64_t> uids;
-  for (int i = 0; i < 100; ++i) {
-    uids.insert(a.Acquire()->uid);
-    uids.insert(b.Acquire()->uid);
-    uids.insert(MakePacket()->uid);  // thread-default pool
-  }
-  EXPECT_EQ(uids.size(), 300u);
-}
-
-TEST(PacketPoolTest, MakePacketFallsBackToThreadDefaultPoolWithoutSim) {
-  // No Simulator alive on this thread: the escape-hatch pool serves.
-  ASSERT_EQ(Simulator::LiveOnThread(), 0);
-  PacketPool& pool = DefaultPacketPool();
-  const std::uint64_t before = pool.acquires();
-  PacketPtr p = MakePacket();
-  PacketPtr c = ClonePacket(*p);
-  EXPECT_EQ(pool.acquires(), before + 2);
-  EXPECT_NE(c->uid, p->uid);
-}
-
-TEST(PacketPoolTest, MakePacketRoutesToSoleLiveSimulatorPool) {
-  // With exactly one Simulator alive on the thread, the implicit path is
-  // per-Simulator: the packet joins that run's arena, not the thread pool.
-  Simulator sim;
-  ASSERT_EQ(Simulator::CurrentOnThread(), &sim);
-  PacketPool& default_pool = DefaultPacketPool();
-  const std::uint64_t default_before = default_pool.acquires();
-  const std::uint64_t sim_before = sim.packet_pool().acquires();
-  {
-    PacketPtr p = MakePacket();
-    PacketPtr c = ClonePacket(*p);
-    EXPECT_EQ(sim.packet_pool().acquires(), sim_before + 2);
-    EXPECT_EQ(default_pool.acquires(), default_before);
-    EXPECT_NE(c->uid, p->uid);
-  }  // both packets return to sim's pool before it dies
-}
-
-TEST(PacketPoolTest, SecondSimulatorMakesImplicitPoolAmbiguous) {
-  // Two live Simulators: CurrentOnThread() refuses to pick one. (The
-  // MakePacket fallback debug-asserts in this state; release builds fall
-  // back to the thread-default pool.)
-  Simulator sim_a;
-  EXPECT_EQ(Simulator::CurrentOnThread(), &sim_a);
-  {
-    Simulator sim_b;
-    EXPECT_EQ(Simulator::LiveOnThread(), 2);
-    EXPECT_EQ(Simulator::CurrentOnThread(), nullptr);
-  }
-  EXPECT_EQ(Simulator::CurrentOnThread(), &sim_a);
 }
 
 TEST(PacketPoolTest, SimulatorOwnsAPerRunPool) {
@@ -266,7 +212,7 @@ TEST(PacketPoolIntTest, RecycledPacketHasAnEmptyIntStack) {
   EXPECT_EQ(q->int_stack()[0], (IntEntry{1.0, 2, 3, 4}));
 }
 
-TEST(PacketPoolIntTest, CloneDeepCopiesExactlyTheLiveEntries) {
+TEST(PacketPoolIntTest, CopyFromDeepCopiesExactlyTheLiveEntries) {
   PacketPool pool;
   // Leave a stale full stack in the block `src` will reuse (the block free
   // list is LIFO), so entries past src's size hold markers.
@@ -282,25 +228,27 @@ TEST(PacketPoolIntTest, CloneDeepCopiesExactlyTheLiveEntries) {
   src->int_reversed = true;
   ASSERT_EQ(src->int_stack().data()[3], kStale);
 
-  PacketPtr copy = pool.Clone(*src);
+  PacketPtr copy = pool.Acquire();
+  copy->CopyFrom(*src, src->int_stack().data());
   ASSERT_EQ(copy->int_stack().size(), 3u);
   EXPECT_NE(copy->int_stack().data(), src->int_stack().data())
-      << "the clone owns its own block";
+      << "the copy owns its own block";
   EXPECT_TRUE(copy->int_reversed);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(copy->int_stack()[i], hops[i]);
-  // Only the live entries moved: the clone's (fresh) block past its size
+  // Only the live entries moved: the copy's (fresh) block past its size
   // holds no stale marker from src's block.
   const IntEntry* block = copy->int_stack().data();
   for (int i = 3; i < kMaxIntHops; ++i) EXPECT_EQ(block[i], IntEntry{}) << i;
   EXPECT_EQ(pool.int_blocks_outstanding(), 2u);
 
-  src.reset();  // the source's block goes back; the clone's entries stay
+  src.reset();  // the source's block goes back; the copy's entries stay
   EXPECT_EQ(pool.int_blocks_outstanding(), 1u);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(copy->int_stack()[i], hops[i]);
-  copy->PushInt(kHop);  // the clone grows independently
+  copy->PushInt(kHop);  // the copy grows independently
   EXPECT_EQ(copy->int_stack().size(), 4u);
 
-  PacketPtr bare = pool.Clone(*pool.Acquire());
+  PacketPtr bare = pool.Acquire();
+  bare->CopyFrom(*pool.Acquire(), nullptr);
   EXPECT_TRUE(bare->int_stack().empty());
   EXPECT_EQ(pool.int_blocks_outstanding(), 1u) << "no INT, no block";
 }
@@ -391,13 +339,6 @@ TEST(PacketPoolIntTest, OnlyIntCarryingModesAllocateBlocks) {
   EXPECT_GT(fncc.pool_int_blocks_created, 0u);
   // FNCC stamps only ACKs: far fewer blocks than packets.
   EXPECT_LT(fncc.pool_int_blocks_created, fncc.pool_packets_created);
-}
-
-TEST(PacketPoolTest, DetachedPacketPtrOwnsPlainHeapPacket) {
-  // A PacketPtr with a null reclaimer pool behaves like unique_ptr.
-  PacketPtr p(new Packet{}, PacketReclaimer{});
-  p->uid = NextPacketUid();
-  EXPECT_NE(p->uid, 0u);
 }
 
 }  // namespace

@@ -8,8 +8,6 @@
 namespace fncc {
 namespace {
 
-using test::MakeAck;
-using test::MakeData;
 using test::SinkEndpoint;
 using test::SinkFactory;
 
@@ -34,6 +32,16 @@ class SwitchTest : public ::testing::Test {
     net_->ComputeRoutes();
   }
 
+  /// A 1518-byte data packet from `src` to h1, from this run's pool.
+  PacketPtr Data(const SinkEndpoint* src, FlowId flow = 1) {
+    return test::MakeData(sim_.packet_pool(), src->id(), h1_->id(), 1518,
+                          flow);
+  }
+  /// An ACK from h1 to h0.
+  PacketPtr AckToH0() {
+    return test::MakeAck(sim_.packet_pool(), h1_->id(), h0_->id());
+  }
+
   Simulator sim_;
   Rng rng_{1};
   std::unique_ptr<Network> net_;
@@ -45,7 +53,7 @@ class SwitchTest : public ::testing::Test {
 
 TEST_F(SwitchTest, ForwardsDataToDestination) {
   Build({});
-  h0_->nic().Enqueue(MakeData(h0_->id(), h1_->id(), 1518));
+  h0_->nic().Enqueue(Data(h0_));
   sim_.Run();
   ASSERT_EQ(h1_->received.size(), 1u);
   EXPECT_TRUE(h0_->received.empty());
@@ -54,7 +62,7 @@ TEST_F(SwitchTest, ForwardsDataToDestination) {
 
 TEST_F(SwitchTest, NoIntStampingByDefault) {
   Build({});
-  h0_->nic().Enqueue(MakeData(h0_->id(), h1_->id(), 1518));
+  h0_->nic().Enqueue(Data(h0_));
   sim_.Run();
   ASSERT_EQ(h1_->received.size(), 1u);
   EXPECT_TRUE(h1_->received[0]->int_stack().empty());
@@ -65,7 +73,7 @@ TEST_F(SwitchTest, HpccModeStampsDataInt) {
   SwitchConfig cfg;
   cfg.stamp_data_int = true;
   Build(cfg);
-  h0_->nic().Enqueue(MakeData(h0_->id(), h1_->id(), 1518));
+  h0_->nic().Enqueue(Data(h0_));
   sim_.Run();
   ASSERT_EQ(h1_->received.size(), 1u);
   const Packet& p = *h1_->received[0];
@@ -74,7 +82,7 @@ TEST_F(SwitchTest, HpccModeStampsDataInt) {
   EXPECT_DOUBLE_EQ(p.int_stack()[0].bandwidth_gbps, 100.0);
   EXPECT_EQ(p.size_bytes, 1518u + kIntBytesPerHop);
   // ACKs are not stamped in HPCC mode.
-  h1_->nic().Enqueue(MakeAck(h1_->id(), h0_->id()));
+  h1_->nic().Enqueue(AckToH0());
   sim_.Run();
   ASSERT_EQ(h0_->received.size(), 1u);
   EXPECT_TRUE(h0_->received[0]->int_stack().empty());
@@ -86,13 +94,13 @@ TEST_F(SwitchTest, FnccModeStampsAckWithRequestPathPort) {
   Build(cfg);
   // Data h0 -> h1 raises tx_bytes of the egress toward h1.
   for (int i = 0; i < 3; ++i) {
-    h0_->nic().Enqueue(MakeData(h0_->id(), h1_->id(), 1518));
+    h0_->nic().Enqueue(Data(h0_));
   }
   sim_.Run();
   EXPECT_TRUE(h1_->received[0]->int_stack().empty());  // data untouched
 
   // The ACK from h1 must carry INT of the port toward h1 (request path).
-  h1_->nic().Enqueue(MakeAck(h1_->id(), h0_->id()));
+  h1_->nic().Enqueue(AckToH0());
   sim_.Run();
   ASSERT_EQ(h0_->received.size(), 1u);
   const Packet& ack = *h0_->received[0];
@@ -110,7 +118,7 @@ TEST_F(SwitchTest, EcnDoesNotMarkUncongestedTraffic) {
   Build(cfg);
   // A single line-rate input cannot build an egress queue: no marks.
   for (int i = 0; i < 12; ++i) {
-    h0_->nic().Enqueue(MakeData(h0_->id(), h1_->id(), 1518));
+    h0_->nic().Enqueue(Data(h0_));
   }
   sim_.Run();
   ASSERT_EQ(h1_->received.size(), 12u);
@@ -125,9 +133,8 @@ TEST_F(SwitchTest, EcnMarksWhenTwoInputsConverge) {
   Build(cfg, /*extra_hosts=*/1);
   // Two senders at line rate into one egress: queue must build and mark.
   for (int i = 0; i < 20; ++i) {
-    h0_->nic().Enqueue(MakeData(h0_->id(), h1_->id(), 1518, 1));
-    extra_[0]->nic().Enqueue(
-        MakeData(extra_[0]->id(), h1_->id(), 1518, 2));
+    h0_->nic().Enqueue(Data(h0_, 1));
+    extra_[0]->nic().Enqueue(Data(extra_[0], 2));
   }
   sim_.Run();
   ASSERT_EQ(h1_->received.size(), 40u);
@@ -144,8 +151,8 @@ TEST_F(SwitchTest, PfcPausesAndResumesUpstream) {
   Build(cfg, /*extra_hosts=*/1);
   // Two line-rate inputs into one output exceed the tiny XOFF quickly.
   for (int i = 0; i < 40; ++i) {
-    h0_->nic().Enqueue(MakeData(h0_->id(), h1_->id(), 1518, 1));
-    extra_[0]->nic().Enqueue(MakeData(extra_[0]->id(), h1_->id(), 1518, 2));
+    h0_->nic().Enqueue(Data(h0_, 1));
+    extra_[0]->nic().Enqueue(Data(extra_[0], 2));
   }
   sim_.Run();
   EXPECT_GT(sw_->pause_frames_sent(), 0u);
@@ -161,8 +168,8 @@ TEST_F(SwitchTest, PfcDisabledMeansNoPauses) {
   cfg.pfc_enabled = false;
   Build(cfg, /*extra_hosts=*/1);
   for (int i = 0; i < 40; ++i) {
-    h0_->nic().Enqueue(MakeData(h0_->id(), h1_->id(), 1518, 1));
-    extra_[0]->nic().Enqueue(MakeData(extra_[0]->id(), h1_->id(), 1518, 2));
+    h0_->nic().Enqueue(Data(h0_, 1));
+    extra_[0]->nic().Enqueue(Data(extra_[0], 2));
   }
   sim_.Run();
   EXPECT_EQ(sw_->pause_frames_sent(), 0u);
@@ -174,8 +181,8 @@ TEST_F(SwitchTest, SharedBufferOverflowDrops) {
   cfg.buffer_bytes = 10'000;  // tiny
   Build(cfg, /*extra_hosts=*/1);
   for (int i = 0; i < 100; ++i) {
-    h0_->nic().Enqueue(MakeData(h0_->id(), h1_->id(), 1518, 1));
-    extra_[0]->nic().Enqueue(MakeData(extra_[0]->id(), h1_->id(), 1518, 2));
+    h0_->nic().Enqueue(Data(h0_, 1));
+    extra_[0]->nic().Enqueue(Data(extra_[0], 2));
   }
   sim_.Run();
   EXPECT_GT(sw_->drops(), 0u);
@@ -185,7 +192,7 @@ TEST_F(SwitchTest, SharedBufferOverflowDrops) {
 TEST_F(SwitchTest, BufferAccountingReturnsToZero) {
   Build({});
   for (int i = 0; i < 10; ++i) {
-    h0_->nic().Enqueue(MakeData(h0_->id(), h1_->id(), 1518));
+    h0_->nic().Enqueue(Data(h0_));
   }
   sim_.Run();
   EXPECT_EQ(sw_->buffer_used_bytes(), 0u);
@@ -198,12 +205,12 @@ TEST_F(SwitchTest, RoccControllerAdvertisesBelowLineWhenCongested) {
   Build(cfg, /*extra_hosts=*/1);
   // Sustain a queue: two line-rate senders into one port.
   for (int i = 0; i < 200; ++i) {
-    h0_->nic().Enqueue(MakeData(h0_->id(), h1_->id(), 1518, 1));
-    extra_[0]->nic().Enqueue(MakeData(extra_[0]->id(), h1_->id(), 1518, 2));
+    h0_->nic().Enqueue(Data(h0_, 1));
+    extra_[0]->nic().Enqueue(Data(extra_[0], 2));
   }
   sim_.RunUntil(Microseconds(100));
   // An ACK from h1 toward h0 passes the congested request-path port.
-  h1_->nic().Enqueue(MakeAck(h1_->id(), h0_->id()));
+  h1_->nic().Enqueue(AckToH0());
   sim_.RunUntil(Microseconds(200));  // Run() would never drain: PI timer
   ASSERT_FALSE(h0_->received.empty());
   const Packet& ack = *h0_->received.back();
@@ -217,14 +224,14 @@ TEST_F(SwitchTest, IntTableRefreshIntroducesStaleness) {
   cfg.int_table_refresh = Microseconds(50);
   Build(cfg);
   // Traffic before the first refresh sees an empty (zero) table.
-  h1_->nic().Enqueue(MakeAck(h1_->id(), h0_->id()));
+  h1_->nic().Enqueue(AckToH0());
   sim_.RunUntil(Microseconds(20));
   ASSERT_EQ(h0_->received.size(), 1u);
   EXPECT_EQ(h0_->received[0]->int_stack()[0].ts, 0);
 
   // After a refresh the table carries a recent timestamp.
   sim_.RunUntil(Microseconds(60));
-  h1_->nic().Enqueue(MakeAck(h1_->id(), h0_->id()));
+  h1_->nic().Enqueue(AckToH0());
   sim_.RunUntil(Microseconds(80));
   ASSERT_EQ(h0_->received.size(), 2u);
   EXPECT_GE(h0_->received[1]->int_stack()[0].ts, Microseconds(50));

@@ -71,7 +71,8 @@ Outcome RunFlow(int lanes, int threads, Time first_dup) {
     Simulator::ActiveLaneScope scope(&sim, rx->domain());
     const auto dup_at = [&](Time t, std::uint64_t* stale) {
       sim.ScheduleAt(t, [rx, tx, id, stale] {
-        PacketPtr dup = test::MakeData(tx->id(), rx->id(), 1518, id);
+        PacketPtr dup = test::MakeData(rx->sim()->packet_pool(), tx->id(),
+                                       rx->id(), 1518, id);
         dup->last_of_flow = true;
         rx->ReceivePacket(std::move(dup), 0);
         *stale = rx->stale_flow_packets();

@@ -107,8 +107,8 @@ TEST(DomainMailboxTest, SimultaneousHandoffsDeliverInEdgeOrder) {
     // Transmit b before a; identical sizes finish serializing — and thus
     // arrive — at the same instant.
     Simulator::ActiveLaneScope scope(&sim, 0);
-    port_b.Enqueue(MakeData(1, 0, 1000, /*flow=*/2));
-    port_a.Enqueue(MakeData(1, 0, 1000, /*flow=*/1));
+    port_b.Enqueue(MakeData(sim.packet_pool(), 1, 0, 1000, /*flow=*/2));
+    port_a.Enqueue(MakeData(sim.packet_pool(), 1, 0, 1000, /*flow=*/1));
   }
   sim.Run();
 
@@ -132,8 +132,8 @@ TEST(DomainMailboxTest, HandoffPreservesPacketFields) {
 
   {
     Simulator::ActiveLaneScope scope(&sim, 0);
-    PacketPtr p = MakeData(4, 7, 1234, /*flow=*/9, /*sport=*/1111,
-                           /*dport=*/2222);
+    PacketPtr p = MakeData(sim.packet_pool(), 4, 7, 1234, /*flow=*/9,
+                           /*sport=*/1111, /*dport=*/2222);
     p->ecn_ce = true;
     port.Enqueue(std::move(p));
   }
@@ -218,9 +218,9 @@ TEST(DomainMailboxTest, CrossLaneMatchesSingleLaneRun) {
     }
     {
       Simulator::ActiveLaneScope scope(&sim, 0);
-      port_b.Enqueue(MakeData(1, 0, 1000, /*flow=*/2));
-      port_a.Enqueue(MakeData(1, 0, 1000, /*flow=*/1));
-      port_a.Enqueue(MakeData(1, 0, 500, /*flow=*/3));
+      port_b.Enqueue(MakeData(sim.packet_pool(), 1, 0, 1000, /*flow=*/2));
+      port_a.Enqueue(MakeData(sim.packet_pool(), 1, 0, 1000, /*flow=*/1));
+      port_a.Enqueue(MakeData(sim.packet_pool(), 1, 0, 500, /*flow=*/3));
     }
     sim.Run();
     std::vector<FlowId> flows;

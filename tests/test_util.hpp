@@ -8,6 +8,7 @@
 #include "net/network.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
+#include "net/packet_pool.hpp"
 #include "net/egress_port.hpp"
 #include "net/topology.hpp"
 
@@ -59,10 +60,11 @@ inline BuiltTopology BuildSinkTopology(Simulator* sim, Rng* rng,
                                  rng, params);
 }
 
-inline PacketPtr MakeData(NodeId src, NodeId dst, std::uint32_t bytes,
-                          FlowId flow = 1, std::uint16_t sport = 1000,
+inline PacketPtr MakeData(PacketPool& pool, NodeId src, NodeId dst,
+                          std::uint32_t bytes, FlowId flow = 1,
+                          std::uint16_t sport = 1000,
                           std::uint16_t dport = 2000) {
-  PacketPtr p = MakePacket();
+  PacketPtr p = pool.Acquire();
   p->type = PacketType::kData;
   p->src = src;
   p->dst = dst;
@@ -74,10 +76,10 @@ inline PacketPtr MakeData(NodeId src, NodeId dst, std::uint32_t bytes,
   return p;
 }
 
-inline PacketPtr MakeAck(NodeId src, NodeId dst, FlowId flow = 1,
-                         std::uint16_t sport = 2000,
+inline PacketPtr MakeAck(PacketPool& pool, NodeId src, NodeId dst,
+                         FlowId flow = 1, std::uint16_t sport = 2000,
                          std::uint16_t dport = 1000) {
-  PacketPtr p = MakePacket();
+  PacketPtr p = pool.Acquire();
   p->type = PacketType::kAck;
   p->src = src;
   p->dst = dst;

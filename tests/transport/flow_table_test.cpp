@@ -85,10 +85,10 @@ TEST_F(FlowTableHostTest, StaleAckAndCnpIgnoredAfterReuse) {
 
   // A late ACK/CNP addressed to the released flow must not leak into the
   // slot's new tenant: the generation check rejects it.
-  PacketPtr ack = test::MakeAck(1, 0, stale);
+  PacketPtr ack = test::MakeAck(sim_.packet_pool(), 1, 0, stale);
   ack->seq = 50 * 1518;
   host_.ReceivePacket(std::move(ack), 0);
-  PacketPtr cnp = MakePacket();
+  PacketPtr cnp = sim_.packet_pool().Acquire();
   cnp->type = PacketType::kCnp;
   cnp->flow = stale;
   cnp->size_bytes = kCnpBytes;
@@ -109,7 +109,7 @@ TEST_F(FlowTableHostTest, ReleaseForgetsQpAndUndoesReceiverClaim) {
 
   // Simulate the receiver half on the same (table-sharing) host: a data
   // packet claims the slot's RecvCtx and bumps active_inbound_flows.
-  PacketPtr data = test::MakeData(1, 0, 1518, id);
+  PacketPtr data = test::MakeData(sim_.packet_pool(), 1, 0, 1518, id);
   host_.ReceivePacket(std::move(data), 0);
   ASSERT_EQ(host_.active_inbound_flows(), 1);
 
@@ -125,7 +125,7 @@ TEST_F(FlowTableHostTest, StaleDataDroppedNotResurrected) {
   const FlowId stale = qp->spec().id;
   host_.flow_table().Release(stale);
 
-  PacketPtr data = test::MakeData(1, 0, 1518, stale);
+  PacketPtr data = test::MakeData(sim_.packet_pool(), 1, 0, 1518, stale);
   host_.ReceivePacket(std::move(data), 0);
   sim_.RunUntil(Microseconds(2));
   EXPECT_EQ(host_.active_inbound_flows(), 0);
@@ -142,15 +142,15 @@ TEST_F(FlowTableHostTest, LateDuplicateOfCompletedFlowDropped) {
   SenderQp* qp = Launch(1518);
   const FlowId id = qp->spec().id;
   sim_.RunUntil(Microseconds(1));  // started: the one packet is sent
-  PacketPtr data = test::MakeData(1, 0, 1518, id);
+  PacketPtr data = test::MakeData(sim_.packet_pool(), 1, 0, 1518, id);
   data->last_of_flow = true;
   host_.ReceivePacket(std::move(data), 0);  // receiver half: done, ACKed
-  PacketPtr ack = test::MakeAck(1, 0, id);
+  PacketPtr ack = test::MakeAck(sim_.packet_pool(), 1, 0, id);
   ack->seq = 1518;
   host_.ReceivePacket(std::move(ack), 0);  // sender completes at 1 us
   ASSERT_TRUE(qp->complete());
   const auto send_dup = [&] {
-    PacketPtr dup = test::MakeData(1, 0, 1518, id);
+    PacketPtr dup = test::MakeData(sim_.packet_pool(), 1, 0, 1518, id);
     dup->last_of_flow = true;
     host_.ReceivePacket(std::move(dup), 0);
   };
@@ -404,10 +404,10 @@ TEST_F(FlowTableHostTest, StaleAckNeverTouchesHotRow) {
   ASSERT_NE(row, nullptr);
   const HotFlowRow snapshot = *row;
 
-  PacketPtr ack = test::MakeAck(1, 0, stale);
+  PacketPtr ack = test::MakeAck(sim_.packet_pool(), 1, 0, stale);
   ack->seq = 50 * 1518;
   host_.ReceivePacket(std::move(ack), 0);
-  PacketPtr cnp = MakePacket();
+  PacketPtr cnp = sim_.packet_pool().Acquire();
   cnp->type = PacketType::kCnp;
   cnp->flow = stale;
   cnp->size_bytes = kCnpBytes;

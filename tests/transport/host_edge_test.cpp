@@ -19,7 +19,7 @@ class HostEdgeTest : public ::testing::Test {
 
   void Deliver(std::uint64_t seq, std::uint32_t bytes, bool last = false,
                FlowId flow = 1) {
-    PacketPtr p = test::MakeData(1, 0, bytes, flow);
+    PacketPtr p = test::MakeData(sim_.packet_pool(), 1, 0, bytes, flow);
     p->seq = seq;
     p->last_of_flow = last;
     host_.ReceivePacket(std::move(p), 0);
@@ -66,13 +66,13 @@ TEST_F(HostEdgeTest, GapDataDoesNotAdvanceAck) {
 }
 
 TEST_F(HostEdgeTest, AckForUnknownFlowIgnored) {
-  PacketPtr ack = test::MakeAck(1, 0, /*flow=*/77);
+  PacketPtr ack = test::MakeAck(sim_.packet_pool(), 1, 0, /*flow=*/77);
   host_.ReceivePacket(std::move(ack), 0);  // no QP 77: must not crash
   SUCCEED();
 }
 
 TEST_F(HostEdgeTest, CnpForUnknownFlowIgnored) {
-  PacketPtr cnp = MakePacket();
+  PacketPtr cnp = sim_.packet_pool().Acquire();
   cnp->type = PacketType::kCnp;
   cnp->flow = 88;
   cnp->size_bytes = kCnpBytes;
@@ -108,7 +108,7 @@ TEST_F(HostEdgeTest, AcksCarryConcurrentFlowCount) {
 }
 
 TEST_F(HostEdgeTest, PathIdEchoedIntoAck) {
-  PacketPtr p = test::MakeData(1, 0, 1000);
+  PacketPtr p = test::MakeData(sim_.packet_pool(), 1, 0, 1000);
   p->path_id = 0xABC;
   host_.ReceivePacket(std::move(p), 0);
   sim_.RunUntil(Microseconds(2));
@@ -138,7 +138,7 @@ class CoalescingHostTest : public ::testing::Test {
 
 TEST_F(CoalescingHostTest, OneAckPerMPackets) {
   for (int i = 0; i < 8; ++i) {
-    PacketPtr p = test::MakeData(1, 0, 1000);
+    PacketPtr p = test::MakeData(sim_.packet_pool(), 1, 0, 1000);
     p->seq = static_cast<std::uint64_t>(i) * 1000;
     host_.ReceivePacket(std::move(p), 0);
   }
@@ -147,7 +147,7 @@ TEST_F(CoalescingHostTest, OneAckPerMPackets) {
 }
 
 TEST_F(CoalescingHostTest, LastOfFlowForcesImmediateAck) {
-  PacketPtr p = test::MakeData(1, 0, 1000);
+  PacketPtr p = test::MakeData(sim_.packet_pool(), 1, 0, 1000);
   p->seq = 0;
   p->last_of_flow = true;
   host_.ReceivePacket(std::move(p), 0);
