@@ -10,13 +10,8 @@ namespace fncc {
 DomainScheduler::DomainScheduler(Simulator* sim, int num_threads,
                                  PdesStats* stats)
     : sim_(sim), stats_(stats), lanes_(sim->num_lanes()) {
-  int n = num_threads < lanes_ ? num_threads : lanes_;
-  if (n < 1) n = 1;
-  // The window engine needs more than one lane; with one thread it only
-  // runs when telemetry asks for it (the single-participant barrier
-  // degenerates to a plain loop, outputs identical to the serial path).
-  persistent_ = lanes_ > 1 && (n > 1 || stats_ != nullptr);
-  participants_ = persistent_ ? n : 1;
+  participants_ = num_threads < lanes_ ? num_threads : lanes_;
+  if (participants_ < 1) participants_ = 1;
   if (stats_ != nullptr) {
     stats_->lanes = lanes_;
     stats_->participants = participants_;
@@ -31,7 +26,7 @@ DomainScheduler::DomainScheduler(Simulator* sim, int num_threads,
         static_cast<std::size_t>(participants_), 0);
     lane_events_seen_.assign(static_cast<std::size_t>(lanes_), 0);
   }
-  if (!persistent_) return;
+  if (!sim_->partitioned()) return;
   barrier_ = std::make_unique<WindowBarrier>(participants_);
   workers_.reserve(static_cast<std::size_t>(participants_ - 1));
   for (int id = 1; id < participants_; ++id) {
@@ -56,7 +51,7 @@ DomainScheduler::~DomainScheduler() {
 }
 
 void DomainScheduler::RunUntil(Time t) {
-  if (!persistent_) {
+  if (!sim_->partitioned()) {
     sim_->RunUntil(t);
     return;
   }
@@ -66,7 +61,6 @@ void DomainScheduler::RunUntil(Time t) {
   // lane queue, so the opening window is bounded by pending launches
   // exactly as by leftover events — conservative lookahead never skips a
   // scheduled start.
-  sim_->ClearStop();
   bound_ = t;
   entry_ = true;  // published to PrepareWindow by the coordinator's arrival
   RunLoop(0);
@@ -103,8 +97,8 @@ void DomainScheduler::PrepareWindow() {
     return;
   }
   if (entry_) {
-    // Entering RunUntil: the sealed buffers may still hold handoffs from a
-    // stopped (or exhausted-at-the-bound) previous run. Flipping here
+    // Entering RunUntil: the sealed buffers may still hold handoffs from
+    // the previous run (exhausted at its bound). Flipping here
     // would hide them behind the active phase, so don't — the first
     // window's drains pick them up where they sit.
     entry_ = false;
@@ -112,7 +106,7 @@ void DomainScheduler::PrepareWindow() {
     FinishWindowStats();
     sim_->FlipOutboxPhase();  // seal the window that just ran
   }
-  if (has_error_.load(std::memory_order_relaxed) || sim_->stop_requested()) {
+  if (has_error_.load(std::memory_order_relaxed)) {
     done_.store(true, std::memory_order_relaxed);
     return;
   }

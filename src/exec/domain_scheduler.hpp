@@ -1,5 +1,7 @@
-// Persistent-lane driver for a lane-partitioned Simulator: conservative-
-// PDES windows executed by worker threads that live for the whole point.
+// The driver of a lane-partitioned Simulator — its only one: conservative-
+// PDES windows executed by the calling thread plus worker threads that live
+// for the whole point. An unpartitioned Simulator is passed straight to
+// Simulator::RunUntil.
 //
 // The historical engine submitted one pool job per lane per phase
 // and paid two full Submit+Wait round-trips per window — job-queue mutex
@@ -48,12 +50,12 @@ struct PdesStats;
 
 class DomainScheduler {
  public:
-  /// `num_threads` <= 1 — or an unpartitioned simulator — selects the
-  /// serial reference path (plain Simulator::RunUntil, no threads).
-  /// Threads beyond the lane count would idle and are clamped away.
-  /// `stats` (optional) enables window telemetry; a partitioned simulator
-  /// with stats runs the window engine even single-threaded so the
-  /// telemetry exists at every thread count.
+  /// A partitioned simulator runs the window engine with
+  /// min(num_threads, lanes) participants (at least one): the calling
+  /// thread plus that many minus one workers, so one participant starts no
+  /// thread and runs each window's prologue inline. An unpartitioned one
+  /// runs plain Simulator::RunUntil. `stats` (optional) enables window
+  /// telemetry.
   DomainScheduler(Simulator* sim, int num_threads, PdesStats* stats = nullptr);
   ~DomainScheduler();
   DomainScheduler(const DomainScheduler&) = delete;
@@ -91,7 +93,6 @@ class DomainScheduler {
   PdesStats* stats_;  // null = telemetry off
   int lanes_ = 1;
   int participants_ = 1;
-  bool persistent_ = false;  // false => serial reference path
   std::unique_ptr<WindowBarrier> barrier_;
   std::vector<std::thread> workers_;
 

@@ -357,8 +357,7 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
 
   // DomainScheduler spawns its persistent lane workers once here; they
   // stay parked at the window barrier across every RunUntil chunk below.
-  // Single-lane (or single-thread, untelemetered) points pick the serial
-  // reference path instead.
+  // A single-lane point runs plain Simulator::RunUntil instead.
   DomainScheduler sched(
       &sim, intra_threads,
       point.output.pdes_stats ? &result.pdes_stats : nullptr);

@@ -72,8 +72,8 @@ struct ExperimentPointResult {
   std::uint64_t pool_int_blocks_created = 0;
 
   /// PDES windows the point executed (0 for unpartitioned points).
-  /// Deterministic at a fixed partitioning — the serial and threaded
-  /// engines run the identical window sequence — but obviously varies with
+  /// Deterministic at a fixed partitioning — the window engine runs the
+  /// identical window sequence at every thread count — but varies with
   /// the domain count, so it stays out of manifests and equivalence
   /// assertions (it feeds the windows/sec bench counter).
   std::uint64_t pdes_windows = 0;

@@ -28,8 +28,6 @@ EgressPort::EgressPort(EgressPort&& other) noexcept
       qlen_bytes_(other.qlen_bytes_),
       busy_(other.busy_),
       paused_(other.paused_),
-      paused_since_(other.paused_since_),
-      paused_total_(other.paused_total_),
       tx_bytes_(other.tx_bytes_) {
   // Moves only happen while wiring a topology (vector growth), never with a
   // serialization event in flight — that event captures `this`. The chain
@@ -98,11 +96,6 @@ void EgressPort::EnqueueControl(PacketPtr pkt) {
 }
 
 void EgressPort::SetPaused(bool paused) {
-  if (paused && !paused_) {
-    paused_since_ = sim_->Now();
-  } else if (!paused && paused_) {
-    paused_total_ += sim_->Now() - paused_since_;
-  }
   paused_ = paused;
   if (!paused_) TryTransmit();
 }

@@ -113,14 +113,6 @@ class EgressPort {
   void SetPaused(bool paused);
   [[nodiscard]] bool paused() const { return paused_; }
 
-  /// Cumulative time this port has spent paused — the raw signal behind
-  /// PFC-storm diagnostics (§2.3): a port paused for a large fraction of
-  /// wall time is starving its upstream.
-  [[nodiscard]] Time total_paused_time() const {
-    return paused_ ? paused_total_ + (sim_->Now() - paused_since_)
-                   : paused_total_;
-  }
-
   /// Installs the hook called with each packet at the instant it begins
   /// serialization (after it left the queue — qlen_bytes() already
   /// excludes it). Owners use it for PFC buffer release and INT stamping;
@@ -259,8 +251,6 @@ class EgressPort {
   std::uint64_t qlen_bytes_ = 0;  // data queue only, as INT reports qLen
   bool busy_ = false;
   bool paused_ = false;
-  Time paused_since_ = 0;
-  Time paused_total_ = 0;
   std::uint64_t tx_bytes_ = 0;
 };
 

@@ -126,16 +126,12 @@ void Switch::ReceivePacket(PacketPtr pkt, int in_port) {
     const std::uint64_t q = egress.qlen_bytes();
     if (q > config_.ecn_kmax_bytes) {
       pkt->ecn_ce = true;
-      ++ecn_marked_;
     } else if (q > config_.ecn_kmin_bytes) {
       const double p = config_.ecn_pmax *
                        static_cast<double>(q - config_.ecn_kmin_bytes) /
                        static_cast<double>(config_.ecn_kmax_bytes -
                                            config_.ecn_kmin_bytes);
-      if (rng_.Bernoulli(p)) {
-        pkt->ecn_ce = true;
-        ++ecn_marked_;
-      }
+      if (rng_.Bernoulli(p)) pkt->ecn_ce = true;
     }
   }
 

@@ -114,12 +114,8 @@ class Switch final : public Node {
     return resume_frames_sent_;
   }
   [[nodiscard]] std::uint64_t drops() const { return drops_; }
-  [[nodiscard]] std::uint64_t ecn_marked() const { return ecn_marked_; }
   [[nodiscard]] std::uint64_t buffer_used_bytes() const {
     return buffer_used_;
-  }
-  [[nodiscard]] double rocc_fair_rate_gbps(int port) const {
-    return rocc_state_.at(port).fair_gbps;
   }
 
   [[nodiscard]] const SwitchConfig& config() const { return config_; }
@@ -173,7 +169,6 @@ class Switch final : public Node {
   std::uint64_t pause_frames_sent_ = 0;
   std::uint64_t resume_frames_sent_ = 0;
   std::uint64_t drops_ = 0;
-  std::uint64_t ecn_marked_ = 0;
 };
 
 }  // namespace fncc

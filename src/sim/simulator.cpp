@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <vector>
 
 // The sim kernel is otherwise below the net layer; the packet arena is the
@@ -73,14 +74,8 @@ void Simulator::RegisterMailbox(int dst_lane, void* ctx, MailboxDrainFn drain,
       Mailbox{ctx, drain, min_time, pending});
 }
 
-void Simulator::Run() {
-  ClearStop();
-  if (multi_) {
-    RunMulti(kTimeInfinity, /*settle=*/false);
-    return;
-  }
-  Lane& l = lane0_;
-  while (!stop_requested() && !l.queue.Empty()) {
+void Simulator::RunEvents(Lane& l, Time close) {
+  while (!l.queue.Empty() && l.queue.NextTime() < close) {
     Time t = 0;
     auto cb = l.queue.PopNext(&t, &l.cur_order);
     assert(t >= l.now && "time went backwards");
@@ -90,22 +85,23 @@ void Simulator::Run() {
   }
 }
 
-void Simulator::RunUntil(Time t) {
-  ClearStop();
+void Simulator::RequireUnpartitioned() const {
   if (multi_) {
-    RunMulti(t, /*settle=*/true);
-    return;
+    throw std::logic_error(
+        "a partitioned Simulator runs through exec/DomainScheduler, not "
+        "Simulator::Run/RunUntil");
   }
-  Lane& l = lane0_;
-  while (!stop_requested() && !l.queue.Empty() && l.queue.NextTime() <= t) {
-    Time et = 0;
-    auto cb = l.queue.PopNext(&et, &l.cur_order);
-    assert(et >= l.now && "time went backwards");
-    l.now = et;
-    ++l.events_processed;
-    cb();
-  }
-  if (!stop_requested() && l.now < t) l.now = t;
+}
+
+void Simulator::Run() {
+  RequireUnpartitioned();
+  RunEvents(lane0_, kTimeInfinity);
+}
+
+void Simulator::RunUntil(Time t) {
+  RequireUnpartitioned();
+  RunEvents(lane0_, t == kTimeInfinity ? t : t + 1);
+  if (lane0_.now < t) lane0_.now = t;
 }
 
 Time Simulator::NextEventTime() {
@@ -142,17 +138,7 @@ Time Simulator::WindowClose(Time start, Time limit) const {
 
 void Simulator::RunLaneWindow(int id, Time close) {
   ActiveLaneScope scope(this, id);
-  Lane& l = *lanes_[static_cast<std::size_t>(id)];
-  // No per-event stop check: a window always runs to completion so that
-  // where a Stop() lands is deterministic (the window barrier).
-  while (!l.queue.Empty() && l.queue.NextTime() < close) {
-    Time et = 0;
-    auto cb = l.queue.PopNext(&et, &l.cur_order);
-    assert(et >= l.now && "time went backwards");
-    l.now = et;
-    ++l.events_processed;
-    cb();
-  }
+  RunEvents(*lanes_[static_cast<std::size_t>(id)], close);
 }
 
 void Simulator::DrainLaneMailboxes(int id) {
@@ -163,43 +149,8 @@ void Simulator::DrainLaneMailboxes(int id) {
 }
 
 void Simulator::SettleLanes(Time t) {
-  if (stop_requested()) return;
   for (Lane* l : lanes_) {
     if (l->now < t) l->now = t;
-  }
-}
-
-// Serial reference implementation of the window protocol; the persistent
-// worker engine in exec/domain_scheduler.cpp runs the same fused windows
-// with a barrier in place of the sequential loop, so both produce
-// identical pop orders. Each window drains the previous window's sealed
-// handoffs (per lane, before that lane runs), runs every lane to `close`,
-// then flips the outbox phase to seal this window's sends. A Stop() lands
-// after the flip — sends stay sealed, and because NextEventTime counts
-// them, a later run resumes exactly where an unstopped run would have.
-void Simulator::RunMulti(Time bound, bool settle) {
-  for (;;) {
-    const Time start = NextEventTime();
-    if (start == kTimeInfinity || start > bound) break;
-    const Time close = WindowClose(start, bound);
-    ++windows_executed_;
-    for (Lane* l : lanes_) {
-      DrainLaneMailboxes(l->id);
-      RunLaneWindow(l->id, close);
-    }
-    FlipOutboxPhase();
-    if (stop_requested()) break;
-  }
-  if (settle) {
-    SettleLanes(bound);
-  } else if (!stop_requested()) {
-    // Run-to-exhaustion: the serial loop reports the last executed
-    // event's time, so align every lane to the furthest one.
-    Time last = 0;
-    for (Lane* l : lanes_) {
-      if (l->now > last) last = l->now;
-    }
-    SettleLanes(last);
   }
 }
 

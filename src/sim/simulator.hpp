@@ -3,7 +3,6 @@
 // the fabric is partitioned into parallel domains (Partition()).
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -30,9 +29,11 @@ class PacketPool;  // net/packet_pool.hpp; owned here as an opaque arena
 /// (min link propagation delay, set by Network::SealDomains), and
 /// cross-lane packet handoffs buffer in per-port mailboxes drained at
 /// window barriers. Order words (see event_queue.hpp) make pop order — and
-/// every simulation output — bit-identical at any lane count, whether
-/// windows run serially (RunUntil here) or on persistent worker threads
-/// (exec/DomainScheduler).
+/// every simulation output — bit-identical at any lane count.
+///
+/// Run/RunUntil drive an unpartitioned simulator only; a partitioned one
+/// is driven window by window by exec/DomainScheduler through the window
+/// primitives below. One pop loop (RunEvents) serves all three.
 class Simulator {
  public:
   /// One event domain's execution state. Unpartitioned simulators have
@@ -120,18 +121,13 @@ class Simulator {
                : kInvalidEventId;
   }
 
-  /// Runs until the event queues drain or Stop() is called. Partitioned
-  /// simulators advance window-by-window (serially; see exec/DomainScheduler
-  /// for the threaded driver) and do not settle clocks.
+  /// Runs until the event queue drains. Throws std::logic_error on a
+  /// partitioned simulator (run it with exec/DomainScheduler).
   void Run();
 
-  /// Runs events with timestamp <= t, then sets the clock(s) to exactly t.
+  /// Runs events with timestamp <= t, then sets the clock to exactly t.
+  /// Throws std::logic_error on a partitioned simulator, like Run().
   void RunUntil(Time t);
-
-  /// Stops Run()/RunUntil() after the current event returns — or, in a
-  /// partitioned run, at the end of the current window (the whole window
-  /// always completes, so where a run stops is deterministic).
-  void Stop() { stopped_.store(true, std::memory_order_relaxed); }
 
   [[nodiscard]] std::uint64_t events_processed() const {
     std::uint64_t n = 0;
@@ -256,8 +252,8 @@ class Simulator {
   void RegisterMailbox(int dst_lane, void* ctx, MailboxDrainFn drain,
                        MailboxMinTimeFn min_time, MailboxPendingFn pending);
 
-  // Window protocol primitives, shared by the serial multi-lane loop here
-  // and the persistent-worker exec/DomainScheduler. The run and drain
+  // Window protocol primitives, driven by exec/DomainScheduler. The run and
+  // drain
   // phases are fused behind one barrier per window by double-buffering the
   // port outboxes: sends of window w append to the active buffer, the
   // phase flips at the window's end barrier, and window w+1 drains the
@@ -281,26 +277,21 @@ class Simulator {
   /// concurrently — and, thanks to the double buffering, safe to run while
   /// other lanes execute their windows (they append to the active phase).
   void DrainLaneMailboxes(int id);
-  /// Advances every lane clock to `t` (RunUntil semantics); no-op if
-  /// stopped.
+  /// Advances every lane clock to `t` (RunUntil semantics).
   void SettleLanes(Time t);
-  void ClearStop() { stopped_.store(false, std::memory_order_relaxed); }
-  [[nodiscard]] bool stop_requested() const {
-    return stopped_.load(std::memory_order_relaxed);
-  }
 
   /// Outbox double-buffer phase: cross-lane sends append to buffer
   /// [outbox_phase()], drains read buffer [outbox_phase() ^ 1]. Flipped
   /// once per window inside the single-threaded window prologue (the
-  /// barrier completion, or the serial loop's end-of-window step) — the
-  /// barrier's ordering is what publishes the flip to every lane.
+  /// barrier completion) — the barrier's ordering is what publishes the
+  /// flip to every lane.
   [[nodiscard]] int outbox_phase() const { return outbox_phase_; }
   void FlipOutboxPhase() { outbox_phase_ ^= 1; }
 
-  /// Count of PDES windows executed (serial and threaded engines count
-  /// identically: the window start sequence is a deterministic function of
-  /// the event stream). Deterministic at a fixed partitioning; feeds the
-  /// windows/sec bench counter and `output.pdes_stats`.
+  /// Count of PDES windows executed: the window start sequence is a
+  /// deterministic function of the event stream, the same at any thread
+  /// count. Deterministic at a fixed partitioning; feeds the windows/sec
+  /// bench counter and `output.pdes_stats`.
   [[nodiscard]] std::uint64_t windows_executed() const {
     return windows_executed_;
   }
@@ -314,7 +305,9 @@ class Simulator {
   }
 
  private:
-  void RunMulti(Time bound, bool settle);
+  /// The one event pop loop: runs `l`'s events with t < close.
+  void RunEvents(Lane& l, Time close);
+  void RequireUnpartitioned() const;
 
   [[nodiscard]] Lane& lane() {
     assert(!multi_ || t_active_lane_ != nullptr);
@@ -332,7 +325,6 @@ class Simulator {
   std::vector<std::unique_ptr<Lane>> extra_lanes_;
   std::vector<Lane*> lanes_;  // all lanes: {&lane0_, extra_lanes_...}
   bool multi_ = false;
-  std::atomic<bool> stopped_{false};
   int delivery_batch_ = 16;
   Time lookahead_ = kTimeInfinity;
   Time settle_delay_ = 0;

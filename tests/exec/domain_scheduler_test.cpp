@@ -129,10 +129,9 @@ TEST(DomainSchedulerTest, WindowTelemetryCountsLanesAndWindows) {
   EXPECT_EQ(claimed, stats.windows * 2);
 }
 
-TEST(DomainSchedulerTest, StatsAloneForceWindowEngineSingleThreaded) {
-  // stats + one thread must still produce telemetry (the engine runs
-  // persistent with one participant instead of falling back to the plain
-  // serial path).
+TEST(DomainSchedulerTest, OneThreadRunsTheWindowEngine) {
+  // At one thread a partitioned simulator still runs the window engine,
+  // with one participant and no worker, so its telemetry exists too.
   Simulator sim;
   sim.Partition(2);
   sim.set_domain_lookahead(Microseconds(1));
@@ -145,6 +144,8 @@ TEST(DomainSchedulerTest, StatsAloneForceWindowEngineSingleThreaded) {
   EXPECT_EQ(ran, 2);
   EXPECT_EQ(stats.participants, 1);
   EXPECT_GT(stats.windows, 0u);
+  EXPECT_EQ(stats.windows, sim.windows_executed());
+  EXPECT_EQ(sim.Now(), Microseconds(10));
 }
 
 }  // namespace

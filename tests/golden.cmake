@@ -1,32 +1,57 @@
-# Golden digests: runs the short committed specs end to end and compares
-# one SHA-256 per spec against specs/golden.txt.
+# Golden digests: runs committed specs end to end and compares one SHA-256
+# per entry against specs/golden.txt.
 #
-#   cmake -DFNCC_RUN=<fncc_run> [-DOUT_DIR=<dir>] [-DUPDATE=1]
-#         -P tests/golden.cmake
+#   cmake -DFNCC_RUN=<fncc_run> [-DENTRIES=<name;...>|fat_tree]
+#         [-DOUT_DIR=<dir>] [-DUPDATE=1] -P tests/golden.cmake
 #
-# A spec's digest covers the bytes of every FCT and timeseries CSV its
+# An entry is a spec under specs/, run with the overrides in
+# golden_args_<name> (short ones, so the fat-tree entries finish in a
+# second or two) and, when golden_threads_<name> is set, once per listed
+# `--threads` value: every run must produce the entry's one digest line.
+# ENTRIES selects entries (default: all; `fat_tree` names that group). A
+# digest covers the bytes of every FCT and timeseries CSV the run's
 # manifest lists, the manifest's `spec` text (without the machine-specific
 # `output.dir` line) and each point's counters from `flows_completed` to
 # `events_processed`. It leaves out `threads` and the wall times.
-# -DUPDATE=1 rewrites golden.txt instead of checking it; a changed digest is
-# a behaviour change and needs a stated reason.
+# -DUPDATE=1 rewrites the selected entries' lines instead of checking them;
+# a changed digest is a behaviour change and needs a stated reason.
 cmake_minimum_required(VERSION 3.19)  # string(JSON)
 
-set(FNCC_GOLDEN_SPECS quickstart fig9_response fig13_hops fig13e_fairness
+# The short figure specs, each well under a second as committed.
+set(FNCC_GOLDEN_SHORT quickstart fig9_response fig13_hops fig13e_fairness
     parking_lot incast_lhcs)
+# The fat-tree and multi-pod paths (the partitioned window engine among
+# them), cut down by overrides.
+set(FNCC_GOLDEN_FAT_TREE fig14_websearch fig15_hadoop leaf_spine_all_to_all
+    multirail_staggered_incast fat_tree_k16)
+set(golden_args_fig14_websearch topology.k=4 workload.num_flows=60)
+set(golden_args_fig15_hadoop topology.k=4 workload.num_flows=60)
+set(golden_args_fat_tree_k16 workload.size_bytes=20000)
+set(golden_threads_fat_tree_k16 1 2)
 # The manifest's per-point counters, `flows_completed` to `events_processed`.
 set(FNCC_GOLDEN_COUNTERS flows_completed flows_total pause_frames drops
     retransmits out_of_order asymmetric_acks lhcs_triggers events_processed)
 get_filename_component(source_dir "${CMAKE_CURRENT_LIST_DIR}/.." ABSOLUTE)
 set(golden_file "${source_dir}/specs/golden.txt")
+set(all_entries ${FNCC_GOLDEN_SHORT} ${FNCC_GOLDEN_FAT_TREE})
 if(NOT FNCC_RUN)
   message(FATAL_ERROR "golden.cmake: pass -DFNCC_RUN=<path to fncc_run>")
 endif()
 if(NOT OUT_DIR)
   set(OUT_DIR "${CMAKE_CURRENT_BINARY_DIR}/golden_runs")
 endif()
+if(NOT ENTRIES)
+  set(ENTRIES ${all_entries})
+elseif(ENTRIES STREQUAL "fat_tree")
+  set(ENTRIES ${FNCC_GOLDEN_FAT_TREE})
+endif()
+foreach(name ${ENTRIES})
+  if(NOT name IN_LIST all_entries)
+    message(FATAL_ERROR "golden.cmake: unknown entry '${name}'")
+  endif()
+endforeach()
 
-# Digest of one spec's run in `dir`, returned in `out_var`.
+# Digest of one run in `dir`, returned in `out_var`.
 function(golden_digest dir out_var)
   file(GLOB manifests "${dir}/*_manifest.json")
   list(LENGTH manifests n)
@@ -59,51 +84,70 @@ function(golden_digest dir out_var)
   set(${out_var} "${digest}" PARENT_SCOPE)
 endfunction()
 
-set(lines "")
-foreach(name ${FNCC_GOLDEN_SPECS})
-  set(dir "${OUT_DIR}/${name}")
-  file(REMOVE_RECURSE "${dir}")
-  execute_process(
-    COMMAND "${FNCC_RUN}" "${source_dir}/specs/${name}.exp" "output.dir=${dir}"
-    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "fncc_run ${name}.exp exited ${rc}:\n${out}${err}")
-  endif()
-  golden_digest("${dir}" digest)
-  list(APPEND lines "${name} ${digest}")
-  set(actual_${name} "${digest}")
-endforeach()
-
-if(UPDATE)
-  set(content "# Golden digests of the short specs; see tests/golden.cmake.\n")
-  foreach(line ${lines})
-    string(APPEND content "${line}\n")
-  endforeach()
-  file(WRITE "${golden_file}" "${content}")
-  message(STATUS "wrote ${golden_file}")
-  return()
+if(EXISTS "${golden_file}")
+  file(STRINGS "${golden_file}" golden_lines REGEX "^[a-z0-9_]+ [0-9a-f]+$")
 endif()
-
-file(STRINGS "${golden_file}" golden_lines REGEX "^[a-z0-9_]+ [0-9a-f]+$")
 foreach(line ${golden_lines})
   string(REPLACE " " ";" fields "${line}")
   list(GET fields 0 name)
   list(GET fields 1 digest)
   set(expected_${name} "${digest}")
 endforeach()
+
 set(failures "")
-foreach(name ${FNCC_GOLDEN_SPECS})
-  if(NOT DEFINED expected_${name})
-    string(APPEND failures "  ${name}: no digest in golden.txt\n")
-  elseif(NOT expected_${name} STREQUAL actual_${name})
-    string(APPEND failures
-           "  ${name}: expected ${expected_${name}}, got ${actual_${name}}\n")
+set(runs 0)
+foreach(name ${ENTRIES})
+  set(thread_runs "${golden_threads_${name}}")
+  if(NOT thread_runs)
+    set(thread_runs default)
   endif()
+  foreach(threads ${thread_runs})
+    set(dir "${OUT_DIR}/${name}")
+    set(threads_args "")
+    if(NOT threads STREQUAL "default")
+      set(dir "${dir}.threads${threads}")
+      set(threads_args --threads ${threads})
+    endif()
+    file(REMOVE_RECURSE "${dir}")
+    execute_process(
+      COMMAND "${FNCC_RUN}" ${threads_args} "${source_dir}/specs/${name}.exp"
+              ${golden_args_${name}} "output.dir=${dir}"
+      RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR "fncc_run ${name}.exp exited ${rc}:\n${out}${err}")
+    endif()
+    golden_digest("${dir}" digest)
+    math(EXPR runs "${runs} + 1")
+    if(UPDATE AND NOT DEFINED actual_${name})
+      set(actual_${name} "${digest}")
+    elseif(UPDATE AND NOT actual_${name} STREQUAL digest)
+      message(FATAL_ERROR "${name}: --threads ${threads} digests ${digest}, "
+              "an earlier run ${actual_${name}}")
+    elseif(NOT UPDATE AND NOT DEFINED expected_${name})
+      string(APPEND failures "  ${name}: no digest in golden.txt\n")
+    elseif(NOT UPDATE AND NOT expected_${name} STREQUAL digest)
+      string(APPEND failures "  ${name} (threads ${threads}): expected "
+             "${expected_${name}}, got ${digest}\n")
+    endif()
+  endforeach()
 endforeach()
+
+if(UPDATE)
+  set(content "# Golden digests of committed specs; see tests/golden.cmake.\n")
+  foreach(name ${all_entries})
+    if(DEFINED actual_${name})
+      string(APPEND content "${name} ${actual_${name}}\n")
+    elseif(DEFINED expected_${name})
+      string(APPEND content "${name} ${expected_${name}}\n")
+    endif()
+  endforeach()
+  file(WRITE "${golden_file}" "${content}")
+  message(STATUS "wrote ${golden_file}")
+  return()
+endif()
 if(failures)
   message(FATAL_ERROR "golden digests differ (outputs in ${OUT_DIR}):\n"
           "${failures}"
           "A deliberate behaviour change reruns with -DUPDATE=1.")
 endif()
-list(LENGTH FNCC_GOLDEN_SPECS n)
-message(STATUS "${n} golden digests match")
+message(STATUS "${runs} golden runs match")

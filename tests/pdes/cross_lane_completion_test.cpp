@@ -6,7 +6,7 @@
 // thread count — re-ACKed, because it arrives less than one settle delay
 // after the completion — and one arriving later is dropped. Reading the
 // sender's plain completion flag instead would answer "dropped" whenever
-// the sender's lane happened to run first (always, on the serial engine).
+// the sender's lane happened to run first (always, at one thread).
 #include <gtest/gtest.h>
 
 #include <memory>

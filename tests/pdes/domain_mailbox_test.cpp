@@ -5,8 +5,9 @@
 // (kNativeOrderBit | per-queue FIFO counter), deliveries ordered by edge
 // then per-edge FIFO, natives by scheduling order. Because the words name
 // a directed edge rather than a lane, the order is a partition invariant:
-// a handoff re-injected at a window barrier lands exactly where the
-// serial run would have popped it.
+// a handoff re-injected at a window barrier lands exactly where a
+// single-lane run would have popped it. Partitioned simulators run through
+// exec/DomainScheduler, the only driver of one.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "../test_util.hpp"
+#include "exec/domain_scheduler.hpp"
 #include "net/egress_port.hpp"
 #include "net/packet_pool.hpp"
 #include "sim/event_queue.hpp"
@@ -35,6 +37,14 @@ TypedEvent Tag(std::vector<int>* out, int tag) {
                     .p0 = out,
                     .p1 = nullptr,
                     .arg = static_cast<std::uint64_t>(tag)};
+}
+
+// Runs a partitioned `sim` to quiescence on the window engine (every
+// scenario here finishes within a few microseconds).
+void RunPartitioned(Simulator* sim) {
+  DomainScheduler sched(sim, /*num_threads=*/2);
+  sched.RunUntil(Milliseconds(1));
+  ASSERT_EQ(sim->events_pending(), 0u);
 }
 
 void DrainAll(EventQueue& q, std::vector<int>* popped_tags = nullptr) {
@@ -110,13 +120,14 @@ TEST(DomainMailboxTest, SimultaneousHandoffsDeliverInEdgeOrder) {
     port_b.Enqueue(MakeData(sim.packet_pool(), 1, 0, 1000, /*flow=*/2));
     port_a.Enqueue(MakeData(sim.packet_pool(), 1, 0, 1000, /*flow=*/1));
   }
-  sim.Run();
+  RunPartitioned(&sim);
 
   ASSERT_EQ(sink.received.size(), 2u);
   EXPECT_EQ(sink.received[0]->flow, 1u);  // port_a's edge index is lower
   EXPECT_EQ(sink.received[1]->flow, 2u);
   // Serialization (80 ns at 100 Gbps) + propagation.
-  EXPECT_EQ(sim.Now(), 80'000 + 1'000'000);
+  EXPECT_EQ(sink.arrival_times,
+            (std::vector<Time>{80'000 + 1'000'000, 80'000 + 1'000'000}));
 }
 
 // The handoff re-materializes the packet in the destination lane's arena;
@@ -137,7 +148,7 @@ TEST(DomainMailboxTest, HandoffPreservesPacketFields) {
     p->ecn_ce = true;
     port.Enqueue(std::move(p));
   }
-  sim.Run();
+  RunPartitioned(&sim);
 
   ASSERT_EQ(sink.received.size(), 1u);
   const Packet& got = *sink.received[0];
@@ -185,7 +196,7 @@ TEST(DomainMailboxTest, HandoffCarriesIntEntriesAndReturnsTheSourceBlock) {
     port.Enqueue(std::move(ack));
   }
   ASSERT_NE(src_pool, dst_pool);
-  sim.Run();
+  RunPartitioned(&sim);
 
   EXPECT_GT(src_pool->int_blocks_created(), 0u);
   EXPECT_EQ(src_pool->int_blocks_outstanding(), 0u)
@@ -200,7 +211,7 @@ TEST(DomainMailboxTest, HandoffCarriesIntEntriesAndReturnsTheSourceBlock) {
 }
 
 // The partitioned run and the classic single-queue run of the same
-// two-port scenario agree on delivery order and finish time.
+// two-port scenario agree on delivery order and delivery times.
 TEST(DomainMailboxTest, CrossLaneMatchesSingleLaneRun) {
   auto run = [](bool partitioned) {
     Simulator sim;
@@ -222,15 +233,20 @@ TEST(DomainMailboxTest, CrossLaneMatchesSingleLaneRun) {
       port_a.Enqueue(MakeData(sim.packet_pool(), 1, 0, 1000, /*flow=*/1));
       port_a.Enqueue(MakeData(sim.packet_pool(), 1, 0, 500, /*flow=*/3));
     }
-    sim.Run();
+    if (partitioned) {
+      RunPartitioned(&sim);
+    } else {
+      sim.Run();
+    }
     std::vector<FlowId> flows;
     for (const PacketPtr& p : sink.received) flows.push_back(p->flow);
-    return std::make_pair(flows, sim.Now());
+    return std::make_pair(flows, sink.arrival_times);
   };
   const auto serial = run(false);
   const auto lanes = run(true);
   EXPECT_EQ(serial.first, lanes.first);
   EXPECT_EQ(serial.second, lanes.second);
+  EXPECT_EQ(serial.second.size(), 3u);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
 #include "sim/unique_function.hpp"
@@ -46,18 +48,17 @@ TEST(SimulatorTest, RunUntilAdvancesClockWhenIdle) {
   EXPECT_EQ(sim.Now(), Microseconds(10));
 }
 
-TEST(SimulatorTest, StopHaltsRun) {
+// A partitioned simulator runs only through exec/DomainScheduler: Run and
+// RunUntil refuse it, in every build type, without running an event.
+TEST(SimulatorTest, PartitionedRunThrows) {
   Simulator sim;
+  sim.Partition(2);
   int count = 0;
-  sim.Schedule(1, [&] {
-    ++count;
-    sim.Stop();
-  });
-  sim.Schedule(2, [&] { ++count; });
-  sim.Run();
-  EXPECT_EQ(count, 1);
-  sim.Run();  // resumes
-  EXPECT_EQ(count, 2);
+  sim.Schedule(1, [&] { ++count; });
+  EXPECT_THROW(sim.Run(), std::logic_error);
+  EXPECT_THROW(sim.RunUntil(10), std::logic_error);
+  EXPECT_EQ(count, 0);
+  EXPECT_EQ(sim.Now(), 0);
 }
 
 TEST(SimulatorTest, NegativeDelayClampsToNow) {

@@ -35,9 +35,11 @@ class SinkEndpoint final : public Endpoint {
       return;
     }
     received.push_back(std::move(pkt));
+    arrival_times.push_back(sim()->Now());
   }
 
   std::vector<PacketPtr> received;
+  std::vector<Time> arrival_times;  // received[i] arrived at [i]
   int pauses = 0;
   int resumes = 0;
 
