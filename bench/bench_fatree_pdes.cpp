@@ -1,14 +1,17 @@
 // Macro-benchmark for the conservative-PDES event-domain partition: one
 // k=16 fat-tree permutation point (the specs/fat_tree_k16.exp scenario at
-// bench scale) run end to end at exec_domains = 1, 2, 4 and 8, plus a
-// serial reference (BM_FatTreePointSerial) that never calls
-// Simulator::Partition — the exact pre-partition code path.
+// bench scale) run end to end at exec_domains = 1, 2, 4 and 8, plus
+// BM_FatTreePointSerial/1, the /1 point at a one-thread budget.
 //
 // The machine-independent facts that come out of BENCH_fatree_pdes.json:
-//   - BM_FatTreePoint/1 vs BM_FatTreePointSerial/1: the overhead of the
-//     partition machinery when it degenerates to one lane. This ratio is
-//     what scripts/check_bench_regression.py gates (pair convention like
-//     BM_HostAckPath=BM_LegacyHostAckPath); it must stay ~1.
+//   - BM_FatTreePoint/1 vs BM_FatTreePointSerial/1: one code path run
+//     twice. Both pass exec_domains = 1, Simulator::Partition(1) leaves
+//     the simulator unpartitioned, and one lane runs plain RunUntil on
+//     one thread whatever the thread budget. The ratio that
+//     scripts/check_bench_regression.py gates (pair convention like
+//     BM_HostAckPath=BM_LegacyHostAckPath) is ~1 by construction: it
+//     shows the bench's run-to-run and ordering noise, not the cost of
+//     the partition or the window engine.
 //   - BM_FatTreePointStreamed/1 vs BM_FatTreePoint/1: the overhead of a
 //     100 us launch window (windowed launches + per-window drains) over
 //     launch window 0 on the same point — also ratio-gated at
@@ -99,8 +102,8 @@ void BM_FatTreePoint(benchmark::State& state) {
 BENCHMARK(BM_FatTreePoint)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-/// Serial reference: single lane, single thread, plain Simulator::RunUntil
-/// — the legacy counterpart for the regression gate's /1 ratio.
+/// The /1 point at a one-thread budget: the same single-lane
+/// Simulator::RunUntil path as BM_FatTreePoint/1 (the gate's /1 pair).
 void BM_FatTreePointSerial(benchmark::State& state) {
   RunPoint(state, static_cast<int>(state.range(0)), 1);
 }

@@ -6,8 +6,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 
 #include "sim/named_registry.hpp"
 #include "stats/fct.hpp"
@@ -55,25 +58,22 @@ double ToDouble(const std::string& key, const std::string& v) {
   return d;
 }
 
-long long ToInt(const std::string& key, const std::string& v) {
+/// Every `int` field parses through here so an overflowing value errors
+/// instead of silently truncating in a narrowing cast.
+int ToBoundedInt(const std::string& key, const std::string& v) {
   char* end = nullptr;
   errno = 0;
   const long long i = std::strtoll(v.c_str(), &end, 10);
   if (end == v.c_str() || *end != '\0' || errno == ERANGE) {
     Bad(key, "'" + v + "' is not a representable integer");
   }
-  return i;
-}
-
-/// Every `int` field parses through here so an overflowing value errors
-/// instead of silently truncating in a narrowing cast.
-int ToBoundedInt(const std::string& key, const std::string& v) {
-  const long long i = ToInt(key, v);
   if (i < INT_MIN || i > INT_MAX) Bad(key, "'" + v + "' overflows int");
   return static_cast<int>(i);
 }
 
-std::uint64_t ToU64(const std::string& key, const std::string& v) {
+/// Every unsigned field parses through here, with `max` its type's maximum.
+std::uint64_t ToBoundedU64(const std::string& key, const std::string& v,
+                           std::uint64_t max) {
   if (!v.empty() && v[0] == '-') Bad(key, "'" + v + "' is negative");
   char* end = nullptr;
   errno = 0;
@@ -81,12 +81,6 @@ std::uint64_t ToU64(const std::string& key, const std::string& v) {
   if (end == v.c_str() || *end != '\0' || errno == ERANGE) {
     Bad(key, "'" + v + "' is not a representable unsigned integer");
   }
-  return u;
-}
-
-std::uint64_t ToBoundedU64(const std::string& key, const std::string& v,
-                           std::uint64_t max) {
-  const std::uint64_t u = ToU64(key, v);
   if (u > max) {
     Bad(key, "'" + v + "' exceeds the maximum " + std::to_string(max));
   }
@@ -118,14 +112,6 @@ Time TimeFromScaled(const std::string& key, const std::string& v,
   return t;
 }
 
-Time TimeFromUs(const std::string& key, const std::string& v) {
-  return TimeFromScaled(key, v, static_cast<double>(kMicrosecond));
-}
-
-Time TimeFromMs(const std::string& key, const std::string& v) {
-  return TimeFromScaled(key, v, static_cast<double>(kMillisecond));
-}
-
 /// Shortest decimal form that parses back to the same double.
 std::string FormatDouble(double d) {
   char buf[64];
@@ -145,135 +131,261 @@ std::string FormatTimeUs(Time t) {
 
 namespace {
 
-std::string FormatTimeMs(Time t) {
-  if (t % kMillisecond == 0) return std::to_string(t / kMillisecond);
-  return FormatDouble(ToMilliseconds(t));
-}
+// ------------------------------------------------------------------ codecs
 
-CcMode ModeFromName(const std::string& key, const std::string& v) {
-  CcMode mode;
-  if (!ParseCcMode(v, &mode)) {
-    std::vector<std::string> known;
-    for (CcMode m : kAllCcModes) known.emplace_back(CcModeName(m));
-    Bad(key, "unknown CC mode '" + v + "' (known: " + JoinNames(known) + ")");
-  }
-  return mode;
-}
+// A codec is how a key's value text becomes its field's type (Parse, whose
+// errors name the key) and how the field prints back (Format, text that
+// Parse reads back to the same value).
 
-/// "sender@start_us[:stop_us]" elephant entries.
-std::vector<LongFlow> FlowsFromList(const std::string& key,
-                                    const std::string& value) {
-  std::vector<LongFlow> flows;
-  for (const std::string& item : SplitList(value)) {
-    const std::size_t at = item.find('@');
-    if (at == std::string::npos) {
-      Bad(key, "'" + item + "' is not sender@start_us[:stop_us]");
-    }
-    LongFlow lf;
-    lf.sender_index = ToBoundedInt(key, Trim(item.substr(0, at)));
-    std::string rest = Trim(item.substr(at + 1));
-    const std::size_t colon = rest.find(':');
-    if (colon != std::string::npos) {
-      lf.stop = TimeFromUs(key, Trim(rest.substr(colon + 1)));
-      rest = Trim(rest.substr(0, colon));
-    }
-    lf.start = TimeFromUs(key, rest);
-    flows.push_back(lf);
+struct Text {
+  static std::string Parse(const std::string&, const std::string& v) {
+    return v;
   }
-  if (flows.empty()) Bad(key, "empty flow list");
-  return flows;
-}
+  static std::string Format(const std::string& v) { return v; }
+};
 
-std::string FlowsToList(const std::vector<LongFlow>& flows) {
-  std::string out;
-  for (const LongFlow& lf : flows) {
-    if (!out.empty()) out += ',';
-    out += std::to_string(lf.sender_index);
-    out += '@';
-    out += FormatTimeUs(lf.start);
-    if (lf.stop != kTimeInfinity) {
-      out += ':';
-      out += FormatTimeUs(lf.stop);
-    }
+struct Int {
+  static constexpr auto Parse = ToBoundedInt;
+  static std::string Format(int v) { return std::to_string(v); }
+};
+
+/// An unsigned field of type T: the value must fit T.
+template <typename T>
+struct Unsigned {
+  static T Parse(const std::string& key, const std::string& v) {
+    return static_cast<T>(ToBoundedU64(key, v, std::numeric_limits<T>::max()));
   }
-  return out;
-}
+  static std::string Format(T v) { return std::to_string(v); }
+};
+using U16 = Unsigned<std::uint16_t>;
+using U32 = Unsigned<std::uint32_t>;
+using U64 = Unsigned<std::uint64_t>;
+
+struct Double {
+  static constexpr auto Parse = ToDouble;
+  static constexpr auto Format = FormatDouble;
+};
+
+struct Bool {
+  static constexpr auto Parse = ToBool;
+  static std::string Format(bool v) { return v ? "true" : "false"; }
+};
+
+struct TimeUs {
+  static Time Parse(const std::string& key, const std::string& v) {
+    return TimeFromScaled(key, v, static_cast<double>(kMicrosecond));
+  }
+  static constexpr auto Format = FormatTimeUs;
+};
+
+struct TimeMs {
+  static Time Parse(const std::string& key, const std::string& v) {
+    return TimeFromScaled(key, v, static_cast<double>(kMillisecond));
+  }
+  static std::string Format(Time t) {
+    if (t % kMillisecond == 0) return std::to_string(t / kMillisecond);
+    return FormatDouble(ToMilliseconds(t));
+  }
+};
+
+/// A CC mode name. Its values form a closed set (Every), which a sweep
+/// axis `= all` expands to.
+struct Mode {
+  static CcMode Parse(const std::string& key, const std::string& v) {
+    CcMode mode;
+    if (!ParseCcMode(v, &mode)) {
+      Bad(key,
+          "unknown CC mode '" + v + "' (known: " + JoinNames(Every()) + ")");
+    }
+    return mode;
+  }
+  static std::string Format(CcMode mode) { return CcModeName(mode); }
+  static std::vector<std::string> Every() {
+    std::vector<std::string> names;
+    for (CcMode m : kAllCcModes) names.emplace_back(CcModeName(m));
+    return names;
+  }
+};
+
+/// Elephant entries, "sender@start_us[:stop_us]" each.
+struct Flows {
+  static std::vector<LongFlow> Parse(const std::string& key,
+                                     const std::string& value) {
+    std::vector<LongFlow> flows;
+    for (const std::string& item : SplitList(value)) {
+      const std::size_t at = item.find('@');
+      if (at == std::string::npos) {
+        Bad(key, "'" + item + "' is not sender@start_us[:stop_us]");
+      }
+      LongFlow lf;
+      lf.sender_index = ToBoundedInt(key, Trim(item.substr(0, at)));
+      std::string rest = Trim(item.substr(at + 1));
+      const std::size_t colon = rest.find(':');
+      if (colon != std::string::npos) {
+        lf.stop = TimeUs::Parse(key, Trim(rest.substr(colon + 1)));
+        rest = Trim(rest.substr(0, colon));
+      }
+      lf.start = TimeUs::Parse(key, rest);
+      flows.push_back(lf);
+    }
+    if (flows.empty()) Bad(key, "empty flow list");
+    return flows;
+  }
+  static std::string Format(const std::vector<LongFlow>& flows) {
+    std::string out;
+    for (const LongFlow& lf : flows) {
+      if (!out.empty()) out += ',';
+      out += std::to_string(lf.sender_index) + '@' + FormatTimeUs(lf.start);
+      if (lf.stop != kTimeInfinity) out += ':' + FormatTimeUs(lf.stop);
+    }
+    return out;
+  }
+};
+
+/// A lane count, or `auto` (stored as 0) to take the topology's own.
+struct Domains {
+  static int Parse(const std::string& key, const std::string& v) {
+    return v == "auto" ? 0 : ToBoundedInt(key, v);
+  }
+  static std::string Format(int v) {
+    return v == 0 ? "auto" : std::to_string(v);
+  }
+};
+
+// ------------------------------------------------------------- range rules
+
+/// A range rule on one key's value: the predicate every valid value meets
+/// and the message text after the key name when a value does not.
+template <typename Pred>
+struct Rule {
+  Pred ok;
+  const char* text;
+};
+template <typename Pred>
+Rule(Pred, const char*) -> Rule<Pred>;
+
+constexpr Rule kAnyValue{[](const auto&) { return true; }, ""};
+constexpr Rule kAtLeastOne{[](auto v) { return v >= 1; }, "must be >= 1"};
+constexpr Rule kPositive{[](auto v) { return v > 0; }, "must be > 0"};
+constexpr Rule kNonNegative{[](auto v) { return v >= 0; }, "must be >= 0"};
+constexpr Rule kUnitInterval{[](auto v) { return v > 0 && v <= 1; },
+                             "must be in (0, 1]"};
 
 // ------------------------------------------------------------ key dispatch
 
-/// One settable key: its full dotted name and the parser that turns value
-/// text into the field. Spec files, overrides and sweep points all set
-/// fields through this table.
+/// One settable key and everything that knows it: its full dotted name,
+/// how value text sets its field (`set`, through the codec) and how the
+/// field prints back (`get`), and the range rule on this key alone. Spec
+/// files, overrides, sweep points, SpecToText and ValidateSpec all read
+/// this table; rules that involve more than one key stay in ValidateSpec.
 struct KeyDef {
   const char* key;
   void (*set)(ExperimentSpec& spec, const std::string& key,
               const std::string& value);
+  std::string (*get)(const ExperimentSpec& spec);
+  /// False when the spec's value breaks the key's range rule; the message
+  /// is the key name followed by `rule`.
+  bool (*in_range)(const ExperimentSpec& spec);
+  const char* rule;
+  /// For a key whose values form a closed set: every value, which
+  /// `sweep.<axis> = all` expands to and whose points are labelled by the
+  /// bare value. nullptr for every other key.
+  std::vector<std::string> (*every)() = nullptr;
+  /// SpecToText leaves the key out while it holds its default value.
+  bool sparse = false;
+
+  constexpr KeyDef Sparse() const {
+    KeyDef def = *this;
+    def.sparse = true;
+    return def;
+  }
 };
 
+/// The row for `key`: `Field` is a stateless lambda that returns the
+/// spec's field, `C` the codec of its type and `rule` its range rule.
+template <typename C, typename Field, typename Pred = decltype(kAnyValue.ok)>
+constexpr KeyDef Key(const char* key, Field, Rule<Pred> rule = kAnyValue) {
+  using T = std::remove_cvref_t<decltype(Field{}(
+      std::declval<ExperimentSpec&>()))>;
+  static_assert(std::is_same_v<decltype(C::Parse({}, {})), T>,
+                "the codec must parse the field's type");
+  KeyDef def{
+      key,
+      [](ExperimentSpec& s, const std::string& k, const std::string& v) {
+        Field{}(s) = C::Parse(k, v);
+      },
+      [](const ExperimentSpec& s) { return C::Format(Field{}(s)); },
+      [](const ExperimentSpec& s) { return Pred{}(Field{}(s)); },
+      rule.text};
+  if constexpr (requires { C::Every(); }) def.every = C::Every;
+  return def;
+}
+
+// Rows are in SpecToText's order, grouped by section.
 // clang-format off
 constexpr KeyDef kKeys[] = {
-  {"name", [](auto& s, auto&, auto& v) { s.name = v; }},
+  Key<Text>("name", [](auto& s) -> auto& { return s.name; }),
 
-  {"topology.kind", [](auto& s, auto&, auto& v) { s.topology = v; }},
-  {"topology.num_senders", [](auto& s, auto& k, auto& v) { s.topo.num_senders = ToBoundedInt(k, v); }},
-  {"topology.num_switches", [](auto& s, auto& k, auto& v) { s.topo.num_switches = ToBoundedInt(k, v); }},
-  {"topology.merge_switch", [](auto& s, auto& k, auto& v) { s.topo.merge_switch = ToBoundedInt(k, v); }},
-  {"topology.k", [](auto& s, auto& k, auto& v) { s.topo.k = ToBoundedInt(k, v); }},
-  {"topology.leaves", [](auto& s, auto& k, auto& v) { s.topo.leaves = ToBoundedInt(k, v); }},
-  {"topology.spines", [](auto& s, auto& k, auto& v) { s.topo.spines = ToBoundedInt(k, v); }},
-  {"topology.hosts_per_leaf", [](auto& s, auto& k, auto& v) { s.topo.hosts_per_leaf = ToBoundedInt(k, v); }},
-  {"topology.oversubscription", [](auto& s, auto& k, auto& v) { s.topo.oversubscription = ToDouble(k, v); }},
-  {"topology.rails", [](auto& s, auto& k, auto& v) { s.topo.rails = ToBoundedInt(k, v); }},
+  Key<Text>("topology.kind", [](auto& s) -> auto& { return s.topology; }),
+  Key<Int>("topology.num_senders", [](auto& s) -> auto& { return s.topo.num_senders; }, kAtLeastOne),
+  Key<Int>("topology.num_switches", [](auto& s) -> auto& { return s.topo.num_switches; }, kAtLeastOne),
+  Key<Int>("topology.merge_switch", [](auto& s) -> auto& { return s.topo.merge_switch; }),
+  Key<Int>("topology.k", [](auto& s) -> auto& { return s.topo.k; }, Rule{[](int k) { return k >= 2 && k % 2 == 0; }, "must be even and >= 2"}),
+  Key<Int>("topology.leaves", [](auto& s) -> auto& { return s.topo.leaves; }, kAtLeastOne),
+  Key<Int>("topology.spines", [](auto& s) -> auto& { return s.topo.spines; }, kAtLeastOne),
+  Key<Int>("topology.hosts_per_leaf", [](auto& s) -> auto& { return s.topo.hosts_per_leaf; }, kAtLeastOne),
+  Key<Double>("topology.oversubscription", [](auto& s) -> auto& { return s.topo.oversubscription; }, kPositive),
+  Key<Int>("topology.rails", [](auto& s) -> auto& { return s.topo.rails; }, kAtLeastOne),
 
-  {"workload.kind", [](auto& s, auto&, auto& v) { s.workload = v; }},
-  {"workload.load", [](auto& s, auto& k, auto& v) { s.wl.load = ToDouble(k, v); }},
-  {"workload.num_flows", [](auto& s, auto& k, auto& v) { s.wl.num_flows = ToBoundedInt(k, v); }},
-  {"workload.size_bytes", [](auto& s, auto& k, auto& v) { s.wl.size_bytes = ToU64(k, v); }},
-  {"workload.cdf", [](auto& s, auto&, auto& v) { s.cdf = v; }},
-  {"workload.start_us", [](auto& s, auto& k, auto& v) { s.wl.start_time = TimeFromUs(k, v); }},
-  {"workload.stagger_us", [](auto& s, auto& k, auto& v) { s.wl.stagger = TimeFromUs(k, v); }},
-  {"workload.groups", [](auto& s, auto& k, auto& v) { s.wl.groups = ToBoundedInt(k, v); }},
-  {"workload.group_stagger_us", [](auto& s, auto& k, auto& v) { s.wl.group_stagger = TimeFromUs(k, v); }},
-  {"workload.flows", [](auto& s, auto& k, auto& v) { s.wl.long_flows = FlowsFromList(k, v); }},
-  {"workload.port_base", [](auto& s, auto& k, auto& v) { s.wl.port_base = static_cast<std::uint16_t>(ToBoundedU64(k, v, 65'535)); }},
-  {"workload.trace_file", [](auto& s, auto&, auto& v) { s.wl.trace_file = v; }},
+  Key<Text>("workload.kind", [](auto& s) -> auto& { return s.workload; }),
+  Key<Double>("workload.load", [](auto& s) -> auto& { return s.wl.load; }, kUnitInterval),
+  Key<Int>("workload.num_flows", [](auto& s) -> auto& { return s.wl.num_flows; }, kAtLeastOne),
+  Key<U64>("workload.size_bytes", [](auto& s) -> auto& { return s.wl.size_bytes; }),
+  Key<Text>("workload.cdf", [](auto& s) -> auto& { return s.cdf; }),
+  Key<TimeUs>("workload.start_us", [](auto& s) -> auto& { return s.wl.start_time; }, kNonNegative),
+  Key<TimeUs>("workload.stagger_us", [](auto& s) -> auto& { return s.wl.stagger; }, kNonNegative),
+  Key<Int>("workload.groups", [](auto& s) -> auto& { return s.wl.groups; }, kAtLeastOne),
+  Key<TimeUs>("workload.group_stagger_us", [](auto& s) -> auto& { return s.wl.group_stagger; }, kNonNegative),
+  Key<Flows>("workload.flows", [](auto& s) -> auto& { return s.wl.long_flows; }).Sparse(),
+  Key<U16>("workload.port_base", [](auto& s) -> auto& { return s.wl.port_base; }),
+  Key<Text>("workload.trace_file", [](auto& s) -> auto& { return s.wl.trace_file; }).Sparse(),
 
-  {"scenario.mode", [](auto& s, auto& k, auto& v) { s.scenario.mode = ModeFromName(k, v); }},
-  {"scenario.link_gbps", [](auto& s, auto& k, auto& v) { s.scenario.link_gbps = ToDouble(k, v); }},
-  {"scenario.propagation_delay_us", [](auto& s, auto& k, auto& v) { s.scenario.propagation_delay = TimeFromUs(k, v); }},
-  {"scenario.mtu_bytes", [](auto& s, auto& k, auto& v) { s.scenario.mtu_bytes = static_cast<std::uint32_t>(ToBoundedU64(k, v, 0xFFFFFFFFull)); }},
-  {"scenario.pfc", [](auto& s, auto& k, auto& v) { s.scenario.pfc_enabled = ToBool(k, v); }},
-  {"scenario.pfc_xoff_bytes", [](auto& s, auto& k, auto& v) { s.scenario.pfc_xoff_bytes = ToU64(k, v); }},
-  {"scenario.pfc_xon_bytes", [](auto& s, auto& k, auto& v) { s.scenario.pfc_xon_bytes = ToU64(k, v); }},
-  {"scenario.ack_every", [](auto& s, auto& k, auto& v) { s.scenario.ack_every = ToBoundedInt(k, v); }},
-  {"scenario.seed", [](auto& s, auto& k, auto& v) { s.scenario.seed = ToU64(k, v); }},
-  {"scenario.symmetric_ecmp", [](auto& s, auto& k, auto& v) { s.scenario.symmetric_ecmp = ToBool(k, v); }},
-  {"scenario.ecmp_salt", [](auto& s, auto& k, auto& v) { s.scenario.ecmp_salt = static_cast<std::uint32_t>(ToBoundedU64(k, v, 0xFFFFFFFFull)); }},
-  {"scenario.int_table_refresh_us", [](auto& s, auto& k, auto& v) { s.scenario.int_table_refresh = TimeFromUs(k, v); }},
-  {"scenario.quantize_int", [](auto& s, auto& k, auto& v) { s.scenario.quantize_int = ToBool(k, v); }},
-  {"scenario.delivery_batch", [](auto& s, auto& k, auto& v) { s.scenario.delivery_batch = ToBoundedInt(k, v); }},
-  {"scenario.exec_domains", [](auto& s, auto& k, auto& v) { s.scenario.exec_domains = v == "auto" ? 0 : ToBoundedInt(k, v); }},
-  {"scenario.eta", [](auto& s, auto& k, auto& v) { s.scenario.eta = ToDouble(k, v); }},
-  {"scenario.max_stage", [](auto& s, auto& k, auto& v) { s.scenario.max_stage = ToBoundedInt(k, v); }},
-  {"scenario.wai_bytes", [](auto& s, auto& k, auto& v) { s.scenario.wai_bytes = ToDouble(k, v); }},
-  {"scenario.lhcs_alpha", [](auto& s, auto& k, auto& v) { s.scenario.lhcs_alpha = ToDouble(k, v); }},
-  {"scenario.lhcs_beta", [](auto& s, auto& k, auto& v) { s.scenario.lhcs_beta = ToDouble(k, v); }},
+  Key<Mode>("scenario.mode", [](auto& s) -> auto& { return s.scenario.mode; }),
+  Key<Double>("scenario.link_gbps", [](auto& s) -> auto& { return s.scenario.link_gbps; }, kPositive),
+  Key<TimeUs>("scenario.propagation_delay_us", [](auto& s) -> auto& { return s.scenario.propagation_delay; }, kNonNegative),
+  Key<U32>("scenario.mtu_bytes", [](auto& s) -> auto& { return s.scenario.mtu_bytes; }, Rule{[](std::uint32_t mtu) { return mtu >= 256; }, "must be >= 256"}),
+  Key<Bool>("scenario.pfc", [](auto& s) -> auto& { return s.scenario.pfc_enabled; }),
+  Key<U64>("scenario.pfc_xoff_bytes", [](auto& s) -> auto& { return s.scenario.pfc_xoff_bytes; }),
+  Key<U64>("scenario.pfc_xon_bytes", [](auto& s) -> auto& { return s.scenario.pfc_xon_bytes; }),
+  Key<Int>("scenario.ack_every", [](auto& s) -> auto& { return s.scenario.ack_every; }, kAtLeastOne),
+  Key<U64>("scenario.seed", [](auto& s) -> auto& { return s.scenario.seed; }),
+  Key<Bool>("scenario.symmetric_ecmp", [](auto& s) -> auto& { return s.scenario.symmetric_ecmp; }),
+  Key<U32>("scenario.ecmp_salt", [](auto& s) -> auto& { return s.scenario.ecmp_salt; }),
+  Key<TimeUs>("scenario.int_table_refresh_us", [](auto& s) -> auto& { return s.scenario.int_table_refresh; }, kNonNegative),
+  Key<Bool>("scenario.quantize_int", [](auto& s) -> auto& { return s.scenario.quantize_int; }),
+  Key<Int>("scenario.delivery_batch", [](auto& s) -> auto& { return s.scenario.delivery_batch; }, Rule{[](int b) { return b >= 1 && b <= 64; }, "must be in [1, 64]"}),
+  Key<Domains>("scenario.exec_domains", [](auto& s) -> auto& { return s.scenario.exec_domains; }, Rule{[](int d) { return d >= 0 && d <= 64; }, "must be auto or in [1, 64]"}),
+  Key<Double>("scenario.eta", [](auto& s) -> auto& { return s.scenario.eta; }, kUnitInterval),
+  Key<Int>("scenario.max_stage", [](auto& s) -> auto& { return s.scenario.max_stage; }, kAtLeastOne),
+  Key<Double>("scenario.wai_bytes", [](auto& s) -> auto& { return s.scenario.wai_bytes; }, kNonNegative),
+  Key<Double>("scenario.lhcs_alpha", [](auto& s) -> auto& { return s.scenario.lhcs_alpha; }, kPositive),
+  Key<Double>("scenario.lhcs_beta", [](auto& s) -> auto& { return s.scenario.lhcs_beta; }, kUnitInterval),
 
-  {"run.duration_us", [](auto& s, auto& k, auto& v) { s.run.duration = TimeFromUs(k, v); }},
-  {"run.max_sim_ms", [](auto& s, auto& k, auto& v) { s.run.max_sim_time = TimeFromMs(k, v); }},
-  {"run.queue_sample_us", [](auto& s, auto& k, auto& v) { s.run.queue_sample_interval = TimeFromUs(k, v); }},
-  {"run.rate_sample_us", [](auto& s, auto& k, auto& v) { s.run.rate_sample_interval = TimeFromUs(k, v); }},
-  {"run.util_sample_us", [](auto& s, auto& k, auto& v) { s.run.util_sample_interval = TimeFromUs(k, v); }},
-  {"run.monitor", [](auto& s, auto& k, auto& v) { s.run.monitor = ToBool(k, v); }},
-  {"run.launch_window_us", [](auto& s, auto& k, auto& v) { s.run.launch_window = TimeFromUs(k, v); }},
+  Key<TimeUs>("run.duration_us", [](auto& s) -> auto& { return s.run.duration; }, kNonNegative),
+  Key<TimeMs>("run.max_sim_ms", [](auto& s) -> auto& { return s.run.max_sim_time; }, kPositive),
+  Key<TimeUs>("run.queue_sample_us", [](auto& s) -> auto& { return s.run.queue_sample_interval; }, kPositive),
+  Key<TimeUs>("run.rate_sample_us", [](auto& s) -> auto& { return s.run.rate_sample_interval; }, kPositive),
+  Key<TimeUs>("run.util_sample_us", [](auto& s) -> auto& { return s.run.util_sample_interval; }, kPositive),
+  Key<Bool>("run.monitor", [](auto& s) -> auto& { return s.run.monitor; }),
+  Key<TimeUs>("run.launch_window_us", [](auto& s) -> auto& { return s.run.launch_window; }, kNonNegative).Sparse(),
 
-  {"output.dir", [](auto& s, auto&, auto& v) { s.output.dir = v; }},
-  {"output.fct_csv", [](auto& s, auto&, auto& v) { s.output.fct_csv = v; }},
-  {"output.timeseries_csv", [](auto& s, auto&, auto& v) { s.output.timeseries_csv = v; }},
-  {"output.manifest", [](auto& s, auto&, auto& v) { s.output.manifest = v; }},
-  {"output.buckets", [](auto& s, auto&, auto& v) { s.output.buckets = v; }},
-  {"output.stream_fct", [](auto& s, auto& k, auto& v) { s.output.stream_fct = ToBool(k, v); }},
-  {"output.pdes_stats", [](auto& s, auto& k, auto& v) { s.output.pdes_stats = ToBool(k, v); }},
+  Key<Text>("output.dir", [](auto& s) -> auto& { return s.output.dir; }),
+  Key<Text>("output.fct_csv", [](auto& s) -> auto& { return s.output.fct_csv; }).Sparse(),
+  Key<Text>("output.timeseries_csv", [](auto& s) -> auto& { return s.output.timeseries_csv; }).Sparse(),
+  Key<Text>("output.manifest", [](auto& s) -> auto& { return s.output.manifest; }).Sparse(),
+  Key<Text>("output.buckets", [](auto& s) -> auto& { return s.output.buckets; }).Sparse(),
+  Key<Bool>("output.stream_fct", [](auto& s) -> auto& { return s.output.stream_fct; }).Sparse(),
+  Key<Bool>("output.pdes_stats", [](auto& s) -> auto& { return s.output.pdes_stats; }).Sparse(),
 };
 // clang-format on
 
@@ -328,10 +440,7 @@ void SetSweepAxis(ExperimentSpec& spec, const std::string& axis,
   if (values.empty()) {
     Bad(key, "empty axis value (drop the key to leave the axis unswept)");
   }
-  if (std::string_view(target.key) == "scenario.mode" && value == "all") {
-    values.clear();
-    for (CcMode m : kAllCcModes) values.emplace_back(CcModeName(m));
-  }
+  if (target.every && value == "all") values = target.every();
   ExperimentSpec scratch = spec;
   for (const std::string& v : values) {
     if (v.find('/') != std::string::npos) {
@@ -371,8 +480,12 @@ void ApplyKey(ExperimentSpec& spec, const std::string& key,
   throw SpecError("unknown key '" + key + "'");
 }
 
+[[noreturn]] void Invalid(const std::string& what) {
+  throw SpecError("spec validation: " + what);
+}
+
 void Require(bool ok, const std::string& what) {
-  if (!ok) throw SpecError("spec validation: " + what);
+  if (!ok) Invalid(what);
 }
 
 }  // namespace
@@ -398,34 +511,18 @@ void ValidateSpec(const ExperimentSpec& spec) {
     throw SpecError(std::string("workload.cdf: ") + e.what());
   }
 
-  // Topology ranges (registry builders re-check; failing here gives the
-  // key-level message before any simulator exists).
-  Require(spec.topo.num_senders >= 1, "topology.num_senders must be >= 1");
-  Require(spec.topo.num_switches >= 1, "topology.num_switches must be >= 1");
-  Require(spec.topo.k >= 2 && spec.topo.k % 2 == 0,
-          "topology.k must be even and >= 2");
-  Require(spec.topo.leaves >= 1, "topology.leaves must be >= 1");
-  Require(spec.topo.spines >= 1, "topology.spines must be >= 1");
-  Require(spec.topo.hosts_per_leaf >= 1,
-          "topology.hosts_per_leaf must be >= 1");
-  Require(spec.topo.oversubscription > 0.0,
-          "topology.oversubscription must be > 0");
-  Require(spec.topo.rails >= 1, "topology.rails must be >= 1");
+  // Each key's own range (registry builders re-check; failing here gives
+  // the key-level message before any simulator exists).
+  for (const KeyDef& def : kKeys) {
+    if (!def.in_range(spec)) Invalid(std::string(def.key) + " " + def.rule);
+  }
+
+  // Ranges that involve more than one key.
   if (spec.topology == "chain_merge") {
     Require(spec.topo.merge_switch >= 0 &&
                 spec.topo.merge_switch < spec.topo.num_switches,
             "topology.merge_switch must be in [0, topology.num_switches)");
   }
-
-  // Workload ranges.
-  Require(spec.wl.load > 0.0 && spec.wl.load <= 1.0,
-          "workload.load must be in (0, 1]");
-  Require(spec.wl.num_flows >= 1, "workload.num_flows must be >= 1");
-  Require(spec.wl.groups >= 1, "workload.groups must be >= 1");
-  Require(spec.wl.start_time >= 0, "workload.start_us must be >= 0");
-  Require(spec.wl.stagger >= 0, "workload.stagger_us must be >= 0");
-  Require(spec.wl.group_stagger >= 0,
-          "workload.group_stagger_us must be >= 0");
   for (const LongFlow& lf : spec.wl.long_flows) {
     Require(lf.sender_index >= 0, "workload.flows sender index must be >= 0");
     Require(lf.start >= 0, "workload.flows start must be >= 0");
@@ -441,45 +538,14 @@ void ValidateSpec(const ExperimentSpec& spec) {
             "workload 'trace' needs workload.trace_file (a "
             "start_us,src,dst,bytes CSV)");
   }
-
-  // Scenario ranges.
-  Require(spec.scenario.link_gbps > 0.0, "scenario.link_gbps must be > 0");
-  Require(spec.scenario.propagation_delay >= 0,
-          "scenario.propagation_delay_us must be >= 0");
-  Require(spec.scenario.mtu_bytes >= 256,
-          "scenario.mtu_bytes must be >= 256");
-  Require(spec.scenario.ack_every >= 1, "scenario.ack_every must be >= 1");
   Require(spec.scenario.pfc_xon_bytes <= spec.scenario.pfc_xoff_bytes,
           "scenario.pfc_xon_bytes must be <= scenario.pfc_xoff_bytes");
-  Require(spec.scenario.int_table_refresh >= 0,
-          "scenario.int_table_refresh_us must be >= 0");
-  Require(spec.scenario.delivery_batch >= 1 &&
-              spec.scenario.delivery_batch <= 64,
-          "scenario.delivery_batch must be in [1, 64]");
-  Require(spec.scenario.exec_domains >= 0 && spec.scenario.exec_domains <= 64,
-          "scenario.exec_domains must be auto or in [1, 64]");
   // >1 domains need a positive cross-domain lookahead window; auto (0) is
   // fine — it resolves to 1 when there is no propagation delay.
   Require(spec.scenario.exec_domains <= 1 ||
               spec.scenario.propagation_delay > 0,
           "scenario.exec_domains > 1 requires scenario.propagation_delay_us "
           "> 0 (the PDES lookahead window)");
-  Require(spec.scenario.eta > 0.0 && spec.scenario.eta <= 1.0,
-          "scenario.eta must be in (0, 1]");
-  Require(spec.scenario.max_stage >= 1, "scenario.max_stage must be >= 1");
-  Require(spec.scenario.wai_bytes >= 0.0, "scenario.wai_bytes must be >= 0");
-  Require(spec.scenario.lhcs_alpha > 0.0, "scenario.lhcs_alpha must be > 0");
-  Require(spec.scenario.lhcs_beta > 0.0 && spec.scenario.lhcs_beta <= 1.0,
-          "scenario.lhcs_beta must be in (0, 1]");
-
-  // Run ranges.
-  Require(spec.run.duration >= 0, "run.duration_us must be >= 0");
-  Require(spec.run.max_sim_time > 0, "run.max_sim_ms must be > 0");
-  Require(spec.run.queue_sample_interval > 0,
-          "run.queue_sample_us must be > 0");
-  Require(spec.run.rate_sample_interval > 0, "run.rate_sample_us must be > 0");
-  Require(spec.run.util_sample_interval > 0, "run.util_sample_us must be > 0");
-  Require(spec.run.launch_window >= 0, "run.launch_window_us must be >= 0");
   // The samplers start at t = 0 and follow the flows launched by then;
   // only window 0 launches every flow before the run starts.
   Require(spec.run.launch_window == 0 || !spec.run.monitor,
@@ -618,11 +684,11 @@ std::vector<ExperimentSpec> ExpandSweep(const ExperimentSpec& spec) {
   while (true) {
     ExperimentSpec point = base;
     for (std::size_t i = 0; i < axes.size(); ++i) {
-      const std::string_view key = targets[i]->key;
+      const KeyDef& target = *targets[i];
       const std::string& value = axes[i].values[digit[i]];
-      targets[i]->set(point, "sweep." + axes[i].key, value);
+      target.set(point, "sweep." + axes[i].key, value);
       if (!point.label.empty()) point.label += '-';
-      if (key != "scenario.mode") point.label += LastComponent(key);
+      if (!target.every) point.label += LastComponent(target.key);
       point.label += value;
     }
     ValidateSpec(point);
@@ -638,118 +704,41 @@ std::vector<ExperimentSpec> ExpandSweep(const ExperimentSpec& spec) {
 // -------------------------------------------------------------- serialize
 
 std::string SpecToText(const ExperimentSpec& spec) {
-  std::ostringstream out;
-  out << "name = " << spec.name << "\n";
-
-  out << "\n[topology]\n";
-  out << "kind = " << spec.topology << "\n";
-  out << "num_senders = " << spec.topo.num_senders << "\n";
-  out << "num_switches = " << spec.topo.num_switches << "\n";
-  out << "merge_switch = " << spec.topo.merge_switch << "\n";
-  out << "k = " << spec.topo.k << "\n";
-  out << "leaves = " << spec.topo.leaves << "\n";
-  out << "spines = " << spec.topo.spines << "\n";
-  out << "hosts_per_leaf = " << spec.topo.hosts_per_leaf << "\n";
-  out << "oversubscription = " << FormatDouble(spec.topo.oversubscription)
-      << "\n";
-  out << "rails = " << spec.topo.rails << "\n";
-
-  out << "\n[workload]\n";
-  out << "kind = " << spec.workload << "\n";
-  out << "load = " << FormatDouble(spec.wl.load) << "\n";
-  out << "num_flows = " << spec.wl.num_flows << "\n";
-  out << "size_bytes = " << spec.wl.size_bytes << "\n";
-  out << "cdf = " << spec.cdf << "\n";
-  out << "start_us = " << FormatTimeUs(spec.wl.start_time) << "\n";
-  out << "stagger_us = " << FormatTimeUs(spec.wl.stagger) << "\n";
-  out << "groups = " << spec.wl.groups << "\n";
-  out << "group_stagger_us = " << FormatTimeUs(spec.wl.group_stagger) << "\n";
-  if (!spec.wl.long_flows.empty()) {
-    out << "flows = " << FlowsToList(spec.wl.long_flows) << "\n";
-  }
-  out << "port_base = " << spec.wl.port_base << "\n";
-  if (!spec.wl.trace_file.empty()) {
-    out << "trace_file = " << spec.wl.trace_file << "\n";
-  }
-
-  out << "\n[scenario]\n";
-  out << "mode = " << CcModeName(spec.scenario.mode) << "\n";
-  out << "link_gbps = " << FormatDouble(spec.scenario.link_gbps) << "\n";
-  out << "propagation_delay_us = "
-      << FormatTimeUs(spec.scenario.propagation_delay) << "\n";
-  out << "mtu_bytes = " << spec.scenario.mtu_bytes << "\n";
-  out << "pfc = " << (spec.scenario.pfc_enabled ? "true" : "false") << "\n";
-  out << "pfc_xoff_bytes = " << spec.scenario.pfc_xoff_bytes << "\n";
-  out << "pfc_xon_bytes = " << spec.scenario.pfc_xon_bytes << "\n";
-  out << "ack_every = " << spec.scenario.ack_every << "\n";
-  out << "seed = " << spec.scenario.seed << "\n";
-  out << "symmetric_ecmp = "
-      << (spec.scenario.symmetric_ecmp ? "true" : "false") << "\n";
-  out << "ecmp_salt = " << spec.scenario.ecmp_salt << "\n";
-  out << "int_table_refresh_us = "
-      << FormatTimeUs(spec.scenario.int_table_refresh) << "\n";
-  out << "quantize_int = " << (spec.scenario.quantize_int ? "true" : "false")
-      << "\n";
-  out << "delivery_batch = " << spec.scenario.delivery_batch << "\n";
-  out << "exec_domains = ";
-  if (spec.scenario.exec_domains == 0) {
-    out << "auto\n";
-  } else {
-    out << spec.scenario.exec_domains << "\n";
-  }
-  out << "eta = " << FormatDouble(spec.scenario.eta) << "\n";
-  out << "max_stage = " << spec.scenario.max_stage << "\n";
-  out << "wai_bytes = " << FormatDouble(spec.scenario.wai_bytes) << "\n";
-  out << "lhcs_alpha = " << FormatDouble(spec.scenario.lhcs_alpha) << "\n";
-  out << "lhcs_beta = " << FormatDouble(spec.scenario.lhcs_beta) << "\n";
-
-  out << "\n[run]\n";
-  out << "duration_us = " << FormatTimeUs(spec.run.duration) << "\n";
-  out << "max_sim_ms = " << FormatTimeMs(spec.run.max_sim_time) << "\n";
-  out << "queue_sample_us = " << FormatTimeUs(spec.run.queue_sample_interval)
-      << "\n";
-  out << "rate_sample_us = " << FormatTimeUs(spec.run.rate_sample_interval)
-      << "\n";
-  out << "util_sample_us = " << FormatTimeUs(spec.run.util_sample_interval)
-      << "\n";
-  out << "monitor = " << (spec.run.monitor ? "true" : "false") << "\n";
-  if (spec.run.launch_window != 0) {
-    out << "launch_window_us = " << FormatTimeUs(spec.run.launch_window)
-        << "\n";
-  }
-
-  if (!spec.sweep.empty()) {
-    out << "\n[sweep]\n";
-    for (const SweepAxis& axis : spec.sweep) {
-      out << axis.key << " = ";
-      for (std::size_t i = 0; i < axis.values.size(); ++i) {
-        out << (i ? "," : "") << axis.values[i];
+  static const ExperimentSpec kDefaults;
+  std::string out;
+  std::string_view section;
+  for (const KeyDef& def : kKeys) {
+    const std::string_view key = def.key;
+    const std::size_t dot = key.find('.');
+    const std::string_view key_section =
+        dot == std::string_view::npos ? "" : key.substr(0, dot);
+    if (key_section != section) {
+      // The sweep axes go between the point's keys and the outputs.
+      if (key_section == "output" && !spec.sweep.empty()) {
+        out += "\n[sweep]\n";
+        for (const SweepAxis& axis : spec.sweep) {
+          out += axis.key + " = ";
+          for (std::size_t i = 0; i < axis.values.size(); ++i) {
+            out += (i ? "," : "") + axis.values[i];
+          }
+          out += '\n';
+        }
       }
-      out << "\n";
+      section = key_section;
+      out += "\n[" + std::string(section) + "]\n";
     }
+    const std::string value = def.get(spec);
+    if (def.sparse && value == def.get(kDefaults)) continue;
+    out += key.substr(section.empty() ? 0 : dot + 1);
+    out += " = " + value + '\n';
   }
+  return out;
+}
 
-  out << "\n[output]\n";
-  out << "dir = " << spec.output.dir << "\n";
-  if (!spec.output.fct_csv.empty()) {
-    out << "fct_csv = " << spec.output.fct_csv << "\n";
-  }
-  if (!spec.output.timeseries_csv.empty()) {
-    out << "timeseries_csv = " << spec.output.timeseries_csv << "\n";
-  }
-  if (!spec.output.manifest.empty()) {
-    out << "manifest = " << spec.output.manifest << "\n";
-  }
-  if (!spec.output.buckets.empty()) {
-    out << "buckets = " << spec.output.buckets << "\n";
-  }
-  if (spec.output.stream_fct) {
-    out << "stream_fct = true\n";
-  }
-  if (spec.output.pdes_stats) {
-    out << "pdes_stats = true\n";
-  }
-  return out.str();
+std::vector<std::string> SpecKeys() {
+  std::vector<std::string> keys;
+  for (const KeyDef& def : kKeys) keys.emplace_back(def.key);
+  return keys;
 }
 
 // ---------------------------------------------------------------- resolve

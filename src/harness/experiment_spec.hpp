@@ -148,7 +148,10 @@ void ApplySpecOverrides(ExperimentSpec& spec,
                         const std::vector<std::string>& tokens);
 
 /// Range validation + registry membership. Parsers call this; call it
-/// again after mutating a spec programmatically. Throws SpecError.
+/// again after mutating a spec programmatically. Throws SpecError. A rule
+/// on one key's value lives in that key's row of the key table; the name
+/// rules, registry and CDF membership and the rules that involve several
+/// keys are checked here in code.
 void ValidateSpec(const ExperimentSpec& spec);
 
 /// Cross product of the sweep axes: self-contained points in declaration
@@ -157,10 +160,16 @@ void ValidateSpec(const ExperimentSpec& spec);
 /// (label ""). Points are validated.
 std::vector<ExperimentSpec> ExpandSweep(const ExperimentSpec& spec);
 
-/// Serializes every field (including defaults) as sectioned spec text.
-/// ParseSpecText(SpecToText(s)) reproduces s exactly — the round-trip the
-/// run manifest relies on.
+/// Serializes every field (including defaults) as sectioned spec text: one
+/// `key = value` line per row of the key table, in table order, printed by
+/// the key's own codec (a few optional keys only when set), with the sweep
+/// axes before [output]. ParseSpecText(SpecToText(s)) reproduces s exactly
+/// — the round-trip the run manifest relies on.
 std::string SpecToText(const ExperimentSpec& spec);
+
+/// Every settable key's full dotted name (`topology.k`, ...), in the order
+/// SpecToText writes them.
+std::vector<std::string> SpecKeys();
 
 /// `t` in microseconds, shortest round-tripping text (as SpecToText writes).
 std::string FormatTimeUs(Time t);

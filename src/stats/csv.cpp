@@ -40,17 +40,4 @@ bool WriteFctCsv(const std::string& path, const FctRecorder& recorder) {
   return sink.Finish();
 }
 
-bool WriteBucketCsv(const std::string& path,
-                    const std::vector<BucketStats>& buckets) {
-  FilePtr f(std::fopen(path.c_str(), "w"));
-  if (!f) return false;
-  std::fprintf(f.get(), "size_max,count,avg,p50,p95,p99\n");
-  for (const BucketStats& b : buckets) {
-    std::fprintf(f.get(), "%llu,%zu,%.4f,%.4f,%.4f,%.4f\n",
-                 static_cast<unsigned long long>(b.max_size_bytes), b.count,
-                 b.avg, b.p50, b.p95, b.p99);
-  }
-  return true;
-}
-
 }  // namespace fncc

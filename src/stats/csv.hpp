@@ -21,8 +21,4 @@ bool WriteTimeSeriesCsv(
 /// ideal_us,slowdown`.
 bool WriteFctCsv(const std::string& path, const FctRecorder& recorder);
 
-/// Writes bucketed slowdown statistics: `size_max,count,avg,p50,p95,p99`.
-bool WriteBucketCsv(const std::string& path,
-                    const std::vector<BucketStats>& buckets);
-
 }  // namespace fncc

@@ -47,12 +47,9 @@ class PeriodicSampler {
     Arm();
   }
 
-  void Stop() { stopped_ = true; }
-
  private:
   void Arm() {
     sim_->Schedule(interval_, [this] {
-      if (stopped_) return;
       out_->Add(sim_->Now(), probe_());
       Arm();
     });
@@ -62,7 +59,6 @@ class PeriodicSampler {
   Time interval_;
   std::function<double()> probe_;
   TimeSeries* out_;
-  bool stopped_ = false;
 };
 
 /// Converts a monotone byte counter into a rate (Gbps) between samples —

@@ -1,14 +1,19 @@
 # Golden digests: runs committed specs end to end and compares one SHA-256
 # per entry against specs/golden.txt.
 #
-#   cmake -DFNCC_RUN=<fncc_run> [-DENTRIES=<name;...>|fat_tree]
+#   cmake -DFNCC_RUN=<fncc_run> [-DENTRIES=<name;...>|fat_tree|print]
 #         [-DOUT_DIR=<dir>] [-DUPDATE=1] -P tests/golden.cmake
 #
 # An entry is a spec under specs/, run with the overrides in
 # golden_args_<name> (short ones, so the fat-tree entries finish in a
 # second or two) and, when golden_threads_<name> is set, once per listed
 # `--threads` value: every run must produce the entry's one digest line.
-# ENTRIES selects entries (default: all; `fat_tree` names that group). A
+# Each specs/<spec>.exp also has a `print_<spec>` entry: the SHA-256 of
+# `fncc_run --print specs/<spec>.exp` run from the source directory (so a
+# resolved relative trace_file reads the same on every machine), the same
+# digest `sha256sum` gives of that output.
+# ENTRIES selects entries (default: all; `fat_tree` and `print` name those
+# groups). A
 # digest covers the bytes of every FCT and timeseries CSV the run's
 # manifest lists, the manifest's `spec` text (without the machine-specific
 # `output.dir` line) and each point's counters from `flows_completed` to
@@ -33,7 +38,14 @@ set(FNCC_GOLDEN_COUNTERS flows_completed flows_total pause_frames drops
     retransmits out_of_order asymmetric_acks lhcs_triggers events_processed)
 get_filename_component(source_dir "${CMAKE_CURRENT_LIST_DIR}/.." ABSOLUTE)
 set(golden_file "${source_dir}/specs/golden.txt")
-set(all_entries ${FNCC_GOLDEN_SHORT} ${FNCC_GOLDEN_FAT_TREE})
+file(GLOB spec_paths "${source_dir}/specs/*.exp")
+set(FNCC_GOLDEN_PRINT "")
+foreach(path ${spec_paths})
+  get_filename_component(spec "${path}" NAME_WE)
+  list(APPEND FNCC_GOLDEN_PRINT print_${spec})
+endforeach()
+set(all_entries ${FNCC_GOLDEN_SHORT} ${FNCC_GOLDEN_FAT_TREE}
+    ${FNCC_GOLDEN_PRINT})
 if(NOT FNCC_RUN)
   message(FATAL_ERROR "golden.cmake: pass -DFNCC_RUN=<path to fncc_run>")
 endif()
@@ -44,6 +56,8 @@ if(NOT ENTRIES)
   set(ENTRIES ${all_entries})
 elseif(ENTRIES STREQUAL "fat_tree")
   set(ENTRIES ${FNCC_GOLDEN_FAT_TREE})
+elseif(ENTRIES STREQUAL "print")
+  set(ENTRIES ${FNCC_GOLDEN_PRINT})
 endif()
 foreach(name ${ENTRIES})
   if(NOT name IN_LIST all_entries)
@@ -108,15 +122,27 @@ foreach(name ${ENTRIES})
       set(dir "${dir}.threads${threads}")
       set(threads_args --threads ${threads})
     endif()
-    file(REMOVE_RECURSE "${dir}")
-    execute_process(
-      COMMAND "${FNCC_RUN}" ${threads_args} "${source_dir}/specs/${name}.exp"
-              ${golden_args_${name}} "output.dir=${dir}"
-      RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-    if(NOT rc EQUAL 0)
-      message(FATAL_ERROR "fncc_run ${name}.exp exited ${rc}:\n${out}${err}")
+    if(name MATCHES "^print_(.+)$")
+      execute_process(
+        COMMAND "${FNCC_RUN}" --print "specs/${CMAKE_MATCH_1}.exp"
+        WORKING_DIRECTORY "${source_dir}"
+        RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+      if(NOT rc EQUAL 0)
+        message(FATAL_ERROR "fncc_run --print ${CMAKE_MATCH_1}.exp exited "
+                "${rc}:\n${out}${err}")
+      endif()
+      string(SHA256 digest "${out}")
+    else()
+      file(REMOVE_RECURSE "${dir}")
+      execute_process(
+        COMMAND "${FNCC_RUN}" ${threads_args} "${source_dir}/specs/${name}.exp"
+                ${golden_args_${name}} "output.dir=${dir}"
+        RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+      if(NOT rc EQUAL 0)
+        message(FATAL_ERROR "fncc_run ${name}.exp exited ${rc}:\n${out}${err}")
+      endif()
+      golden_digest("${dir}" digest)
     endif()
-    golden_digest("${dir}" digest)
     math(EXPR runs "${runs} + 1")
     if(UPDATE AND NOT DEFINED actual_${name})
       set(actual_${name} "${digest}")

@@ -58,31 +58,9 @@ std::vector<std::string> CommittedSpecTexts() {
   return CommittedTexts(FNCC_SOURCE_DIR "/specs", ".exp");
 }
 
-/// Every `section.key` SpecToText writes for a spec with every optional
-/// field set, so the fuzzer can splice real keys.
-std::vector<std::string> KnownKeys() {
-  ExperimentSpec spec;
-  spec.wl.trace_file = "t.csv";
-  spec.run.launch_window = 1;
-  spec.output.fct_csv = spec.output.timeseries_csv = "x.csv";
-  spec.output.manifest = "m.json";
-  spec.output.buckets = "web_search";
-  spec.output.stream_fct = spec.output.pdes_stats = true;
-  std::vector<std::string> keys;
-  std::istringstream in(SpecToText(spec));
-  std::string line;
-  std::string section;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (line.front() == '[') {
-      section = line.substr(1, line.size() - 2);
-      continue;
-    }
-    const std::string key = line.substr(0, line.find(" = "));
-    keys.push_back(section.empty() ? key : section + "." + key);
-  }
-  return keys;
-}
+/// Every settable key, from the key table, so the fuzzer can splice real
+/// keys.
+std::vector<std::string> KnownKeys() { return SpecKeys(); }
 
 const std::vector<std::string> kOverrideTokens = {
     "sweep.mode=all",

@@ -52,19 +52,6 @@ TEST_F(CsvTest, FctRows) {
             std::string::npos);
 }
 
-TEST_F(CsvTest, BucketRows) {
-  std::vector<BucketStats> buckets(1);
-  buckets[0].max_size_bytes = 10'000;
-  buckets[0].count = 3;
-  buckets[0].avg = 1.5;
-  buckets[0].p50 = 1.25;
-  buckets[0].p95 = 2.0;
-  buckets[0].p99 = 2.5;
-  ASSERT_TRUE(WriteBucketCsv(path_, buckets));
-  EXPECT_NE(ReadAll(path_).find("10000,3,1.5000,1.2500,2.0000,2.5000"),
-            std::string::npos);
-}
-
 TEST_F(CsvTest, UnwritablePathFails) {
   EXPECT_FALSE(WriteFctCsv("/nonexistent_dir_xyz/file.csv", FctRecorder{}));
 }
