@@ -5,7 +5,9 @@
 // dumbbell. `run_benches.sh` captures the output as BENCH_micro.json.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "net/packet_pool.hpp"
 #include "net/routing.hpp"
 #include "net/switch.hpp"
+#include "net/topology.hpp"
 #include "sim/event_queue.hpp"
 #include "stats/fct_sink.hpp"
 #include "transport/host.hpp"
@@ -412,8 +415,8 @@ void BM_SwitchForward(benchmark::State& state) {
   sw.port(1).Connect({&b, 0}, 100.0, Nanoseconds(100));
   b.nic().Connect({&sw, 1}, 100.0, Nanoseconds(100));
   sw.routing().Resize(3);
-  sw.routing().SetNextHops(1, {0});
-  sw.routing().SetNextHops(2, {1});
+  sw.routing().SetNextHops(1, std::array{0});
+  sw.routing().SetNextHops(2, std::array{1});
 
   for (auto _ : state) {
     PacketPtr pkt = sim.packet_pool().Acquire();
@@ -434,6 +437,29 @@ void BM_SwitchForward(benchmark::State& state) {
       benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_SwitchForward);
+
+void BM_ComputeRoutes(benchmark::State& state) {
+  // Routing set-up for a k-ary fat-tree (arg = k): every switch's ECMP
+  // table toward every host. The fabric is built once, outside the timed
+  // loop; each iteration routes it again (interned sets, so the pools do
+  // not grow). Ungated: a set-up cost, not a per-packet one.
+  Simulator sim;
+  Rng rng(1);
+  const HostFactory sinks = [](Simulator* s, NodeId id, const std::string&) {
+    return std::make_unique<BenchSink>(s, id);
+  };
+  TopologyParams params;
+  params.k = static_cast<int>(state.range(0));
+  BuiltTopology topo = TopologyRegistry::Build("fat_tree", &sim, sinks,
+                                               SwitchConfig{}, &rng, params);
+  for (auto _ : state) topo.net.ComputeRoutes();
+  state.SetItemsProcessed(
+      state.iterations() *
+      static_cast<std::int64_t>(topo.net.switches().size() *
+                                topo.net.hosts().size()));
+  state.SetLabel("items = (switch, host) routes");
+}
+BENCHMARK(BM_ComputeRoutes)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------------- streaming pipeline
 // The per-completion cost of the bounded-memory FCT path: two quantile

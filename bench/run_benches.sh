@@ -161,6 +161,13 @@ fwd = ips("BM_SwitchForward")
 if fwd:
     print(f"  switch forward         {fwd/1e6:8.1f}M pkts/s (full pipeline)")
 
+print("== net: routing set-up (Network::ComputeRoutes) ==")
+for k in (8, 16):
+    b = by_name.get(f"BM_ComputeRoutes/{k}")
+    if b:
+        print(f"  fat-tree k={k:<2}          {b['real_time']:8.2f} "
+              f"{b['time_unit']} per routing pass")
+
 print("== streaming FCT pipeline ==")
 sink = by_name.get("BM_FctSink")
 if sink:

@@ -4,7 +4,9 @@
 #include <cassert>
 #include <deque>
 #include <limits>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace fncc {
@@ -143,41 +145,73 @@ void Network::ComputeRoutes(std::uint32_t ecmp_salt, bool symmetric) {
     sw->SetEcmp(ecmp_salt, symmetric);
   }
 
+  // Every host hangs off one switch (Path assumes it too), and every host
+  // on a switch shares the routes the other switches hold toward it.
+  std::vector<std::vector<NodeId>> attached(n);  // by switch id
+  for (const Endpoint* host : hosts_) {
+    const std::vector<Adjacency>& links = adj_[host->id()];
+    if (links.size() != 1 || !node(links[0].peer)->IsSwitch()) {
+      throw std::logic_error("host " + host->name() + " has " +
+                             std::to_string(links.size()) +
+                             " links; routing needs exactly one, to a switch");
+    }
+    attached[links[0].peer].push_back(host->id());
+  }
+
+  // Switch-to-switch links in (peer id, port) order, flat per switch: the
+  // selection order every ECMP set keeps, fabric-wide, for the
+  // symmetric-path property (Fig. 5).
+  std::vector<std::size_t> first(n + 1, 0);
+  std::vector<std::pair<NodeId, int>> links;
+  for (std::size_t id = 0; id < n; ++id) {
+    first[id] = links.size();
+    if (!nodes_[id]->IsSwitch()) continue;
+    for (const Adjacency& e : adj_[id]) {
+      if (node(e.peer)->IsSwitch()) links.emplace_back(e.peer, e.local_port);
+    }
+    std::sort(links.begin() + static_cast<std::ptrdiff_t>(first[id]),
+              links.end());
+  }
+  first[n] = links.size();
+
   constexpr int kUnreached = std::numeric_limits<int>::max();
   std::vector<int> dist(n);
-  for (const Endpoint* dst : hosts_) {
-    std::fill(dist.begin(), dist.end(), kUnreached);
-    std::deque<NodeId> frontier{dst->id()};
-    dist[dst->id()] = 0;
-    while (!frontier.empty()) {
-      const NodeId cur = frontier.front();
-      frontier.pop_front();
-      for (const Adjacency& e : adj_[cur]) {
-        // Hosts never forward transit traffic: only the destination itself
-        // and switches may appear as interior BFS nodes.
-        if (!node(e.peer)->IsSwitch() && e.peer != dst->id()) continue;
-        if (dist[e.peer] == kUnreached) {
-          dist[e.peer] = dist[cur] + 1;
-          if (node(e.peer)->IsSwitch()) frontier.push_back(e.peer);
-        }
+  std::vector<NodeId> order;  // BFS frontier, in visiting order
+  std::vector<int> ports;
+  for (Switch* home : switches_) {
+    const NodeId s = home->id();
+    if (attached[s].empty()) continue;
+    // The home switch sends each of its hosts out of that host's port.
+    for (const Adjacency& e : adj_[s]) {
+      if (!node(e.peer)->IsSwitch()) {
+        home->routing().SetNextHops(e.peer, std::span(&e.local_port, 1));
       }
     }
-    for (Switch* sw : switches_) {
-      if (dist[sw->id()] == kUnreached) continue;
-      // Equal-cost next hops: neighbours one step closer to dst. Sorted by
-      // (peer id, port) so the selection order is consistent fabric-wide —
-      // a requirement for the symmetric-path property (Fig. 5).
-      std::vector<std::pair<NodeId, int>> hops;
-      for (const Adjacency& e : adj_[sw->id()]) {
-        if (dist[e.peer] == dist[sw->id()] - 1) {
-          hops.emplace_back(e.peer, e.local_port);
+    // Hosts never forward transit traffic, so the rest is a BFS over
+    // switches from the home switch. Elsewhere the equal-cost next hops
+    // are the neighbours one step closer to it.
+    std::fill(dist.begin(), dist.end(), kUnreached);
+    dist[s] = 0;
+    order.assign(1, s);
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const NodeId cur = order[i];
+      for (std::size_t l = first[cur]; l < first[cur + 1]; ++l) {
+        const NodeId peer = links[l].first;
+        if (dist[peer] != kUnreached) continue;
+        dist[peer] = dist[cur] + 1;
+        order.push_back(peer);
+      }
+    }
+    for (std::size_t i = 1; i < order.size(); ++i) {
+      const NodeId sw = order[i];
+      ports.clear();
+      for (std::size_t l = first[sw]; l < first[sw + 1]; ++l) {
+        if (dist[links[l].first] == dist[sw] - 1) {
+          ports.push_back(links[l].second);
         }
       }
-      std::sort(hops.begin(), hops.end());
-      std::vector<int> ports;
-      ports.reserve(hops.size());
-      for (const auto& [peer, port] : hops) ports.push_back(port);
-      if (!ports.empty()) sw->routing().SetNextHops(dst->id(), ports);
+      static_cast<Switch*>(node(sw))->routing().SetNextHops(attached[s],
+                                                            ports);
     }
   }
 }
@@ -244,7 +278,8 @@ void Network::ComputeSpanningTreeRoutes(int num_trees, std::uint32_t salt) {
         for (const Adjacency& e : adj_[sw->id()]) {
           if (is_tree_edge(sw->id(), e.peer) &&
               dist[e.peer] == dist[sw->id()] - 1) {
-            sw->tree_routing(t).SetNextHops(dst->id(), {e.local_port});
+            sw->tree_routing(t).SetNextHops(dst->id(),
+                                            std::span(&e.local_port, 1));
             break;  // unique in a tree
           }
         }

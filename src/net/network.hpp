@@ -91,7 +91,10 @@ class Network {
   void ConnectAuto(NodeId a, NodeId b, double gbps, Time propagation_delay);
 
   /// Builds destination-based equal-cost routing tables on every switch
-  /// (BFS per host) and configures every switch's ECMP hash.
+  /// and configures every switch's ECMP hash: one BFS over the switches
+  /// per switch that hosts attach to, whose next-hop sets all of its hosts
+  /// share. Throws std::logic_error naming a host that does not have
+  /// exactly one link, to a switch.
   void ComputeRoutes(std::uint32_t ecmp_salt = 0, bool symmetric = true);
 
   /// Observation 2 method 2 (TCP-Bolt style): builds `num_trees` spanning

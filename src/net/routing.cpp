@@ -36,20 +36,38 @@ std::uint32_t EcmpHash(NodeId src, NodeId dst, std::uint16_t sport,
   return static_cast<std::uint32_t>(Mix64(key ^ salt));
 }
 
-void RoutingTable::SetNextHops(NodeId dst, const std::vector<int>& ports) {
-  Route& r = routes_.at(dst);
-  if (ports.empty()) {
-    r = Route{};
-    return;
-  }
+RoutingTable::Route RoutingTable::Intern(std::span<const int> ports) {
+  // A switch holds few distinct sets (one per uplink group in a Clos), so
+  // a linear scan over them is enough.
+  const auto same = [&](const Route& set) {
+    return set.count == ports.size() &&
+           std::equal(ports.begin(), ports.end(), pool_.begin() + set.base);
+  };
+  const auto it = std::find_if(sets_.begin(), sets_.end(), same);
+  if (it != sets_.end()) return *it;
+  const Route set{static_cast<std::uint32_t>(pool_.size()),
+                  static_cast<std::uint32_t>(ports.size())};
+  pool_.insert(pool_.end(), ports.begin(), ports.end());
+  sets_.push_back(set);
+  return set;
+}
+
+void RoutingTable::SetNextHops(std::span<const NodeId> dsts,
+                               std::span<const int> ports) {
+  Route r;
   if (ports.size() == 1) {
-    r.base = static_cast<std::uint32_t>(ports[0]);
-    r.count = 1;
-    return;
+    r = Route{static_cast<std::uint32_t>(ports[0]), 1};
+  } else if (ports.size() > 1) {
+    r = Intern(ports);
   }
-  r.base = static_cast<std::uint32_t>(pool_.size());
-  r.count = static_cast<std::uint32_t>(ports.size());
-  for (const int p : ports) pool_.push_back(static_cast<std::uint16_t>(p));
+  for (const NodeId dst : dsts) routes_.at(dst) = r;
+}
+
+std::vector<int> RoutingTable::NextHops(NodeId dst) const {
+  if (!HasRoute(dst)) return {};
+  const Route r = routes_[dst];
+  if (r.count == 1) return {static_cast<int>(r.base)};
+  return {pool_.begin() + r.base, pool_.begin() + r.base + r.count};
 }
 
 int RoutingTable::Select(const Packet& pkt, std::uint32_t salt,

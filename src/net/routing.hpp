@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -25,8 +26,10 @@ std::uint32_t EcmpHash(NodeId src, NodeId dst, std::uint16_t sport,
 /// Storage is a flat array indexed by destination: one 8-byte Route record
 /// per node, holding the output port directly when the route is unique (the
 /// common case — no indirection, no hash) or an (offset, count) span into a
-/// shared port pool for ECMP sets. Built once by Network::ComputeRoutes;
-/// per-packet Select is one load plus, for multipath, one hash.
+/// shared port pool for ECMP sets. The pool holds each distinct set once:
+/// every destination routed over an identical set shares its span. Built
+/// once by Network::ComputeRoutes; per-packet Select is one load plus, for
+/// multipath, one hash.
 class RoutingTable {
  public:
   RoutingTable() = default;
@@ -34,14 +37,24 @@ class RoutingTable {
 
   void Resize(std::size_t num_nodes) { routes_.resize(num_nodes); }
 
-  void SetNextHops(NodeId dst, const std::vector<int>& ports);
+  /// Routes every destination in `dsts` over the equal-cost `ports`, in
+  /// selection order (empty clears the routes). A multi-port set equal to
+  /// one already in the pool is reused, so routing more destinations, or
+  /// the fabric again, over the same set adds nothing to the pool.
+  void SetNextHops(std::span<const NodeId> dsts, std::span<const int> ports);
+  void SetNextHops(NodeId dst, std::span<const int> ports) {
+    SetNextHops({&dst, 1}, ports);
+  }
+
+  /// The equal-cost ports toward `dst` in selection order (empty: no route).
+  [[nodiscard]] std::vector<int> NextHops(NodeId dst) const;
 
   [[nodiscard]] bool HasRoute(NodeId dst) const {
     return dst < routes_.size() && routes_[dst].count != 0;
   }
 
-  /// Ports held by the ECMP pool: the summed width of every multi-port
-  /// route set so far (routing a fabric again appends, it does not reuse).
+  /// Ports held by the ECMP pool: the summed width of the distinct
+  /// multi-port route sets.
   [[nodiscard]] std::size_t pool_size() const { return pool_.size(); }
 
   /// Picks the output port for `pkt` using ECMP among the equal-cost set.
@@ -54,8 +67,12 @@ class RoutingTable {
     std::uint32_t count = 0;  // 0 = no route
   };
 
+  /// The pool span holding `ports`, appended when no earlier set equals it.
+  [[nodiscard]] Route Intern(std::span<const int> ports);
+
   std::vector<Route> routes_;        // indexed by destination NodeId
-  std::vector<std::uint16_t> pool_;  // ECMP port sets, contiguous
+  std::vector<std::uint16_t> pool_;  // distinct ECMP port sets, contiguous
+  std::vector<Route> sets_;          // the pool's spans, in insertion order
 };
 
 }  // namespace fncc

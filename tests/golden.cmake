@@ -8,10 +8,11 @@
 # golden_args_<name> (short ones, so the fat-tree entries finish in a
 # second or two) and, when golden_threads_<name> is set, once per listed
 # `--threads` value: every run must produce the entry's one digest line.
-# Each specs/<spec>.exp also has a `print_<spec>` entry: the SHA-256 of
-# `fncc_run --print specs/<spec>.exp` run from the source directory (so a
-# resolved relative trace_file reads the same on every machine), the same
-# digest `sha256sum` gives of that output.
+# Each specs/<spec>.exp and each benchmark spec perfbench/specs/<spec>.exp
+# also has a `print_<spec>` entry: the SHA-256 of `fncc_run --print
+# <dir>/<spec>.exp` run from the source directory (so a resolved relative
+# trace_file reads the same on every machine), the same digest `sha256sum`
+# gives of that output.
 # ENTRIES selects entries (default: all; `fat_tree` and `print` name those
 # groups). A
 # digest covers the bytes of every FCT and timeseries CSV the run's
@@ -38,11 +39,13 @@ set(FNCC_GOLDEN_COUNTERS flows_completed flows_total pause_frames drops
     retransmits out_of_order asymmetric_acks lhcs_triggers events_processed)
 get_filename_component(source_dir "${CMAKE_CURRENT_LIST_DIR}/.." ABSOLUTE)
 set(golden_file "${source_dir}/specs/golden.txt")
-file(GLOB spec_paths "${source_dir}/specs/*.exp")
+file(GLOB spec_paths RELATIVE "${source_dir}" "${source_dir}/specs/*.exp"
+     "${source_dir}/perfbench/specs/*.exp")
 set(FNCC_GOLDEN_PRINT "")
 foreach(path ${spec_paths})
   get_filename_component(spec "${path}" NAME_WE)
   list(APPEND FNCC_GOLDEN_PRINT print_${spec})
+  set(path_print_${spec} "${path}")
 endforeach()
 set(all_entries ${FNCC_GOLDEN_SHORT} ${FNCC_GOLDEN_FAT_TREE}
     ${FNCC_GOLDEN_PRINT})
@@ -122,13 +125,13 @@ foreach(name ${ENTRIES})
       set(dir "${dir}.threads${threads}")
       set(threads_args --threads ${threads})
     endif()
-    if(name MATCHES "^print_(.+)$")
+    if(DEFINED path_${name})
       execute_process(
-        COMMAND "${FNCC_RUN}" --print "specs/${CMAKE_MATCH_1}.exp"
+        COMMAND "${FNCC_RUN}" --print "${path_${name}}"
         WORKING_DIRECTORY "${source_dir}"
         RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
       if(NOT rc EQUAL 0)
-        message(FATAL_ERROR "fncc_run --print ${CMAKE_MATCH_1}.exp exited "
+        message(FATAL_ERROR "fncc_run --print ${path_${name}} exited "
                 "${rc}:\n${out}${err}")
       endif()
       string(SHA256 digest "${out}")

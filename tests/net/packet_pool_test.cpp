@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -284,8 +285,8 @@ std::uint64_t SteadyAllocsForwardingAcks(bool stamp) {
   sw.port(1).Connect({&b, 0}, 100.0, Nanoseconds(100));
   b.nic().Connect({&sw, 1}, 100.0, Nanoseconds(100));
   sw.routing().Resize(3);
-  sw.routing().SetNextHops(1, {0});
-  sw.routing().SetNextHops(2, {1});
+  sw.routing().SetNextHops(1, std::array{0});
+  sw.routing().SetNextHops(2, std::array{1});
   PacketPool& pool = sim.packet_pool();
 
   const auto burst = [&] {
