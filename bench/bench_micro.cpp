@@ -55,6 +55,24 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(64)->Arg(1024)->Arg(16384);
 
+// The same churn on one queue kept across iterations, which is how a
+// simulator uses its queue: slots, the wheel's chunk free list and its
+// drain stay warm, so only the cold bench above pays for their growth.
+// Timestamps are offset from the queue's current time. Not gated.
+void BM_EventQueueWarmScheduleRun(benchmark::State& state) {
+  const int batch = static_cast<int>(state.range(0));
+  EventQueue q;
+  Time now = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < batch; ++i) {
+      q.Schedule(now + (i * 7919) % 1000, [] {});
+    }
+    while (!q.Empty()) q.PopNext(&now)();
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_EventQueueWarmScheduleRun)->Arg(64)->Arg(1024)->Arg(16384);
+
 void BM_LegacyEventQueueScheduleRun(benchmark::State& state) {
   EventQueueScheduleRunLoop<bench::LegacyEventQueue>(state);
 }

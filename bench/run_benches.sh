@@ -126,6 +126,12 @@ for arg in (64, 1024, 16384):
     if new and old:
         print(f"  schedule+run batch={arg:<6} {new/1e6:8.1f}M vs "
               f"{old/1e6:8.1f}M  -> {new/old:.2f}x")
+for arg in (64, 1024, 16384):
+    warm = ips(f"BM_EventQueueWarmScheduleRun/{arg}")
+    cold = ips(f"BM_EventQueueScheduleRun/{arg}")
+    if warm and cold:
+        print(f"  warm queue batch={arg:<6} {warm/1e6:8.1f}M vs cold "
+              f"{cold/1e6:8.1f}M  (one queue reused, not gated)")
 for arg in (64, 1024):
     new = ips(f"BM_EventQueueCancelReschedule/{arg}")
     old = ips(f"BM_LegacyEventQueueCancelReschedule/{arg}")

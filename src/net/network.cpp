@@ -22,7 +22,8 @@ Network::Network(Network&& other) noexcept
       hosts_(std::move(other.hosts_)),
       adj_(std::move(other.adj_)),
       next_port_(std::move(other.next_port_)),
-      node_group_(other.node_group_) {
+      node_group_(other.node_group_),
+      longest_switch_path_(other.longest_switch_path_) {
   other.nodes_.clear();
   other.switches_.clear();
   other.hosts_.clear();
@@ -39,6 +40,7 @@ Network& Network::operator=(Network&& other) noexcept {
     adj_ = std::move(other.adj_);
     next_port_ = std::move(other.next_port_);
     node_group_ = other.node_group_;
+    longest_switch_path_ = other.longest_switch_path_;
     other.nodes_.clear();
     other.switches_.clear();
     other.hosts_.clear();
@@ -178,6 +180,7 @@ void Network::ComputeRoutes(std::uint32_t ecmp_salt, bool symmetric) {
   std::vector<int> dist(n);
   std::vector<NodeId> order;  // BFS frontier, in visiting order
   std::vector<int> ports;
+  int depth = -1;  // deepest BFS level: equal-cost paths are shortest
   for (Switch* home : switches_) {
     const NodeId s = home->id();
     if (attached[s].empty()) continue;
@@ -202,6 +205,7 @@ void Network::ComputeRoutes(std::uint32_t ecmp_salt, bool symmetric) {
         order.push_back(peer);
       }
     }
+    depth = std::max(depth, dist[order.back()]);
     for (std::size_t i = 1; i < order.size(); ++i) {
       const NodeId sw = order[i];
       ports.clear();
@@ -214,6 +218,12 @@ void Network::ComputeRoutes(std::uint32_t ecmp_salt, bool symmetric) {
                                                             ports);
     }
   }
+  if (depth >= 0) RecordSwitchPath(depth + 1);
+}
+
+void Network::RecordSwitchPath(int switches) {
+  longest_switch_path_ = std::max(longest_switch_path_, switches);
+  sim_->set_int_block_hops(std::min(longest_switch_path_, kMaxIntHops));
 }
 
 void Network::ComputeSpanningTreeRoutes(int num_trees, std::uint32_t salt) {
@@ -226,6 +236,7 @@ void Network::ComputeSpanningTreeRoutes(int num_trees, std::uint32_t salt) {
   }
 
   constexpr int kUnreached = std::numeric_limits<int>::max();
+  int longest = 0;  // switches on the longest tree path to any host
   for (int t = 0; t < num_trees; ++t) {
     // Roots spread deterministically across the switch set so trees differ.
     const NodeId root =
@@ -275,6 +286,9 @@ void Network::ComputeSpanningTreeRoutes(int num_trees, std::uint32_t salt) {
       }
       for (Switch* sw : switches_) {
         if (dist[sw->id()] == kUnreached) continue;
+        // dist counts the host-to-switch link: it is the switch count of
+        // the path from `sw` down to `dst`.
+        longest = std::max(longest, dist[sw->id()]);
         for (const Adjacency& e : adj_[sw->id()]) {
           if (is_tree_edge(sw->id(), e.peer) &&
               dist[e.peer] == dist[sw->id()] - 1) {
@@ -286,6 +300,7 @@ void Network::ComputeSpanningTreeRoutes(int num_trees, std::uint32_t salt) {
       }
     }
   }
+  if (longest > 0) RecordSwitchPath(longest);
 }
 
 std::vector<NodeId> Network::Path(NodeId src, NodeId dst, std::uint16_t sport,

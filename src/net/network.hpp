@@ -94,7 +94,9 @@ class Network {
   /// and configures every switch's ECMP hash: one BFS over the switches
   /// per switch that hosts attach to, whose next-hop sets all of its hosts
   /// share. Throws std::logic_error naming a host that does not have
-  /// exactly one link, to a switch.
+  /// exactly one link, to a switch. Sizes the simulator's INT blocks to
+  /// the longest path it routes (see RecordSwitchPath), so it must run
+  /// before the first INT push.
   void ComputeRoutes(std::uint32_t ecmp_salt = 0, bool symmetric = true);
 
   /// Observation 2 method 2 (TCP-Bolt style): builds `num_trees` spanning
@@ -102,7 +104,7 @@ class Network {
   /// its symmetric five-tuple hash selects. Within a tree the path between
   /// any two hosts is unique, so data and ACK paths coincide by
   /// construction — no per-hop hash symmetry needed. Takes precedence over
-  /// ComputeRoutes' ECMP tables.
+  /// ComputeRoutes' ECMP tables. Sizes INT blocks like ComputeRoutes.
   void ComputeSpanningTreeRoutes(int num_trees, std::uint32_t salt = 0);
 
   /// Node ids a packet with this header would visit, src and dst inclusive.
@@ -147,6 +149,11 @@ class Network {
   /// Event lane the current node group maps to (0 when unpartitioned).
   [[nodiscard]] int GroupLane() const;
 
+  /// Notes that installed routing can send a packet across `switches`
+  /// switches and sizes the simulator's INT blocks to the longest such
+  /// path over every routing installed so far, capped at kMaxIntHops.
+  void RecordSwitchPath(int switches);
+
   Simulator* sim_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<Switch*> switches_;
@@ -154,6 +161,7 @@ class Network {
   std::vector<std::vector<Adjacency>> adj_;
   std::vector<int> next_port_;
   int node_group_ = 0;
+  int longest_switch_path_ = 0;
 };
 
 }  // namespace fncc

@@ -13,7 +13,7 @@ void Packet::AttachIntBlock() {
 }
 
 void Packet::AssignInt(std::span<const IntEntry> entries) {
-  assert(entries.size() <= static_cast<std::size_t>(kMaxIntHops));
+  assert(entries.size() <= static_cast<std::size_t>(pool->int_block_hops()));
   if (!entries.empty() && int_block_ == nullptr) AttachIntBlock();
   std::copy(entries.begin(), entries.end(), int_block_);
   int_hops = static_cast<std::uint8_t>(entries.size());

@@ -22,7 +22,9 @@ using FlowId = std::uint32_t;
 inline constexpr NodeId kInvalidNode = 0xFFFF;
 
 /// Maximum switch hops a packet can record INT for. A 3-level fat-tree path
-/// crosses 5 switches; 12 leaves room for experimental topologies.
+/// crosses 5 switches; 12 leaves room for experimental topologies. A pool's
+/// INT blocks hold min(kMaxIntHops, the fabric's longest routed switch
+/// path) entries (PacketPool::int_block_hops).
 inline constexpr int kMaxIntHops = 12;
 
 /// Default wire sizes (bytes). The paper uses MTU 1518 and ~dozens-of-bytes
@@ -127,11 +129,11 @@ struct PacketHeader {
 };
 
 /// One packet: data, ACK, CNP or PFC frame. The INT stack is a block of
-/// kMaxIntHops entries taken from the owning pool on the first push and
-/// returned to it when the packet is released, so only packets that carry
-/// INT pay for it (DCQCN never does; FNCC stamps only ACKs). Packets are
-/// not copyable: CopyFrom copies the header plus the live entries, never
-/// the block pointer.
+/// pool->int_block_hops() entries taken from the owning pool on the first
+/// push and returned to it when the packet is released, so only packets
+/// that carry INT pay for it (DCQCN never does; FNCC stamps only ACKs).
+/// Packets are not copyable: CopyFrom copies the header plus the live
+/// entries, never the block pointer.
 struct Packet : PacketHeader {
   Packet() = default;
   Packet(const Packet&) = delete;
@@ -141,15 +143,13 @@ struct Packet : PacketHeader {
   [[nodiscard]] std::span<const IntEntry> int_stack() const {
     return {int_block_, int_hops};
   }
-  [[nodiscard]] bool int_full() const { return int_hops == kMaxIntHops; }
+  /// True when the stack holds as many entries as the pool's blocks do.
+  /// Defined in net/packet_pool.hpp, like PushInt: both read the pool.
+  [[nodiscard]] bool int_full() const;
 
   /// Appends one hop's telemetry. The packet must belong to a pool (the
   /// block's source) and the stack must not be full.
-  void PushInt(const IntEntry& entry) {
-    assert(!int_full() && "INT stack overflow");
-    if (int_block_ == nullptr) AttachIntBlock();
-    int_block_[int_hops++] = entry;
-  }
+  void PushInt(const IntEntry& entry);
 
   /// Replaces the INT stack with `entries`, copying only those entries.
   void AssignInt(std::span<const IntEntry> entries);
@@ -170,11 +170,12 @@ struct Packet : PacketHeader {
   friend class PacketPool;
   void AttachIntBlock();  // takes a block from `pool`
 
-  IntEntry* int_block_ = nullptr;  // kMaxIntHops entries, owned by `pool`
+  IntEntry* int_block_ = nullptr;  // int_block_hops() entries, from `pool`
 };
 
-// Packets are the largest live population of a run (a k=8 fat-tree DCQCN
-// point holds ~560k at its peak), so the per-packet size is peak memory.
+// Packets are the largest live population of a run (the k=8 fat-tree
+// DCQCN point of specs/fig14_websearch.exp holds 562,542 at its peak, ~47
+// MiB of slab), so the per-packet size is peak memory.
 static_assert(sizeof(Packet) <= 128, "Packet must stay compact");
 
 /// Deleter for pooled packets: hands the packet back to the free list of

@@ -46,6 +46,10 @@ std::uint64_t Simulator::pool_int_blocks_created() const {
   return n;
 }
 
+void Simulator::set_int_block_hops(int hops) {
+  for (const auto& p : pools_) p->set_int_block_hops(hops);
+}
+
 void Simulator::Partition(int lanes) {
   assert(!multi_ && "Partition called twice");
   assert(lane0_.queue.Empty() && lane0_.now == 0 &&

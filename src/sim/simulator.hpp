@@ -155,6 +155,12 @@ class Simulator {
   [[nodiscard]] std::uint64_t pool_acquires() const;
   [[nodiscard]] std::uint64_t pool_int_blocks_created() const;
 
+  /// Sizes every lane's INT blocks (PacketPool::set_int_block_hops) to
+  /// `hops` entries. Network's routing calls it, after Partition, with the
+  /// longest switch path it installed; it must precede the first INT push
+  /// (a pool that has carved a block throws on a new size).
+  void set_int_block_hops(int hops);
+
   /// Upper bound on delivery_batch (sizes the drain paths' stack arrays).
   static constexpr int kMaxDeliveryBatch = 64;
 

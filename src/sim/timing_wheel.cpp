@@ -1,6 +1,7 @@
 #include "sim/timing_wheel.hpp"
 
 #include <algorithm>
+#include <string>
 
 namespace fncc {
 
@@ -14,18 +15,56 @@ void TimingWheel::Place(const SchedEntry& e) {
         (cur_ >> ((level + 1) * kSlotBits))) {
       const auto s =
           static_cast<std::uint32_t>((tick >> (level * kSlotBits)) & kSlotMask);
-      std::vector<SchedEntry>& bucket = Bucket(level, s);
-      assert(bucket.size() < kMaxBucketEntries && "bucket index overflow");
+      Bucket& bucket = BucketAt(level, s);
+      const std::uint32_t index = bucket.size;
+      // Only Insert can fill a bucket: a cascade re-places at most one full
+      // bucket's entries into buckets it finds empty.
+      if (index == kMaxBucketEntries) [[unlikely]] ThrowBucketFull(level, s);
+      if (index % kChunkEntries == 0) {
+        Chunk* c = TakeChunk();
+        c->next = nullptr;
+        c->prev = bucket.tail;
+        (bucket.tail != nullptr ? bucket.tail->next : bucket.head) = c;
+        bucket.tail = c;
+      }
+      bucket.tail->entries[index % kChunkEntries] = e;
+      ++bucket.size;
       (*meta_)[e.slot].loc = kLocWheelTag |
                              (static_cast<std::uint32_t>(level) << 28) |
-                             (s << 20) |
-                             static_cast<std::uint32_t>(bucket.size());
-      bucket.push_back(e);
+                             (s << 20) | index;
       bitmap_[level] |= 1ull << s;
       return;
     }
   }
   assert(false && "Place: time beyond wheel horizon (Accepts not checked)");
+}
+
+SchedEntry& TimingWheel::EntryAt(const Bucket& b, std::uint32_t index) {
+  const std::uint32_t chunk = index / kChunkEntries;
+  const std::uint32_t last = (b.size - 1) / kChunkEntries;
+  Chunk* c = b.head;
+  if (chunk <= last - chunk) {
+    for (std::uint32_t k = 0; k < chunk; ++k) c = c->next;
+  } else {
+    c = b.tail;
+    for (std::uint32_t k = last; k > chunk; --k) c = c->prev;
+  }
+  return c->entries[index % kChunkEntries];
+}
+
+TimingWheel::Chunk* TimingWheel::CarveChunk() {
+  const std::size_t in_slab = chunks_created_ % kChunksPerSlab;
+  if (in_slab == 0) slabs_.emplace_back(new Chunk[kChunksPerSlab]);
+  ++chunks_created_;
+  return &slabs_.back()[in_slab];
+}
+
+void TimingWheel::ThrowBucketFull(int level, std::uint32_t s) {
+  throw WheelBucketOverflow(
+      "timing wheel bucket (level " + std::to_string(level) + ", slot " +
+      std::to_string(s) + ") already holds " +
+      std::to_string(kMaxBucketEntries) +
+      " pending events, the most one bucket can index");
 }
 
 void TimingWheel::Remove(std::uint32_t slot, std::uint32_t loc) {
@@ -34,19 +73,28 @@ void TimingWheel::Remove(std::uint32_t slot, std::uint32_t loc) {
     const int level = static_cast<int>((loc >> 28) & 0x3);
     const std::uint32_t s = (loc >> 20) & 0xFF;
     const std::uint32_t index = loc & 0xF'FFFF;
-    std::vector<SchedEntry>& bucket = Bucket(level, s);
-    assert(index < bucket.size() && bucket[index].slot == slot);
-    if (index + 1 != bucket.size()) {  // swap-remove; order is sorted later
-      bucket[index] = bucket.back();
-      (*meta_)[bucket[index].slot].loc =
-          kLocWheelTag | (static_cast<std::uint32_t>(level) << 28) |
-          (s << 20) | index;
+    Bucket& bucket = BucketAt(level, s);
+    assert(index < bucket.size);
+    const std::uint32_t last = bucket.size - 1;
+    if (index != last) {  // swap-remove; order is sorted later
+      SchedEntry& hole = EntryAt(bucket, index);
+      assert(hole.slot == slot);
+      hole = bucket.tail->entries[last % kChunkEntries];
+      (*meta_)[hole.slot].loc = kLocWheelTag |
+                                (static_cast<std::uint32_t>(level) << 28) |
+                                (s << 20) | index;
     }
-    bucket.pop_back();
-    if (bucket.empty()) {
+    bucket.size = last;
+    if (last % kChunkEntries == 0) {  // the tail chunk just emptied
+      Chunk* c = bucket.tail;
+      bucket.tail = c->prev;
+      (bucket.tail != nullptr ? bucket.tail->next : bucket.head) = nullptr;
+      FreeChunk(c);
+    }
+    if (bucket.size == 0) {
       bitmap_[level] &= ~(1ull << s);
       dirty_[level] &= ~(1ull << s);
-    } else if (index != bucket.size()) {
+    } else if (index != bucket.size) {
       dirty_[level] |= 1ull << s;  // swap-remove broke insertion order
     }
   } else {
@@ -61,11 +109,20 @@ void TimingWheel::Remove(std::uint32_t slot, std::uint32_t loc) {
 
 void TimingWheel::DrainBucket(std::uint32_t s) {
   assert(drain_.empty() && drain_head_ == 0);
-  // Capacities circulate only through this swap, so every bucket still
-  // allocates the first time an event lands in it; the run is allocation-
-  // free once each bucket it uses has been filled once (measured: ~18 ms of
-  // simulated time, ~505 allocations, for one switch forwarding ACKs).
-  drain_.swap(Bucket(0, s));
+  // The drain keeps the capacity of the largest bucket it has served and
+  // chunks come back to the free list here, so the run is allocation-free
+  // once the free list and the drain have reached their high-water marks.
+  Bucket& bucket = BucketAt(0, s);
+  std::uint32_t left = bucket.size;
+  drain_.reserve(left);
+  for (Chunk* c = Detach(bucket); c != nullptr;) {
+    const std::uint32_t m = std::min(left, kChunkEntries);
+    drain_.insert(drain_.end(), c->entries, c->entries + m);
+    left -= m;
+    Chunk* const next = c->next;
+    FreeChunk(c);
+    c = next;
+  }
   bitmap_[0] &= ~(1ull << s);
   const bool dirty = (dirty_[0] >> s) & 1;
   dirty_[0] &= ~(1ull << s);
@@ -125,19 +182,30 @@ void TimingWheel::SortDrain(bool dirty) {
 }
 
 void TimingWheel::CascadeBucket(int level, std::uint32_t s) {
-  std::vector<SchedEntry>& bucket = Bucket(level, s);
+  Bucket& bucket = BucketAt(level, s);
+  std::uint32_t left = bucket.size;
   bitmap_[level] &= ~(1ull << s);
   const bool dirty = (dirty_[level] >> s) & 1;
   dirty_[level] &= ~(1ull << s);
-  for (const SchedEntry& e : bucket) {
-    Place(e);
-    if (dirty) {
-      // Taint the destination so its drain re-sorts by (t, seq).
-      const std::uint32_t loc = (*meta_)[e.slot].loc;
-      dirty_[(loc >> 28) & 0x3] |= 1ull << ((loc >> 20) & 0xFF);
+  for (Chunk* c = Detach(bucket); c != nullptr;) {
+    // Free each chunk before re-placing its entries, so a cascade never
+    // holds more chunks than the buckets it fills need.
+    SchedEntry batch[kChunkEntries];
+    const std::uint32_t m = std::min(left, kChunkEntries);
+    std::copy_n(c->entries, m, batch);
+    left -= m;
+    Chunk* const next = c->next;
+    FreeChunk(c);
+    c = next;
+    for (std::uint32_t i = 0; i < m; ++i) {
+      Place(batch[i]);
+      if (dirty) {
+        // Taint the destination so its drain re-sorts by (t, seq).
+        const std::uint32_t loc = (*meta_)[batch[i].slot].loc;
+        dirty_[(loc >> 28) & 0x3] |= 1ull << ((loc >> 20) & 0xFF);
+      }
     }
   }
-  bucket.clear();
 }
 
 void TimingWheel::Refill() {

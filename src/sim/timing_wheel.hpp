@@ -12,23 +12,31 @@
 //
 // Ordering contract (shared with EventQueue): events are totally ordered by
 // (time, schedule sequence). A bucket spans many distinct timestamps, so
-// buckets are unordered contiguous vectors; when the cursor reaches a
-// bucket its entries are swapped into a drain vector and sorted, which is
-// what Peek()/Pop() serve from. The wheel refuses (`Accepts` == false)
-// events at or behind the cursor's tick while the drain is live — those go
-// to the overflow heap, which EventQueue already merges with the wheel at
-// pop by (t, seq) — so the global pop order is exact, identical to a single
-// heap, with no mid-drain insertion path.
+// buckets are unordered lists of fixed-size chunks; when the cursor
+// reaches a bucket its entries are copied into a drain vector and sorted,
+// which is what Peek()/Pop() serve from. The wheel refuses (`Accepts` ==
+// false) events at or behind the cursor's tick while the drain is live —
+// those go to the overflow heap, which EventQueue already merges with the
+// wheel at pop by (t, seq) — so the global pop order is exact, identical to
+// a single heap, with no mid-drain insertion path.
 //
 // The wheel stores only {t, seq, slot} records. Callbacks, slot generations
 // and the slot free list stay in EventQueue; the wheel writes each slot's
 // current location (bucket coordinates or drain index) into the shared
 // SlotMeta table so cancellation stays exact and O(1).
+//
+// Memory follows what is pending, not what once was: every bucket's
+// chunks come from one per-wheel free list (carved from slabs) and go back
+// to it as soon as the bucket drains, cascades or shrinks by a chunk, so
+// the wheel holds at most ceil(pending / kChunkEntries) + occupied-bucket
+// chunks at any moment, plus a drain vector sized by the largest bucket.
 #pragma once
 
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -63,6 +71,15 @@ struct SlotMeta {
   std::uint32_t loc = kLocNone;
 };
 
+/// Thrown when an insert would give one wheel bucket more than
+/// TimingWheel::kMaxBucketEntries pending entries: the entry's index would
+/// not fit the 20-bit field of its loc word, and a later cancel would hit
+/// the wrong entry. Nothing is modified before the throw.
+class WheelBucketOverflow : public std::length_error {
+ public:
+  using std::length_error::length_error;
+};
+
 class TimingWheel {
  public:
   /// Base tick: 2^12 ps = 4.096 ns. Small enough that back-to-back ACK
@@ -73,8 +90,11 @@ class TimingWheel {
   static constexpr int kSlotBits = 6;
   static constexpr std::uint32_t kWheelSlots = 1u << kSlotBits;  // 64
   static constexpr std::uint32_t kSlotMask = kWheelSlots - 1;
-  /// Entries per bucket must fit the 20-bit index field of the loc word.
+  /// Entries per bucket must fit the 20-bit index field of the loc word;
+  /// Insert throws WheelBucketOverflow beyond it.
   static constexpr std::uint32_t kMaxBucketEntries = 1u << 20;
+  /// Entries per bucket chunk.
+  static constexpr std::uint32_t kChunkEntries = 64;
 
   /// `meta` is EventQueue's slot table; the wheel writes loc fields only.
   /// The pointee may reallocate (slot growth); the pointer must stay valid.
@@ -94,14 +114,16 @@ class TimingWheel {
     return tick == cur_ && !DrainLive();
   }
 
-  /// Inserts an event. Precondition: Accepts(e.t).
+  /// Inserts an event. Precondition: Accepts(e.t). Throws
+  /// WheelBucketOverflow (inserting nothing) when e's bucket is full.
   void Insert(const SchedEntry& e) {
     assert(Accepts(e.t));
-    ++count_;
     Place(e);
+    ++count_;
   }
 
-  /// Removes the entry for `slot` given its location word. O(1).
+  /// Removes the entry for `slot` given its location word. O(1) while its
+  /// bucket fits one chunk.
   void Remove(std::uint32_t slot, std::uint32_t loc);
 
   /// Earliest event, or nullptr when the wheel is empty. Lazily advances the
@@ -146,7 +168,34 @@ class TimingWheel {
 
   [[nodiscard]] std::size_t size() const { return count_; }
 
+  /// Chunks ever carved == the high-water mark of chunks held by buckets
+  /// at once (a chunk is carved only when the free list is empty).
+  [[nodiscard]] std::size_t chunks_created() const { return chunks_created_; }
+  /// Buckets currently holding at least one entry, over all levels.
+  [[nodiscard]] int occupied_buckets() const {
+    int n = 0;
+    for (const std::uint64_t bits : bitmap_) n += std::popcount(bits);
+    return n;
+  }
+
  private:
+  /// kChunkEntries entries of one bucket; `next` is the newer chunk and
+  /// `prev` the older. Free chunks are linked through `next` on the
+  /// wheel's free list.
+  struct Chunk {
+    Chunk* next;
+    Chunk* prev;
+    SchedEntry entries[kChunkEntries];
+  };
+  /// A bucket's entries in insertion order: entry i lives in chunk
+  /// i / kChunkEntries counted from `head`; `tail` is the one being filled.
+  struct Bucket {
+    Chunk* head = nullptr;
+    Chunk* tail = nullptr;
+    std::uint32_t size = 0;
+  };
+  static constexpr std::size_t kChunksPerSlab = 16;
+
   /// Tombstone marker for cancelled drain entries (never a real slot: slot
   /// ids are dense indices into EventQueue's slot table).
   static constexpr std::uint32_t kDeadSlot = 0xFFFF'FFFF;
@@ -164,9 +213,10 @@ class TimingWheel {
   /// and records its location. Precondition: within horizon, not behind
   /// the cursor.
   void Place(const SchedEntry& e);
-  /// Moves the level-0 bucket `s` into the (empty) drain, sorted.
+  /// Copies the level-0 bucket `s` into the (empty) drain, sorted, and
+  /// frees its chunks.
   void DrainBucket(std::uint32_t s);
-  /// Sorts the freshly swapped-in drain by (t, seq). A clean bucket is in
+  /// Sorts the freshly copied-in drain by (t, seq). A clean bucket is in
   /// seq (insertion) order, and a level-0 bucket spans exactly one tick, so
   /// a stable counting sort on the sub-tick key suffices; `dirty` (a
   /// swap-remove disturbed the order) or small inputs fall back to
@@ -180,9 +230,32 @@ class TimingWheel {
   /// Peek's out-of-line tail: skips drain tombstones and refills.
   [[nodiscard]] const SchedEntry* PeekSlow();
 
-  [[nodiscard]] std::vector<SchedEntry>& Bucket(int level, std::uint32_t s) {
+  [[nodiscard]] Bucket& BucketAt(int level, std::uint32_t s) {
     return buckets_[static_cast<std::uint32_t>(level) * kWheelSlots + s];
   }
+  /// Entry `index` of `b`, reached from whichever end of the chunk list is
+  /// nearer (no walk while the bucket fits one chunk).
+  static SchedEntry& EntryAt(const Bucket& b, std::uint32_t index);
+  /// Detaches every chunk of `b` (leaving it empty) and returns the list's
+  /// head; the caller frees each chunk once it has read it.
+  static Chunk* Detach(Bucket& b) {
+    Chunk* head = b.head;
+    b = Bucket{};
+    return head;
+  }
+
+  Chunk* TakeChunk() {
+    if (free_ == nullptr) return CarveChunk();
+    Chunk* c = free_;
+    free_ = c->next;
+    return c;
+  }
+  void FreeChunk(Chunk* c) {
+    c->next = free_;
+    free_ = c;
+  }
+  Chunk* CarveChunk();  // the next unused chunk of the newest slab
+  [[noreturn]] static void ThrowBucketFull(int level, std::uint32_t s);
   /// Lowest set bit index >= from in the level's occupancy word, or -1.
   [[nodiscard]] int FindSet(int level, std::uint32_t from) const {
     const std::uint64_t bits = bitmap_[level] & (~0ull << from);
@@ -191,9 +264,13 @@ class TimingWheel {
 
   std::vector<SlotMeta>* meta_;
 
-  /// kLevels * kWheelSlots contiguous buckets; capacities persist across
-  /// reuse, so the steady state allocates nothing.
-  std::vector<SchedEntry> buckets_[kLevels * kWheelSlots];
+  /// kLevels * kWheelSlots buckets, all filled from one chunk free list
+  /// that grows only to its high-water mark, so the steady state
+  /// allocates nothing.
+  Bucket buckets_[kLevels * kWheelSlots];
+  Chunk* free_ = nullptr;
+  std::vector<std::unique_ptr<Chunk[]>> slabs_;
+  std::size_t chunks_created_ = 0;
   std::uint64_t bitmap_[kLevels] = {};  // per-level bucket occupancy
   /// Buckets whose insertion order was disturbed by a swap-remove; their
   /// drain pass needs the comparison sort. Cascading a dirty bucket taints

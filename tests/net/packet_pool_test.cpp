@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <new>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "harness/experiment_runner.hpp"
@@ -144,6 +145,44 @@ TEST(PacketPoolTest, PoolSizeStaysBoundedUnderLongRun) {
   inflight.clear();
   EXPECT_EQ(pool.outstanding(), 0u);
   EXPECT_EQ(pool.free_count(), pool.total_created());
+}
+
+TEST(PacketPoolTest, SlabGrowthCountsExactlyTheHighWaterMark) {
+  // Packets are carved from slabs of many packets, but total_created()
+  // counts the packets carved, never the slab's spare room.
+  PacketPool pool;
+  std::vector<PacketPtr> live;
+  for (int i = 0; i < 300; ++i) live.push_back(pool.Acquire());
+  EXPECT_EQ(pool.total_created(), 300u);
+  EXPECT_EQ(pool.outstanding(), 300u);
+  std::vector<Packet*> addrs;
+  for (const PacketPtr& p : live) addrs.push_back(p.get());
+  std::sort(addrs.begin(), addrs.end());
+  EXPECT_EQ(std::adjacent_find(addrs.begin(), addrs.end()), addrs.end())
+      << "two loans share one packet";
+  live.clear();
+  EXPECT_EQ(pool.free_count(), 300u);
+  for (int i = 0; i < 300; ++i) live.push_back(pool.Acquire());
+  EXPECT_EQ(pool.total_created(), 300u) << "the free list is used first";
+  live.push_back(pool.Acquire());
+  EXPECT_EQ(pool.total_created(), 301u);
+  EXPECT_EQ(pool.recycles(), 300u);
+}
+
+TEST(PacketPoolTest, ReleaseNeverAllocates) {
+  // Release runs in a noexcept deleter: returning packets (and their INT
+  // blocks) must not touch the heap, however many come back at once.
+  PacketPool pool;
+  std::vector<PacketPtr> live;
+  for (int i = 0; i < 1000; ++i) {
+    live.push_back(pool.Acquire());
+    if (i % 3 == 0) live.back()->PushInt(IntEntry{1.0, i, 2, 3});
+  }
+  const std::uint64_t before = g_heap_allocs.load();
+  for (PacketPtr& p : live) p.reset();
+  EXPECT_EQ(g_heap_allocs.load() - before, 0u);
+  EXPECT_EQ(pool.free_count(), 1000u);
+  EXPECT_EQ(pool.int_blocks_outstanding(), 0u);
 }
 
 TEST(PacketPoolTest, SimulatorOwnsAPerRunPool) {
@@ -317,11 +356,35 @@ std::uint64_t SteadyAllocsForwardingAcks(bool stamp) {
 }
 
 TEST(PacketPoolIntTest, StampingFnccAcksAllocatesNothingOnceWarm) {
-  // The event queue's buckets still warm up over the first milliseconds
-  // of simulated time (their allocations are the same in both runs); the
-  // INT blocks, once the pool is warm, add none.
-  EXPECT_EQ(SteadyAllocsForwardingAcks(/*stamp=*/true),
-            SteadyAllocsForwardingAcks(/*stamp=*/false));
+  // After one warm-up burst every arena is at its high-water mark: the
+  // packet and INT-block free lists, the event queue's slots, the wheel's
+  // chunk free list and its drain. The bursts after it allocate nothing,
+  // with INT stamping or without.
+  EXPECT_EQ(SteadyAllocsForwardingAcks(/*stamp=*/true), 0u);
+  EXPECT_EQ(SteadyAllocsForwardingAcks(/*stamp=*/false), 0u);
+}
+
+// ------------------------------------------------------- INT block sizing
+
+TEST(PacketPoolIntTest, BlockSizeIsFixedOnceABlockIsCarved) {
+  PacketPool pool;
+  EXPECT_EQ(pool.int_block_hops(), kMaxIntHops);
+  pool.set_int_block_hops(3);
+  PacketPtr a = pool.Acquire();
+  PacketPtr b = pool.Acquire();
+  for (int i = 0; i < 3; ++i) {
+    a->PushInt(IntEntry{1.0, i, 0, 0});
+    b->PushInt(IntEntry{2.0, i, 0, 0});
+  }
+  EXPECT_TRUE(a->int_full());
+  // Adjacent blocks of one slab do not overlap at the smaller size.
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(a->int_stack()[i], (IntEntry{1.0, i, 0, 0}));
+    EXPECT_EQ(b->int_stack()[i], (IntEntry{2.0, i, 0, 0}));
+  }
+  EXPECT_THROW(pool.set_int_block_hops(4), std::logic_error);
+  EXPECT_EQ(pool.int_block_hops(), 3);
+  EXPECT_NO_THROW(pool.set_int_block_hops(3)) << "an unchanged size is fine";
 }
 
 ExperimentPointResult ShortDumbbellPoint(CcMode mode) {

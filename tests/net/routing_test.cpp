@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "../test_util.hpp"
+#include "net/packet_pool.hpp"
+#include "net/topology.hpp"
 
 namespace fncc {
 namespace {
@@ -272,6 +274,88 @@ TEST(ComputeRoutesTest, HostOnTwoSwitchesThrowsNamingIt) {
   } catch (const std::logic_error& e) {
     EXPECT_NE(std::string(e.what()).find("dual0"), std::string::npos)
         << e.what();
+  }
+}
+
+// ------------------------------------------------------- INT block sizing
+// Routing sizes every lane's INT blocks to the longest switch path it
+// installs (Network::RecordSwitchPath), capped at kMaxIntHops.
+
+/// Routes `kind` with ECMP and returns the INT block size it chose, after
+/// checking that it is the longest routed host-to-host switch path, capped
+/// at kMaxIntHops.
+int RoutedBlockHops(const std::string& kind, const TopologyParams& params) {
+  Simulator sim;
+  Rng rng(1);
+  BuiltTopology topo = test::BuildSinkTopology(&sim, &rng, kind, params);
+  topo.net.ComputeRoutes(/*salt=*/0x5eed, /*symmetric=*/true);
+  const int hops = sim.packet_pool().int_block_hops();
+  std::size_t longest = 0;
+  for (const NodeId src : topo.hosts) {
+    for (const NodeId dst : topo.hosts) {
+      if (src == dst) continue;
+      longest = std::max(longest, topo.net.Path(src, dst, 1000, 2000).size());
+    }
+  }
+  // Path lists both hosts; the rest are switches.
+  EXPECT_EQ(std::min(static_cast<int>(longest) - 2, kMaxIntHops), hops)
+      << kind;
+  return hops;
+}
+
+TEST(IntBlockSizeTest, RoutingSizesBlocksToTheLongestSwitchPath) {
+  EXPECT_EQ(RoutedBlockHops("fat_tree", {.k = 4}), 5);
+  EXPECT_EQ(RoutedBlockHops("fat_tree", {.k = 8}), 5);
+  EXPECT_EQ(RoutedBlockHops("leaf_spine", {}), 3);
+  EXPECT_EQ(RoutedBlockHops("dumbbell", {.num_switches = 3}), 3);
+  EXPECT_EQ(RoutedBlockHops("dumbbell", {.num_switches = 14}), kMaxIntHops);
+}
+
+TEST(IntBlockSizeTest, FourteenHopAckCarriesTwelveEntries) {
+  // A chain longer than kMaxIntHops: the block is capped at kMaxIntHops,
+  // and an FNCC ACK crossing all 14 switches stops stamping at exactly
+  // that many entries, as it did with fixed-size blocks.
+  Simulator sim;
+  Rng rng(1);
+  SwitchConfig config;
+  config.stamp_ack_int = true;
+  BuiltTopology topo = TopologyRegistry::Build(
+      "dumbbell", &sim, test::SinkFactory(), config, &rng,
+      {.num_senders = 1, .num_switches = 14});
+  topo.net.ComputeRoutes();
+  ASSERT_EQ(sim.packet_pool().int_block_hops(), kMaxIntHops);
+  const NodeId sender = topo.senders.front();
+  static_cast<test::SinkEndpoint*>(topo.net.node(topo.receiver))
+      ->nic()
+      .Enqueue(test::MakeAck(sim.packet_pool(), topo.receiver, sender));
+  sim.Run();
+  const auto& got =
+      static_cast<test::SinkEndpoint*>(topo.net.node(sender))->received;
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0]->int_stack().size(),
+            static_cast<std::size_t>(kMaxIntHops));
+  EXPECT_TRUE(got[0]->int_full());
+}
+
+TEST(IntBlockSizeTest, SpanningTreeRoutesNeverTruncate) {
+  for (const int trees : {1, 2, 4, 8}) {
+    Simulator sim;
+    Rng rng(1);
+    BuiltTopology topo =
+        test::BuildSinkTopology(&sim, &rng, "fat_tree", {.k = 4});
+    topo.net.ComputeSpanningTreeRoutes(trees, /*salt=*/0x7ee5);
+    const int hops = sim.packet_pool().int_block_hops();
+    for (const NodeId src : topo.hosts) {
+      for (const NodeId dst : topo.hosts) {
+        if (src == dst) continue;
+        for (std::uint16_t port = 0; port < 8; ++port) {
+          const std::size_t switches =
+              topo.net.Path(src, dst, port, 2000).size() - 2;
+          EXPECT_LE(static_cast<int>(switches), hops)
+              << trees << " trees, " << src << " -> " << dst;
+        }
+      }
+    }
   }
 }
 
