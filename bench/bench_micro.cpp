@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark): throughput of the simulator's hot
-// paths — event queue (new slot/generation heap vs. the legacy hash-set
+// paths — event queue (wheel + heap hybrid vs. the legacy hash-set
 // implementation), packet pool vs. make_unique, ECMP hashing, switch
 // pipeline, HPCC/FNCC ACK processing, and end-to-end packets/second on the
 // dumbbell. `run_benches.sh` captures the output as BENCH_micro.json.
@@ -77,78 +77,6 @@ void BM_LegacyEventQueueScheduleRun(benchmark::State& state) {
   EventQueueScheduleRunLoop<bench::LegacyEventQueue>(state);
 }
 BENCHMARK(BM_LegacyEventQueueScheduleRun)->Arg(64)->Arg(1024)->Arg(16384);
-
-// Cancel/reschedule churn — the RTO re-arm pattern: every ACK cancels the
-// pending retransmission timer and schedules a new one. The legacy queue
-// pays two hash-set operations plus a tombstone per cycle; the indexed heap
-// removes the entry in place.
-
-template <typename Queue>
-void EventQueueCancelRescheduleLoop(benchmark::State& state) {
-  const int timers = static_cast<int>(state.range(0));
-  using Id = decltype(std::declval<Queue&>().Schedule(0, [] {}));
-  Queue q;
-  std::vector<Id> ids;
-  ids.reserve(timers);
-  Time now = 0;
-  for (int i = 0; i < timers; ++i) {
-    ids.push_back(q.Schedule(now + 1000 + i, [] {}));
-  }
-  std::uint64_t cycles = 0;
-  for (auto _ : state) {
-    // One "ACK": pop the earliest event, then re-arm a pseudo-random timer.
-    Time t = 0;
-    q.PopNext(&t)();
-    now = t;
-    const std::size_t victim = cycles % timers;
-    q.Cancel(ids[victim]);
-    ids[victim] = q.Schedule(now + 1000 + static_cast<Time>(cycles % 97),
-                             [] {});
-    q.Schedule(now + 500, [] {});  // replaces the popped event
-    ++cycles;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(cycles));
-}
-
-void BM_EventQueueCancelReschedule(benchmark::State& state) {
-  EventQueueCancelRescheduleLoop<EventQueue>(state);
-}
-BENCHMARK(BM_EventQueueCancelReschedule)->Arg(64)->Arg(1024);
-
-void BM_LegacyEventQueueCancelReschedule(benchmark::State& state) {
-  EventQueueCancelRescheduleLoop<bench::LegacyEventQueue>(state);
-}
-BENCHMARK(BM_LegacyEventQueueCancelReschedule)->Arg(64)->Arg(1024);
-
-// The fused rearm API: same workload as the cancel+schedule loop above, but
-// the victim timer is moved with Reschedule (slot and payload reused) — the
-// per-ACK RTO / CC-timer fast path.
-void BM_EventQueueRescheduleFused(benchmark::State& state) {
-  const int timers = static_cast<int>(state.range(0));
-  EventQueue q;
-  std::vector<EventId> ids;
-  ids.reserve(timers);
-  Time now = 0;
-  for (int i = 0; i < timers; ++i) {
-    ids.push_back(q.Schedule(now + 1000 + i, [] {}));
-  }
-  std::uint64_t cycles = 0;
-  for (auto _ : state) {
-    Time t = 0;
-    q.PopNext(&t)();
-    now = t;
-    const std::size_t victim = cycles % timers;
-    if (!q.Reschedule(ids[victim],
-                      now + 1000 + static_cast<Time>(cycles % 97))) {
-      ids[victim] = q.Schedule(now + 1000 + static_cast<Time>(cycles % 97),
-                               [] {});
-    }
-    q.Schedule(now + 500, [] {});  // replaces the popped event
-    ++cycles;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(cycles));
-}
-BENCHMARK(BM_EventQueueRescheduleFused)->Arg(64)->Arg(1024);
 
 // ------------------------------------------------------------- packet pool
 

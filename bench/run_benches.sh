@@ -132,16 +132,6 @@ for arg in (64, 1024, 16384):
     if warm and cold:
         print(f"  warm queue batch={arg:<6} {warm/1e6:8.1f}M vs cold "
               f"{cold/1e6:8.1f}M  (one queue reused, not gated)")
-for arg in (64, 1024):
-    new = ips(f"BM_EventQueueCancelReschedule/{arg}")
-    old = ips(f"BM_LegacyEventQueueCancelReschedule/{arg}")
-    fused = ips(f"BM_EventQueueRescheduleFused/{arg}")
-    if new and old:
-        line = (f"  cancel+rearm timers={arg:<5} {new/1e6:8.1f}M vs "
-                f"{old/1e6:8.1f}M  -> {new/old:.2f}x")
-        if fused:
-            line += f"  (fused Reschedule: {fused/1e6:.1f}M)"
-        print(line)
 
 print("== packet pool ==")
 pool = by_name.get("BM_PacketPoolAcquireRelease")

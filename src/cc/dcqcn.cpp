@@ -1,6 +1,7 @@
 #include "cc/dcqcn.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace fncc {
 
@@ -15,13 +16,10 @@ void DcqcnAlgorithm::Start() {
   ArmIncreaseTimer();
 }
 
-DcqcnAlgorithm::~DcqcnAlgorithm() { Shutdown(); }
-
 void DcqcnAlgorithm::Shutdown() {
-  if (shut_down_) return;
   shut_down_ = true;
-  sim_->Cancel(alpha_event_);
-  sim_->Cancel(increase_event_);
+  alpha_timer_.Disarm();
+  increase_timer_.Disarm();
 }
 
 void DcqcnAlgorithm::OnCnp() {
@@ -49,56 +47,46 @@ void DcqcnAlgorithm::OnBytesSent(std::uint64_t bytes) {
   }
 }
 
-void DcqcnAlgorithm::AlphaTimerEvent(void* cc, void* /*unused*/,
-                                     std::uint64_t /*arg*/) {
-  static_cast<DcqcnAlgorithm*>(cc)->OnAlphaTimer();
+TypedEvent DcqcnAlgorithm::Carrier(Timer which) const {
+  assert(carrier_run_ != nullptr && "BindTimers before arming a timer");
+  return TypedEvent{
+      .run = carrier_run_,
+      .drop = nullptr,
+      .p0 = carrier_p0_,
+      .p1 = nullptr,
+      .arg = carrier_key_ | static_cast<std::uint64_t>(which) << 32};
 }
 
-void DcqcnAlgorithm::IncreaseTimerEvent(void* cc, void* /*unused*/,
-                                        std::uint64_t /*arg*/) {
-  static_cast<DcqcnAlgorithm*>(cc)->OnIncreaseTimer();
+void DcqcnAlgorithm::OnTimer(Timer which) {
+  LazyTimer& timer = which == Timer::kAlpha ? alpha_timer_ : increase_timer_;
+  if (!timer.Expired(*sim_, Carrier(which))) return;
+  if (which == Timer::kAlpha) {
+    OnAlphaTimer();
+  } else {
+    OnIncreaseTimer();
+  }
 }
 
 void DcqcnAlgorithm::ArmAlphaTimer() {
-  // Rearm fast path (every CNP restarts this timer): the fused
-  // Reschedule reuses the pending event's slot; only after the timer fired
-  // (or on first arm) is a fresh typed event scheduled.
-  alpha_event_ = sim_->Reschedule(alpha_event_, cfg().dcqcn.alpha_timer);
-  if (alpha_event_ == kInvalidEventId) {
-    alpha_event_ = sim_->Schedule(
-        cfg().dcqcn.alpha_timer,
-        TypedEvent{.run = &DcqcnAlgorithm::AlphaTimerEvent,
-                   .drop = nullptr,
-                   .p0 = this,
-                   .p1 = nullptr,
-                   .arg = 0});
-  }
+  // Every CNP restarts this timer: the re-arm only moves the deadline (see
+  // sim/lazy_timer.hpp).
+  alpha_timer_.Arm(*sim_, sim_->Now() + cfg().dcqcn.alpha_timer,
+                   Carrier(Timer::kAlpha));
 }
 
 void DcqcnAlgorithm::ArmIncreaseTimer() {
-  increase_event_ =
-      sim_->Reschedule(increase_event_, cfg().dcqcn.increase_timer);
-  if (increase_event_ == kInvalidEventId) {
-    increase_event_ = sim_->Schedule(
-        cfg().dcqcn.increase_timer,
-        TypedEvent{.run = &DcqcnAlgorithm::IncreaseTimerEvent,
-                   .drop = nullptr,
-                   .p0 = this,
-                   .p1 = nullptr,
-                   .arg = 0});
-  }
+  increase_timer_.Arm(*sim_, sim_->Now() + cfg().dcqcn.increase_timer,
+                      Carrier(Timer::kIncrease));
 }
 
 void DcqcnAlgorithm::OnAlphaTimer() {
   // No CNP for a full interval: decay the congestion estimate.
   alpha_ = (1.0 - cfg().dcqcn.g) * alpha_;
-  alpha_event_ = kInvalidEventId;
   ArmAlphaTimer();
 }
 
 void DcqcnAlgorithm::OnIncreaseTimer() {
   ++t_stage_;
-  increase_event_ = kInvalidEventId;
   IncreaseEvent();
   ArmIncreaseTimer();
 }

@@ -7,6 +7,7 @@
 #include <cstdint>
 
 #include "cc/cc_algorithm.hpp"
+#include "sim/lazy_timer.hpp"
 
 namespace fncc {
 
@@ -16,9 +17,11 @@ class DcqcnAlgorithm final : public CcBase {
   /// earlier. A plain function pointer plus context: nothing allocated.
   using UpdateHook = void (*)(void* ctx);
 
+  /// The two periodic timers (sim/lazy_timer.hpp).
+  enum class Timer : std::uint32_t { kAlpha, kIncrease };
+
   DcqcnAlgorithm(const CcConfig& config, Simulator* sim);
   DcqcnAlgorithm(const CcConfig&& config, Simulator* sim) = delete;
-  ~DcqcnAlgorithm();
 
   void OnCnp();
   void OnBytesSent(std::uint64_t bytes);
@@ -27,6 +30,21 @@ class DcqcnAlgorithm final : public CcBase {
     on_update_ = hook;
     update_ctx_ = ctx;
   }
+
+  /// Binds the timers' carrier events: timer `which` files
+  /// `run(p0, nullptr, key | which << 32)`. The owner resolves `key` back
+  /// to this algorithm and calls OnTimer(which), or drops the carrier when
+  /// the key no longer resolves; the carrier never holds `this`. Must
+  /// precede the first Start or OnCnp.
+  void BindTimers(TypedEvent::Fn run, void* p0, std::uint32_t key) {
+    carrier_run_ = run;
+    carrier_p0_ = p0;
+    carrier_key_ = key;
+  }
+
+  /// A carrier of timer `which` popped: the timer expires, re-files
+  /// itself or does nothing (see LazyTimer::Expired).
+  void OnTimer(Timer which);
 
   [[nodiscard]] double alpha() const { return alpha_; }
   [[nodiscard]] double target_rate_gbps() const { return rt_gbps_; }
@@ -41,10 +59,7 @@ class DcqcnAlgorithm final : public CcBase {
   void Shutdown();
 
  private:
-  // TypedEvent trampolines: the periodic timers fire closure-free.
-  static void AlphaTimerEvent(void* cc, void* unused, std::uint64_t arg);
-  static void IncreaseTimerEvent(void* cc, void* unused, std::uint64_t arg);
-
+  [[nodiscard]] TypedEvent Carrier(Timer which) const;
   void ArmAlphaTimer();
   void ArmIncreaseTimer();
   void OnAlphaTimer();
@@ -57,11 +72,14 @@ class DcqcnAlgorithm final : public CcBase {
   std::uint64_t bytes_acc_ = 0;
   int t_stage_ = 0;
   int b_stage_ = 0;
-  EventId alpha_event_ = kInvalidEventId;
-  EventId increase_event_ = kInvalidEventId;
+  LazyTimer alpha_timer_;
+  LazyTimer increase_timer_;
   bool shut_down_ = false;
   UpdateHook on_update_ = nullptr;
   void* update_ctx_ = nullptr;
+  TypedEvent::Fn carrier_run_ = nullptr;
+  void* carrier_p0_ = nullptr;
+  std::uint32_t carrier_key_ = 0;
 };
 
 }  // namespace fncc

@@ -29,10 +29,6 @@ CongestionControl::CongestionControl(const CcConfig& config, Simulator* sim)
   }
 }
 
-CongestionControl::~CongestionControl() {
-  if (mode_ == CcMode::kDcqcn) u_.dcqcn.~DcqcnAlgorithm();
-}
-
 CcBase& CongestionControl::base() {
   switch (mode_) {
     case CcMode::kFncc:

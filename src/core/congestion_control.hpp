@@ -29,7 +29,6 @@ class CongestionControl {
   /// interned copy.
   CongestionControl(const CcConfig& config, Simulator* sim);
   CongestionControl(const CcConfig&& config, Simulator* sim) = delete;
-  ~CongestionControl();
   CongestionControl(const CongestionControl&) = delete;
   CongestionControl& operator=(const CongestionControl&) = delete;
 
@@ -79,9 +78,28 @@ class CongestionControl {
     if (mode_ == CcMode::kDcqcn) u_.dcqcn.OnBytesSent(bytes);
   }
 
-  /// Flow finished: cancel any self-rescheduling timers.
+  /// Flow finished: disarm any self-rescheduling timers.
   void Shutdown() {
     if (mode_ == CcMode::kDcqcn) u_.dcqcn.Shutdown();
+  }
+
+  /// Binds DCQCN's timer carriers (DcqcnAlgorithm::BindTimers: timer
+  /// `which` files `run(p0, nullptr, key | which << 32)`). A no-op for
+  /// other modes.
+  void BindTimers(TypedEvent::Fn run, void* p0, std::uint32_t key) {
+    if (mode_ == CcMode::kDcqcn) u_.dcqcn.BindTimers(run, p0, key);
+  }
+
+  /// A carrier of DCQCN timer `which` popped (DcqcnAlgorithm::OnTimer).
+  void OnTimer(std::uint32_t which) {
+    if (mode_ == CcMode::kDcqcn) {
+      u_.dcqcn.OnTimer(static_cast<DcqcnAlgorithm::Timer>(which));
+    }
+  }
+
+  /// The DCQCN state (alpha, stages, target rate); null for other modes.
+  [[nodiscard]] const DcqcnAlgorithm* dcqcn() const {
+    return mode_ == CcMode::kDcqcn ? &u_.dcqcn : nullptr;
   }
 
   /// Times FNCC's Last-Hop Congestion Speedup fired; 0 for every other mode.
@@ -108,11 +126,10 @@ class CongestionControl {
     return const_cast<CongestionControl*>(this)->base();
   }
 
-  // Every member but DCQCN is trivially destructible (asserted below), so
-  // the destructor only has to end DCQCN's lifetime.
+  // Every member is trivially destructible (asserted below), so the union
+  // needs no destructor call.
   union Storage {
     Storage() {}
-    ~Storage() {}
     FnccAlgorithm fncc;
     HpccAlgorithm hpcc;
     DcqcnAlgorithm dcqcn;
@@ -134,6 +151,7 @@ static_assert(!std::is_polymorphic_v<CongestionControl> &&
               !std::is_polymorphic_v<SwiftAlgorithm>);
 static_assert(std::is_trivially_destructible_v<FnccAlgorithm> &&
               std::is_trivially_destructible_v<HpccAlgorithm> &&
+              std::is_trivially_destructible_v<DcqcnAlgorithm> &&
               std::is_trivially_destructible_v<RoccAlgorithm> &&
               std::is_trivially_destructible_v<TimelyAlgorithm> &&
               std::is_trivially_destructible_v<SwiftAlgorithm>);

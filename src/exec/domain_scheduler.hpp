@@ -67,7 +67,7 @@ class DomainScheduler {
   /// Between calls the coordinator may mutate lane state under explicit
   /// ActiveLaneScopes — the streaming launcher schedules flow starts and
   /// abort timers into their owning lanes and releases completed flows'
-  /// slots (cancelling lane-local events) this way. The barrier's arrival
+  /// slots (reading the lane's clock) this way. The barrier's arrival
   /// chain makes those writes visible to the workers at the next cycle,
   /// and because launches are enqueued before the next call, the window
   /// prologue's NextEventTime always counts pending starts — the

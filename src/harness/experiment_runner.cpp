@@ -184,8 +184,9 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
   // or without the slot (Host::HandleData), so the drain cadence never
   // shows. Drained completions are in time order: a FIFO.
   std::deque<CompletionRecord> pending_release;  // spec.id = table id
-  // Release under the source host's lane: tearing the QP down cancels its
-  // remaining events in the lane queue that holds them. Safe while
+  // Release under the source host's lane: tearing the QP down reads that
+  // lane's clock, and its leftover timer events in the lane's queue fall
+  // inert (they name a FlowId the release makes stale). Safe while
   // workers are parked — the barrier's arrival chain ordered every lane's
   // window work before this coordinator-side drain.
   const auto release_until = [&](Time horizon) {
@@ -364,19 +365,23 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
   // Run a chunk, drain (and release) its completions, launch the next
   // window's flows, repeat. Live per-flow state is bounded by the
   // window's concurrency, not the workload length. Windowed points drain
-  // once per window; window-0 points every 2 ms (the chunk that fixes
-  // where a run-to-completion point stops, so events_processed of modes
-  // with perpetual switch timers is cadence-dependent). duration > 0
-  // runs to the duration; duration 0 runs until every launched flow
-  // completes or max_sim_time is reached.
-  const Time cadence = window > 0 ? window : 2 * kMillisecond;
+  // once per window until their last flow is launched; from then on —
+  // and window-0 points throughout — chunks end on a fixed 2 ms grid from
+  // t = 0. The grid fixes where a run-to-completion point stops at every
+  // launch window, and with it events_processed: timer carriers outlive
+  // their flows (sim/lazy_timer.hpp) and perpetual switch timers never
+  // stop, so the count depends on the stop. duration > 0 runs to the
+  // duration; duration 0 runs until every launched flow completes or
+  // max_sim_time is reached.
+  constexpr Time kDrainGrid = 2 * kMillisecond;
   const bool to_completion = point.run.duration <= 0;
   const Time stop = to_completion ? point.run.max_sim_time : point.run.duration;
   while (sim.Now() < stop) {
     if (to_completion && !have_next && result.flows_completed == launched) {
       break;
     }
-    Time target = sim.Now() + cadence;
+    Time target = have_next ? sim.Now() + window
+                            : (sim.Now() / kDrainGrid + 1) * kDrainGrid;
     if (sim.events_pending() == 0) {
       // Only aborted/stuck flows have no events; with no future flows
       // either, nothing can make progress.

@@ -113,7 +113,8 @@ void EgressPort::DeliverEvent(void* node, void* pkt, std::uint64_t port) {
 
 void EgressPort::DropPacketEvent(void* /*unused*/, void* pkt,
                                  std::uint64_t /*arg*/) {
-  // Cancelled/torn-down delivery: return the in-flight packet to its pool.
+  // Delivery torn down with the queue: return the in-flight packet to its
+  // pool.
   WrapRawPacket(static_cast<Packet*>(pkt));
 }
 

@@ -4,85 +4,23 @@
 
 namespace fncc {
 
-namespace {
-
-constexpr EventId MakeEventId(std::uint32_t slot, std::uint32_t generation) {
-  // slot + 1 in the low half keeps 0 reserved for kInvalidEventId.
-  return (static_cast<EventId>(generation) << 32) |
-         (static_cast<EventId>(slot) + 1);
-}
-
-}  // namespace
-
 std::uint32_t EventQueue::AllocSlot() {
   if (!free_slots_.empty()) {
     const std::uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
     return slot;
   }
-  const auto slot = static_cast<std::uint32_t>(slot_meta_.size());
-  slot_meta_.emplace_back();
+  const auto slot = static_cast<std::uint32_t>(slot_actions_.size());
   slot_actions_.emplace_back();
   return slot;
 }
 
-EventId EventQueue::Commit(Time t, std::uint32_t slot) {
-  return CommitWith(t, kNativeOrderBit | next_seq_++, slot);
-}
-
-EventId EventQueue::CommitWith(Time t, std::uint64_t order,
-                               std::uint32_t slot) {
+void EventQueue::Commit(Time t, std::uint64_t order, std::uint32_t slot) {
   if (wheel_.Accepts(t)) {
     wheel_.Insert(SchedEntry{t, order, slot});
   } else {
     HeapPush(HeapEntry{t, order, slot});
   }
-  return MakeEventId(slot, slot_meta_[slot].generation);
-}
-
-bool EventQueue::Cancel(EventId id) {
-  const std::uint64_t low = id & 0xFFFF'FFFFu;
-  if (low == 0 || low > slot_meta_.size()) return false;
-  const auto slot = static_cast<std::uint32_t>(low - 1);
-  SlotMeta& meta = slot_meta_[slot];
-  if (meta.loc == kLocNone ||
-      meta.generation != static_cast<std::uint32_t>(id >> 32)) {
-    return false;  // already ran, already cancelled, or slot was reused
-  }
-  if ((meta.loc & ~kLocIndexMask) == kLocHeapTag) {
-    RemoveAt(meta.loc & kLocIndexMask);
-  } else {
-    wheel_.Remove(slot, meta.loc);
-  }
-  ReleaseSlot(slot);
-  return true;
-}
-
-bool EventQueue::Reschedule(EventId id, Time t) {
-  const std::uint64_t low = id & 0xFFFF'FFFFu;
-  if (low == 0 || low > slot_meta_.size()) return false;
-  const auto slot = static_cast<std::uint32_t>(low - 1);
-  SlotMeta& meta = slot_meta_[slot];
-  if (meta.loc == kLocNone ||
-      meta.generation != static_cast<std::uint32_t>(id >> 32)) {
-    return false;
-  }
-  // Extract the timing record, keeping the slot (payload + generation)
-  // alive, then re-enter with a fresh sequence number — exactly the order a
-  // separate cancel + schedule would have produced.
-  if ((meta.loc & ~kLocIndexMask) == kLocHeapTag) {
-    RemoveAt(meta.loc & kLocIndexMask);
-  } else {
-    wheel_.Remove(slot, meta.loc);
-  }
-  meta.loc = kLocNone;
-  const std::uint64_t seq = kNativeOrderBit | next_seq_++;
-  if (wheel_.Accepts(t)) {
-    wheel_.Insert(SchedEntry{t, seq, slot});
-  } else {
-    HeapPush(HeapEntry{t, seq, slot});
-  }
-  return true;
 }
 
 EventAction EventQueue::PopNext(Time* t, std::uint64_t* order) {
@@ -112,46 +50,20 @@ EventAction EventQueue::PopNext(Time* t, std::uint64_t* order) {
     if (wheel_.size() == 0) wheel_.AdvanceTo(top.t);
   }
   EventAction action = std::move(slot_actions_[slot]);
-  ReleaseSlot(slot);
-  return action;
-}
-
-void EventQueue::RemoveAt(std::size_t pos) {
-  const HeapEntry last = heap_.back();
-  heap_.pop_back();
-  if (pos == heap_.size()) return;  // removed the trailing entry
-  Place(pos, last);
-  if (pos > 0 && Later(heap_[(pos - 1) / 2], heap_[pos])) {
-    SiftUp(pos);
-  } else {
-    SiftDown(pos);
-  }
-}
-
-void EventQueue::ReleaseSlot(std::uint32_t slot) {
-  slot_actions_[slot] = EventAction();  // drop the payload eagerly
-  SlotMeta& meta = slot_meta_[slot];
-  ++meta.generation;
-  meta.loc = kLocNone;
   free_slots_.push_back(slot);
+  return action;
 }
 
 void EventQueue::HeapPush(const HeapEntry& e) {
   heap_.push_back(e);
-  slot_meta_[e.slot].loc =
-      kLocHeapTag | static_cast<std::uint32_t>(heap_.size() - 1);
-  SiftUp(heap_.size() - 1);
-}
-
-void EventQueue::SiftUp(std::size_t i) {
-  const HeapEntry e = heap_[i];
+  std::size_t i = heap_.size() - 1;
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
     if (!Later(heap_[parent], e)) break;
-    Place(i, heap_[parent]);
+    heap_[i] = heap_[parent];
     i = parent;
   }
-  Place(i, e);
+  heap_[i] = e;
 }
 
 void EventQueue::SiftDownFromRoot(const HeapEntry& e) {
@@ -163,42 +75,17 @@ void EventQueue::SiftDownFromRoot(const HeapEntry& e) {
     if (l >= n) break;
     const std::size_t r = l + 1;
     const std::size_t c = (r < n && Later(heap_[l], heap_[r])) ? r : l;
-    Place(i, heap_[c]);
+    heap_[i] = heap_[c];
     i = c;
   }
   // Bubble e back up from the leaf hole to its resting place.
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
     if (!Later(heap_[parent], e)) break;
-    Place(i, heap_[parent]);
+    heap_[i] = heap_[parent];
     i = parent;
   }
-  Place(i, e);
-}
-
-void EventQueue::SiftDown(std::size_t i) {
-  const HeapEntry e = heap_[i];
-  const std::size_t n = heap_.size();
-  while (true) {
-    std::size_t smallest = i;
-    const std::size_t l = 2 * i + 1;
-    const std::size_t r = 2 * i + 2;
-    // Compare children against the element being sunk, tracking which of
-    // the three belongs at position i.
-    const HeapEntry* best = &e;
-    if (l < n && Later(*best, heap_[l])) {
-      smallest = l;
-      best = &heap_[l];
-    }
-    if (r < n && Later(*best, heap_[r])) {
-      smallest = r;
-      best = &heap_[r];
-    }
-    if (smallest == i) break;
-    Place(i, heap_[smallest]);
-    i = smallest;
-  }
-  Place(i, e);
+  heap_[i] = e;
 }
 
 }  // namespace fncc

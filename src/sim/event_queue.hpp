@@ -1,20 +1,19 @@
 // Hybrid event scheduler: a hierarchical timing wheel for near-horizon
 // events (sim/timing_wheel.hpp — serialization, propagation, CC rate
-// timers) with an indexed binary heap retained as the overflow level for
-// far timers. Both sides share one slot table and one schedule-sequence
+// timers) with a binary heap retained as the overflow level for far
+// timers. Both sides share one slot table and one schedule-sequence
 // counter, so the pop order is the exact global (time, seq) order — FIFO
-// among simultaneous events — regardless of which structure holds an event,
-// and cancellation stays exact and O(1)/O(log n) via slot + generation
-// handles (an EventId packs (generation << 32) | (slot + 1); stale ids fail
-// the generation check instead of aliasing a newer event — no ABA).
+// among simultaneous events — regardless of which structure holds an event.
+//
+// The queue only pushes and pops: nothing is cancelled or moved once
+// scheduled. A re-armable timer keeps its deadline in its owner and lets a
+// carrier event re-file or fall inert when it pops (sim/lazy_timer.hpp).
 //
 // Events carry either a closure (UniqueFunction with 48-byte SBO — still
 // allocation-free for hot-path captures) or a TypedEvent: a bare function
 // pointer plus two pointer words and a 64-bit argument. The packet pipeline
 // schedules only typed events, so per-hop dispatch constructs no closures
-// at all. Cancellation destroys the payload eagerly (closure captures are
-// dropped, a typed event's drop hook runs), so captured resources such as
-// pooled packets are released immediately.
+// at all.
 #pragma once
 
 #include <cassert>
@@ -27,11 +26,6 @@
 #include "sim/unique_function.hpp"
 
 namespace fncc {
-
-/// Identifier of a scheduled event, usable for cancellation. Id 0 is never
-/// issued and acts as "no event".
-using EventId = std::uint64_t;
-inline constexpr EventId kInvalidEventId = 0;
 
 /// Bit 63 of an event's order word (the `seq` half of the (t, seq) total
 /// order). Events scheduled through the ordinary Schedule paths mint
@@ -67,7 +61,7 @@ inline constexpr std::uint64_t kFlowStartOrderBit = 1ull << 62;
 
 /// Closure-free event record for the packet hot path: `run(p0, p1, arg)`
 /// fires when the event is due; `drop(p0, p1, arg)`, if set, runs instead
-/// when the event is cancelled or the queue is torn down, releasing any
+/// when the queue is torn down with the event still pending, releasing any
 /// payload `p1` owns (e.g. returning a packet to its pool).
 struct TypedEvent {
   using Fn = void (*)(void* p0, void* p1, std::uint64_t arg);
@@ -188,44 +182,35 @@ class EventQueue {
  public:
   using Callback = UniqueFunction<void()>;
 
-  EventQueue() : wheel_(&slot_meta_) {}
-
-  /// Schedules a closure at absolute time `t`. Returns an id for
-  /// cancellation.
-  EventId Schedule(Time t, Callback cb) {
+  /// Schedules a closure at absolute time `t`.
+  void Schedule(Time t, Callback cb) {
     const std::uint32_t slot = AllocSlot();
     slot_actions_[slot].AssignClosure(std::move(cb));
-    return Commit(t, slot);
+    Commit(t, MintOrder(), slot);
   }
 
   /// Schedules a typed (closure-free) event at absolute time `t`.
-  EventId Schedule(Time t, const TypedEvent& ev) {
+  void Schedule(Time t, const TypedEvent& ev) {
     const std::uint32_t slot = AllocSlot();
     slot_actions_[slot].AssignTyped(ev);
-    return Commit(t, slot);
+    Commit(t, MintOrder(), slot);
   }
 
   /// Schedules a typed event at absolute time `t` with an explicit order
-  /// word instead of a minted native one (see kNativeOrderBit). The word
+  /// word instead of a freshly minted one (see kNativeOrderBit). The word
   /// must be unique per queue among pending events at the same `t` — the
-  /// link-delivery path guarantees this with per-edge FIFO counters.
-  EventId ScheduleOrdered(Time t, std::uint64_t order, const TypedEvent& ev) {
+  /// link-delivery path guarantees this with per-edge FIFO counters, a
+  /// re-filed timer with a word it minted here (MintOrder).
+  void ScheduleOrdered(Time t, std::uint64_t order, const TypedEvent& ev) {
     const std::uint32_t slot = AllocSlot();
     slot_actions_[slot].AssignTyped(ev);
-    return CommitWith(t, order, slot);
+    Commit(t, order, slot);
   }
 
-  /// Cancels a pending event and destroys its payload immediately.
-  /// Returns false if the event already ran, was already cancelled, or
-  /// never existed. Allocation-free.
-  bool Cancel(EventId id);
-
-  /// Fused cancel + schedule: moves a pending event to absolute time `t`,
-  /// keeping its slot, payload and id valid (the event behaves as if it
-  /// were cancelled and freshly scheduled — it goes to the back of the
-  /// FIFO among equal timestamps). Returns false (and does nothing) if the
-  /// id is stale; the caller then schedules a fresh event.
-  bool Reschedule(EventId id, Time t);
+  /// Mints the next native order word (kNativeOrderBit | counter): the
+  /// word a Schedule call made now would carry. A lazy timer mints its
+  /// word when it is armed and files it later through ScheduleOrdered.
+  std::uint64_t MintOrder() { return kNativeOrderBit | next_seq_++; }
 
   /// True when no runnable event remains.
   [[nodiscard]] bool Empty() const { return wheel_.size() == 0 && heap_.empty(); }
@@ -254,42 +239,28 @@ class EventQueue {
   struct HeapEntry {
     Time t;
     std::uint64_t seq;   // order word: native FIFO or explicit (edge, nth)
-    std::uint32_t slot;  // index into slot_meta_ / slot_actions_
+    std::uint32_t slot;  // index into slot_actions_
   };
 
   static bool Later(const HeapEntry& a, const HeapEntry& b) {
     return a.t != b.t ? a.t > b.t : a.seq > b.seq;
   }
 
-  /// Pops a free slot (or grows the tables). The caller fills the slot's
+  /// Pops a free slot (or grows the table). The caller fills the slot's
   /// action, then Commit() enters it into the wheel or overflow heap.
   std::uint32_t AllocSlot();
-  EventId Commit(Time t, std::uint32_t slot);
-  EventId CommitWith(Time t, std::uint64_t order, std::uint32_t slot);
-
-  void Place(std::size_t i, const HeapEntry& e) {
-    heap_[i] = e;
-    slot_meta_[e.slot].loc = kLocHeapTag | static_cast<std::uint32_t>(i);
-  }
+  void Commit(Time t, std::uint64_t order, std::uint32_t slot);
 
   void HeapPush(const HeapEntry& e);
-  void SiftUp(std::size_t i);
-  void SiftDown(std::size_t i);
   /// Re-inserts `e` (the former back element) after the root was removed.
   /// Bottom-up variant: walks the min-child path to a leaf with one
   /// comparison per level, then bubbles `e` up — cheaper than classic
   /// sift-down for pop, because the back element almost always belongs
   /// near the leaves.
   void SiftDownFromRoot(const HeapEntry& e);
-  /// Removes heap_[pos], restoring heap order. O(log n).
-  void RemoveAt(std::size_t pos);
-  /// Destroys the slot's payload, bumps its generation so outstanding ids
-  /// to it die, and returns it to the free list.
-  void ReleaseSlot(std::uint32_t slot);
 
   std::vector<HeapEntry> heap_;  // overflow level: beyond the wheel horizon
-  std::vector<SlotMeta> slot_meta_;
-  std::vector<EventAction> slot_actions_;  // parallel to slot_meta_
+  std::vector<EventAction> slot_actions_;  // payloads, indexed by slot
   std::vector<std::uint32_t> free_slots_;
   TimingWheel wheel_;
   std::uint64_t next_seq_ = 0;

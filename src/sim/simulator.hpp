@@ -67,59 +67,51 @@ class Simulator {
   [[nodiscard]] Time Now() const { return lane().now; }
 
   /// Schedules `cb` to run `delay` from now. Negative delays clamp to now.
-  EventId Schedule(Time delay, EventQueue::Callback cb) {
+  void Schedule(Time delay, EventQueue::Callback cb) {
     Lane& l = lane();
-    return l.queue.Schedule(l.now + (delay > 0 ? delay : 0), std::move(cb));
+    l.queue.Schedule(l.now + (delay > 0 ? delay : 0), std::move(cb));
   }
 
   /// Schedules a typed (closure-free) event `delay` from now — the packet
   /// pipeline's zero-lambda dispatch path.
-  EventId Schedule(Time delay, const TypedEvent& ev) {
+  void Schedule(Time delay, const TypedEvent& ev) {
     Lane& l = lane();
-    return l.queue.Schedule(l.now + (delay > 0 ? delay : 0), ev);
+    l.queue.Schedule(l.now + (delay > 0 ? delay : 0), ev);
   }
 
   /// Schedules `cb` at absolute time `t` (clamped to now).
-  EventId ScheduleAt(Time t, EventQueue::Callback cb) {
+  void ScheduleAt(Time t, EventQueue::Callback cb) {
     Lane& l = lane();
-    return l.queue.Schedule(t > l.now ? t : l.now, std::move(cb));
+    l.queue.Schedule(t > l.now ? t : l.now, std::move(cb));
   }
 
   /// Typed-event variant of ScheduleAt.
-  EventId ScheduleAt(Time t, const TypedEvent& ev) {
+  void ScheduleAt(Time t, const TypedEvent& ev) {
     Lane& l = lane();
-    return l.queue.Schedule(t > l.now ? t : l.now, ev);
+    l.queue.Schedule(t > l.now ? t : l.now, ev);
   }
 
   /// Schedules a typed event `delay` from now with an explicit
   /// partition-invariant order word instead of a minted native one — the
   /// link-delivery path (see kNativeOrderBit in event_queue.hpp).
-  EventId ScheduleOrdered(Time delay, std::uint64_t order,
-                          const TypedEvent& ev) {
+  void ScheduleOrdered(Time delay, std::uint64_t order,
+                       const TypedEvent& ev) {
     Lane& l = lane();
-    return l.queue.ScheduleOrdered(l.now + (delay > 0 ? delay : 0), order, ev);
+    l.queue.ScheduleOrdered(l.now + (delay > 0 ? delay : 0), order, ev);
   }
 
-  /// Absolute-time variant of ScheduleOrdered (mailbox drains).
-  EventId ScheduleAtOrdered(Time t, std::uint64_t order, const TypedEvent& ev) {
+  /// Absolute-time variant of ScheduleOrdered (mailbox drains, flow
+  /// starts, lazy timers' carriers).
+  void ScheduleAtOrdered(Time t, std::uint64_t order, const TypedEvent& ev) {
     Lane& l = lane();
-    return l.queue.ScheduleOrdered(t > l.now ? t : l.now, order, ev);
+    l.queue.ScheduleOrdered(t > l.now ? t : l.now, order, ev);
   }
 
-  /// Cancels a pending event; returns false if it already ran. Only valid
-  /// from the lane the event was scheduled in.
-  bool Cancel(EventId id) { return lane().queue.Cancel(id); }
-
-  /// Fused cancel + schedule (rearm fast path): moves a pending event to
-  /// `delay` from now, reusing its slot and payload. Returns `id` (still
-  /// valid) on success, or kInvalidEventId if the event already ran or was
-  /// cancelled — the caller then schedules afresh with its payload.
-  EventId Reschedule(EventId id, Time delay) {
-    Lane& l = lane();
-    return l.queue.Reschedule(id, l.now + (delay > 0 ? delay : 0))
-               ? id
-               : kInvalidEventId;
-  }
+  /// Mints the active lane's next native order word — the one a Schedule
+  /// call made now would carry (EventQueue::MintOrder). Nothing is
+  /// scheduled: the caller files an event with it later through
+  /// ScheduleAtOrdered (sim/lazy_timer.hpp).
+  std::uint64_t MintOrder() { return lane().queue.MintOrder(); }
 
   /// Runs until the event queue drains. Throws std::logic_error on a
   /// partitioned simulator (run it with exec/DomainScheduler).

@@ -1,7 +1,6 @@
 #include "sim/timing_wheel.hpp"
 
 #include <algorithm>
-#include <string>
 
 namespace fncc {
 
@@ -16,22 +15,15 @@ void TimingWheel::Place(const SchedEntry& e) {
       const auto s =
           static_cast<std::uint32_t>((tick >> (level * kSlotBits)) & kSlotMask);
       Bucket& bucket = BucketAt(level, s);
-      const std::uint32_t index = bucket.size;
-      // Only Insert can fill a bucket: a cascade re-places at most one full
-      // bucket's entries into buckets it finds empty.
-      if (index == kMaxBucketEntries) [[unlikely]] ThrowBucketFull(level, s);
-      if (index % kChunkEntries == 0) {
+      const std::uint32_t index = bucket.size % kChunkEntries;
+      if (index == 0) {
         Chunk* c = TakeChunk();
         c->next = nullptr;
-        c->prev = bucket.tail;
         (bucket.tail != nullptr ? bucket.tail->next : bucket.head) = c;
         bucket.tail = c;
       }
-      bucket.tail->entries[index % kChunkEntries] = e;
+      bucket.tail->entries[index] = e;
       ++bucket.size;
-      (*meta_)[e.slot].loc = kLocWheelTag |
-                             (static_cast<std::uint32_t>(level) << 28) |
-                             (s << 20) | index;
       bitmap_[level] |= 1ull << s;
       return;
     }
@@ -39,72 +31,11 @@ void TimingWheel::Place(const SchedEntry& e) {
   assert(false && "Place: time beyond wheel horizon (Accepts not checked)");
 }
 
-SchedEntry& TimingWheel::EntryAt(const Bucket& b, std::uint32_t index) {
-  const std::uint32_t chunk = index / kChunkEntries;
-  const std::uint32_t last = (b.size - 1) / kChunkEntries;
-  Chunk* c = b.head;
-  if (chunk <= last - chunk) {
-    for (std::uint32_t k = 0; k < chunk; ++k) c = c->next;
-  } else {
-    c = b.tail;
-    for (std::uint32_t k = last; k > chunk; --k) c = c->prev;
-  }
-  return c->entries[index % kChunkEntries];
-}
-
 TimingWheel::Chunk* TimingWheel::CarveChunk() {
   const std::size_t in_slab = chunks_created_ % kChunksPerSlab;
   if (in_slab == 0) slabs_.emplace_back(new Chunk[kChunksPerSlab]);
   ++chunks_created_;
   return &slabs_.back()[in_slab];
-}
-
-void TimingWheel::ThrowBucketFull(int level, std::uint32_t s) {
-  throw WheelBucketOverflow(
-      "timing wheel bucket (level " + std::to_string(level) + ", slot " +
-      std::to_string(s) + ") already holds " +
-      std::to_string(kMaxBucketEntries) +
-      " pending events, the most one bucket can index");
-}
-
-void TimingWheel::Remove(std::uint32_t slot, std::uint32_t loc) {
-  const std::uint32_t tag = loc & ~kLocIndexMask;
-  if (tag == kLocWheelTag) {
-    const int level = static_cast<int>((loc >> 28) & 0x3);
-    const std::uint32_t s = (loc >> 20) & 0xFF;
-    const std::uint32_t index = loc & 0xF'FFFF;
-    Bucket& bucket = BucketAt(level, s);
-    assert(index < bucket.size);
-    const std::uint32_t last = bucket.size - 1;
-    if (index != last) {  // swap-remove; order is sorted later
-      SchedEntry& hole = EntryAt(bucket, index);
-      assert(hole.slot == slot);
-      hole = bucket.tail->entries[last % kChunkEntries];
-      (*meta_)[hole.slot].loc = kLocWheelTag |
-                                (static_cast<std::uint32_t>(level) << 28) |
-                                (s << 20) | index;
-    }
-    bucket.size = last;
-    if (last % kChunkEntries == 0) {  // the tail chunk just emptied
-      Chunk* c = bucket.tail;
-      bucket.tail = c->prev;
-      (bucket.tail != nullptr ? bucket.tail->next : bucket.head) = nullptr;
-      FreeChunk(c);
-    }
-    if (bucket.size == 0) {
-      bitmap_[level] &= ~(1ull << s);
-      dirty_[level] &= ~(1ull << s);
-    } else if (index != bucket.size) {
-      dirty_[level] |= 1ull << s;  // swap-remove broke insertion order
-    }
-  } else {
-    assert(tag == kLocDrainTag);
-    const std::uint32_t index = loc & kLocIndexMask;
-    assert(index < drain_.size() && drain_[index].slot == slot);
-    drain_[index].slot = kDeadSlot;  // tombstone; skipped at the head
-  }
-  (void)slot;
-  --count_;
 }
 
 void TimingWheel::DrainBucket(std::uint32_t s) {
@@ -124,29 +55,24 @@ void TimingWheel::DrainBucket(std::uint32_t s) {
     c = next;
   }
   bitmap_[0] &= ~(1ull << s);
-  const bool dirty = (dirty_[0] >> s) & 1;
-  dirty_[0] &= ~(1ull << s);
-  SortDrain(dirty);
-  for (std::size_t j = 0; j < drain_.size(); ++j) {
-    (*meta_)[drain_[j].slot].loc = kLocDrainTag | static_cast<std::uint32_t>(j);
-  }
+  SortDrain();
 }
 
-void TimingWheel::SortDrain(bool dirty) {
+void TimingWheel::SortDrain() {
   const std::size_t n = drain_.size();
   // Below this, one 2^kTickShift-entry prefix scan costs more than the
   // comparison sort it replaces.
   constexpr std::size_t kCountingSortMin = 256;
-  if (dirty || n < kCountingSortMin) {
+  if (n < kCountingSortMin) {
     if (!std::is_sorted(drain_.begin(), drain_.end(), Before)) {
       std::sort(drain_.begin(), drain_.end(), Before);
     }
     return;
   }
   // All entries share the bucket's tick, so the sub-tick offset is a total
-  // order on t; counting-sort stability keeps equal-t entries in array
-  // order, which for a clean bucket is insertion order — for natives that
-  // IS seq order, with no comparisons.
+  // order on t; counting-sort stability keeps equal-t entries in insertion
+  // order, which for freshly minted natives IS seq order, with no
+  // comparisons.
   constexpr std::uint32_t kKeys = 1u << kTickShift;
   counts_.assign(kKeys, 0);
   for (const SchedEntry& e : drain_) {
@@ -165,8 +91,10 @@ void TimingWheel::SortDrain(bool dirty) {
   drain_.swap(scratch_);
   // Insertion order can disagree with seq inside an equal-t run: a link
   // delivery carries an explicit order word (bit 63 clear) that sorts below
-  // a native word minted before it (kNativeOrderBit set). Runs are short —
-  // scan for an inversion and comparison-sort just the offending run.
+  // a native word minted before it (kNativeOrderBit set), and a re-filed
+  // timer carrier (see sim/lazy_timer.hpp) brings a word minted before
+  // natives inserted ahead of it. Runs are short — scan for an inversion
+  // and comparison-sort just the offending run.
   for (std::size_t i = 1; i < n; ++i) {
     if (drain_[i].t != drain_[i - 1].t || drain_[i].seq > drain_[i - 1].seq) {
       continue;
@@ -185,8 +113,6 @@ void TimingWheel::CascadeBucket(int level, std::uint32_t s) {
   Bucket& bucket = BucketAt(level, s);
   std::uint32_t left = bucket.size;
   bitmap_[level] &= ~(1ull << s);
-  const bool dirty = (dirty_[level] >> s) & 1;
-  dirty_[level] &= ~(1ull << s);
   for (Chunk* c = Detach(bucket); c != nullptr;) {
     // Free each chunk before re-placing its entries, so a cascade never
     // holds more chunks than the buckets it fills need.
@@ -197,14 +123,7 @@ void TimingWheel::CascadeBucket(int level, std::uint32_t s) {
     Chunk* const next = c->next;
     FreeChunk(c);
     c = next;
-    for (std::uint32_t i = 0; i < m; ++i) {
-      Place(batch[i]);
-      if (dirty) {
-        // Taint the destination so its drain re-sorts by (t, seq).
-        const std::uint32_t loc = (*meta_)[batch[i].slot].loc;
-        dirty_[(loc >> 28) & 0x3] |= 1ull << ((loc >> 20) & 0xFF);
-      }
-    }
+    for (std::uint32_t i = 0; i < m; ++i) Place(batch[i]);
   }
 }
 
@@ -242,14 +161,10 @@ void TimingWheel::Refill() {
 }
 
 const SchedEntry* TimingWheel::PeekSlow() {
-  assert(count_ > 0);
-  while (DrainLive() && drain_[drain_head_].slot == kDeadSlot) ++drain_head_;
-  if (!DrainLive()) {
-    drain_.clear();
-    drain_head_ = 0;
-    Refill();
-    // Buckets hold no tombstones, so the refilled drain's head is live.
-  }
+  assert(count_ > 0 && !DrainLive());
+  drain_.clear();
+  drain_head_ = 0;
+  Refill();
   return &drain_[drain_head_];
 }
 

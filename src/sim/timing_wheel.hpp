@@ -1,14 +1,14 @@
 // Hierarchical timing wheel: the O(1) near-horizon half of the hybrid
-// scheduler (EventQueue keeps the indexed binary heap as the far-timer
-// overflow level).
+// scheduler (EventQueue keeps a binary heap as the far-timer overflow
+// level).
 //
 // Three levels of 64 buckets each, with a base tick of 2^kTickShift
 // picoseconds (4.096 ns), cover a rolling horizon of 2^30 ps (~1.07 ms) —
 // serialization slots, propagation delays and CC rate timers all land in
 // the wheel; far timers (RTOs, idle watchdogs) overflow to the heap, which
-// stays tiny as a result. Insert and cancel are O(1); cascading is O(1)
-// amortized (an entry moves down at most twice); finding the next
-// non-empty bucket is one ctz over a per-level occupancy word.
+// stays tiny as a result. Insert is O(1); cascading is O(1) amortized (an
+// entry moves down at most twice); finding the next non-empty bucket is
+// one ctz over a per-level occupancy word.
 //
 // Ordering contract (shared with EventQueue): events are totally ordered by
 // (time, schedule sequence). A bucket spans many distinct timestamps, so
@@ -20,23 +20,21 @@
 // wheel at pop by (t, seq) — so the global pop order is exact, identical to
 // a single heap, with no mid-drain insertion path.
 //
-// The wheel stores only {t, seq, slot} records. Callbacks, slot generations
-// and the slot free list stay in EventQueue; the wheel writes each slot's
-// current location (bucket coordinates or drain index) into the shared
-// SlotMeta table so cancellation stays exact and O(1).
+// The wheel stores only {t, seq, slot} records and supports push and pop
+// only: callbacks and the slot free list stay in EventQueue, and nothing
+// is ever removed from the middle.
 //
 // Memory follows what is pending, not what once was: every bucket's
 // chunks come from one per-wheel free list (carved from slabs) and go back
-// to it as soon as the bucket drains, cascades or shrinks by a chunk, so
-// the wheel holds at most ceil(pending / kChunkEntries) + occupied-bucket
-// chunks at any moment, plus a drain vector sized by the largest bucket.
+// to it as soon as the bucket drains or cascades, so the wheel holds at
+// most ceil(pending / kChunkEntries) + occupied-bucket chunks at any
+// moment, plus a drain vector sized by the largest bucket.
 #pragma once
 
 #include <bit>
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -51,35 +49,6 @@ struct SchedEntry {
   std::uint32_t slot;
 };
 
-/// Where a callback slot's queue entry currently lives. Written by both the
-/// EventQueue heap and the TimingWheel; read on cancel/reschedule.
-/// Encoding (tag = loc >> 30):
-///   tag 0 — overflow-heap position (EventQueue's binary heap)
-///   tag 1 — wheel bucket: level [29:28], bucket slot [27:20], index [19:0]
-///   tag 2 — drain index [29:0]
-///   kLocNone — not scheduled
-inline constexpr std::uint32_t kLocNone = 0xFFFF'FFFF;
-inline constexpr std::uint32_t kLocIndexMask = 0x3FFF'FFFF;
-inline constexpr std::uint32_t kLocHeapTag = 0u << 30;
-inline constexpr std::uint32_t kLocWheelTag = 1u << 30;
-inline constexpr std::uint32_t kLocDrainTag = 2u << 30;
-
-/// Slot bookkeeping, parallel to the callback table. 8 bytes per slot keeps
-/// the write-hot location updates cache-resident (see event_queue.hpp).
-struct SlotMeta {
-  std::uint32_t generation = 0;  // bumped on release; guards stale ids
-  std::uint32_t loc = kLocNone;
-};
-
-/// Thrown when an insert would give one wheel bucket more than
-/// TimingWheel::kMaxBucketEntries pending entries: the entry's index would
-/// not fit the 20-bit field of its loc word, and a later cancel would hit
-/// the wrong entry. Nothing is modified before the throw.
-class WheelBucketOverflow : public std::length_error {
- public:
-  using std::length_error::length_error;
-};
-
 class TimingWheel {
  public:
   /// Base tick: 2^12 ps = 4.096 ns. Small enough that back-to-back ACK
@@ -90,15 +59,8 @@ class TimingWheel {
   static constexpr int kSlotBits = 6;
   static constexpr std::uint32_t kWheelSlots = 1u << kSlotBits;  // 64
   static constexpr std::uint32_t kSlotMask = kWheelSlots - 1;
-  /// Entries per bucket must fit the 20-bit index field of the loc word;
-  /// Insert throws WheelBucketOverflow beyond it.
-  static constexpr std::uint32_t kMaxBucketEntries = 1u << 20;
   /// Entries per bucket chunk.
   static constexpr std::uint32_t kChunkEntries = 64;
-
-  /// `meta` is EventQueue's slot table; the wheel writes loc fields only.
-  /// The pointee may reallocate (slot growth); the pointer must stay valid.
-  explicit TimingWheel(std::vector<SlotMeta>* meta) : meta_(meta) {}
 
   /// True if an event at absolute time `t` belongs in the wheel given the
   /// current cursor; false means the caller keeps it in the overflow heap.
@@ -114,17 +76,12 @@ class TimingWheel {
     return tick == cur_ && !DrainLive();
   }
 
-  /// Inserts an event. Precondition: Accepts(e.t). Throws
-  /// WheelBucketOverflow (inserting nothing) when e's bucket is full.
+  /// Inserts an event. Precondition: Accepts(e.t).
   void Insert(const SchedEntry& e) {
     assert(Accepts(e.t));
     Place(e);
     ++count_;
   }
-
-  /// Removes the entry for `slot` given its location word. O(1) while its
-  /// bucket fits one chunk.
-  void Remove(std::uint32_t slot, std::uint32_t loc);
 
   /// Earliest event, or nullptr when the wheel is empty. Lazily advances the
   /// cursor / cascades levels; pointer is valid until the next mutation.
@@ -136,15 +93,11 @@ class TimingWheel {
       }
       return nullptr;
     }
-    if (DrainLive()) {
-      const SchedEntry* e = &drain_[drain_head_];
-      if (e->slot != kDeadSlot) [[likely]] return e;
-    }
+    if (DrainLive()) [[likely]] return &drain_[drain_head_];
     return PeekSlow();
   }
 
-  /// Extracts the earliest event. Precondition: Peek() != nullptr. The
-  /// caller clears the slot's loc (via its slot-release path).
+  /// Extracts the earliest event. Precondition: Peek() != nullptr.
   SchedEntry Pop() {
     const SchedEntry* e = Peek();
     assert(e != nullptr && "Pop on empty wheel");
@@ -179,12 +132,10 @@ class TimingWheel {
   }
 
  private:
-  /// kChunkEntries entries of one bucket; `next` is the newer chunk and
-  /// `prev` the older. Free chunks are linked through `next` on the
-  /// wheel's free list.
+  /// kChunkEntries entries of one bucket; `next` is the newer chunk. Free
+  /// chunks are linked through `next` on the wheel's free list.
   struct Chunk {
     Chunk* next;
-    Chunk* prev;
     SchedEntry entries[kChunkEntries];
   };
   /// A bucket's entries in insertion order: entry i lives in chunk
@@ -196,10 +147,6 @@ class TimingWheel {
   };
   static constexpr std::size_t kChunksPerSlab = 16;
 
-  /// Tombstone marker for cancelled drain entries (never a real slot: slot
-  /// ids are dense indices into EventQueue's slot table).
-  static constexpr std::uint32_t kDeadSlot = 0xFFFF'FFFF;
-
   static std::uint64_t Tick(Time t) {
     return static_cast<std::uint64_t>(t) >> kTickShift;
   }
@@ -209,33 +156,28 @@ class TimingWheel {
 
   [[nodiscard]] bool DrainLive() const { return drain_head_ < drain_.size(); }
 
-  /// Appends `e` to the bucket its time selects under the current cursor
-  /// and records its location. Precondition: within horizon, not behind
-  /// the cursor.
+  /// Appends `e` to the bucket its time selects under the current cursor.
+  /// Precondition: within horizon, not behind the cursor.
   void Place(const SchedEntry& e);
   /// Copies the level-0 bucket `s` into the (empty) drain, sorted, and
   /// frees its chunks.
   void DrainBucket(std::uint32_t s);
-  /// Sorts the freshly copied-in drain by (t, seq). A clean bucket is in
-  /// seq (insertion) order, and a level-0 bucket spans exactly one tick, so
-  /// a stable counting sort on the sub-tick key suffices; `dirty` (a
-  /// swap-remove disturbed the order) or small inputs fall back to
-  /// std::sort.
-  void SortDrain(bool dirty);
+  /// Sorts the freshly copied-in drain by (t, seq). A level-0 bucket spans
+  /// exactly one tick, so a stable counting sort on the sub-tick key
+  /// orders it by t; equal-t runs whose insertion order disagrees with seq
+  /// are then comparison-sorted. Small inputs use std::sort directly.
+  void SortDrain();
   /// Re-places every entry of bucket `s` at `level` into lower levels after
   /// the cursor entered that bucket's range.
   void CascadeBucket(int level, std::uint32_t s);
   /// Refills an empty drain from the buckets. Precondition: count_ > 0.
   void Refill();
-  /// Peek's out-of-line tail: skips drain tombstones and refills.
+  /// Peek's out-of-line tail: refills the spent drain.
   [[nodiscard]] const SchedEntry* PeekSlow();
 
   [[nodiscard]] Bucket& BucketAt(int level, std::uint32_t s) {
     return buckets_[static_cast<std::uint32_t>(level) * kWheelSlots + s];
   }
-  /// Entry `index` of `b`, reached from whichever end of the chunk list is
-  /// nearer (no walk while the bucket fits one chunk).
-  static SchedEntry& EntryAt(const Bucket& b, std::uint32_t index);
   /// Detaches every chunk of `b` (leaving it empty) and returns the list's
   /// head; the caller frees each chunk once it has read it.
   static Chunk* Detach(Bucket& b) {
@@ -255,14 +197,11 @@ class TimingWheel {
     free_ = c;
   }
   Chunk* CarveChunk();  // the next unused chunk of the newest slab
-  [[noreturn]] static void ThrowBucketFull(int level, std::uint32_t s);
   /// Lowest set bit index >= from in the level's occupancy word, or -1.
   [[nodiscard]] int FindSet(int level, std::uint32_t from) const {
     const std::uint64_t bits = bitmap_[level] & (~0ull << from);
     return bits != 0 ? std::countr_zero(bits) : -1;
   }
-
-  std::vector<SlotMeta>* meta_;
 
   /// kLevels * kWheelSlots buckets, all filled from one chunk free list
   /// that grows only to its high-water mark, so the steady state
@@ -272,10 +211,6 @@ class TimingWheel {
   std::vector<std::unique_ptr<Chunk[]>> slabs_;
   std::size_t chunks_created_ = 0;
   std::uint64_t bitmap_[kLevels] = {};  // per-level bucket occupancy
-  /// Buckets whose insertion order was disturbed by a swap-remove; their
-  /// drain pass needs the comparison sort. Cascading a dirty bucket taints
-  /// the destinations.
-  std::uint64_t dirty_[kLevels] = {};
 
   // Counting-sort workspace (reused; no steady-state allocation).
   std::vector<std::uint32_t> counts_;
@@ -287,11 +222,11 @@ class TimingWheel {
   std::uint64_t cur_ = 0;
 
   /// Sorted run of due entries served by Peek/Pop. Entries before
-  /// drain_head_ are consumed; cancelled ones are tombstoned in place.
+  /// drain_head_ are consumed.
   std::vector<SchedEntry> drain_;
   std::size_t drain_head_ = 0;
 
-  std::size_t count_ = 0;  // live entries (buckets + drain, minus tombstones)
+  std::size_t count_ = 0;  // pending entries (buckets + unconsumed drain)
 };
 
 }  // namespace fncc

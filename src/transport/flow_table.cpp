@@ -10,11 +10,12 @@ namespace fncc {
 
 namespace {
 
-/// Cancels the QP's pending events and destroys it in place.
+/// Marks the QP aborted and destroys it in place; its pending events then
+/// find the slot without a QP (or, after Release, at a newer generation).
 void DestroyQp(FlowSlot& slot) {
   SenderQp* qp = slot.qp();
   if (qp == nullptr) return;
-  if (!qp->complete()) qp->Abort();  // cancels start/pace/RTO, stops CC timers
+  qp->Abort();
   qp->~SenderQp();
   slot.qp_live = false;
 }
@@ -69,7 +70,7 @@ SenderQp* FlowTable::Register(Host* host, FlowSpec spec,
   // thresholds) are final before any flow reads them, so value-identical
   // flows collapse onto one pooled copy.
   const CcConfig& config = InternConfig(ResolveCcConfig(cc_config));
-  SenderQp* qp = ::new (s.qp_mem) SenderQp(host, spec, config, &row);
+  SenderQp* qp = ::new (s.qp_mem) SenderQp(host, this, spec, config, &row);
   s.qp_live = true;
   return qp;
 }

@@ -2,10 +2,10 @@
 // replacement for per-host unordered_map flow lookup.
 //
 // Invariants and ownership contract (mirrors packet_pool.hpp):
-//   - Slot/generation rule: a FlowId packs (generation << 20) | (slot + 1),
-//     mirroring the EventId scheme of sim/event_queue.hpp. Id 0 is never
-//     minted and acts as "no flow". ACK/data lookup is one indexed load
-//     plus a generation compare — no hashing, no pointer chasing.
+//   - Slot/generation rule: a FlowId packs (generation << 20) | (slot + 1).
+//     Id 0 is never minted and acts as "no flow". ACK/data lookup is one
+//     indexed load plus a generation compare — no hashing, no pointer
+//     chasing.
 //   - SoA hot/cold split: each slot has a 64-byte HotFlowRow (see
 //     transport/hot_flow.hpp) in a parallel dense array holding everything
 //     the per-ACK path touches — generation, rate/window words, seq/ack
@@ -37,20 +37,23 @@
 //     long as the table, so they outlive every QP that reads them.
 //   - Slot stability: slots and hot rows live in fixed-size blocks that
 //     are never reallocated, so SenderQp*/RecvCtx*/HotFlowRow* remain
-//     valid for the table's lifetime (pending TypedEvents hold raw
-//     SenderQp pointers; bound CC hot words point into rows).
+//     valid for the table's lifetime (bound CC hot words point into rows).
 //   - Release() bumps the slot's generation before recycling, so a stale
 //     FlowId (late ACK/CNP of a released flow) fails the generation check
 //     instead of aliasing the slot's new tenant — no ABA. The generation
 //     field is 12 bits: a slot must be released and re-registered 4096
-//     times before an id from that far back could alias (same accepted
-//     horizon argument as EventId's 32-bit generation, scaled to the far
-//     lower flow churn).
-//   - Release() cancels the flow's pending events (via SenderQp::Abort)
-//     before destroying the QP, so no scheduled event outlives it. The
-//     Simulator must outlive the table — satisfied everywhere because
-//     hosts (whose shared_ptr refs keep the table alive) are owned by the
-//     Network, which is destroyed before the stack-owned Simulator.
+//     times before an id from that far back could alias, an accepted
+//     horizon given how few of a flow's events outlive it.
+//   - A flow's pending events never hold its QP: every timer event (start,
+//     pacing, RTO, the CC's timers) carries the FlowId and resolves it
+//     here when it pops, so an event that outlives its flow — released,
+//     destroyed at teardown, or its slot re-registered — is inert.
+//     Release() and teardown therefore only mark the QP aborted and
+//     destroy it; nothing is cancelled. The table must outlive every run
+//     of the Simulator that carries its events — satisfied everywhere
+//     because hosts (whose shared_ptr refs keep the table alive) are owned
+//     by the Network, destroyed after the last run and before the
+//     stack-owned Simulator, whose teardown never runs an event.
 //   - The table is single-threaded, like the Simulator that drives it.
 //     Parallel sweeps build one table per job (inside the host factory).
 #pragma once
@@ -217,7 +220,7 @@ class FlowTable {
     return *config_pool_.back();
   }
 
-  /// Tears the flow down (cancelling its pending events), bumps the slot
+  /// Tears the flow down (its pending events fall inert), bumps the slot
   /// generation — outstanding FlowIds to it go stale — and recycles the
   /// slot. Both hosts are kept consistent: the sender forgets the QP
   /// (Host::qps() never dangles into a recycled slot) and an unfinished

@@ -5,14 +5,16 @@
 
 #include "net/packet_pool.hpp"
 #include "sim/log.hpp"
+#include "transport/flow_table.hpp"
 #include "transport/host.hpp"
 
 namespace fncc {
 
-SenderQp::SenderQp(Host* host, const FlowSpec& spec,
+SenderQp::SenderQp(Host* host, FlowTable* table, const FlowSpec& spec,
                    const CcConfig& cc_config, HotFlowRow* hot)
     : host_(host),
       sim_(host->sim()),
+      table_(table),
       hot_(hot),
       spec_(spec),
       cc_(cc_config, sim_) {
@@ -30,9 +32,10 @@ SenderQp::SenderQp(Host* host, const FlowSpec& spec,
   cc_.BindHotWords(&hot_->words);
   if (cc_.uses_window()) hot_->flags |= HotFlowRow::kUsesWindow;
   cc_.BindUpdateHook(&SenderQp::OnCcUpdate, this);
-  // Self-scheduled start keeps the event cancellable from this object
-  // (Abort/Complete/flow-table Release), so no pending event can outlive
-  // the QP. The start carries the flow-start order word (see
+  cc_.BindTimers(&SenderQp::CcTimerEvent, table_, spec_.id);
+  // The start names the flow, not this object (see the file comment), so
+  // a flow aborted or released before it starts makes it inert. It
+  // carries the flow-start order word (see
   // kFlowStartOrderBit): flows starting at the same timestamp in
   // different lanes must order by launch serial, not by which queue
   // minted a native counter — the serial is the same in every
@@ -42,20 +45,51 @@ SenderQp::SenderQp(Host* host, const FlowSpec& spec,
   // own timers (DCQCN) are armed by Start(), so their phase is the flow's
   // start and not the instant the launcher constructed the QP.
   assert(spec_.launch_serial != 0 && spec_.launch_serial < kFlowStartOrderBit);
-  start_event_ = sim_->ScheduleAtOrdered(
+  sim_->ScheduleAtOrdered(
       spec_.start_time,
       kNativeOrderBit | kFlowStartOrderBit | spec_.launch_serial,
-      TypedEvent{.run = &SenderQp::StartEvent,
-                 .drop = nullptr,
-                 .p0 = this,
-                 .p1 = nullptr,
-                 .arg = 0});
+      TimerCarrier(Timer::kStart));
 }
 
-void SenderQp::StartEvent(void* qp, void* /*unused*/, std::uint64_t /*arg*/) {
-  auto* self = static_cast<SenderQp*>(qp);
-  self->start_event_ = kInvalidEventId;
-  self->Start();
+TypedEvent SenderQp::TimerCarrier(Timer timer) const {
+  return TypedEvent{
+      .run = &SenderQp::TimerEvent,
+      .drop = nullptr,
+      .p0 = table_,
+      .p1 = nullptr,
+      .arg = spec_.id | static_cast<std::uint64_t>(timer) << 32};
+}
+
+SenderQp* SenderQp::Resolve(void* table, std::uint64_t arg) {
+  FlowSlot* slot =
+      static_cast<FlowTable*>(table)->Lookup(static_cast<FlowId>(arg));
+  return slot == nullptr ? nullptr : slot->qp();
+}
+
+void SenderQp::TimerEvent(void* table, void* /*unused*/, std::uint64_t arg) {
+  SenderQp* self = Resolve(table, arg);
+  if (self == nullptr) return;  // released: the flow is gone
+  switch (static_cast<Timer>(arg >> 32)) {
+    case Timer::kStart:
+      if (!self->complete_) self->Start();  // not aborted before its start
+      return;
+    case Timer::kPace:
+      self->pace_pending_ = false;
+      self->TrySend();
+      return;
+    case Timer::kRto:
+      if (self->rto_timer_.Expired(*self->sim_,
+                                   self->TimerCarrier(Timer::kRto))) {
+        self->OnRto();
+      }
+      return;
+  }
+}
+
+void SenderQp::CcTimerEvent(void* table, void* /*unused*/, std::uint64_t arg) {
+  if (SenderQp* self = Resolve(table, arg)) {
+    self->cc_.OnTimer(static_cast<std::uint32_t>(arg >> 32));
+  }
 }
 
 void SenderQp::OnCcUpdate(void* qp) {
@@ -77,18 +111,6 @@ bool SenderQp::WindowBlocked() const {
          static_cast<double>(inflight_bytes()) >= hot_->words.window_bytes;
 }
 
-void SenderQp::PaceEvent(void* qp, void* /*unused*/, std::uint64_t /*arg*/) {
-  auto* self = static_cast<SenderQp*>(qp);
-  self->send_event_ = kInvalidEventId;
-  self->TrySend();
-}
-
-void SenderQp::RtoEvent(void* qp, void* /*unused*/, std::uint64_t /*arg*/) {
-  auto* self = static_cast<SenderQp*>(qp);
-  self->rto_event_ = kInvalidEventId;
-  self->OnRto();
-}
-
 void SenderQp::TrySend() {
   if (in_try_send_) return;  // re-entrant via the CC update hook
   in_try_send_ = true;
@@ -97,13 +119,9 @@ void SenderQp::TrySend() {
   while (!complete_ && row.snd_nxt < row.size_bytes && !WindowBlocked()) {
     const Time now = sim->Now();
     if (now < next_send_time_) {
-      if (send_event_ == kInvalidEventId) {
-        send_event_ = sim->ScheduleAt(
-            next_send_time_, TypedEvent{.run = &SenderQp::PaceEvent,
-                                        .drop = nullptr,
-                                        .p0 = this,
-                                        .p1 = nullptr,
-                                        .arg = 0});
+      if (!pace_pending_) {
+        pace_pending_ = true;
+        sim->ScheduleAt(next_send_time_, TimerCarrier(Timer::kPace));
       }
       break;
     }
@@ -190,17 +208,7 @@ void SenderQp::ArmRto() {
 }
 
 void SenderQp::ArmRtoAt(Time delay) {
-  Simulator* sim = sim_;
-  // Fused cancel + schedule keeps the slot and the typed payload; only when
-  // the timer already fired (or was never armed) is a fresh event needed.
-  rto_event_ = sim->Reschedule(rto_event_, delay);
-  if (rto_event_ == kInvalidEventId) {
-    rto_event_ = sim->Schedule(delay, TypedEvent{.run = &SenderQp::RtoEvent,
-                                                 .drop = nullptr,
-                                                 .p0 = this,
-                                                 .p1 = nullptr,
-                                                 .arg = 0});
-  }
+  rto_timer_.Arm(*sim_, sim_->Now() + delay, TimerCarrier(Timer::kRto));
 }
 
 void SenderQp::OnRto() {
@@ -224,34 +232,23 @@ void SenderQp::OnRto() {
   TrySend();
 }
 
-void SenderQp::CancelTimers() {
-  Simulator* sim = sim_;
-  sim->Cancel(start_event_);
-  sim->Cancel(send_event_);
-  sim->Cancel(rto_event_);
-  start_event_ = kInvalidEventId;
-  send_event_ = kInvalidEventId;
-  rto_event_ = kInvalidEventId;
-}
-
 void SenderQp::MarkComplete() {
   complete_ = true;
   hot_->flags |= HotFlowRow::kComplete;
   completion_time_ = sim_->Now();
+  // A pending start or pacing event sees complete_ and does nothing; the
+  // RTO and DCQCN's periodic timers disarm, so drained scenarios
+  // terminate.
+  rto_timer_.Disarm();
+  cc_.Shutdown();
 }
 
 void SenderQp::Abort() {
-  if (complete_) return;
-  MarkComplete();
-  CancelTimers();
-  cc_.Shutdown();
+  if (!complete_) MarkComplete();
 }
 
 void SenderQp::Complete() {
   MarkComplete();
-  CancelTimers();
-  // DCQCN keeps periodic timers; stop them so drained scenarios terminate.
-  cc_.Shutdown();
   host_->NotifyFlowComplete(this);
 }
 

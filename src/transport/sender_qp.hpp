@@ -7,29 +7,37 @@
 // processes an ACK against that row, touching this object only for the CC
 // update and the slow tail (RTO rearm, pacing, completion). The CC state
 // itself is inline (CongestionControl), not behind a pointer.
+//
+// Every timer event of a QP (start, pacing, RTO and the CC's timers) names
+// the flow by its FlowId and resolves it through FlowTable::Lookup when it
+// pops, so an event that outlives the QP — its slot released and perhaps
+// handed to a new flow — is inert. Nothing is ever cancelled: Abort,
+// Complete and the table's teardown only mark state.
 #pragma once
 
 #include <cstdint>
 
 #include "core/congestion_control.hpp"
 #include "net/packet.hpp"
+#include "sim/lazy_timer.hpp"
 #include "sim/simulator.hpp"
 #include "transport/flow.hpp"
 #include "transport/hot_flow.hpp"
 
 namespace fncc {
 
+class FlowTable;
 class Host;
 
 class SenderQp {
  public:
   /// Registers with the simulator: schedules its own Start() at
-  /// spec.start_time. spec.id must already be minted, `hot` must be the
-  /// flow table's row for the minted slot and `cc_config` its resolved,
-  /// interned config (only FlowTable::Register constructs QPs; the row and
-  /// the config outlive the QP by table invariant).
-  SenderQp(Host* host, const FlowSpec& spec, const CcConfig& cc_config,
-           HotFlowRow* hot);
+  /// spec.start_time. spec.id must already be minted in `table`, `hot`
+  /// must be the table's row for the minted slot and `cc_config` its
+  /// resolved, interned config (only FlowTable::Register constructs QPs;
+  /// the row and the config outlive the QP by table invariant).
+  SenderQp(Host* host, FlowTable* table, const FlowSpec& spec,
+           const CcConfig& cc_config, HotFlowRow* hot);
   SenderQp(const SenderQp&) = delete;
   SenderQp& operator=(const SenderQp&) = delete;
 
@@ -76,10 +84,15 @@ class SenderQp {
   }
 
  private:
-  // TypedEvent trampolines: start, pacing and RTO fire closure-free.
-  static void StartEvent(void* qp, void* unused, std::uint64_t arg);
-  static void PaceEvent(void* qp, void* unused, std::uint64_t arg);
-  static void RtoEvent(void* qp, void* unused, std::uint64_t arg);
+  // The QP's own timers. A timer event is TimerEvent(table, nullptr,
+  // FlowId | timer << 32); the CC's timers come back through CcTimerEvent
+  // with the CC's timer number in the high word.
+  enum class Timer : std::uint32_t { kStart, kPace, kRto };
+  static void TimerEvent(void* table, void* unused, std::uint64_t arg);
+  static void CcTimerEvent(void* table, void* unused, std::uint64_t arg);
+  /// The live QP `arg`'s FlowId names in `table`, or null once released.
+  static SenderQp* Resolve(void* table, std::uint64_t arg);
+  [[nodiscard]] TypedEvent TimerCarrier(Timer timer) const;
   // CC update hook (DCQCN's asynchronous rate increases).
   static void OnCcUpdate(void* qp);
 
@@ -87,26 +100,25 @@ class SenderQp {
   void SendOnePacket();
   [[nodiscard]] bool WindowBlocked() const;
   void ArmRto();
-  /// Re-arms rto_event_ `delay` from now, reusing the pending event's slot
-  /// when possible (the per-ACK rearm fast path).
+  /// Re-arms the RTO `delay` from now (the per-ACK rearm: no event is
+  /// scheduled while the pending carrier is due no later).
   void ArmRtoAt(Time delay);
   void OnRto();
   void Complete();
-  void CancelTimers();
+  /// Marks the flow finished and stops its timers.
   void MarkComplete();
 
   Host* host_;
-  // Cached so teardown paths (flow-table destruction cancelling timers via
-  // Abort) never dereference host_ — the owning Host may already be gone
-  // when the last host's table reference destroys the remaining QPs.
+  // Cached so teardown paths (flow-table destruction marking QPs aborted)
+  // never dereference host_ — the owning Host may already be gone when
+  // the last host's table reference destroys the remaining QPs.
   Simulator* sim_;
-  HotFlowRow* hot_;  // this flow's row; cursors/size/CC words live there
+  FlowTable* table_;  // resolves this flow's timer events
+  HotFlowRow* hot_;   // this flow's row; cursors/size/CC words live there
   FlowSpec spec_;
 
   Time next_send_time_ = 0;
-  EventId start_event_ = kInvalidEventId;
-  EventId send_event_ = kInvalidEventId;
-  EventId rto_event_ = kInvalidEventId;
+  LazyTimer rto_timer_;
   std::uint64_t rto_count_ = 0;
   int rto_backoff_ = 1;  // doubles on each RTO without progress
   std::uint64_t asymmetric_acks_ = 0;
@@ -118,6 +130,7 @@ class SenderQp {
   bool started_ = false;
   bool complete_ = false;
   bool in_try_send_ = false;  // re-entrancy guard (CC update hook)
+  bool pace_pending_ = false;  // a pacing event is in the queue
   Time completion_time_ = 0;
 
   // Last member: the largest block (the CC union), after the hot scalars.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "../test_util.hpp"
+
 namespace fncc {
 namespace {
 
@@ -18,6 +20,7 @@ const CcConfig kConfig = Config();
 TEST(DcqcnTest, StartsAtLineRateNoWindow) {
   Simulator sim;
   DcqcnAlgorithm cc(kConfig, &sim);
+  test::CcTimerBinding timers(&cc);
   EXPECT_DOUBLE_EQ(cc.rate_gbps(), 100.0);
   EXPECT_FALSE(cc.uses_window());
   cc.Shutdown();
@@ -26,6 +29,7 @@ TEST(DcqcnTest, StartsAtLineRateNoWindow) {
 TEST(DcqcnTest, FirstCnpHalvesRate) {
   Simulator sim;
   DcqcnAlgorithm cc(kConfig, &sim);
+  test::CcTimerBinding timers(&cc);
   cc.OnCnp();  // alpha = 1 initially: Rc *= (1 - 1/2)
   EXPECT_NEAR(cc.rate_gbps(), 50.0, 1e-9);
   EXPECT_NEAR(cc.target_rate_gbps(), 100.0, 1e-9);
@@ -35,6 +39,7 @@ TEST(DcqcnTest, FirstCnpHalvesRate) {
 TEST(DcqcnTest, RepeatedCnpsKeepCuttingButRespectFloor) {
   Simulator sim;
   DcqcnAlgorithm cc(kConfig, &sim);
+  test::CcTimerBinding timers(&cc);
   for (int i = 0; i < 50; ++i) cc.OnCnp();
   EXPECT_GE(cc.rate_gbps(), Config().dcqcn.min_rate_gbps - 1e-12);
   EXPECT_LT(cc.rate_gbps(), 1.0);
@@ -44,6 +49,7 @@ TEST(DcqcnTest, RepeatedCnpsKeepCuttingButRespectFloor) {
 TEST(DcqcnTest, AlphaDecaysWithoutCnps) {
   Simulator sim;
   DcqcnAlgorithm cc(kConfig, &sim);
+  test::CcTimerBinding timers(&cc);
   cc.OnCnp();
   const double alpha_after_cnp = cc.alpha();
   EXPECT_GT(alpha_after_cnp, 0.9);
@@ -59,6 +65,7 @@ TEST(DcqcnTest, AlphaDecaysWithoutCnps) {
 TEST(DcqcnTest, FastRecoveryHalvesGapToTarget) {
   Simulator sim;
   DcqcnAlgorithm cc(kConfig, &sim);
+  test::CcTimerBinding timers(&cc);
   cc.OnCnp();  // Rc = 50, Rt = 100
   // First increase-timer tick: still in fast recovery (stage < 5).
   sim.RunUntil(Microseconds(56));
@@ -71,6 +78,7 @@ TEST(DcqcnTest, FastRecoveryHalvesGapToTarget) {
 TEST(DcqcnTest, RecoversToLineRateAfterSingleCnp) {
   Simulator sim;
   DcqcnAlgorithm cc(kConfig, &sim);
+  test::CcTimerBinding timers(&cc);
   cc.OnCnp();  // Rc = 50, Rt = 100
   // Five fast-recovery ticks close most of the gap; AI finishes the job.
   sim.RunUntil(Milliseconds(2));
@@ -84,6 +92,7 @@ TEST(DcqcnTest, RecoveryFromDeepCutsIsSlow) {
   // of milliseconds without byte-counter help.
   Simulator sim;
   DcqcnAlgorithm cc(kConfig, &sim);
+  test::CcTimerBinding timers(&cc);
   for (int i = 0; i < 5; ++i) cc.OnCnp();
   sim.RunUntil(Milliseconds(5));
   EXPECT_LT(cc.rate_gbps(), 50.0);  // still far from line rate
@@ -95,6 +104,7 @@ TEST(DcqcnTest, RecoveryFromDeepCutsIsSlow) {
 TEST(DcqcnTest, ByteCounterDrivesIncreaseWithoutTimer) {
   Simulator sim;
   DcqcnAlgorithm cc(kConfig, &sim);
+  test::CcTimerBinding timers(&cc);
   cc.OnCnp();  // Rc = 50, Rt = 100
   const double before = cc.rate_gbps();
   cc.OnBytesSent(Config().dcqcn.byte_counter);  // one byte-stage
@@ -107,6 +117,7 @@ TEST(DcqcnTest, ByteCounterDrivesIncreaseWithoutTimer) {
 TEST(DcqcnTest, CnpResetsIncreaseStages) {
   Simulator sim;
   DcqcnAlgorithm cc(kConfig, &sim);
+  test::CcTimerBinding timers(&cc);
   cc.OnBytesSent(3 * Config().dcqcn.byte_counter);
   EXPECT_EQ(cc.byte_stage(), 3);
   cc.OnCnp();
@@ -121,6 +132,7 @@ TEST(DcqcnTest, HyperIncreaseAfterBothStagesExceedThreshold) {
   config.dcqcn.rate_ai_fraction = 0.001;   // 0.1 Gbps steps
   config.dcqcn.rate_hai_fraction = 0.01;   // 1 Gbps steps
   DcqcnAlgorithm cc(config, &sim);
+  test::CcTimerBinding timers(&cc);
   cc.OnCnp();
   cc.OnCnp();  // push Rc and Rt down so increases are visible
   // Drive both counters past the fast-recovery threshold.
@@ -135,18 +147,37 @@ TEST(DcqcnTest, HyperIncreaseAfterBothStagesExceedThreshold) {
 }
 
 TEST(DcqcnTest, ShutdownStopsTimers) {
+  // Shutdown disarms both timers: their pending carriers pop once, do
+  // nothing and re-file nothing, so the run terminates with alpha frozen.
   Simulator sim;
-  {
-    DcqcnAlgorithm cc(kConfig, &sim);
-    cc.Shutdown();
-  }
+  DcqcnAlgorithm cc(kConfig, &sim);
+  test::CcTimerBinding timers(&cc);
+  cc.Start();
+  cc.OnCnp();
+  const double alpha = cc.alpha();
+  cc.Shutdown();
   sim.Run();  // must terminate: no self-rescheduling timers left
-  SUCCEED();
+  EXPECT_EQ(cc.alpha(), alpha);
+  EXPECT_EQ(cc.timer_stage(), 0);
+  EXPECT_EQ(sim.events_processed(), 2u) << "one inert carrier per timer";
+
+  // The algorithm destroyed with armed timers (as FlowTable::Release
+  // destroys a QP): its carriers no longer resolve and are inert.
+  test::CcTimerBinding<DcqcnAlgorithm> gone;
+  {
+    DcqcnAlgorithm doomed(kConfig, &sim);
+    gone.Bind(&doomed);
+    doomed.Start();
+    gone.Forget();
+  }
+  sim.Run();
+  EXPECT_EQ(sim.events_processed(), 4u);
 }
 
 TEST(DcqcnTest, NotifiesQpAfterTimerIncrease) {
   Simulator sim;
   DcqcnAlgorithm cc(kConfig, &sim);
+  test::CcTimerBinding timers(&cc);
   int updates = 0;
   cc.BindUpdateHook([](void* n) { ++*static_cast<int*>(n); }, &updates);
   cc.OnCnp();

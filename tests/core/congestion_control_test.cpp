@@ -79,6 +79,7 @@ TEST_P(CongestionControlTest, OnlyFnccCountsLhcsTriggers) {
 
 TEST_P(CongestionControlTest, OnlyDcqcnReactsToCnpAndCallsUpdateHook) {
   CongestionControl cc(config_, &sim_);
+  test::CcTimerBinding timers(&cc);
   int updates = 0;
   cc.BindUpdateHook([](void* n) { ++*static_cast<int*>(n); }, &updates);
   cc.OnCnp();

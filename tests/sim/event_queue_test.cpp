@@ -2,11 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 namespace fncc {
@@ -54,65 +54,39 @@ TEST(EventQueueTest, ReportsPopTime) {
   EXPECT_EQ(t, 42);
 }
 
-TEST(EventQueueTest, CancelPreventsExecution) {
+TEST(EventQueueTest, MintedWordOrdersLikeAScheduleMadeAtMintTime) {
+  // A word minted now and filed later (a lazy timer's re-file) sorts
+  // exactly where a Schedule made at mint time would have: after natives
+  // minted before it, before natives minted after it, and after every
+  // explicit delivery word at the same timestamp.
   EventQueue q;
-  bool ran = false;
-  const EventId id = q.Schedule(10, [&] { ran = true; });
-  EXPECT_TRUE(q.Cancel(id));
-  EXPECT_TRUE(q.Empty());
-  EXPECT_FALSE(ran);
-}
-
-TEST(EventQueueTest, CancelTwiceFails) {
-  EventQueue q;
-  const EventId id = q.Schedule(10, [] {});
-  EXPECT_TRUE(q.Cancel(id));
-  EXPECT_FALSE(q.Cancel(id));
-}
-
-TEST(EventQueueTest, CancelAfterRunFails) {
-  EventQueue q;
-  const EventId id = q.Schedule(10, [] {});
-  Time t = 0;
-  q.PopNext(&t)();
-  EXPECT_FALSE(q.Cancel(id));
-}
-
-TEST(EventQueueTest, CancelInvalidIdFails) {
-  EventQueue q;
-  EXPECT_FALSE(q.Cancel(kInvalidEventId));
-  EXPECT_FALSE(q.Cancel(9999));
-}
-
-TEST(EventQueueTest, CancelledTopSkipped) {
-  EventQueue q;
+  static std::vector<int>* sink;
   std::vector<int> order;
-  const EventId early = q.Schedule(1, [&] { order.push_back(1); });
-  q.Schedule(2, [&] { order.push_back(2); });
-  q.Cancel(early);
-  EXPECT_EQ(q.NextTime(), 2);
-  EXPECT_EQ(q.size(), 1u);
-  Time t = 0;
-  q.PopNext(&t)();
-  EXPECT_EQ(order, std::vector<int>{2});
-}
-
-TEST(EventQueueTest, CancelMiddleOfMany) {
-  EventQueue q;
-  std::vector<EventId> ids;
-  std::vector<int> order;
-  for (int i = 0; i < 100; ++i) {
-    ids.push_back(q.Schedule(i, [&order, i] { order.push_back(i); }));
-  }
-  for (int i = 1; i < 100; i += 2) q.Cancel(ids[i]);
+  sink = &order;
+  const auto push = [](int v) {
+    return TypedEvent{.run = [](void*, void*, std::uint64_t arg) {
+                        sink->push_back(static_cast<int>(arg));
+                      },
+                      .drop = nullptr,
+                      .p0 = nullptr,
+                      .p1 = nullptr,
+                      .arg = static_cast<std::uint64_t>(v)};
+  };
+  q.Schedule(5, push(1));
+  const std::uint64_t word = q.MintOrder();
+  EXPECT_NE(word & kNativeOrderBit, 0u);
+  q.Schedule(5, push(3));
+  q.ScheduleOrdered(5, word, push(2));
+  q.ScheduleOrdered(5, std::uint64_t{7} << 32, push(0));  // a delivery
   while (!q.Empty()) {
     Time t = 0;
-    q.PopNext(&t)();
+    std::uint64_t popped = 0;
+    q.PopNext(&t, &popped)();
+    if (order.back() == 2) {
+      EXPECT_EQ(popped, word);
+    }
   }
-  ASSERT_EQ(order.size(), 50u);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    EXPECT_EQ(order[i], static_cast<int>(2 * i));
-  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
 TEST(EventQueueTest, MoveOnlyCallbacksSupported) {
@@ -125,134 +99,69 @@ TEST(EventQueueTest, MoveOnlyCallbacksSupported) {
   EXPECT_EQ(got, 7);
 }
 
-TEST(EventQueueTest, StaleIdAfterSlotReuseDoesNotCancelNewEvent) {
-  // ABA guard: cancelling with an id whose slot has been recycled must not
-  // touch the slot's new occupant.
-  EventQueue q;
-  bool first_ran = false;
-  bool second_ran = false;
-
-  const EventId first = q.Schedule(10, [&] { first_ran = true; });
-  Time t = 0;
-  q.PopNext(&t)();  // first runs; its slot is released
-  EXPECT_TRUE(first_ran);
-
-  // The next schedule reuses the freed slot (LIFO free list).
-  const EventId second = q.Schedule(20, [&] { second_ran = true; });
-  EXPECT_NE(first, second);
-
-  EXPECT_FALSE(q.Cancel(first));  // stale generation: must be a no-op
-  EXPECT_EQ(q.size(), 1u);
-  q.PopNext(&t)();
-  EXPECT_TRUE(second_ran);
-}
-
-TEST(EventQueueTest, StaleIdAfterCancelledSlotReuse) {
-  EventQueue q;
-  const EventId first = q.Schedule(10, [] {});
-  EXPECT_TRUE(q.Cancel(first));
-
-  bool ran = false;
-  q.Schedule(5, [&] { ran = true; });
-  EXPECT_FALSE(q.Cancel(first));  // must not cancel the reused slot
-  Time t = 0;
-  q.PopNext(&t)();
-  EXPECT_TRUE(ran);
-}
-
-TEST(EventQueueTest, CancelReleasesCallbackResourcesEagerly) {
-  // A cancelled event deep in the heap must drop its captures immediately
-  // (e.g. a pooled packet), not when the entry would have reached the top.
-  EventQueue q;
+TEST(EventQueueTest, PendingCallbacksReleasedAtTeardown) {
+  // The queue only drops payloads at teardown: a pending event's captures
+  // (e.g. a pooled packet) live until it runs or the queue dies.
   auto token = std::make_shared<int>(42);
   std::weak_ptr<int> watch = token;
-  q.Schedule(1, [] {});  // keeps the queue non-empty throughout
-  const EventId id = q.Schedule(1000, [t = std::move(token)] { (void)*t; });
-  EXPECT_EQ(watch.use_count(), 1);
-  EXPECT_TRUE(q.Cancel(id));
+  {
+    EventQueue q;
+    q.Schedule(1, [] {});
+    q.Schedule(1000, [t = std::move(token)] { (void)*t; });
+    Time t = 0;
+    q.PopNext(&t)();
+    EXPECT_EQ(watch.use_count(), 1);
+  }
   EXPECT_TRUE(watch.expired());
 }
 
-TEST(EventQueueTest, CancelRescheduleStress) {
-  // Randomized schedule/cancel/reschedule/pop against a reference model.
-  // Exercises slot recycling, interior heap removal, and FIFO stability.
+TEST(EventQueueTest, ScheduleRunStress) {
+  // Randomized schedule/pop against a reference (t, seq) model: exercises
+  // slot recycling, heap order and FIFO stability. Every event runs
+  // exactly once, in reference order.
   EventQueue q;
   std::mt19937 rng(0x5eed);
-  std::map<std::uint64_t, EventId> live;  // token -> id of schedulable event
+  std::set<std::pair<Time, std::uint64_t>> ref;  // (t, token)
   std::vector<std::uint64_t> executed;
-  std::vector<std::uint64_t> cancelled;
   std::uint64_t next_token = 0;
   Time now = 0;
 
-  const auto schedule = [&](Time at) {
-    const std::uint64_t token = next_token++;
-    live[token] = q.Schedule(at, [&executed, token] {
-      executed.push_back(token);
-    });
-    return token;
-  };
-
-  for (int round = 0; round < 400; ++round) {
-    const int op = static_cast<int>(rng() % 100);
-    if (op < 45 || live.empty()) {
-      schedule(now + 1 + static_cast<Time>(rng() % 50));
-    } else if (op < 65) {
-      // Cancel a random live event.
-      auto it = live.begin();
-      std::advance(it, rng() % live.size());
-      EXPECT_TRUE(q.Cancel(it->second));
-      EXPECT_FALSE(q.Cancel(it->second));  // idempotence: second try fails
-      cancelled.push_back(it->first);
-      live.erase(it);
-    } else if (op < 80) {
-      // Reschedule: cancel + schedule again (the RTO re-arm pattern).
-      auto it = live.begin();
-      std::advance(it, rng() % live.size());
-      EXPECT_TRUE(q.Cancel(it->second));
-      cancelled.push_back(it->first);
-      live.erase(it);
-      schedule(now + 1 + static_cast<Time>(rng() % 50));
-    } else {
-      // Pop a few events; time must never go backwards.
-      for (int i = 0; i < 3 && !q.Empty(); ++i) {
-        Time t = 0;
-        q.PopNext(&t)();
-        EXPECT_GE(t, now);
-        now = t;
-        const std::uint64_t token = executed.back();
-        EXPECT_EQ(live.erase(token), 1u) << "popped a cancelled/dead event";
-      }
-    }
-    EXPECT_EQ(q.size(), live.size());
-  }
-  while (!q.Empty()) {
+  const auto pop = [&] {
     Time t = 0;
     q.PopNext(&t)();
+    ASSERT_FALSE(ref.empty());
+    EXPECT_EQ(t, ref.begin()->first);
+    EXPECT_EQ(executed.back(), ref.begin()->second);
+    ref.erase(ref.begin());
     EXPECT_GE(t, now);
     now = t;
-    EXPECT_EQ(live.erase(executed.back()), 1u);
+  };
+  for (int round = 0; round < 400; ++round) {
+    if (rng() % 100 < 60 || q.Empty()) {
+      const Time at = now + 1 + static_cast<Time>(rng() % 50);
+      const std::uint64_t token = next_token++;
+      q.Schedule(at, [&executed, token] { executed.push_back(token); });
+      ref.emplace(at, token);
+    } else {
+      for (int i = 0; i < 3 && !q.Empty(); ++i) pop();
+    }
+    EXPECT_EQ(q.size(), ref.size());
   }
-  EXPECT_TRUE(live.empty());
-  // Exactly the non-cancelled tokens executed, each exactly once.
-  EXPECT_EQ(executed.size() + cancelled.size(), next_token);
-  std::sort(executed.begin(), executed.end());
-  EXPECT_EQ(std::unique(executed.begin(), executed.end()), executed.end());
-  std::sort(cancelled.begin(), cancelled.end());
-  std::vector<std::uint64_t> overlap;
-  std::set_intersection(executed.begin(), executed.end(), cancelled.begin(),
-                        cancelled.end(), std::back_inserter(overlap));
-  EXPECT_TRUE(overlap.empty()) << "a cancelled event executed anyway";
+  while (!q.Empty()) pop();
+  EXPECT_TRUE(ref.empty());
+  EXPECT_EQ(executed.size(), next_token);
 }
 
 TEST(EventQueueTest, FifoStableAcrossSlotRecycling) {
   // Recycled slots must not disturb the FIFO order of simultaneous events
-  // (ordering is by schedule sequence, not by slot or id value).
+  // (ordering is by schedule sequence, not by slot value).
   EventQueue q;
   std::vector<int> order;
-  const EventId a = q.Schedule(5, [&] { order.push_back(-1); });
-  const EventId b = q.Schedule(5, [&] { order.push_back(-2); });
-  q.Cancel(a);
-  q.Cancel(b);  // frees two low slots; next schedules reuse them LIFO
+  q.Schedule(1, [] {});
+  q.Schedule(1, [] {});
+  Time t = 0;
+  q.PopNext(&t)();
+  q.PopNext(&t)();  // frees two low slots; next schedules reuse them LIFO
   for (int i = 0; i < 8; ++i) {
     q.Schedule(5, [&order, i] { order.push_back(i); });
   }
@@ -264,16 +173,13 @@ TEST(EventQueueTest, FifoStableAcrossSlotRecycling) {
   for (int i = 0; i < 8; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST(EventQueueTest, StressInterleavedScheduleCancelPop) {
+TEST(EventQueueTest, StressInterleavedSchedulePop) {
   EventQueue q;
   int executed = 0;
   for (int round = 0; round < 50; ++round) {
-    std::vector<EventId> ids;
     for (int i = 0; i < 20; ++i) {
-      ids.push_back(q.Schedule(round * 100 + i, [&] { ++executed; }));
+      q.Schedule(round * 100 + i, [&] { ++executed; });
     }
-    q.Cancel(ids[3]);
-    q.Cancel(ids[7]);
     for (int i = 0; i < 10; ++i) {
       Time t = 0;
       q.PopNext(&t)();
@@ -283,7 +189,7 @@ TEST(EventQueueTest, StressInterleavedScheduleCancelPop) {
     Time t = 0;
     q.PopNext(&t)();
   }
-  EXPECT_EQ(executed, 50 * 18);
+  EXPECT_EQ(executed, 50 * 20);
 }
 
 }  // namespace

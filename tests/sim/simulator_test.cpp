@@ -71,15 +71,6 @@ TEST(SimulatorTest, NegativeDelayClampsToNow) {
   EXPECT_EQ(seen, 50);
 }
 
-TEST(SimulatorTest, CancelScheduledEvent) {
-  Simulator sim;
-  bool ran = false;
-  const EventId id = sim.Schedule(10, [&] { ran = true; });
-  EXPECT_TRUE(sim.Cancel(id));
-  sim.Run();
-  EXPECT_FALSE(ran);
-}
-
 TEST(SimulatorTest, CountsProcessedEvents) {
   Simulator sim;
   for (int i = 0; i < 7; ++i) sim.Schedule(i, [] {});

@@ -1,15 +1,13 @@
 // Hybrid-scheduler coverage: wheel <-> overflow-heap boundary crossing,
-// FIFO stability for simultaneous events across wheel levels, typed
-// events, the fused Reschedule fast path, and an ABA stress mirroring the
-// event-queue one but driven across the wheel horizon. The TimingWheelTest
-// cases drive the wheel alone: multi-chunk buckets at every level against a
-// reference (t, seq) order, the chunk high-water bound, and the full-bucket
-// error.
+// FIFO stability for simultaneous events across wheel levels and the heap,
+// typed events, and a stress mirroring the event-queue one but driven
+// across the wheel horizon, with words minted before they are filed (the
+// lazy-timer re-file). The TimingWheelTest cases drive the wheel alone:
+// multi-chunk buckets at every level against a reference (t, seq) order,
+// the chunk high-water bound, and one bucket past 2^20 entries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <iterator>
-#include <map>
 #include <memory>
 #include <random>
 #include <set>
@@ -49,88 +47,49 @@ TEST(TimingWheelQueueTest, FarEventsOverflowAndStillRunInOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
-TEST(TimingWheelQueueTest, HeapEventCancelledAndRearmedIntoWheel) {
-  // The boundary crossing the RTO pattern produces: schedule far (heap),
-  // cancel, rearm near (wheel) — and the reverse.
-  EventQueue q;
-  std::vector<int> order;
-  const EventId far = q.Schedule(2 * kHorizon, [&] { order.push_back(9); });
-  q.Schedule(kTick, [&] { order.push_back(1); });
-  EXPECT_TRUE(q.Cancel(far));
-  q.Schedule(2 * kTick, [&] { order.push_back(2); });  // near: wheel
-  const EventId near = q.Schedule(3 * kTick, [&] { order.push_back(8); });
-  EXPECT_TRUE(q.Cancel(near));
-  q.Schedule(2 * kHorizon, [&] { order.push_back(4); });  // far again: heap
-  DrainAll(q);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 4}));
-}
-
-TEST(TimingWheelQueueTest, RescheduleMovesAcrossTheBoundary) {
-  EventQueue q;
-  std::vector<int> order;
-  // Wheel -> heap.
-  const EventId a = q.Schedule(kTick, [&] { order.push_back(1); });
-  EXPECT_TRUE(q.Reschedule(a, 2 * kHorizon));
-  // Heap -> wheel.
-  const EventId b = q.Schedule(3 * kHorizon, [&] { order.push_back(2); });
-  EXPECT_TRUE(q.Reschedule(b, 2 * kTick));
-  q.Schedule(kTick, [&] { order.push_back(3); });
-  DrainAll(q);
-  EXPECT_EQ(order, (std::vector<int>{3, 2, 1}));
-}
-
-TEST(TimingWheelQueueTest, RescheduleKeepsIdValidAndPayload) {
-  EventQueue q;
-  int runs = 0;
-  const EventId id = q.Schedule(10, [&] { ++runs; });
-  EXPECT_TRUE(q.Reschedule(id, 500));
-  EXPECT_TRUE(q.Reschedule(id, 50 * kTick));  // id stays valid across rearms
-  EXPECT_EQ(q.size(), 1u);
-  Time t = 0;
-  q.PopNext(&t)();
-  EXPECT_EQ(t, 50 * kTick);
-  EXPECT_EQ(runs, 1);
-  EXPECT_FALSE(q.Reschedule(id, 10)) << "ran events must not rearm";
-  EXPECT_FALSE(q.Cancel(id));
-}
-
-TEST(TimingWheelQueueTest, RescheduleGoesToBackOfFifoAmongEqualTimes) {
-  // A rearmed event behaves exactly like cancel + schedule: it yields to
-  // events already scheduled for the same timestamp.
-  EventQueue q;
-  std::vector<int> order;
-  const EventId a = q.Schedule(5, [&] { order.push_back(0); });
-  q.Schedule(5, [&] { order.push_back(1); });
-  EXPECT_TRUE(q.Reschedule(a, 5));
-  DrainAll(q);
-  EXPECT_EQ(order, (std::vector<int>{1, 0}));
+/// A typed event appending `v` to *sink (ScheduleOrdered takes typed
+/// events only).
+std::vector<int>* sink = nullptr;
+TypedEvent PushTo(int v) {
+  return TypedEvent{.run = [](void*, void*, std::uint64_t arg) {
+                      sink->push_back(static_cast<int>(arg));
+                    },
+                    .drop = nullptr,
+                    .p0 = nullptr,
+                    .p1 = nullptr,
+                    .arg = static_cast<std::uint64_t>(v)};
 }
 
 TEST(TimingWheelQueueTest, SameTimestampFifoAcrossLevelsAndHeap) {
   // Five events with one shared timestamp, entering through different
-  // structures: wheel level 1/2 (far ticks), the overflow heap (beyond the
-  // horizon at schedule time... simulated by a Reschedule into range), and
-  // level 0 (after the cursor advanced close by). Pop order must be the
-  // global schedule order regardless of entry point.
+  // structures: wheel level 2 (far ticks), the overflow heap (filed at the
+  // target while its bucket drains, with a word minted long before — the
+  // lazy-timer re-file), and level 0 (after the cursor advanced close by).
+  // Pop order must be the order the words were minted in, regardless of
+  // entry point.
   EventQueue q;
   std::vector<int> order;
+  sink = &order;
   const Time target = kHorizon - kTick;  // reachable by every level
-  q.Schedule(target, [&] { order.push_back(0); });  // level 2
-  q.Schedule(target, [&] { order.push_back(1); });  // level 2, same bucket
-  const EventId far = q.Schedule(3 * kHorizon, [&] { order.push_back(2); });
-  EXPECT_TRUE(q.Reschedule(far, target));  // heap -> wheel, seq refreshed
+  q.Schedule(target, [&q, &order, target] {  // level 2
+    order.push_back(0);
+    // Mid-drain at the target's tick: the wheel refuses it, so it goes to
+    // the heap with the word minted before event 3's.
+    q.ScheduleOrdered(target, 1 | kNativeOrderBit, PushTo(1));
+  });
+  ASSERT_EQ(q.MintOrder(), 1 | kNativeOrderBit);  // event 1's word
+  q.Schedule(target, [&] { order.push_back(2); });  // level 2, same bucket
   q.Schedule(target, [&] { order.push_back(3); });
   // Advance the cursor near the target so the last event enters at a lower
   // level than the earlier ones did.
-  q.Schedule(target - 40 * kTick,
-             [&q, &order, target] {
-               q.Schedule(target, [&order] { order.push_back(4); });
-             });
+  q.Schedule(target - 40 * kTick, [&q, &order, target] {
+    q.Schedule(target, [&order] { order.push_back(4); });
+  });
   DrainAll(q);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(TimingWheelQueueTest, TypedEventRunsAndDropsEagerly) {
+TEST(TimingWheelQueueTest, TypedEventRunsAndDropsAtTeardown) {
   EventQueue q;
   static int runs;
   static int drops;
@@ -142,17 +101,15 @@ TEST(TimingWheelQueueTest, TypedEventRunsAndDropsEagerly) {
       .p1 = nullptr,
       .arg = 2};
   q.Schedule(10, ev);
-  const EventId cancelled = q.Schedule(20, ev);
-  EXPECT_TRUE(q.Cancel(cancelled));
-  EXPECT_EQ(drops, 1) << "cancel must fire the drop hook immediately";
+  q.Schedule(20, ev);
   DrainAll(q);
-  EXPECT_EQ(runs, 2);
-  EXPECT_EQ(drops, 1) << "a run event must not also drop";
+  EXPECT_EQ(runs, 4);
+  EXPECT_EQ(drops, 0) << "a run event must not also drop";
   {
     EventQueue q2;
     q2.Schedule(10, ev);
   }
-  EXPECT_EQ(drops, 2) << "queue teardown must drop pending typed events";
+  EXPECT_EQ(drops, 1) << "queue teardown must drop pending typed events";
 }
 
 TEST(TimingWheelQueueTest, TypedAndClosureEventsInterleaveFifo) {
@@ -178,16 +135,24 @@ TEST(TimingWheelQueueTest, TypedAndClosureEventsInterleaveFifo) {
   for (int i = 0; i < 8; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST(TimingWheelQueueTest, AbaStressAcrossTheHorizon) {
-  // Mirrors EventQueueTest.CancelRescheduleStress, but delays span wheel
-  // levels 0/1/2 and the overflow heap, exercising slot recycling, drain
-  // tombstones, bucket swap-removes, cascades and heap removal together.
+TEST(TimingWheelQueueTest, StressAcrossTheHorizon) {
+  // Mirrors EventQueueTest.ScheduleRunStress, but delays span wheel levels
+  // 0/1/2 and the overflow heap, and a third of the events are filed with
+  // a word minted rounds earlier (how a lazy timer re-files), so buckets
+  // and drains see words out of insertion order. Every pop must be the
+  // reference's first (t, word).
   EventQueue q;
   std::mt19937 rng(0xABA5EED);
-  std::map<std::uint64_t, EventId> live;  // token -> id
-  std::vector<std::uint64_t> executed;
-  std::vector<std::uint64_t> cancelled;
-  std::uint64_t next_token = 0;
+  using Key = std::pair<Time, std::uint64_t>;  // (t, order word)
+  std::set<Key> ref;
+  std::vector<std::uint64_t> minted;  // words minted but not yet filed
+  static std::uint64_t last_arg;
+  const TypedEvent ev{
+      .run = [](void*, void*, std::uint64_t arg) { last_arg = arg; },
+      .drop = nullptr,
+      .p0 = nullptr,
+      .p1 = nullptr,
+      .arg = 0};
   Time now = 0;
 
   const auto random_delay = [&]() -> Time {
@@ -202,65 +167,43 @@ TEST(TimingWheelQueueTest, AbaStressAcrossTheHorizon) {
         return kHorizon + static_cast<Time>(rng() % kHorizon);  // heap
     }
   };
-  const auto schedule = [&](Time at) {
-    const std::uint64_t token = next_token++;
-    live[token] =
-        q.Schedule(at, [&executed, token] { executed.push_back(token); });
-    return token;
+  const auto pop = [&] {
+    Time t = 0;
+    std::uint64_t word = 0;
+    q.PopNext(&t, &word)();
+    ASSERT_FALSE(ref.empty());
+    EXPECT_EQ(Key(t, word), *ref.begin());
+    EXPECT_EQ(last_arg, word) << "the payload filed with this word ran";
+    ref.erase(ref.begin());
+    EXPECT_GE(t, now);
+    now = t;
   };
 
   for (int round = 0; round < 3000; ++round) {
     const int op = static_cast<int>(rng() % 100);
-    if (op < 40 || live.empty()) {
-      schedule(now + 1 + random_delay());
-    } else if (op < 55) {
-      auto it = live.begin();
-      std::advance(it, rng() % live.size());
-      EXPECT_TRUE(q.Cancel(it->second));
-      EXPECT_FALSE(q.Cancel(it->second));  // idempotence
-      cancelled.push_back(it->first);
-      live.erase(it);
-    } else if (op < 70) {
-      // Fused rearm: the id must stay valid and unique to its token.
-      auto it = live.begin();
-      std::advance(it, rng() % live.size());
-      EXPECT_TRUE(q.Reschedule(it->second, now + 1 + random_delay()));
-    } else if (op < 80) {
-      // Cancel + schedule (the legacy rearm shape).
-      auto it = live.begin();
-      std::advance(it, rng() % live.size());
-      EXPECT_TRUE(q.Cancel(it->second));
-      cancelled.push_back(it->first);
-      live.erase(it);
-      schedule(now + 1 + random_delay());
+    const Time at = now + random_delay();
+    if (op < 30 || q.Empty()) {
+      TypedEvent e = ev;
+      const std::uint64_t word = q.MintOrder();
+      e.arg = word;
+      q.ScheduleOrdered(at, word, e);  // a Schedule, word made visible
+      ref.emplace(at, word);
+    } else if (op < 45) {
+      minted.push_back(q.MintOrder());
+    } else if (op < 60 && !minted.empty()) {
+      const std::size_t i = rng() % minted.size();
+      TypedEvent e = ev;
+      e.arg = minted[i];
+      q.ScheduleOrdered(at, minted[i], e);
+      ref.emplace(at, minted[i]);
+      minted.erase(minted.begin() + static_cast<std::ptrdiff_t>(i));
     } else {
-      for (int i = 0; i < 3 && !q.Empty(); ++i) {
-        Time t = 0;
-        q.PopNext(&t)();
-        EXPECT_GE(t, now);
-        now = t;
-        const std::uint64_t token = executed.back();
-        EXPECT_EQ(live.erase(token), 1u) << "popped a cancelled/dead event";
-      }
+      for (int i = 0; i < 3 && !q.Empty(); ++i) pop();
     }
-    EXPECT_EQ(q.size(), live.size());
+    EXPECT_EQ(q.size(), ref.size());
   }
-  while (!q.Empty()) {
-    Time t = 0;
-    q.PopNext(&t)();
-    EXPECT_GE(t, now);
-    now = t;
-    EXPECT_EQ(live.erase(executed.back()), 1u);
-  }
-  EXPECT_TRUE(live.empty());
-  EXPECT_EQ(executed.size() + cancelled.size(), next_token);
-  std::sort(executed.begin(), executed.end());
-  EXPECT_EQ(std::unique(executed.begin(), executed.end()), executed.end());
-  std::sort(cancelled.begin(), cancelled.end());
-  std::vector<std::uint64_t> overlap;
-  std::set_intersection(executed.begin(), executed.end(), cancelled.begin(),
-                        cancelled.end(), std::back_inserter(overlap));
-  EXPECT_TRUE(overlap.empty()) << "a cancelled event executed anyway";
+  while (!q.Empty()) pop();
+  EXPECT_TRUE(ref.empty());
 }
 
 TEST(TimingWheelQueueTest, HeapRunAheadThenNearScheduling) {
@@ -285,30 +228,19 @@ TEST(TimingWheelQueueTest, HeapRunAheadThenNearScheduling) {
 
 constexpr std::uint32_t kChunk = TimingWheel::kChunkEntries;
 
-/// A TimingWheel with its own slot table, mirrored by a reference set
-/// ordered by (t, seq): every pop must be the reference's first entry.
+/// A TimingWheel mirrored by a reference set ordered by (t, seq): every
+/// pop must be the reference's first entry.
 class WheelModel {
  public:
-  WheelModel() : wheel_(&meta_) {}
-
-  /// Inserts a fresh slot at `t`; returns it.
-  std::uint32_t Add(Time t) {
-    const auto slot = static_cast<std::uint32_t>(meta_.size());
-    meta_.emplace_back();
-    key_.emplace_back();
-    Enter(slot, t);
-    return slot;
-  }
-  /// Cancels `slot`'s entry.
-  void Cancel(std::uint32_t slot) {
-    wheel_.Remove(slot, meta_[slot].loc);
-    meta_[slot].loc = kLocNone;
-    EXPECT_EQ(ref_.erase(key_[slot]), 1u);
-  }
-  /// Moves `slot` to `t` with a fresh sequence number (Reschedule).
-  void Move(std::uint32_t slot, Time t) {
-    Cancel(slot);
-    Enter(slot, t);
+  /// Inserts an entry at `t` with the next sequence number.
+  void Add(Time t) { AddWithSeq(t, next_seq_++); }
+  /// Inserts an entry at `t` with an explicit (unique) sequence number.
+  void AddWithSeq(Time t, std::uint64_t seq) {
+    ASSERT_TRUE(wheel_.Accepts(t));
+    const SchedEntry e{t, seq, next_slot_++};
+    wheel_.Insert(e);
+    ref_.emplace(e.t, e.seq, e.slot);
+    ASSERT_EQ(wheel_.size(), ref_.size());
   }
   /// Pops the earliest entry, checking it against the reference.
   void PopOne() {
@@ -319,7 +251,6 @@ class WheelModel {
     ASSERT_EQ(e.seq, seq);
     ASSERT_EQ(e.slot, slot);
     ref_.erase(ref_.begin());
-    meta_[e.slot].loc = kLocNone;
     now_tick_ = static_cast<std::uint64_t>(e.t) >> TimingWheel::kTickShift;
   }
 
@@ -336,104 +267,50 @@ class WheelModel {
     return static_cast<Time>(tick << TimingWheel::kTickShift);
   }
 
-  [[nodiscard]] int Level(std::uint32_t slot) const {
-    EXPECT_EQ(meta_[slot].loc & ~kLocIndexMask, kLocWheelTag);
-    return static_cast<int>((meta_[slot].loc >> 28) & 0x3);
-  }
-  [[nodiscard]] std::uint32_t Index(std::uint32_t slot) const {
-    return meta_[slot].loc & 0xF'FFFF;
-  }
-  [[nodiscard]] bool InWheelBucket(std::uint32_t slot) const {
-    return meta_[slot].loc != kLocNone &&
-           (meta_[slot].loc & ~kLocIndexMask) == kLocWheelTag;
-  }
-  [[nodiscard]] bool Pending(std::uint32_t slot) const {
-    return meta_[slot].loc != kLocNone;
-  }
   [[nodiscard]] std::size_t pending() const { return ref_.size(); }
+  [[nodiscard]] std::uint64_t next_seq() const { return next_seq_; }
   TimingWheel& wheel() { return wheel_; }
 
  private:
-  void Enter(std::uint32_t slot, Time t) {
-    ASSERT_TRUE(wheel_.Accepts(t));
-    const SchedEntry e{t, next_seq_++, slot};
-    wheel_.Insert(e);
-    key_[slot] = {e.t, e.seq, e.slot};
-    ref_.insert(key_[slot]);
-    ASSERT_EQ(wheel_.size(), ref_.size());
-  }
-
   using Key = std::tuple<Time, std::uint64_t, std::uint32_t>;
-  std::vector<SlotMeta> meta_;
   TimingWheel wheel_;
-  std::vector<Key> key_;  // by slot: the entry's current reference key
   std::set<Key> ref_;
-  std::uint64_t next_seq_ = 0;
+  std::uint64_t next_seq_ = 1u << 20;  // room below for out-of-order seqs
+  std::uint32_t next_slot_ = 0;
   std::uint64_t now_tick_ = 0;
 };
 
 TEST(TimingWheelTest, MultiChunkBucketsMatchReferenceOrderAtEveryLevel) {
   // Each round fills the next bucket of every level with 150-250 entries
-  // (three or four chunks; many share a timestamp), then cancels and
-  // reschedules entries in a middle chunk and in the tail chunk, and pops
-  // a stretch — so multi-chunk buckets drain at level 0 and cascade from
-  // levels 1 and 2. Every pop must match the reference (t, seq) order.
+  // (three or four chunks; many share a timestamp), a fifth of them with a
+  // sequence number below every other entry's (a word minted before it
+  // was filed), then pops a stretch — so multi-chunk
+  // buckets drain at level 0 and cascade from levels 1 and 2 with their
+  // insertion order disagreeing with seq. Every pop must match the
+  // reference (t, seq) order.
   WheelModel m;
   std::mt19937 rng(0xC4u);
   const Time span[] = {kTick, 64 * kTick, 4096 * kTick};
   int multi_chunk_buckets[TimingWheel::kLevels] = {};
-  int middle_removals = 0;
-  int tail_removals = 0;
+  std::uint64_t old_seq = 0;  // counts up below WheelModel's own seqs
+  int out_of_order = 0;
   for (int round = 0; round < 60; ++round) {
     for (int level = 0; level < TimingWheel::kLevels; ++level) {
       const Time start = m.NextBucketStart(level);
       if (start < 0) continue;
       const int n = 150 + static_cast<int>(rng() % 101);
-      // Entries rescheduled here earlier in the round come first.
-      std::uint32_t size = 0;
-      std::vector<std::uint32_t> slots;
       for (int i = 0; i < n; ++i) {
         // Times repeat (a handful of distinct offsets) to exercise the
         // FIFO tie-break.
         const Time offset = static_cast<Time>(rng() % 24) * (span[level] / 24);
-        slots.push_back(m.Add(start + offset));
-        ASSERT_EQ(m.Level(slots.back()), level);
-        if (i == 0) size = m.Index(slots.back());
-        ASSERT_EQ(m.Index(slots.back()), size++);
+        if (rng() % 5 == 0) {
+          ASSERT_NO_FATAL_FAILURE(m.AddWithSeq(start + offset, old_seq++));
+          ++out_of_order;
+        } else {
+          ASSERT_NO_FATAL_FAILURE(m.Add(start + offset));
+        }
       }
       ++multi_chunk_buckets[level];
-      // A chunk between the head and the tail: its hole is filled from
-      // the tail.
-      std::vector<std::uint32_t> middle;
-      for (const std::uint32_t s : slots) {
-        const std::uint32_t chunk = m.Index(s) / kChunk;
-        if (chunk > 0 && chunk < (size - 1) / kChunk) middle.push_back(s);
-      }
-      ASSERT_FALSE(middle.empty());
-      m.Cancel(middle[rng() % middle.size()]);
-      ++middle_removals;
-      const std::uint32_t moved = middle[rng() % middle.size()];
-      if (m.Pending(moved)) {
-        m.Move(moved, start + static_cast<Time>(rng() % span[level]));
-        ++middle_removals;
-      }
-      // Empty the tail chunk (the middle cancel took one entry): every
-      // other entry is rescheduled into another level's next bucket
-      // rather than cancelled.
-      const std::uint32_t tail_first = (size - 2) / kChunk * kChunk;
-      for (int i = static_cast<int>(slots.size()) - 1; i >= 0; --i) {
-        const std::uint32_t s = slots[static_cast<std::size_t>(i)];
-        if (!m.InWheelBucket(s) || m.Index(s) < tail_first) continue;
-        const int to = (level + 1 + static_cast<int>(rng() % 2)) %
-                       TimingWheel::kLevels;
-        const Time to_start = m.NextBucketStart(to);
-        if (i % 2 == 0 || to_start < 0) {
-          m.Cancel(s);
-        } else {
-          m.Move(s, to_start + static_cast<Time>(rng() % span[to]));
-        }
-        ++tail_removals;
-      }
     }
     const int pops = 50 + static_cast<int>(rng() % 400);
     for (int i = 0; i < pops && m.pending() > 0; ++i) {
@@ -444,8 +321,7 @@ TEST(TimingWheelTest, MultiChunkBucketsMatchReferenceOrderAtEveryLevel) {
   EXPECT_EQ(m.wheel().size(), 0u);
   EXPECT_EQ(m.wheel().occupied_buckets(), 0);
   for (const int n : multi_chunk_buckets) EXPECT_GE(n, 5);
-  EXPECT_GE(middle_removals, 60);
-  EXPECT_GE(tail_removals, 60);
+  EXPECT_GE(out_of_order, 1000);
 }
 
 TEST(TimingWheelTest, ChunkHighWaterTracksPendingNotHistory) {
@@ -493,29 +369,44 @@ TEST(TimingWheelTest, ChunkHighWaterTracksPendingNotHistory) {
       << "a repeated schedule must reuse the free list";
 }
 
-// Registered as the unlabelled `sim_slow` ctest entry: ~35 MB of entries
-// and slot records.
-TEST(TimingWheelLimitTest, FullBucketThrowsNamedErrorAndStaysIntact) {
-  // One bucket can index kMaxBucketEntries entries (the loc word's 20-bit
-  // field). The next insert must fail loudly, not spill its index into the
-  // bucket bits where a later cancel would hit the wrong entry.
-  constexpr std::uint32_t kMax = TimingWheel::kMaxBucketEntries;
-  std::vector<SlotMeta> meta(kMax + 1);
-  TimingWheel wheel(&meta);
-  for (std::uint32_t slot = 0; slot < kMax; ++slot) {
-    wheel.Insert(SchedEntry{0, slot, slot});
+// Registered as the unlabelled `sim_slow` ctest entry: ~75 MB of chunks,
+// drain and sort workspace.
+TEST(TimingWheelLimitTest, BucketPastTwoToTheTwentyDrainsInOrder) {
+  // One bucket has no entry limit: 2^20 + 1 entries (one more than the
+  // old per-bucket index field could hold) in one level-0 bucket, spread
+  // over the tick with every fourth entry's seq below all the others
+  // (re-filed words), drain in exact (t, seq) order: strictly increasing
+  // keys, every entry exactly once.
+  constexpr std::uint32_t kEntries = (1u << 20) + 1;
+  constexpr std::uint64_t kNewer = 1u << 21;  // the other seqs start here
+  TimingWheel wheel;
+  for (std::uint32_t i = 0; i < kEntries; ++i) {
+    wheel.Insert(SchedEntry{static_cast<Time>(i % kTick),
+                            i % 4 == 0 ? i : kNewer + i, i});
   }
-  EXPECT_THROW(wheel.Insert(SchedEntry{0, kMax, kMax}), WheelBucketOverflow);
-  EXPECT_EQ(wheel.size(), kMax) << "a refused insert leaves no trace";
-  EXPECT_EQ(meta[kMax].loc, kLocNone);
-  // The last entry's location is still exact: removing it makes room.
-  const std::uint32_t last = kMax - 1;
-  EXPECT_EQ(meta[last].loc & 0xF'FFFF, last);
-  wheel.Remove(last, meta[last].loc);
-  wheel.Insert(SchedEntry{0, kMax, kMax});
-  EXPECT_EQ(meta[kMax].loc & 0xF'FFFF, last);
-  EXPECT_EQ(wheel.size(), kMax);
-  EXPECT_EQ(wheel.chunks_created(), kMax / TimingWheel::kChunkEntries);
+  EXPECT_EQ(wheel.size(), kEntries);
+  EXPECT_EQ(wheel.occupied_buckets(), 1);
+  std::vector<bool> seen(kEntries);
+  std::uint32_t out_of_order = 0;
+  std::uint32_t wrong_entry = 0;
+  SchedEntry prev = wheel.Pop();
+  seen[prev.slot] = true;
+  for (std::uint32_t n = 1; n < kEntries; ++n) {
+    const SchedEntry e = wheel.Pop();
+    if (e.t < prev.t || (e.t == prev.t && e.seq <= prev.seq)) ++out_of_order;
+    const std::uint64_t want_seq = e.slot % 4 == 0 ? e.slot : kNewer + e.slot;
+    if (e.slot >= kEntries || seen[e.slot] || e.seq != want_seq ||
+        e.t != static_cast<Time>(e.slot % kTick)) {
+      ++wrong_entry;
+    } else {
+      seen[e.slot] = true;
+    }
+    prev = e;
+  }
+  EXPECT_EQ(out_of_order, 0u);
+  EXPECT_EQ(wrong_entry, 0u);
+  EXPECT_EQ(wheel.size(), 0u);
+  EXPECT_EQ(wheel.Peek(), nullptr);
 }
 
 }  // namespace

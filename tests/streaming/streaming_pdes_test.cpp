@@ -292,9 +292,10 @@ TEST(StreamingPdesTest, StaleAbortTimerSurvivesMultiDomainRecycling) {
 
 TEST(StreamingPdesTest, AbortedFlowTerminatesMultiDomainRun) {
   // A stop that lands mid-flight under exec_domains = 8: the abort timer
-  // fires in its own lane, cancels lane-local events, and the streamed
-  // multi-domain run must still drain and terminate (aborted flows leave
-  // no pending events; with the source exhausted the run is over).
+  // fires in its own lane, marks the flow aborted, and the streamed
+  // multi-domain run must still drain and terminate (an aborted flow's
+  // leftover timer events are inert; with the source exhausted the run is
+  // over).
   ExperimentSpec spec;
   spec.name = "streaming_pdes_stop_abort";
   spec.topology = "fat_tree";

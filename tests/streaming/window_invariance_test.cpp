@@ -28,12 +28,13 @@ std::string FctCsvBytes(const ExperimentPointResult& r,
   return out.str();
 }
 
-/// Runs `spec` at window 0 and at window 100 us and compares the two.
-/// `events_exact` = false exempts events_processed: RoCC's switch PI
-/// timer never stops, so a run-to-completion point counts its ticks up to
-/// the end of the drain chunk that saw the last completion, and that
-/// chunk is 2 ms at window 0 but one window otherwise.
-void ExpectWindowInvariant(ExperimentSpec spec, bool events_exact) {
+/// Runs `spec` at window 0 and at window 100 us and compares the two,
+/// events_processed included: a run-to-completion point counts RoCC's
+/// never-stopping switch PI ticks and the timer carriers that outlive
+/// their flows up to the end of the drain chunk that saw the last
+/// completion, and once every flow is launched chunks end on the same
+/// 2 ms grid at every window.
+void ExpectWindowInvariant(ExperimentSpec spec) {
   spec.run.launch_window = 0;
   ValidateSpec(spec);
   const ExperimentPointResult ref = RunExperimentPoint(spec);
@@ -57,9 +58,7 @@ void ExpectWindowInvariant(ExperimentSpec spec, bool events_exact) {
   EXPECT_EQ(got.late_data_drops, ref.late_data_drops);
   EXPECT_EQ(got.asymmetric_acks, ref.asymmetric_acks);
   EXPECT_EQ(got.lhcs_triggers, ref.lhcs_triggers);
-  if (events_exact) {
-    EXPECT_EQ(got.events_processed, ref.events_processed);
-  }
+  EXPECT_EQ(got.events_processed, ref.events_processed);
 }
 
 TEST(WindowInvarianceTest, PoissonFatTreeEveryMode) {
@@ -75,7 +74,7 @@ TEST(WindowInvarianceTest, PoissonFatTreeEveryMode) {
     spec.scenario.mode = mode;
     spec.run.duration = 0;  // run to completion
     spec.run.monitor = false;
-    ExpectWindowInvariant(spec, /*events_exact=*/mode != CcMode::kRocc);
+    ExpectWindowInvariant(spec);
   }
 }
 
@@ -93,7 +92,7 @@ TEST(WindowInvarianceTest, DurationBudgetDumbbellEveryMode) {
                               "run.monitor=false"});
     spec.scenario.mode = mode;
     ASSERT_EQ(spec.wl.size_bytes, 0u);
-    ExpectWindowInvariant(spec, /*events_exact=*/true);
+    ExpectWindowInvariant(spec);
   }
 }
 

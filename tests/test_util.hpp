@@ -1,10 +1,15 @@
 // Shared helpers for unit tests: packet factories, a sink endpoint that
-// records everything it receives, and mini-network construction.
+// records everything it receives, mini-network construction, and a timer
+// binding for a CC algorithm tested without a flow table.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "cc/dcqcn.hpp"
+#include "core/congestion_control.hpp"
 #include "net/network.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
@@ -13,6 +18,40 @@
 #include "net/topology.hpp"
 
 namespace fncc::test {
+
+/// Binds a standalone CC's timers (a DcqcnAlgorithm or a
+/// CongestionControl) to carriers that resolve through this binding, the
+/// way a SenderQp's resolve through its flow table: after Forget() — the
+/// algorithm is gone — every pending carrier is inert. Must outlive every
+/// run of the simulator after Bind.
+template <class Cc>
+class CcTimerBinding {
+ public:
+  CcTimerBinding() = default;
+  explicit CcTimerBinding(Cc* cc) { Bind(cc); }
+  CcTimerBinding(const CcTimerBinding&) = delete;
+  CcTimerBinding& operator=(const CcTimerBinding&) = delete;
+
+  void Bind(Cc* cc) {
+    cc_ = cc;
+    cc->BindTimers(&CcTimerBinding::Fire, this, 0);
+  }
+  void Forget() { cc_ = nullptr; }
+
+ private:
+  static void Fire(void* self, void* /*unused*/, std::uint64_t arg) {
+    Cc* cc = static_cast<CcTimerBinding*>(self)->cc_;
+    if (cc == nullptr) return;
+    const auto which = static_cast<std::uint32_t>(arg >> 32);
+    if constexpr (std::is_same_v<Cc, DcqcnAlgorithm>) {
+      cc->OnTimer(static_cast<DcqcnAlgorithm::Timer>(which));
+    } else {
+      cc->OnTimer(which);
+    }
+  }
+
+  Cc* cc_ = nullptr;
+};
 
 /// Endpoint that stores every received packet (and honours PFC so it can
 /// stand in for a host in switch-level tests).

@@ -178,9 +178,9 @@ TEST_F(FlowTableHostTest, ReleaseIsIdempotentOnStaleIds) {
   EXPECT_EQ(host_.flow_table().live_flows(), live);
 }
 
-TEST_F(FlowTableHostTest, ReleaseCancelsPendingStart) {
+TEST_F(FlowTableHostTest, ReleaseMakesPendingStartInert) {
   // A flow released before its scheduled start must never fire Start()
-  // on the recycled slot.
+  // on the recycled slot: its start event names the stale FlowId.
   FlowSpec spec;
   spec.src = 0;
   spec.dst = 1;
