@@ -28,7 +28,8 @@ namespace fncc::bench {
 class LegacyCc {
  public:
   LegacyCc(const CcConfig& config, Simulator* sim)
-      : config_(ResolveCcConfig(config)), cc_(config_, sim) {}
+      : config_(ResolveCcConfig(config)),
+        cc_(config_, sim, TimerRoute{}) {}  // timer-free modes only
   virtual ~LegacyCc() = default;
 
   virtual void OnAck(const Packet& ack, std::uint64_t snd_nxt) {

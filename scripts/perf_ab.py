@@ -3,38 +3,42 @@
 working tree.
 
     scripts/perf_ab.py [--rev REV] [--pairs N] [--workloads W,...]
-                       [--seed S] [--seconds S] [--scratch DIR]
+                       [--seed S] [--scratch DIR]
 
 Run from the root of a checkout. A is REV (default HEAD), extracted with
 `git archive` into SCRATCH/a; B is the working tree as it stands,
 uncommitted changes included. Each side is built once, into its own
 CARGO_TARGET_DIR under SCRATCH. Then, per workload, N pairs of
 
-    python3 perfbench/run.py --workload W --seed S --seconds S --trace 0
+    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
 run in ABBA order (A B, B A, A B, ...), so that a drift in the box's speed
-falls on both sides alike. Each run's last stdout line is its JSON result;
+falls on both sides alike. T is BENCHMARK.json's run_seconds, the run
+length the benchmark defines. Each run's last stdout line is its JSON result;
 a run that fails its checks stops the script.
 
 For every workload and every end-to-end metric BENCHMARK.json lists, the
 script prints the median of the per-pair ratios B/A, a bootstrap 95%
-interval of that median (resampling pairs), and a verdict against the
-metric's bound: "worse" when the median ratio is worse than the bound
-allows; "unresolved" when A's own runs spread wider than the bound
-(interquartile range over median) and not every B run beats every A run;
-"better" when the whole interval lies on the better side of 1; "noise"
-otherwise. A provenance line (box, compiler, revisions, pairs) closes the
-report.
+interval of that median (resampling pairs), how many pairs B won, and a
+verdict against the metric's bound: "worse" when the median ratio is
+worse than the bound allows; "unresolved" when A's own runs spread wider
+than the bound (interquartile range over median) and not every B run
+beats every A run; "better" only under the rule for claiming a gain — at
+least 10 pairs, B winning at least 9 in 10 of them, and B's median ahead
+of A's by more than A's interquartile range; "noise" otherwise. A
+provenance line (box, compiler, revisions, pairs) closes the report.
 
 The script reads perfbench/ and BENCHMARK.json and writes only under
-SCRATCH (default /tmp/perf_ab), where perf_ab_runs.json keeps every run's
-metrics and perf_ab.log every command's output.
+SCRATCH (default /tmp/perf_ab), which must lie outside the checkout:
+SCRATCH/a is deleted and re-extracted on every run, perf_ab_runs.json
+keeps every run's metrics and perf_ab.log every command's output.
 """
 import argparse
 import json
 import os
 import platform
 import random
+import shutil
 import statistics
 import subprocess
 import sys
@@ -95,16 +99,33 @@ def bootstrap_median(ratios, rng, draws=2000):
     return medians[int(0.025 * draws)], medians[int(0.975 * draws) - 1]
 
 
-def spread(values):
-    """Interquartile range over median."""
+# The rule for claiming a gain: at least this many pairs, B winning at
+# least WIN_SHARE of them, and the medians apart by more than A's IQR.
+MIN_GAIN_PAIRS = 10
+WIN_SHARE = 0.9
+
+
+def iqr(values):
     if len(values) < 2:
         return 0.0
     q = statistics.quantiles(values, n=4)
+    return q[2] - q[0]
+
+
+def spread(values):
+    """Interquartile range over median."""
     med = statistics.median(values)
-    return (q[2] - q[0]) / med if med else 0.0
+    return iqr(values) / med if med else 0.0
 
 
-def verdict(pairs, median, lo, hi, better, bound):
+def wins(pairs, better):
+    """Pairs in which B beat A."""
+    if better == "lower":
+        return sum(1 for a, b in pairs if b < a)
+    return sum(1 for a, b in pairs if b > a)
+
+
+def verdict(pairs, median, better, bound):
     # Ratio B/A; for a lower-is-better metric a ratio below 1 is a gain.
     a = [x for x, _ in pairs]
     b = [y for _, y in pairs]
@@ -112,15 +133,19 @@ def verdict(pairs, median, lo, hi, better, bound):
         if median > 1 + bound:
             return "worse"
         all_better = max(b) < min(a)
-        gain = hi < 1
+        ahead = statistics.median(a) - statistics.median(b)
     else:
         if median < 1 - bound:
             return "worse"
         all_better = min(b) > max(a)
-        gain = lo > 1
+        ahead = statistics.median(b) - statistics.median(a)
     if spread(a) > bound and not all_better:
         return "unresolved"
-    return "better" if gain else "noise"
+    if (len(pairs) >= MIN_GAIN_PAIRS and
+            wins(pairs, better) >= WIN_SHARE * len(pairs) and
+            ahead > iqr(a)):
+        return "better"
+    return "noise"
 
 
 def cpu_model():
@@ -143,7 +168,6 @@ def main():
     ap.add_argument("--workloads", default="",
                     help="comma-separated (default: all in BENCHMARK.json)")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--scratch", default="/tmp/perf_ab")
     ap.add_argument("--jobs", type=int, default=3, help="build parallelism")
     args = ap.parse_args()
@@ -153,15 +177,21 @@ def main():
     workloads = ([w for w in args.workloads.split(",") if w] or
                  [w["name"] for w in spec["workloads"]])
     metrics = spec["end_to_end"]
+    seconds = spec["run_seconds"]
 
     rev = git("rev-parse", args.rev)
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
-    scratch = os.path.abspath(args.scratch)
+    scratch = os.path.realpath(args.scratch)
     tree_a = os.path.join(scratch, "a")
+    root = os.path.realpath(ROOT)
+    if (os.path.commonpath([scratch, root]) == root or
+            os.path.commonpath([tree_a, root]) == tree_a):
+        sys.exit("perf_ab: --scratch %s must lie outside the checkout %s "
+                 "(its a/ subdirectory is deleted on every run)" % (
+                     scratch, root))
     os.makedirs(scratch, exist_ok=True)
     log = os.path.join(scratch, "perf_ab.log")
-    if os.path.exists(tree_a):
-        subprocess.run(["rm", "-rf", tree_a], check=True)
+    shutil.rmtree(tree_a, ignore_errors=True)
     os.makedirs(tree_a)
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT,
                              capture_output=True, check=True).stdout
@@ -180,7 +210,7 @@ def main():
         for i in range(args.pairs):
             for side in ("AB" if i % 2 == 0 else "BA"):
                 tree, target = sides[side]
-                values, prov = bench(tree, target, w, args.seed, args.seconds,
+                values, prov = bench(tree, target, w, args.seed, seconds,
                                      log)
                 runs[side].append(values)
                 if side == "B":
@@ -199,26 +229,26 @@ def main():
             lo, hi = bootstrap_median(ratios, rng)
             rows.append((w, name, statistics.median(a for a, _ in pairs),
                          statistics.median(b for _, b in pairs), med, lo, hi,
-                         verdict(pairs, med, lo, hi, m["better"],
-                                 m["bound"]),
+                         "%d/%d" % (wins(pairs, m["better"]), len(pairs)),
+                         verdict(pairs, med, m["better"], m["bound"]),
                          m["bound"]))
 
     with open(os.path.join(scratch, "perf_ab_runs.json"), "w") as f:
         json.dump({"rev": rev, "runs": all_runs}, f, indent=1)
-    print("%-22s %-18s %12s %12s %8s %17s  %s" % (
+    print("%-22s %-18s %12s %12s %8s %17s %7s  %s" % (
         "workload", "metric", "A median", "B median", "B/A", "95% CI",
-        "verdict (bound)"))
-    for w, name, a, b, med, lo, hi, v, bound in rows:
-        print("%-22s %-18s %12.5g %12.5g %8.3f   [%.3f, %.3f]  %s (%g)" % (
-            w, name, a, b, med, lo, hi, v, bound))
-    worse = [r for r in rows if r[7] == "worse"]
+        "B wins", "verdict (bound)"))
+    for w, name, a, b, med, lo, hi, won, v, bound in rows:
+        print("%-22s %-18s %12.5g %12.5g %8.3f   [%.3f, %.3f] %7s  %s (%g)" % (
+            w, name, a, b, med, lo, hi, won, v, bound))
+    worse = [r for r in rows if r[8] == "worse"]
     print("provenance: %s; %d CPUs; %s; A = %s, B = working tree over %s%s; "
           "%d ABBA pairs x %g s per run, seed %d; %s" % (
               cpu_model(), os.cpu_count() or 1,
               provenance.get("compiler", "compiler unknown"), rev[:12],
               git("rev-parse", "HEAD")[:12],
               " (uncommitted changes)" if dirty else "", args.pairs,
-              args.seconds, args.seed, time.strftime("%Y-%m-%d")))
+              seconds, args.seed, time.strftime("%Y-%m-%d")))
     return 1 if worse else 0
 
 

@@ -1,12 +1,16 @@
 #include "cc/dcqcn.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 namespace fncc {
 
-DcqcnAlgorithm::DcqcnAlgorithm(const CcConfig& config, Simulator* sim)
-    : CcBase(config), sim_(sim) {
+DcqcnAlgorithm::DcqcnAlgorithm(const CcConfig& config, Simulator* sim,
+                               TimerRoute timers)
+    : CcBase(config), sim_(sim), timers_(timers) {
+  if (timers_.run == nullptr) {
+    throw std::invalid_argument("DCQCN needs a route for its timer carriers");
+  }
   rate_mut() = cfg().line_rate_gbps;
   rt_gbps_ = cfg().line_rate_gbps;
 }
@@ -45,16 +49,6 @@ void DcqcnAlgorithm::OnBytesSent(std::uint64_t bytes) {
     ++b_stage_;
     IncreaseEvent();
   }
-}
-
-TypedEvent DcqcnAlgorithm::Carrier(Timer which) const {
-  assert(carrier_run_ != nullptr && "BindTimers before arming a timer");
-  return TypedEvent{
-      .run = carrier_run_,
-      .drop = nullptr,
-      .p0 = carrier_p0_,
-      .p1 = nullptr,
-      .arg = carrier_key_ | static_cast<std::uint64_t>(which) << 32};
 }
 
 void DcqcnAlgorithm::OnTimer(Timer which) {

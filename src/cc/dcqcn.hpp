@@ -20,8 +20,13 @@ class DcqcnAlgorithm final : public CcBase {
   /// The two periodic timers (sim/lazy_timer.hpp).
   enum class Timer : std::uint32_t { kAlpha, kIncrease };
 
-  DcqcnAlgorithm(const CcConfig& config, Simulator* sim);
-  DcqcnAlgorithm(const CcConfig&& config, Simulator* sim) = delete;
+  /// Timer `which` files `timers.Carrier(which)`. The route's `run`
+  /// resolves the key back to this algorithm and calls OnTimer(which), or
+  /// drops the carrier when the key no longer resolves; the carrier never
+  /// holds `this`. Throws std::invalid_argument on a route with no `run`.
+  DcqcnAlgorithm(const CcConfig& config, Simulator* sim, TimerRoute timers);
+  DcqcnAlgorithm(const CcConfig&& config, Simulator* sim,
+                 TimerRoute timers) = delete;
 
   void OnCnp();
   void OnBytesSent(std::uint64_t bytes);
@@ -29,17 +34,6 @@ class DcqcnAlgorithm final : public CcBase {
   void BindUpdateHook(UpdateHook hook, void* ctx) {
     on_update_ = hook;
     update_ctx_ = ctx;
-  }
-
-  /// Binds the timers' carrier events: timer `which` files
-  /// `run(p0, nullptr, key | which << 32)`. The owner resolves `key` back
-  /// to this algorithm and calls OnTimer(which), or drops the carrier when
-  /// the key no longer resolves; the carrier never holds `this`. Must
-  /// precede the first Start or OnCnp.
-  void BindTimers(TypedEvent::Fn run, void* p0, std::uint32_t key) {
-    carrier_run_ = run;
-    carrier_p0_ = p0;
-    carrier_key_ = key;
   }
 
   /// A carrier of timer `which` popped: the timer expires, re-files
@@ -59,7 +53,9 @@ class DcqcnAlgorithm final : public CcBase {
   void Shutdown();
 
  private:
-  [[nodiscard]] TypedEvent Carrier(Timer which) const;
+  [[nodiscard]] TypedEvent Carrier(Timer which) const {
+    return timers_.Carrier(static_cast<std::uint32_t>(which));
+  }
   void ArmAlphaTimer();
   void ArmIncreaseTimer();
   void OnAlphaTimer();
@@ -77,9 +73,7 @@ class DcqcnAlgorithm final : public CcBase {
   bool shut_down_ = false;
   UpdateHook on_update_ = nullptr;
   void* update_ctx_ = nullptr;
-  TypedEvent::Fn carrier_run_ = nullptr;
-  void* carrier_p0_ = nullptr;
-  std::uint32_t carrier_key_ = 0;
+  TimerRoute timers_;
 };
 
 }  // namespace fncc

@@ -4,7 +4,8 @@
 
 namespace fncc {
 
-CongestionControl::CongestionControl(const CcConfig& config, Simulator* sim)
+CongestionControl::CongestionControl(const CcConfig& config, Simulator* sim,
+                                     TimerRoute timers)
     : mode_(config.mode) {
   switch (mode_) {
     case CcMode::kFncc:
@@ -15,7 +16,7 @@ CongestionControl::CongestionControl(const CcConfig& config, Simulator* sim)
       ::new (&u_.hpcc) HpccAlgorithm(config);
       return;
     case CcMode::kDcqcn:
-      ::new (&u_.dcqcn) DcqcnAlgorithm(config, sim);
+      ::new (&u_.dcqcn) DcqcnAlgorithm(config, sim, timers);
       return;
     case CcMode::kRocc:
       ::new (&u_.rocc) RoccAlgorithm(config, sim);

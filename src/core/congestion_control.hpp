@@ -26,9 +26,12 @@ class CongestionControl {
  public:
   /// Constructs the algorithm for `config.mode`. `config` must be resolved
   /// (ResolveCcConfig) and outlive this object; FlowTable passes its
-  /// interned copy.
-  CongestionControl(const CcConfig& config, Simulator* sim);
-  CongestionControl(const CcConfig&& config, Simulator* sim) = delete;
+  /// interned copy. `timers` routes DCQCN's timer carriers (see
+  /// DcqcnAlgorithm); the other modes have no timers and ignore it.
+  CongestionControl(const CcConfig& config, Simulator* sim,
+                    TimerRoute timers);
+  CongestionControl(const CcConfig&& config, Simulator* sim,
+                    TimerRoute timers) = delete;
   CongestionControl(const CongestionControl&) = delete;
   CongestionControl& operator=(const CongestionControl&) = delete;
 
@@ -81,13 +84,6 @@ class CongestionControl {
   /// Flow finished: disarm any self-rescheduling timers.
   void Shutdown() {
     if (mode_ == CcMode::kDcqcn) u_.dcqcn.Shutdown();
-  }
-
-  /// Binds DCQCN's timer carriers (DcqcnAlgorithm::BindTimers: timer
-  /// `which` files `run(p0, nullptr, key | which << 32)`). A no-op for
-  /// other modes.
-  void BindTimers(TypedEvent::Fn run, void* p0, std::uint32_t key) {
-    if (mode_ == CcMode::kDcqcn) u_.dcqcn.BindTimers(run, p0, key);
   }
 
   /// A carrier of DCQCN timer `which` popped (DcqcnAlgorithm::OnTimer).

@@ -19,7 +19,7 @@ void EventQueue::Commit(Time t, std::uint64_t order, std::uint32_t slot) {
   if (wheel_.Accepts(t)) {
     wheel_.Insert(SchedEntry{t, order, slot});
   } else {
-    HeapPush(HeapEntry{t, order, slot});
+    HeapPush(SchedEntry{t, order, slot});
   }
 }
 
@@ -27,34 +27,27 @@ EventAction EventQueue::PopNext(Time* t, std::uint64_t* order) {
   assert(!Empty() && "PopNext on empty queue");
   const SchedEntry* w = wheel_.Peek();
   const bool from_wheel =
-      w != nullptr &&
-      (heap_.empty() || w->t < heap_.front().t ||
-       (w->t == heap_.front().t && w->seq < heap_.front().seq));
-
-  std::uint32_t slot;
-  if (from_wheel) {
-    const SchedEntry e = wheel_.Pop();
-    *t = e.t;
-    if (order != nullptr) *order = e.seq;
-    slot = e.slot;
-  } else {
-    const HeapEntry top = heap_.front();
-    *t = top.t;
-    if (order != nullptr) *order = top.seq;
-    slot = top.slot;
-    const HeapEntry last = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) SiftDownFromRoot(last);
-    // The heap ran ahead of an empty wheel: drag the wheel cursor to now so
-    // newly scheduled near events land in the wheel, not the heap.
-    if (wheel_.size() == 0) wheel_.AdvanceTo(top.t);
-  }
-  EventAction action = std::move(slot_actions_[slot]);
-  free_slots_.push_back(slot);
+      w != nullptr && (heap_.empty() || Later(heap_.front(), *w));
+  const SchedEntry e = from_wheel ? wheel_.Pop() : HeapPop();
+  *t = e.t;
+  if (order != nullptr) *order = e.seq;
+  EventAction action = std::move(slot_actions_[e.slot]);
+  free_slots_.push_back(e.slot);
   return action;
 }
 
-void EventQueue::HeapPush(const HeapEntry& e) {
+SchedEntry EventQueue::HeapPop() {
+  const SchedEntry top = heap_.front();
+  const SchedEntry last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) SiftDownFromRoot(last);
+  // The heap ran ahead of an empty wheel: drag the wheel cursor to now so
+  // newly scheduled near events land in the wheel, not the heap.
+  if (wheel_.size() == 0) wheel_.AdvanceTo(top.t);
+  return top;
+}
+
+void EventQueue::HeapPush(const SchedEntry& e) {
   heap_.push_back(e);
   std::size_t i = heap_.size() - 1;
   while (i > 0) {
@@ -66,7 +59,7 @@ void EventQueue::HeapPush(const HeapEntry& e) {
   heap_[i] = e;
 }
 
-void EventQueue::SiftDownFromRoot(const HeapEntry& e) {
+void EventQueue::SiftDownFromRoot(const SchedEntry& e) {
   const std::size_t n = heap_.size();
   std::size_t i = 0;
   // Descend along the min-child path all the way to a leaf.

@@ -236,13 +236,7 @@ class EventQueue {
   }
 
  private:
-  struct HeapEntry {
-    Time t;
-    std::uint64_t seq;   // order word: native FIFO or explicit (edge, nth)
-    std::uint32_t slot;  // index into slot_actions_
-  };
-
-  static bool Later(const HeapEntry& a, const HeapEntry& b) {
+  static bool Later(const SchedEntry& a, const SchedEntry& b) {
     return a.t != b.t ? a.t > b.t : a.seq > b.seq;
   }
 
@@ -251,15 +245,17 @@ class EventQueue {
   std::uint32_t AllocSlot();
   void Commit(Time t, std::uint64_t order, std::uint32_t slot);
 
-  void HeapPush(const HeapEntry& e);
+  void HeapPush(const SchedEntry& e);
+  /// Removes and returns the heap's root. Precondition: !heap_.empty().
+  SchedEntry HeapPop();
   /// Re-inserts `e` (the former back element) after the root was removed.
   /// Bottom-up variant: walks the min-child path to a leaf with one
   /// comparison per level, then bubbles `e` up — cheaper than classic
   /// sift-down for pop, because the back element almost always belongs
   /// near the leaves.
-  void SiftDownFromRoot(const HeapEntry& e);
+  void SiftDownFromRoot(const SchedEntry& e);
 
-  std::vector<HeapEntry> heap_;  // overflow level: beyond the wheel horizon
+  std::vector<SchedEntry> heap_;  // overflow level: beyond the wheel horizon
   std::vector<EventAction> slot_actions_;  // payloads, indexed by slot
   std::vector<std::uint32_t> free_slots_;
   TimingWheel wheel_;

@@ -19,9 +19,10 @@
 // flow finished in the last 5 ms stay queued (+5.5 MiB peak RSS at the
 // arrival rate of the hadoop benchmark workload).
 //
-// The carrier event is built by the owner and should name the owner by an
-// id it can resolve and find gone (FlowTable::Lookup for a flow's timers),
-// never by a raw pointer: a carrier outlives a disarmed timer.
+// A carrier outlives a disarmed timer, so it names its owner by an id the
+// owner can resolve and find gone (FlowTable::Lookup for a flow's timers),
+// never by a raw pointer: a TimerRoute packs that id and the timer's
+// number into the carrier's argument.
 #pragma once
 
 #include <cassert>
@@ -30,6 +31,29 @@
 #include "sim/simulator.hpp"
 
 namespace fncc {
+
+/// Where an owner's timer carriers go: the carrier of timer `which` is
+/// run(p0, nullptr, key | which << 32). `run` resolves Key(arg) — a
+/// FlowId for a flow's timers — and dispatches on Which(arg).
+struct TimerRoute {
+  TypedEvent::Fn run = nullptr;
+  void* p0 = nullptr;
+  std::uint32_t key = 0;
+
+  [[nodiscard]] TypedEvent Carrier(std::uint32_t which) const {
+    return TypedEvent{.run = run,
+                      .drop = nullptr,
+                      .p0 = p0,
+                      .p1 = nullptr,
+                      .arg = key | static_cast<std::uint64_t>(which) << 32};
+  }
+  static std::uint32_t Key(std::uint64_t arg) {
+    return static_cast<std::uint32_t>(arg);
+  }
+  static std::uint32_t Which(std::uint64_t arg) {
+    return static_cast<std::uint32_t>(arg >> 32);
+  }
+};
 
 class LazyTimer {
  public:

@@ -41,8 +41,9 @@
 
 namespace fncc {
 
-/// A scheduled-event record: absolute time, global schedule sequence (FIFO
-/// tie-break for simultaneous events), and the owning callback slot.
+/// A scheduled-event record, in the wheel and EventQueue's overflow heap
+/// alike: absolute time, global schedule sequence (FIFO tie-break for
+/// simultaneous events), and the owning callback slot.
 struct SchedEntry {
   Time t;
   std::uint64_t seq;

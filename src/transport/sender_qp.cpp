@@ -17,7 +17,9 @@ SenderQp::SenderQp(Host* host, FlowTable* table, const FlowSpec& spec,
       table_(table),
       hot_(hot),
       spec_(spec),
-      cc_(cc_config, sim_) {
+      cc_(cc_config, sim_,
+          TimerRoute{
+              .run = &SenderQp::CcTimerEvent, .p0 = table, .key = spec.id}) {
   assert(hot_ != nullptr && "QPs are constructed by FlowTable::Register");
   hot_->qp = this;
   hot_->flags = 0;
@@ -32,7 +34,6 @@ SenderQp::SenderQp(Host* host, FlowTable* table, const FlowSpec& spec,
   cc_.BindHotWords(&hot_->words);
   if (cc_.uses_window()) hot_->flags |= HotFlowRow::kUsesWindow;
   cc_.BindUpdateHook(&SenderQp::OnCcUpdate, this);
-  cc_.BindTimers(&SenderQp::CcTimerEvent, table_, spec_.id);
   // The start names the flow, not this object (see the file comment), so
   // a flow aborted or released before it starts makes it inert. It
   // carries the flow-start order word (see
@@ -52,24 +53,20 @@ SenderQp::SenderQp(Host* host, FlowTable* table, const FlowSpec& spec,
 }
 
 TypedEvent SenderQp::TimerCarrier(Timer timer) const {
-  return TypedEvent{
-      .run = &SenderQp::TimerEvent,
-      .drop = nullptr,
-      .p0 = table_,
-      .p1 = nullptr,
-      .arg = spec_.id | static_cast<std::uint64_t>(timer) << 32};
+  return TimerRoute{.run = &SenderQp::TimerEvent, .p0 = table_, .key = spec_.id}
+      .Carrier(static_cast<std::uint32_t>(timer));
 }
 
 SenderQp* SenderQp::Resolve(void* table, std::uint64_t arg) {
   FlowSlot* slot =
-      static_cast<FlowTable*>(table)->Lookup(static_cast<FlowId>(arg));
+      static_cast<FlowTable*>(table)->Lookup(TimerRoute::Key(arg));
   return slot == nullptr ? nullptr : slot->qp();
 }
 
 void SenderQp::TimerEvent(void* table, void* /*unused*/, std::uint64_t arg) {
   SenderQp* self = Resolve(table, arg);
   if (self == nullptr) return;  // released: the flow is gone
-  switch (static_cast<Timer>(arg >> 32)) {
+  switch (static_cast<Timer>(TimerRoute::Which(arg))) {
     case Timer::kStart:
       if (!self->complete_) self->Start();  // not aborted before its start
       return;
@@ -88,7 +85,7 @@ void SenderQp::TimerEvent(void* table, void* /*unused*/, std::uint64_t arg) {
 
 void SenderQp::CcTimerEvent(void* table, void* /*unused*/, std::uint64_t arg) {
   if (SenderQp* self = Resolve(table, arg)) {
-    self->cc_.OnTimer(static_cast<std::uint32_t>(arg >> 32));
+    self->cc_.OnTimer(TimerRoute::Which(arg));
   }
 }
 

@@ -84,9 +84,8 @@ class SenderQp {
   }
 
  private:
-  // The QP's own timers. A timer event is TimerEvent(table, nullptr,
-  // FlowId | timer << 32); the CC's timers come back through CcTimerEvent
-  // with the CC's timer number in the high word.
+  // The QP's own timers. Their carriers route to TimerEvent and the CC's
+  // to CcTimerEvent, both keyed by this flow's FlowId (TimerRoute).
   enum class Timer : std::uint32_t { kStart, kPace, kRto };
   static void TimerEvent(void* table, void* unused, std::uint64_t arg);
   static void CcTimerEvent(void* table, void* unused, std::uint64_t arg);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "../test_util.hpp"
 
 namespace fncc {
@@ -19,8 +21,8 @@ const CcConfig kConfig = Config();
 
 TEST(DcqcnTest, StartsAtLineRateNoWindow) {
   Simulator sim;
-  DcqcnAlgorithm cc(kConfig, &sim);
-  test::CcTimerBinding timers(&cc);
+  test::CcWithTimers<DcqcnAlgorithm> timed(kConfig, &sim);
+  DcqcnAlgorithm& cc = *timed;
   EXPECT_DOUBLE_EQ(cc.rate_gbps(), 100.0);
   EXPECT_FALSE(cc.uses_window());
   cc.Shutdown();
@@ -28,8 +30,8 @@ TEST(DcqcnTest, StartsAtLineRateNoWindow) {
 
 TEST(DcqcnTest, FirstCnpHalvesRate) {
   Simulator sim;
-  DcqcnAlgorithm cc(kConfig, &sim);
-  test::CcTimerBinding timers(&cc);
+  test::CcWithTimers<DcqcnAlgorithm> timed(kConfig, &sim);
+  DcqcnAlgorithm& cc = *timed;
   cc.OnCnp();  // alpha = 1 initially: Rc *= (1 - 1/2)
   EXPECT_NEAR(cc.rate_gbps(), 50.0, 1e-9);
   EXPECT_NEAR(cc.target_rate_gbps(), 100.0, 1e-9);
@@ -38,8 +40,8 @@ TEST(DcqcnTest, FirstCnpHalvesRate) {
 
 TEST(DcqcnTest, RepeatedCnpsKeepCuttingButRespectFloor) {
   Simulator sim;
-  DcqcnAlgorithm cc(kConfig, &sim);
-  test::CcTimerBinding timers(&cc);
+  test::CcWithTimers<DcqcnAlgorithm> timed(kConfig, &sim);
+  DcqcnAlgorithm& cc = *timed;
   for (int i = 0; i < 50; ++i) cc.OnCnp();
   EXPECT_GE(cc.rate_gbps(), Config().dcqcn.min_rate_gbps - 1e-12);
   EXPECT_LT(cc.rate_gbps(), 1.0);
@@ -48,8 +50,8 @@ TEST(DcqcnTest, RepeatedCnpsKeepCuttingButRespectFloor) {
 
 TEST(DcqcnTest, AlphaDecaysWithoutCnps) {
   Simulator sim;
-  DcqcnAlgorithm cc(kConfig, &sim);
-  test::CcTimerBinding timers(&cc);
+  test::CcWithTimers<DcqcnAlgorithm> timed(kConfig, &sim);
+  DcqcnAlgorithm& cc = *timed;
   cc.OnCnp();
   const double alpha_after_cnp = cc.alpha();
   EXPECT_GT(alpha_after_cnp, 0.9);
@@ -64,8 +66,8 @@ TEST(DcqcnTest, AlphaDecaysWithoutCnps) {
 
 TEST(DcqcnTest, FastRecoveryHalvesGapToTarget) {
   Simulator sim;
-  DcqcnAlgorithm cc(kConfig, &sim);
-  test::CcTimerBinding timers(&cc);
+  test::CcWithTimers<DcqcnAlgorithm> timed(kConfig, &sim);
+  DcqcnAlgorithm& cc = *timed;
   cc.OnCnp();  // Rc = 50, Rt = 100
   // First increase-timer tick: still in fast recovery (stage < 5).
   sim.RunUntil(Microseconds(56));
@@ -77,8 +79,8 @@ TEST(DcqcnTest, FastRecoveryHalvesGapToTarget) {
 
 TEST(DcqcnTest, RecoversToLineRateAfterSingleCnp) {
   Simulator sim;
-  DcqcnAlgorithm cc(kConfig, &sim);
-  test::CcTimerBinding timers(&cc);
+  test::CcWithTimers<DcqcnAlgorithm> timed(kConfig, &sim);
+  DcqcnAlgorithm& cc = *timed;
   cc.OnCnp();  // Rc = 50, Rt = 100
   // Five fast-recovery ticks close most of the gap; AI finishes the job.
   sim.RunUntil(Milliseconds(2));
@@ -91,8 +93,8 @@ TEST(DcqcnTest, RecoveryFromDeepCutsIsSlow) {
   // slow to recover"): after repeated CNPs the additive phase needs tens
   // of milliseconds without byte-counter help.
   Simulator sim;
-  DcqcnAlgorithm cc(kConfig, &sim);
-  test::CcTimerBinding timers(&cc);
+  test::CcWithTimers<DcqcnAlgorithm> timed(kConfig, &sim);
+  DcqcnAlgorithm& cc = *timed;
   for (int i = 0; i < 5; ++i) cc.OnCnp();
   sim.RunUntil(Milliseconds(5));
   EXPECT_LT(cc.rate_gbps(), 50.0);  // still far from line rate
@@ -103,8 +105,8 @@ TEST(DcqcnTest, RecoveryFromDeepCutsIsSlow) {
 
 TEST(DcqcnTest, ByteCounterDrivesIncreaseWithoutTimer) {
   Simulator sim;
-  DcqcnAlgorithm cc(kConfig, &sim);
-  test::CcTimerBinding timers(&cc);
+  test::CcWithTimers<DcqcnAlgorithm> timed(kConfig, &sim);
+  DcqcnAlgorithm& cc = *timed;
   cc.OnCnp();  // Rc = 50, Rt = 100
   const double before = cc.rate_gbps();
   cc.OnBytesSent(Config().dcqcn.byte_counter);  // one byte-stage
@@ -116,8 +118,8 @@ TEST(DcqcnTest, ByteCounterDrivesIncreaseWithoutTimer) {
 
 TEST(DcqcnTest, CnpResetsIncreaseStages) {
   Simulator sim;
-  DcqcnAlgorithm cc(kConfig, &sim);
-  test::CcTimerBinding timers(&cc);
+  test::CcWithTimers<DcqcnAlgorithm> timed(kConfig, &sim);
+  DcqcnAlgorithm& cc = *timed;
   cc.OnBytesSent(3 * Config().dcqcn.byte_counter);
   EXPECT_EQ(cc.byte_stage(), 3);
   cc.OnCnp();
@@ -131,8 +133,8 @@ TEST(DcqcnTest, HyperIncreaseAfterBothStagesExceedThreshold) {
   CcConfig config = Config();
   config.dcqcn.rate_ai_fraction = 0.001;   // 0.1 Gbps steps
   config.dcqcn.rate_hai_fraction = 0.01;   // 1 Gbps steps
-  DcqcnAlgorithm cc(config, &sim);
-  test::CcTimerBinding timers(&cc);
+  test::CcWithTimers<DcqcnAlgorithm> timed(config, &sim);
+  DcqcnAlgorithm& cc = *timed;
   cc.OnCnp();
   cc.OnCnp();  // push Rc and Rt down so increases are visible
   // Drive both counters past the fast-recovery threshold.
@@ -150,8 +152,8 @@ TEST(DcqcnTest, ShutdownStopsTimers) {
   // Shutdown disarms both timers: their pending carriers pop once, do
   // nothing and re-file nothing, so the run terminates with alpha frozen.
   Simulator sim;
-  DcqcnAlgorithm cc(kConfig, &sim);
-  test::CcTimerBinding timers(&cc);
+  test::CcWithTimers<DcqcnAlgorithm> timed(kConfig, &sim);
+  DcqcnAlgorithm& cc = *timed;
   cc.Start();
   cc.OnCnp();
   const double alpha = cc.alpha();
@@ -163,21 +165,24 @@ TEST(DcqcnTest, ShutdownStopsTimers) {
 
   // The algorithm destroyed with armed timers (as FlowTable::Release
   // destroys a QP): its carriers no longer resolve and are inert.
-  test::CcTimerBinding<DcqcnAlgorithm> gone;
-  {
-    DcqcnAlgorithm doomed(kConfig, &sim);
-    gone.Bind(&doomed);
-    doomed.Start();
-    gone.Forget();
-  }
+  test::CcWithTimers<DcqcnAlgorithm> doomed(kConfig, &sim);
+  doomed->Start();
+  doomed.Destroy();
   sim.Run();
   EXPECT_EQ(sim.events_processed(), 4u);
 }
 
+TEST(DcqcnTest, RejectsARouteWithoutCarrierFunction) {
+  // No DCQCN exists whose timers have nowhere to go.
+  Simulator sim;
+  EXPECT_THROW(DcqcnAlgorithm(kConfig, &sim, TimerRoute{}),
+               std::invalid_argument);
+}
+
 TEST(DcqcnTest, NotifiesQpAfterTimerIncrease) {
   Simulator sim;
-  DcqcnAlgorithm cc(kConfig, &sim);
-  test::CcTimerBinding timers(&cc);
+  test::CcWithTimers<DcqcnAlgorithm> timed(kConfig, &sim);
+  DcqcnAlgorithm& cc = *timed;
   int updates = 0;
   cc.BindUpdateHook([](void* n) { ++*static_cast<int*>(n); }, &updates);
   cc.OnCnp();

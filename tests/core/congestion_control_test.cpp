@@ -35,7 +35,8 @@ class CongestionControlTest : public ::testing::TestWithParam<ModeCase> {
 };
 
 TEST_P(CongestionControlTest, StartsAtLineRateWithModeNameAndWindow) {
-  CongestionControl cc(config_, &sim_);
+  test::CcWithTimers<CongestionControl> timed(config_, &sim_);
+  CongestionControl& cc = *timed;
   EXPECT_EQ(cc.mode(), GetParam().mode);
   EXPECT_STREQ(CcModeName(cc.mode()), GetParam().name);
   EXPECT_EQ(cc.uses_window(), GetParam().window);
@@ -46,7 +47,8 @@ TEST_P(CongestionControlTest, StartsAtLineRateWithModeNameAndWindow) {
 }
 
 TEST_P(CongestionControlTest, BindHotWordsRelocatesRateAndWindow) {
-  CongestionControl cc(config_, &sim_);
+  test::CcWithTimers<CongestionControl> timed(config_, &sim_);
+  CongestionControl& cc = *timed;
   CcHotWords row;
   cc.BindHotWords(&row);
   EXPECT_DOUBLE_EQ(row.rate_gbps, 100.0);
@@ -61,7 +63,8 @@ TEST_P(CongestionControlTest, OnlyFnccCountsLhcsTriggers) {
   // Last request hop holds 2 BDP of queue, the first hop none, N = 4 (the
   // FnccLhcsTest scenario): FNCC snaps to the fair share once; every other
   // mode — the no-LHCS ablation included — reports 0.
-  CongestionControl cc(config_, &sim_);
+  test::CcWithTimers<CongestionControl> timed(config_, &sim_);
+  CongestionControl& cc = *timed;
   const auto ack = [this](std::uint64_t seq, Time ts, std::uint64_t tx) {
     PacketPtr p = test::MakeAck(sim_.packet_pool(), 1, 0);
     p->seq = seq;
@@ -78,8 +81,8 @@ TEST_P(CongestionControlTest, OnlyFnccCountsLhcsTriggers) {
 }
 
 TEST_P(CongestionControlTest, OnlyDcqcnReactsToCnpAndCallsUpdateHook) {
-  CongestionControl cc(config_, &sim_);
-  test::CcTimerBinding timers(&cc);
+  test::CcWithTimers<CongestionControl> timed(config_, &sim_);
+  CongestionControl& cc = *timed;
   int updates = 0;
   cc.BindUpdateHook([](void* n) { ++*static_cast<int*>(n); }, &updates);
   cc.OnCnp();

@@ -1,9 +1,10 @@
 // Shared helpers for unit tests: packet factories, a sink endpoint that
-// records everything it receives, mini-network construction, and a timer
-// binding for a CC algorithm tested without a flow table.
+// records everything it receives, mini-network construction, and a holder
+// that routes the timers of a CC algorithm tested without a flow table.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -19,30 +20,30 @@
 
 namespace fncc::test {
 
-/// Binds a standalone CC's timers (a DcqcnAlgorithm or a
-/// CongestionControl) to carriers that resolve through this binding, the
-/// way a SenderQp's resolve through its flow table: after Forget() — the
-/// algorithm is gone — every pending carrier is inert. Must outlive every
-/// run of the simulator after Bind.
+/// A standalone CC (a DcqcnAlgorithm or a CongestionControl) whose timer
+/// carriers route back through this holder, the way a SenderQp's resolve
+/// through its flow table: after Destroy() — the algorithm is gone, as
+/// FlowTable::Release destroys a QP — every pending carrier is inert.
+/// Must outlive every run of the simulator after construction.
 template <class Cc>
-class CcTimerBinding {
+class CcWithTimers {
  public:
-  CcTimerBinding() = default;
-  explicit CcTimerBinding(Cc* cc) { Bind(cc); }
-  CcTimerBinding(const CcTimerBinding&) = delete;
-  CcTimerBinding& operator=(const CcTimerBinding&) = delete;
-
-  void Bind(Cc* cc) {
-    cc_ = cc;
-    cc->BindTimers(&CcTimerBinding::Fire, this, 0);
+  CcWithTimers(const CcConfig& config, Simulator* sim) {
+    cc_.emplace(config, sim,
+                TimerRoute{.run = &CcWithTimers::Fire, .p0 = this, .key = 0});
   }
-  void Forget() { cc_ = nullptr; }
+  CcWithTimers(const CcWithTimers&) = delete;
+  CcWithTimers& operator=(const CcWithTimers&) = delete;
+
+  Cc& operator*() { return *cc_; }
+  Cc* operator->() { return &*cc_; }
+  void Destroy() { cc_.reset(); }
 
  private:
   static void Fire(void* self, void* /*unused*/, std::uint64_t arg) {
-    Cc* cc = static_cast<CcTimerBinding*>(self)->cc_;
-    if (cc == nullptr) return;
-    const auto which = static_cast<std::uint32_t>(arg >> 32);
+    std::optional<Cc>& cc = static_cast<CcWithTimers*>(self)->cc_;
+    if (!cc) return;
+    const std::uint32_t which = TimerRoute::Which(arg);
     if constexpr (std::is_same_v<Cc, DcqcnAlgorithm>) {
       cc->OnTimer(static_cast<DcqcnAlgorithm::Timer>(which));
     } else {
@@ -50,7 +51,7 @@ class CcTimerBinding {
     }
   }
 
-  Cc* cc_ = nullptr;
+  std::optional<Cc> cc_;
 };
 
 /// Endpoint that stores every received packet (and honours PFC so it can
