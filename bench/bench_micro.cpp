@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -32,15 +33,19 @@ namespace {
 // Schedule/run churn: each queue sees the same pseudo-random timestamps. The
 // legacy baseline is the pre-refactor hash-set + heap-allocating-callback
 // implementation (bench/legacy_event_queue.hpp); the acceptance target for
-// the refactor is >= 1.3x its events/sec.
+// the refactor is >= 1.3x its events/sec. Each side schedules its own
+// no-op payload: a TypedEvent here, a closure there.
 
-template <typename Queue>
-void EventQueueScheduleRunLoop(benchmark::State& state) {
+void NoopEvent(void* /*p0*/, void* /*p1*/, std::uint64_t /*arg*/) {}
+constexpr TypedEvent kNoop{.run = &NoopEvent};
+
+template <typename Queue, typename Event>
+void EventQueueScheduleRunLoop(benchmark::State& state, const Event& ev) {
   const int batch = static_cast<int>(state.range(0));
   for (auto _ : state) {
     Queue q;
     for (int i = 0; i < batch; ++i) {
-      q.Schedule((i * 7919) % 1000, [] {});
+      q.Schedule((i * 7919) % 1000, ev);
     }
     while (!q.Empty()) {
       Time t = 0;
@@ -51,7 +56,7 @@ void EventQueueScheduleRunLoop(benchmark::State& state) {
 }
 
 void BM_EventQueueScheduleRun(benchmark::State& state) {
-  EventQueueScheduleRunLoop<EventQueue>(state);
+  EventQueueScheduleRunLoop<EventQueue>(state, kNoop);
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(64)->Arg(1024)->Arg(16384);
 
@@ -65,7 +70,7 @@ void BM_EventQueueWarmScheduleRun(benchmark::State& state) {
   Time now = 0;
   for (auto _ : state) {
     for (int i = 0; i < batch; ++i) {
-      q.Schedule(now + (i * 7919) % 1000, [] {});
+      q.Schedule(now + (i * 7919) % 1000, kNoop);
     }
     while (!q.Empty()) q.PopNext(&now)();
   }
@@ -74,7 +79,7 @@ void BM_EventQueueWarmScheduleRun(benchmark::State& state) {
 BENCHMARK(BM_EventQueueWarmScheduleRun)->Arg(64)->Arg(1024)->Arg(16384);
 
 void BM_LegacyEventQueueScheduleRun(benchmark::State& state) {
-  EventQueueScheduleRunLoop<bench::LegacyEventQueue>(state);
+  EventQueueScheduleRunLoop<bench::LegacyEventQueue>(state, [] {});
 }
 BENCHMARK(BM_LegacyEventQueueScheduleRun)->Arg(64)->Arg(1024)->Arg(16384);
 

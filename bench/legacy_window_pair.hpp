@@ -11,18 +11,17 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "sim/unique_function.hpp"
-
 namespace fncc::bench {
 
 class LegacyJobPool {
  public:
-  using Job = UniqueFunction<void()>;
+  using Job = std::function<void()>;
 
   explicit LegacyJobPool(int num_threads) {
     for (int i = 0; i < num_threads; ++i) {

@@ -18,15 +18,19 @@ length the benchmark defines. Each run's last stdout line is its JSON result;
 a run that fails its checks stops the script.
 
 For every workload and every end-to-end metric BENCHMARK.json lists, the
-script prints the median of the per-pair ratios B/A, a bootstrap 95%
-interval of that median (resampling pairs), how many pairs B won, and a
-verdict against the metric's bound: "worse" when the median ratio is
-worse than the bound allows; "unresolved" when A's own runs spread wider
-than the bound (interquartile range over median) and not every B run
-beats every A run; "better" only under the rule for claiming a gain — at
-least 10 pairs, B winning at least 9 in 10 of them, and B's median ahead
-of A's by more than A's interquartile range; "noise" otherwise. A
-provenance line (box, compiler, revisions, pairs) closes the report.
+script prints each side's median, their ratio (median B / median A), the
+median of the per-pair ratios B/A with a bootstrap 95% interval
+(resampling pairs), how many pairs B won, and a verdict against the
+metric's bound: "worse" when median B / median A is worse than the bound
+allows, the comparison the benchmark's no-regression rule makes;
+"unresolved" when A's own runs spread wider than the bound (interquartile
+range over median) and not every B run beats every A run; "better" only
+under the rule for claiming a gain — at least 10 pairs, B winning at
+least 9 in 10 of them, and B's median ahead of A's by more than A's
+interquartile range; "noise" otherwise. After the table comes a
+paragraph to paste into a change log: per workload, every metric whose
+verdict is not "noise", then a provenance line (box, compiler,
+revisions, pairs).
 
 The script reads perfbench/ and BENCHMARK.json and writes only under
 SCRATCH (default /tmp/perf_ab), which must lie outside the checkout:
@@ -125,17 +129,19 @@ def wins(pairs, better):
     return sum(1 for a, b in pairs if b > a)
 
 
-def verdict(pairs, median, better, bound):
-    # Ratio B/A; for a lower-is-better metric a ratio below 1 is a gain.
+def verdict(pairs, better, bound):
+    # Ratio median B / median A; for a lower-is-better metric a ratio
+    # below 1 is a gain.
     a = [x for x, _ in pairs]
     b = [y for _, y in pairs]
+    ratio = statistics.median(b) / statistics.median(a)
     if better == "lower":
-        if median > 1 + bound:
+        if ratio > 1 + bound:
             return "worse"
         all_better = max(b) < min(a)
         ahead = statistics.median(a) - statistics.median(b)
     else:
-        if median < 1 - bound:
+        if ratio < 1 - bound:
             return "worse"
         all_better = min(b) > max(a)
         ahead = statistics.median(b) - statistics.median(a)
@@ -225,23 +231,34 @@ def main():
             if not pairs:
                 continue
             ratios = [b / a for a, b in pairs]
-            med = statistics.median(ratios)
             lo, hi = bootstrap_median(ratios, rng)
-            rows.append((w, name, statistics.median(a for a, _ in pairs),
-                         statistics.median(b for _, b in pairs), med, lo, hi,
+            med_a = statistics.median(a for a, _ in pairs)
+            med_b = statistics.median(b for _, b in pairs)
+            rows.append((w, name, med_a, med_b, med_b / med_a,
+                         statistics.median(ratios), lo, hi,
                          "%d/%d" % (wins(pairs, m["better"]), len(pairs)),
-                         verdict(pairs, med, m["better"], m["bound"]),
+                         verdict(pairs, m["better"], m["bound"]),
                          m["bound"]))
 
     with open(os.path.join(scratch, "perf_ab_runs.json"), "w") as f:
         json.dump({"rev": rev, "runs": all_runs}, f, indent=1)
-    print("%-22s %-18s %12s %12s %8s %17s %7s  %s" % (
-        "workload", "metric", "A median", "B median", "B/A", "95% CI",
-        "B wins", "verdict (bound)"))
-    for w, name, a, b, med, lo, hi, won, v, bound in rows:
-        print("%-22s %-18s %12.5g %12.5g %8.3f   [%.3f, %.3f] %7s  %s (%g)" % (
-            w, name, a, b, med, lo, hi, won, v, bound))
-    worse = [r for r in rows if r[8] == "worse"]
+    print("%-22s %-18s %12s %12s %7s %9s %17s %7s  %s" % (
+        "workload", "metric", "A median", "B median", "mB/mA", "pair B/A",
+        "95% CI", "B wins", "verdict (bound)"))
+    for w, name, a, b, ratio, med, lo, hi, won, v, bound in rows:
+        print("%-22s %-18s %12.5g %12.5g %7.3f %9.3f   [%.3f, %.3f] %7s  "
+              "%s (%g)" % (w, name, a, b, ratio, med, lo, hi, won, v, bound))
+    worse = [r for r in rows if r[9] == "worse"]
+    summary = []
+    for w in workloads:
+        flagged = ["%s %s (median B / median A %.3f, bound %g)" % (
+            name, v, ratio, bound)
+                   for rw, name, _, _, ratio, _, _, _, _, v, bound in rows
+                   if rw == w and v != "noise"]
+        summary.append("%s: %s" % (
+            w, ", ".join(flagged) or "every end-to-end metric noise"))
+    print("\nperf_ab, %d ABBA pairs per workload. %s." % (
+        args.pairs, "; ".join(summary)))
     print("provenance: %s; %d CPUs; %s; A = %s, B = working tree over %s%s; "
           "%d ABBA pairs x %g s per run, seed %d; %s" % (
               cpu_model(), os.cpu_count() or 1,

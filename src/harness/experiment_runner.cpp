@@ -66,20 +66,6 @@ bool CompletionBefore(const CompletionRecord& a, const CompletionRecord& b) {
   return a.spec.launch_serial < b.spec.launch_serial;
 }
 
-/// Schedules `qp`'s abort at `stop` — routed through the flow table's
-/// generation check rather than a raw QP pointer, so a slot released (and
-/// possibly recycled) before the timer fires makes the abort a no-op
-/// instead of a dangling call. This is what lets the launcher (which
-/// releases slots per completion) carry flows with finite stop times.
-/// Must run under the source host's lane scope.
-void ScheduleFlowAbort(Simulator& sim, FlowTable* table, Time stop,
-                       const SenderQp* qp) {
-  sim.ScheduleAt(stop, [table, id = qp->spec().id] {
-    FlowSlot* slot = table->Lookup(id);  // null when stale or released
-    if (slot != nullptr && slot->qp() != nullptr) slot->qp()->Abort();
-  });
-}
-
 /// The QP behind `id` while its slot is live; null once the drain has
 /// released the flow (the generation check turns the id stale).
 const SenderQp* LiveQp(FlowTable* table, FlowId id) {
@@ -284,9 +270,7 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
       spec.launch_serial = launched;
       Simulator::ActiveLaneScope scope(&sim, net.node(spec.src)->domain());
       SenderQp* qp = LaunchFlow(net, sc, spec);
-      if (next_flow.stop < kTimeInfinity) {
-        ScheduleFlowAbort(sim, flow_table, next_flow.stop, qp);
-      }
+      if (next_flow.stop < kTimeInfinity) qp->AbortAt(next_flow.stop);
       if (monitored) monitored_qps.push_back(qp);
       have_next = source->Next(&next_flow);
     }

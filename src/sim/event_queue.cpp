@@ -1,21 +1,24 @@
 #include "sim/event_queue.hpp"
 
-#include <utility>
-
 namespace fncc {
 
-std::uint32_t EventQueue::AllocSlot() {
-  if (!free_slots_.empty()) {
-    const std::uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    return slot;
+EventQueue::~EventQueue() {
+  for (const TypedEvent& ev : slots_) {
+    if (ev.run != nullptr && ev.drop != nullptr) ev.drop(ev.p0, ev.p1, ev.arg);
   }
-  const auto slot = static_cast<std::uint32_t>(slot_actions_.size());
-  slot_actions_.emplace_back();
-  return slot;
 }
 
-void EventQueue::Commit(Time t, std::uint64_t order, std::uint32_t slot) {
+void EventQueue::Push(Time t, std::uint64_t order, const TypedEvent& ev) {
+  assert(ev.run != nullptr && "an event needs a run hook");
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(ev);
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = ev;
+  }
   if (wheel_.Accepts(t)) {
     wheel_.Insert(SchedEntry{t, order, slot});
   } else {
@@ -23,7 +26,7 @@ void EventQueue::Commit(Time t, std::uint64_t order, std::uint32_t slot) {
   }
 }
 
-EventAction EventQueue::PopNext(Time* t, std::uint64_t* order) {
+TypedEvent EventQueue::PopNext(Time* t, std::uint64_t* order) {
   assert(!Empty() && "PopNext on empty queue");
   const SchedEntry* w = wheel_.Peek();
   const bool from_wheel =
@@ -31,9 +34,11 @@ EventAction EventQueue::PopNext(Time* t, std::uint64_t* order) {
   const SchedEntry e = from_wheel ? wheel_.Pop() : HeapPop();
   *t = e.t;
   if (order != nullptr) *order = e.seq;
-  EventAction action = std::move(slot_actions_[e.slot]);
+  TypedEvent& slot = slots_[e.slot];
+  const TypedEvent ev = slot;
+  slot.run = nullptr;
   free_slots_.push_back(e.slot);
-  return action;
+  return ev;
 }
 
 SchedEntry EventQueue::HeapPop() {

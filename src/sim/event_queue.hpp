@@ -9,21 +9,20 @@
 // scheduled. A re-armable timer keeps its deadline in its owner and lets a
 // carrier event re-file or fall inert when it pops (sim/lazy_timer.hpp).
 //
-// Events carry either a closure (UniqueFunction with 48-byte SBO — still
-// allocation-free for hot-path captures) or a TypedEvent: a bare function
-// pointer plus two pointer words and a 64-bit argument. The packet pipeline
-// schedules only typed events, so per-hop dispatch constructs no closures
-// at all.
+// Every event is a TypedEvent: a bare function pointer plus two pointer
+// words and a 64-bit argument, with an optional drop hook that releases
+// the payload of an event still pending when the queue is destroyed.
+// Scheduling copies the record into a slot: nothing is type-erased, and
+// once the slot table, wheel and heap have grown to the pending count it
+// allocates nothing.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
 #include "sim/timing_wheel.hpp"
-#include "sim/unique_function.hpp"
 
 namespace fncc {
 
@@ -59,10 +58,10 @@ inline constexpr std::uint64_t kNativeOrderBit = 1ull << 63;
 /// different domains must mint its own invariant word the same way.
 inline constexpr std::uint64_t kFlowStartOrderBit = 1ull << 62;
 
-/// Closure-free event record for the packet hot path: `run(p0, p1, arg)`
-/// fires when the event is due; `drop(p0, p1, arg)`, if set, runs instead
-/// when the queue is torn down with the event still pending, releasing any
-/// payload `p1` owns (e.g. returning a packet to its pool).
+/// The one event record: `run(p0, p1, arg)` fires when the event is due;
+/// `drop(p0, p1, arg)`, if set, runs instead when the queue is torn down
+/// with the event still pending, releasing any payload `p1` owns (e.g.
+/// returning a packet to its pool). `run` must be set.
 struct TypedEvent {
   using Fn = void (*)(void* p0, void* p1, std::uint64_t arg);
   Fn run = nullptr;
@@ -70,141 +69,32 @@ struct TypedEvent {
   void* p0 = nullptr;
   void* p1 = nullptr;
   std::uint64_t arg = 0;
-};
 
-/// What a scheduled event executes: empty, a closure, or a typed record.
-/// Move-only; destroying an unrun action releases its resources (closure
-/// destructor or TypedEvent::drop).
-class EventAction {
- public:
-  using Callback = UniqueFunction<void()>;
-
-  EventAction() noexcept {}
-  EventAction(Callback cb) noexcept : kind_(Kind::kClosure) {  // NOLINT
-    ::new (static_cast<void*>(&cb_)) Callback(std::move(cb));
-  }
-  EventAction(const TypedEvent& ev) noexcept  // NOLINT(google-explicit-*)
-      : ev_(ev), kind_(Kind::kTyped) {}
-
-  EventAction(EventAction&& other) noexcept { MoveFrom(other); }
-  EventAction& operator=(EventAction&& other) noexcept {
-    if (this != &other) {
-      Destroy();
-      MoveFrom(other);
-    }
-    return *this;
-  }
-  EventAction(const EventAction&) = delete;
-  EventAction& operator=(const EventAction&) = delete;
-  ~EventAction() { Destroy(); }
-
-  /// Runs the action once and empties it (a run typed event's drop hook
-  /// does not fire).
-  void operator()() {
-    switch (kind_) {
-      case Kind::kClosure: {
-        Callback cb = std::move(cb_);
-        cb_.~Callback();
-        kind_ = Kind::kEmpty;
-        cb();
-        break;
-      }
-      case Kind::kTyped: {
-        const TypedEvent ev = ev_;
-        kind_ = Kind::kEmpty;
-        ev.run(ev.p0, ev.p1, ev.arg);
-        break;
-      }
-      case Kind::kEmpty:
-        assert(false && "running an empty EventAction");
-        break;
-    }
-  }
-
-  explicit operator bool() const { return kind_ != Kind::kEmpty; }
-
-  /// In-place assignment without a temporary EventAction (one move of the
-  /// callable instead of two) — the schedule hot path.
-  void AssignClosure(Callback&& cb) {
-    Destroy();
-    ::new (static_cast<void*>(&cb_)) Callback(std::move(cb));
-    kind_ = Kind::kClosure;
-  }
-  void AssignTyped(const TypedEvent& ev) {
-    Destroy();
-    ev_ = ev;
-    kind_ = Kind::kTyped;
-  }
-
- private:
-  enum class Kind : unsigned char { kEmpty, kClosure, kTyped };
-
-  void MoveFrom(EventAction& other) noexcept {
-    kind_ = other.kind_;
-    switch (kind_) {
-      case Kind::kClosure:
-        ::new (static_cast<void*>(&cb_)) Callback(std::move(other.cb_));
-        other.cb_.~Callback();
-        break;
-      case Kind::kTyped:
-        ev_ = other.ev_;
-        break;
-      case Kind::kEmpty:
-        break;
-    }
-    other.kind_ = Kind::kEmpty;
-  }
-
-  void Destroy() noexcept {
-    switch (kind_) {
-      case Kind::kClosure:
-        cb_.~Callback();
-        break;
-      case Kind::kTyped:
-        if (ev_.drop != nullptr) ev_.drop(ev_.p0, ev_.p1, ev_.arg);
-        break;
-      case Kind::kEmpty:
-        break;
-    }
-    kind_ = Kind::kEmpty;
-  }
-
-  union {
-    Callback cb_;
-    TypedEvent ev_;
-  };
-  Kind kind_ = Kind::kEmpty;
+  /// Runs the event (its drop hook does not fire).
+  void operator()() const { run(p0, p1, arg); }
 };
 
 /// Timed-event scheduler. Events with equal timestamps run in scheduling
 /// order (stable), which the packet pipeline relies on.
 class EventQueue {
  public:
-  using Callback = UniqueFunction<void()>;
+  EventQueue() = default;
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+  /// Drops every event still pending (TypedEvent::drop): the only place a
+  /// drop hook runs.
+  ~EventQueue();
 
-  /// Schedules a closure at absolute time `t`.
-  void Schedule(Time t, Callback cb) {
-    const std::uint32_t slot = AllocSlot();
-    slot_actions_[slot].AssignClosure(std::move(cb));
-    Commit(t, MintOrder(), slot);
-  }
+  /// Schedules `ev` at absolute time `t`.
+  void Schedule(Time t, const TypedEvent& ev) { Push(t, MintOrder(), ev); }
 
-  /// Schedules a typed (closure-free) event at absolute time `t`.
-  void Schedule(Time t, const TypedEvent& ev) {
-    const std::uint32_t slot = AllocSlot();
-    slot_actions_[slot].AssignTyped(ev);
-    Commit(t, MintOrder(), slot);
-  }
-
-  /// Schedules a typed event at absolute time `t` with an explicit order
-  /// word instead of a freshly minted one (see kNativeOrderBit). The word
-  /// must be unique per queue among pending events at the same `t` — the
+  /// Schedules `ev` at absolute time `t` with an explicit order word
+  /// instead of a freshly minted one (see kNativeOrderBit). The word must
+  /// be unique per queue among pending events at the same `t` — the
   /// link-delivery path guarantees this with per-edge FIFO counters, a
   /// re-filed timer with a word it minted here (MintOrder).
   void ScheduleOrdered(Time t, std::uint64_t order, const TypedEvent& ev) {
-    const std::uint32_t slot = AllocSlot();
-    slot_actions_[slot].AssignTyped(ev);
-    Commit(t, order, slot);
+    Push(t, order, ev);
   }
 
   /// Mints the next native order word (kNativeOrderBit | counter): the
@@ -225,11 +115,12 @@ class EventQueue {
     return tw < th ? tw : th;
   }
 
-  /// Extracts the earliest event's action, setting `t` to its timestamp
-  /// and, when `order` is non-null, the event's order word — callers use
-  /// (t, order) to position the event's side effects in the global
-  /// sequence. Precondition: !Empty().
-  EventAction PopNext(Time* t, std::uint64_t* order = nullptr);
+  /// Extracts the earliest event, setting `t` to its timestamp and, when
+  /// `order` is non-null, the event's order word — callers use (t, order)
+  /// to position the event's side effects in the global sequence. The
+  /// caller runs the returned event; the queue no longer owns it.
+  /// Precondition: !Empty().
+  [[nodiscard]] TypedEvent PopNext(Time* t, std::uint64_t* order = nullptr);
 
   [[nodiscard]] std::size_t size() const {
     return wheel_.size() + heap_.size();
@@ -240,10 +131,9 @@ class EventQueue {
     return a.t != b.t ? a.t > b.t : a.seq > b.seq;
   }
 
-  /// Pops a free slot (or grows the table). The caller fills the slot's
-  /// action, then Commit() enters it into the wheel or overflow heap.
-  std::uint32_t AllocSlot();
-  void Commit(Time t, std::uint64_t order, std::uint32_t slot);
+  /// Stores `ev` in a free slot (or grows the table) and enters the slot
+  /// into the wheel or the overflow heap.
+  void Push(Time t, std::uint64_t order, const TypedEvent& ev);
 
   void HeapPush(const SchedEntry& e);
   /// Removes and returns the heap's root. Precondition: !heap_.empty().
@@ -256,7 +146,8 @@ class EventQueue {
   void SiftDownFromRoot(const SchedEntry& e);
 
   std::vector<SchedEntry> heap_;  // overflow level: beyond the wheel horizon
-  std::vector<EventAction> slot_actions_;  // payloads, indexed by slot
+  // Payloads, indexed by slot; a free slot has run == nullptr.
+  std::vector<TypedEvent> slots_;
   std::vector<std::uint32_t> free_slots_;
   TimingWheel wheel_;
   std::uint64_t next_seq_ = 0;

@@ -81,11 +81,11 @@ void Simulator::RegisterMailbox(int dst_lane, void* ctx, MailboxDrainFn drain,
 void Simulator::RunEvents(Lane& l, Time close) {
   while (!l.queue.Empty() && l.queue.NextTime() < close) {
     Time t = 0;
-    auto cb = l.queue.PopNext(&t, &l.cur_order);
+    const TypedEvent ev = l.queue.PopNext(&t, &l.cur_order);
     assert(t >= l.now && "time went backwards");
     l.now = t;
     ++l.events_processed;
-    cb();
+    ev();
   }
 }
 

@@ -1,12 +1,13 @@
 // The discrete-event simulation kernel: a clock, an event queue, and the
 // per-run packet arena — multiplied across independent event "lanes" when
-// the fabric is partitioned into parallel domains (Partition()).
+// the fabric is partitioned into parallel domains (Partition()). Every
+// event is a TypedEvent (sim/event_queue.hpp): a function pointer and its
+// argument words, scheduled by value.
 #pragma once
 
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -66,26 +67,13 @@ class Simulator {
   /// Current simulation time (of the calling thread's active lane).
   [[nodiscard]] Time Now() const { return lane().now; }
 
-  /// Schedules `cb` to run `delay` from now. Negative delays clamp to now.
-  void Schedule(Time delay, EventQueue::Callback cb) {
-    Lane& l = lane();
-    l.queue.Schedule(l.now + (delay > 0 ? delay : 0), std::move(cb));
-  }
-
-  /// Schedules a typed (closure-free) event `delay` from now — the packet
-  /// pipeline's zero-lambda dispatch path.
+  /// Schedules `ev` to run `delay` from now. Negative delays clamp to now.
   void Schedule(Time delay, const TypedEvent& ev) {
     Lane& l = lane();
     l.queue.Schedule(l.now + (delay > 0 ? delay : 0), ev);
   }
 
-  /// Schedules `cb` at absolute time `t` (clamped to now).
-  void ScheduleAt(Time t, EventQueue::Callback cb) {
-    Lane& l = lane();
-    l.queue.Schedule(t > l.now ? t : l.now, std::move(cb));
-  }
-
-  /// Typed-event variant of ScheduleAt.
+  /// Schedules `ev` at absolute time `t` (clamped to now).
   void ScheduleAt(Time t, const TypedEvent& ev) {
     Lane& l = lane();
     l.queue.Schedule(t > l.now ? t : l.now, ev);

@@ -38,7 +38,9 @@ class TimeSeries {
   std::vector<Sample> samples_;
 };
 
-/// Samples a probe function at a fixed interval into a TimeSeries.
+/// Samples a probe function at a fixed interval into a TimeSeries. Its
+/// tick events point at the sampler, so it must outlive every run of the
+/// simulator after construction.
 class PeriodicSampler {
  public:
   PeriodicSampler(Simulator* sim, Time interval,
@@ -49,10 +51,13 @@ class PeriodicSampler {
 
  private:
   void Arm() {
-    sim_->Schedule(interval_, [this] {
-      out_->Add(sim_->Now(), probe_());
-      Arm();
-    });
+    sim_->Schedule(interval_,
+                   TypedEvent{.run = &PeriodicSampler::TickEvent, .p0 = this});
+  }
+  static void TickEvent(void* self, void* /*unused*/, std::uint64_t /*arg*/) {
+    auto* s = static_cast<PeriodicSampler*>(self);
+    s->out_->Add(s->sim_->Now(), s->probe_());
+    s->Arm();
   }
 
   Simulator* sim_;

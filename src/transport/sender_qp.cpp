@@ -80,6 +80,9 @@ void SenderQp::TimerEvent(void* table, void* /*unused*/, std::uint64_t arg) {
         self->OnRto();
       }
       return;
+    case Timer::kAbort:
+      self->Abort();
+      return;
   }
 }
 
@@ -242,6 +245,10 @@ void SenderQp::MarkComplete() {
 
 void SenderQp::Abort() {
   if (!complete_) MarkComplete();
+}
+
+void SenderQp::AbortAt(Time t) {
+  sim_->ScheduleAt(t, TimerCarrier(Timer::kAbort));
 }
 
 void SenderQp::Complete() {

@@ -8,10 +8,10 @@
 // update and the slow tail (RTO rearm, pacing, completion). The CC state
 // itself is inline (CongestionControl), not behind a pointer.
 //
-// Every timer event of a QP (start, pacing, RTO and the CC's timers) names
-// the flow by its FlowId and resolves it through FlowTable::Lookup when it
-// pops, so an event that outlives the QP — its slot released and perhaps
-// handed to a new flow — is inert. Nothing is ever cancelled: Abort,
+// Every timer event of a QP (start, pacing, RTO, abort and the CC's
+// timers) names the flow by its FlowId and resolves it through
+// FlowTable::Lookup when it pops, so an event that outlives the QP — its
+// slot released and perhaps handed to a new flow — is inert. Nothing is ever cancelled: Abort,
 // Complete and the table's teardown only mark state.
 #pragma once
 
@@ -56,6 +56,10 @@ class SenderQp {
   /// Stops the flow immediately (used by staggered long-lived flows, e.g.
   /// the Fig. 13e fairness experiment). Does not fire on_flow_complete.
   void Abort();
+  /// Schedules Abort() at absolute time `t`, in the calling thread's active
+  /// lane. Like every timer of the QP it names the flow, so a slot
+  /// released (and perhaps recycled) before `t` makes it a no-op.
+  void AbortAt(Time t);
 
   [[nodiscard]] Host* host() const { return host_; }
   [[nodiscard]] const FlowSpec& spec() const { return spec_; }
@@ -86,7 +90,7 @@ class SenderQp {
  private:
   // The QP's own timers. Their carriers route to TimerEvent and the CC's
   // to CcTimerEvent, both keyed by this flow's FlowId (TimerRoute).
-  enum class Timer : std::uint32_t { kStart, kPace, kRto };
+  enum class Timer : std::uint32_t { kStart, kPace, kRto, kAbort };
   static void TimerEvent(void* table, void* unused, std::uint64_t arg);
   static void CcTimerEvent(void* table, void* unused, std::uint64_t arg);
   /// The live QP `arg`'s FlowId names in `table`, or null once released.

@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "../test_util.hpp"
 #include "exec/domain_scheduler.hpp"
 #include "exec/pdes_stats.hpp"
 #include "sim/simulator.hpp"
@@ -25,9 +27,9 @@ struct ThrowError : std::runtime_error {
 };
 
 void ScheduleInLane(Simulator& sim, int lane, Time t,
-                    EventQueue::Callback cb) {
+                    std::function<void()> fn) {
   Simulator::ActiveLaneScope scope(&sim, lane);
-  sim.ScheduleAt(t, std::move(cb));
+  sim.ScheduleAt(t, test::Fn(std::move(fn)));
 }
 
 TEST(DomainSchedulerTest, LaneExceptionPropagatesFromRunUntil) {

@@ -38,7 +38,7 @@ TEST_F(EgressPortTest, BackToBackPacketsSpacedBySerialization) {
   std::vector<Time> arrivals;
   port_.Enqueue(Data(1518));
   port_.Enqueue(Data(1518));
-  sim_.Schedule(0, [] {});
+  sim_.Schedule(0, test::Fn([] {}));
   while (sink_.received.size() < 2) sim_.RunUntil(sim_.Now() + kMicrosecond);
   // Second packet finishes serializing one slot later.
   EXPECT_EQ(sim_.Now() >= 2 * 121'440 + 1'500'000, true);
@@ -84,7 +84,7 @@ TEST_F(EgressPortTest, PauseBlocksDataButNotControl) {
 TEST_F(EgressPortTest, InFlightPacketCompletesDespitePause) {
   Connect();
   port_.Enqueue(Data(1518));  // starts serializing at t=0
-  sim_.Schedule(10, [this] { port_.SetPaused(true); });
+  sim_.Schedule(10, test::Fn([this] { port_.SetPaused(true); }));
   sim_.RunUntil(Microseconds(10));
   EXPECT_EQ(sink_.received.size(), 1u);  // not preempted
 }

@@ -198,11 +198,20 @@ TEST(PacketPoolTest, SimulatorOwnsAPerRunPool) {
 }
 
 TEST(PacketPoolTest, PacketsHeldInScheduledEventsDrainSafely) {
-  // Packets captured in never-run events must flow back into the pool when
-  // the queue is destroyed before the pool (Simulator member order).
+  // Packets held by never-run events must flow back into the pool through
+  // the events' drop hooks when the queue is destroyed before the pool
+  // (Simulator member order).
   Simulator sim;
+  const TypedEvent::Fn release = [](void*, void* pkt, std::uint64_t) {
+    WrapRawPacket(static_cast<Packet*>(pkt));
+  };
   for (int i = 0; i < 8; ++i) {
-    sim.Schedule(1000, [p = sim.packet_pool().Acquire()] { (void)p; });
+    sim.Schedule(1000,
+                 TypedEvent{.run = release,
+                            .drop = release,
+                            .p0 = nullptr,
+                            .p1 = ReleaseToRaw(sim.packet_pool().Acquire()),
+                            .arg = 0});
   }
   EXPECT_EQ(sim.packet_pool().outstanding(), 8u);
   // Destroying `sim` at scope exit must not trip the pool's

@@ -70,13 +70,13 @@ Outcome RunFlow(int lanes, int threads, Time first_dup) {
   if (first_dup > 0) {
     Simulator::ActiveLaneScope scope(&sim, rx->domain());
     const auto dup_at = [&](Time t, std::uint64_t* stale) {
-      sim.ScheduleAt(t, [rx, tx, id, stale] {
+      sim.ScheduleAt(t, test::Fn([rx, tx, id, stale] {
         PacketPtr dup = test::MakeData(rx->sim()->packet_pool(), tx->id(),
                                        rx->id(), 1518, id);
         dup->last_of_flow = true;
         rx->ReceivePacket(std::move(dup), 0);
         *stale = rx->stale_flow_packets();
-      });
+      }));
     };
     dup_at(first_dup, &out.stale_after_first);
     dup_at(first_dup + sim.settle_delay(), &out.stale_after_second);

@@ -67,8 +67,8 @@ TEST(DomainOrderWordTest, EqualTimeTieBreakIsEdgeThenNative) {
     // Natives first: they mint smaller FIFO counters than the explicit
     // words inserted after them, so popping them last exercises the
     // drain-order repair, not just stable insertion order.
-    q.Schedule(t, [&ran] { ran.push_back(100); });
-    q.Schedule(t, [&ran] { ran.push_back(101); });
+    q.Schedule(t, test::Fn([&ran] { ran.push_back(100); }));
+    q.Schedule(t, test::Fn([&ran] { ran.push_back(101); }));
     q.ScheduleOrdered(t, (1ull << 32) | 0, Tag(&ran, 10));  // edge 1, nth 0
     q.ScheduleOrdered(t, (0ull << 32) | 0, Tag(&ran, 0));   // edge 0, nth 0
     q.ScheduleOrdered(t, (0ull << 32) | 1, Tag(&ran, 1));   // edge 0, nth 1
@@ -85,7 +85,7 @@ TEST(DomainOrderWordTest, LargeBatchDrainKeepsDeliveriesFirst) {
   std::vector<int> ran;
   const Time t = 5'000;
   for (int i = 0; i < 300; ++i) {
-    q.Schedule(t, [&ran, i] { ran.push_back(1000 + i); });
+    q.Schedule(t, test::Fn([&ran, i] { ran.push_back(1000 + i); }));
   }
   q.ScheduleOrdered(t, (7ull << 32) | 1, Tag(&ran, 1));
   q.ScheduleOrdered(t, (7ull << 32) | 0, Tag(&ran, 0));

@@ -9,6 +9,8 @@
 #include <utility>
 #include <vector>
 
+#include "../test_util.hpp"
+
 namespace fncc {
 namespace {
 
@@ -22,9 +24,9 @@ TEST(EventQueueTest, EmptyInitially) {
 TEST(EventQueueTest, PopsInTimeOrder) {
   EventQueue q;
   std::vector<int> order;
-  q.Schedule(30, [&] { order.push_back(3); });
-  q.Schedule(10, [&] { order.push_back(1); });
-  q.Schedule(20, [&] { order.push_back(2); });
+  q.Schedule(30, test::Fn([&] { order.push_back(3); }));
+  q.Schedule(10, test::Fn([&] { order.push_back(1); }));
+  q.Schedule(20, test::Fn([&] { order.push_back(2); }));
   while (!q.Empty()) {
     Time t = 0;
     q.PopNext(&t)();
@@ -36,7 +38,7 @@ TEST(EventQueueTest, SimultaneousEventsRunFifo) {
   EventQueue q;
   std::vector<int> order;
   for (int i = 0; i < 16; ++i) {
-    q.Schedule(5, [&order, i] { order.push_back(i); });
+    q.Schedule(5, test::Fn([&order, i] { order.push_back(i); }));
   }
   while (!q.Empty()) {
     Time t = 0;
@@ -47,10 +49,10 @@ TEST(EventQueueTest, SimultaneousEventsRunFifo) {
 
 TEST(EventQueueTest, ReportsPopTime) {
   EventQueue q;
-  q.Schedule(42, [] {});
+  q.Schedule(42, test::Fn([] {}));
   EXPECT_EQ(q.NextTime(), 42);
   Time t = 0;
-  q.PopNext(&t);
+  q.PopNext(&t)();
   EXPECT_EQ(t, 42);
 }
 
@@ -89,29 +91,54 @@ TEST(EventQueueTest, MintedWordOrdersLikeAScheduleMadeAtMintTime) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
-TEST(EventQueueTest, MoveOnlyCallbacksSupported) {
-  EventQueue q;
-  auto payload = std::make_unique<int>(7);
-  int got = 0;
-  q.Schedule(1, [p = std::move(payload), &got] { got = *p; });
-  Time t = 0;
-  q.PopNext(&t)();
-  EXPECT_EQ(got, 7);
-}
-
 TEST(EventQueueTest, PendingCallbacksReleasedAtTeardown) {
-  // The queue only drops payloads at teardown: a pending event's captures
-  // (e.g. a pooled packet) live until it runs or the queue dies.
+  // The queue drops payloads only at teardown: every event still pending —
+  // in the wheel's live drain, in a wheel bucket or in the overflow heap,
+  // in a fresh slot or a reused one — drops exactly once, and an event that
+  // ran never drops, although its freed slot keeps the hook.
+  struct Tally {
+    std::vector<int> runs = std::vector<int>(6);
+    std::vector<int> drops = std::vector<int>(6);
+  };
+  Tally tally;
+  const auto counted = [&tally](int id) {
+    return TypedEvent{.run =
+                          [](void* p, void*, std::uint64_t a) {
+                            ++static_cast<Tally*>(p)->runs[a];
+                          },
+                      .drop =
+                          [](void* p, void*, std::uint64_t a) {
+                            ++static_cast<Tally*>(p)->drops[a];
+                          },
+                      .p0 = &tally,
+                      .p1 = nullptr,
+                      .arg = static_cast<std::uint64_t>(id)};
+  };
+  constexpr Time kTick = Time{1} << TimingWheel::kTickShift;
+  constexpr Time kHorizon = Time{1} << 30;
+  // A closure's captures are released the same way (test::Fn's drop).
   auto token = std::make_shared<int>(42);
   std::weak_ptr<int> watch = token;
   {
     EventQueue q;
-    q.Schedule(1, [] {});
-    q.Schedule(1000, [t = std::move(token)] { (void)*t; });
     Time t = 0;
+    q.Schedule(10, counted(0));
+    q.Schedule(20, counted(1));
     q.PopNext(&t)();
+    q.PopNext(&t)();  // frees both slots: the next two schedules reuse them
+    q.Schedule(30, counted(2));
+    q.Schedule(31, counted(3));              // same tick: the live drain
+    q.Schedule(100 * kTick, counted(4));     // a level-1 wheel bucket
+    q.Schedule(3 * kHorizon, counted(5));    // the overflow heap
+    q.Schedule(2 * kHorizon, test::Fn([t = std::move(token)] { (void)*t; }));
+    q.PopNext(&t)();  // runs 2; 3 waits in the drain, 2's slot stays free
+    EXPECT_EQ(q.size(), 4u);
+    EXPECT_EQ(tally.runs, (std::vector<int>{1, 1, 1, 0, 0, 0}));
+    EXPECT_EQ(tally.drops, (std::vector<int>{0, 0, 0, 0, 0, 0}));
     EXPECT_EQ(watch.use_count(), 1);
   }
+  EXPECT_EQ(tally.runs, (std::vector<int>{1, 1, 1, 0, 0, 0}));
+  EXPECT_EQ(tally.drops, (std::vector<int>{0, 0, 0, 1, 1, 1}));
   EXPECT_TRUE(watch.expired());
 }
 
@@ -140,7 +167,8 @@ TEST(EventQueueTest, ScheduleRunStress) {
     if (rng() % 100 < 60 || q.Empty()) {
       const Time at = now + 1 + static_cast<Time>(rng() % 50);
       const std::uint64_t token = next_token++;
-      q.Schedule(at, [&executed, token] { executed.push_back(token); });
+      q.Schedule(at,
+                 test::Fn([&executed, token] { executed.push_back(token); }));
       ref.emplace(at, token);
     } else {
       for (int i = 0; i < 3 && !q.Empty(); ++i) pop();
@@ -157,13 +185,13 @@ TEST(EventQueueTest, FifoStableAcrossSlotRecycling) {
   // (ordering is by schedule sequence, not by slot value).
   EventQueue q;
   std::vector<int> order;
-  q.Schedule(1, [] {});
-  q.Schedule(1, [] {});
+  q.Schedule(1, test::Fn([] {}));
+  q.Schedule(1, test::Fn([] {}));
   Time t = 0;
   q.PopNext(&t)();
   q.PopNext(&t)();  // frees two low slots; next schedules reuse them LIFO
   for (int i = 0; i < 8; ++i) {
-    q.Schedule(5, [&order, i] { order.push_back(i); });
+    q.Schedule(5, test::Fn([&order, i] { order.push_back(i); }));
   }
   while (!q.Empty()) {
     Time t = 0;
@@ -178,7 +206,7 @@ TEST(EventQueueTest, StressInterleavedSchedulePop) {
   int executed = 0;
   for (int round = 0; round < 50; ++round) {
     for (int i = 0; i < 20; ++i) {
-      q.Schedule(round * 100 + i, [&] { ++executed; });
+      q.Schedule(round * 100 + i, test::Fn([&] { ++executed; }));
     }
     for (int i = 0; i < 10; ++i) {
       Time t = 0;

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "../test_util.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timing_wheel.hpp"
 
@@ -52,7 +53,7 @@ class LazyTimerTest : public ::testing::Test {
  protected:
   /// Schedules a native event logging `name` at `t`.
   void Native(Time t, const std::string& name) {
-    sim_.ScheduleAt(t, [this, name] { log_.push_back(name); });
+    sim_.ScheduleAt(t, test::Fn([this, name] { log_.push_back(name); }));
   }
 
   Simulator sim_;
@@ -67,10 +68,10 @@ TEST_F(LazyTimerTest, ReArmLaterKeepsTheReArmWord) {
   // — the back-of-FIFO order a cancel + schedule gave.
   owner_.Arm(100);
   Native(200, "before");
-  sim_.ScheduleAt(50, [this] {
+  sim_.ScheduleAt(50, test::Fn([this] {
     owner_.Arm(200);
     Native(200, "after");
-  });
+  }));
   sim_.Run();
   EXPECT_EQ(log_, (std::vector<std::string>{"before", "T@200", "after"}));
   EXPECT_EQ(owner_.carriers, 2) << "the re-filing carrier pops too";
@@ -123,7 +124,7 @@ TEST_F(LazyTimerTest, ReArmEarlierThenLaterAgainFiresOnce) {
   // re-files): the superseded 300 carrier must not fire the timer too.
   owner_.Arm(300);
   owner_.Arm(100);
-  sim_.ScheduleAt(50, [this] { owner_.Arm(300); });
+  sim_.ScheduleAt(50, test::Fn([this] { owner_.Arm(300); }));
   sim_.Run();
   EXPECT_EQ(log_, (std::vector<std::string>{"T@300"}));
   EXPECT_EQ(owner_.carriers, 3);
@@ -144,9 +145,9 @@ TEST_F(LazyTimerTest, MintsTheWordAScheduleWouldHaveTaken) {
   // for, so events scheduled after it keep their words.
   owner_.Arm(100);
   std::uint64_t native_word = 0;
-  sim_.ScheduleAt(100, [this, &native_word] {
+  sim_.ScheduleAt(100, test::Fn([this, &native_word] {
     native_word = sim_.CurrentOrderKey().order;
-  });
+  }));
   sim_.Run();
   EXPECT_EQ(native_word, kNativeOrderBit | 1);
   EXPECT_EQ(sim_.MintOrder(), kNativeOrderBit | 2);

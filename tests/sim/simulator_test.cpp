@@ -4,9 +4,9 @@
 
 #include <stdexcept>
 
+#include "../test_util.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
-#include "sim/unique_function.hpp"
 
 namespace fncc {
 namespace {
@@ -14,7 +14,7 @@ namespace {
 TEST(SimulatorTest, ClockAdvancesWithEvents) {
   Simulator sim;
   Time seen = -1;
-  sim.Schedule(100, [&] { seen = sim.Now(); });
+  sim.Schedule(100, test::Fn([&] { seen = sim.Now(); }));
   sim.Run();
   EXPECT_EQ(seen, 100);
   EXPECT_EQ(sim.Now(), 100);
@@ -23,10 +23,10 @@ TEST(SimulatorTest, ClockAdvancesWithEvents) {
 TEST(SimulatorTest, NestedScheduling) {
   Simulator sim;
   std::vector<Time> times;
-  sim.Schedule(10, [&] {
+  sim.Schedule(10, test::Fn([&] {
     times.push_back(sim.Now());
-    sim.Schedule(5, [&] { times.push_back(sim.Now()); });
-  });
+    sim.Schedule(5, test::Fn([&] { times.push_back(sim.Now()); }));
+  }));
   sim.Run();
   EXPECT_EQ(times, (std::vector<Time>{10, 15}));
 }
@@ -34,7 +34,9 @@ TEST(SimulatorTest, NestedScheduling) {
 TEST(SimulatorTest, RunUntilStopsAtBoundary) {
   Simulator sim;
   int count = 0;
-  for (int i = 1; i <= 10; ++i) sim.Schedule(i * 10, [&] { ++count; });
+  for (int i = 1; i <= 10; ++i) {
+    sim.Schedule(i * 10, test::Fn([&] { ++count; }));
+  }
   sim.RunUntil(50);
   EXPECT_EQ(count, 5);
   EXPECT_EQ(sim.Now(), 50);
@@ -54,7 +56,7 @@ TEST(SimulatorTest, PartitionedRunThrows) {
   Simulator sim;
   sim.Partition(2);
   int count = 0;
-  sim.Schedule(1, [&] { ++count; });
+  sim.Schedule(1, test::Fn([&] { ++count; }));
   EXPECT_THROW(sim.Run(), std::logic_error);
   EXPECT_THROW(sim.RunUntil(10), std::logic_error);
   EXPECT_EQ(count, 0);
@@ -64,16 +66,16 @@ TEST(SimulatorTest, PartitionedRunThrows) {
 TEST(SimulatorTest, NegativeDelayClampsToNow) {
   Simulator sim;
   Time seen = -1;
-  sim.Schedule(50, [&] {
-    sim.Schedule(-10, [&] { seen = sim.Now(); });
-  });
+  sim.Schedule(50, test::Fn([&] {
+    sim.Schedule(-10, test::Fn([&] { seen = sim.Now(); }));
+  }));
   sim.Run();
   EXPECT_EQ(seen, 50);
 }
 
 TEST(SimulatorTest, CountsProcessedEvents) {
   Simulator sim;
-  for (int i = 0; i < 7; ++i) sim.Schedule(i, [] {});
+  for (int i = 0; i < 7; ++i) sim.Schedule(i, test::Fn([] {}));
   sim.Run();
   EXPECT_EQ(sim.events_processed(), 7u);
 }
@@ -134,19 +136,6 @@ TEST(RngTest, UniformIntCoversRangeInclusive) {
   }
   EXPECT_TRUE(saw_lo);
   EXPECT_TRUE(saw_hi);
-}
-
-TEST(UniqueFunctionTest, InvokesAndMoves) {
-  UniqueFunction<int(int)> f = [](int x) { return x * 2; };
-  EXPECT_TRUE(static_cast<bool>(f));
-  EXPECT_EQ(f(21), 42);
-  UniqueFunction<int(int)> g = std::move(f);
-  EXPECT_EQ(g(5), 10);
-}
-
-TEST(UniqueFunctionTest, DefaultIsEmpty) {
-  UniqueFunction<void()> f;
-  EXPECT_FALSE(static_cast<bool>(f));
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 
 #include "sim/event_queue.hpp"
 #include "sim/timing_wheel.hpp"
+#include "../test_util.hpp"
 
 namespace fncc {
 namespace {
@@ -39,10 +40,13 @@ void DrainAll(EventQueue& q, Time* now = nullptr) {
 TEST(TimingWheelQueueTest, FarEventsOverflowAndStillRunInOrder) {
   EventQueue q;
   std::vector<int> order;
-  q.Schedule(3 * kHorizon, [&] { order.push_back(3); });  // heap
-  q.Schedule(10, [&] { order.push_back(0); });            // wheel, level 0
-  q.Schedule(kHorizon - kTick, [&] { order.push_back(2); });  // wheel, level 2
-  q.Schedule(50 * kTick, [&] { order.push_back(1); });        // wheel, level 1
+  const auto push = [&order](int v) {
+    return test::Fn([&order, v] { order.push_back(v); });
+  };
+  q.Schedule(3 * kHorizon, push(3));       // heap
+  q.Schedule(10, push(0));                 // wheel, level 0
+  q.Schedule(kHorizon - kTick, push(2));   // wheel, level 2
+  q.Schedule(50 * kTick, push(1));         // wheel, level 1
   DrainAll(q);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
@@ -71,20 +75,20 @@ TEST(TimingWheelQueueTest, SameTimestampFifoAcrossLevelsAndHeap) {
   std::vector<int> order;
   sink = &order;
   const Time target = kHorizon - kTick;  // reachable by every level
-  q.Schedule(target, [&q, &order, target] {  // level 2
+  q.Schedule(target, test::Fn([&q, &order, target] {  // level 2
     order.push_back(0);
     // Mid-drain at the target's tick: the wheel refuses it, so it goes to
     // the heap with the word minted before event 3's.
     q.ScheduleOrdered(target, 1 | kNativeOrderBit, PushTo(1));
-  });
+  }));
   ASSERT_EQ(q.MintOrder(), 1 | kNativeOrderBit);  // event 1's word
-  q.Schedule(target, [&] { order.push_back(2); });  // level 2, same bucket
-  q.Schedule(target, [&] { order.push_back(3); });
+  q.Schedule(target, PushTo(2));  // level 2, same bucket
+  q.Schedule(target, PushTo(3));
   // Advance the cursor near the target so the last event enters at a lower
   // level than the earlier ones did.
-  q.Schedule(target - 40 * kTick, [&q, &order, target] {
-    q.Schedule(target, [&order] { order.push_back(4); });
-  });
+  q.Schedule(target - 40 * kTick, test::Fn([&q, &order, target] {
+    q.Schedule(target, PushTo(4));
+  }));
   DrainAll(q);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
@@ -127,7 +131,7 @@ TEST(TimingWheelQueueTest, TypedAndClosureEventsInterleaveFifo) {
                                .p1 = nullptr,
                                .arg = static_cast<std::uint64_t>(i)});
     } else {
-      q.Schedule(7, [&order, i] { order.push_back(i); });
+      q.Schedule(7, test::Fn([&order, i] { order.push_back(i); }));
     }
   }
   DrainAll(q);
@@ -214,10 +218,12 @@ TEST(TimingWheelQueueTest, HeapRunAheadThenNearScheduling) {
   std::vector<Time> times;
   for (int i = 1; i <= 3; ++i) {
     const Time base = i * 2 * kHorizon;
-    q.Schedule(base, [&q, &times, base] {
-      q.Schedule(base + 3, [&times, base] { times.push_back(base + 3); });
-      q.Schedule(base + 1, [&times, base] { times.push_back(base + 1); });
-    });
+    q.Schedule(base, test::Fn([&q, &times, base] {
+      q.Schedule(base + 3,
+                 test::Fn([&times, base] { times.push_back(base + 3); }));
+      q.Schedule(base + 1,
+                 test::Fn([&times, base] { times.push_back(base + 1); }));
+    }));
   }
   DrainAll(q);
   ASSERT_EQ(times.size(), 6u);

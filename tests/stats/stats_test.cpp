@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "../test_util.hpp"
 #include "stats/fct.hpp"
 #include "stats/percentile.hpp"
 #include "stats/timeseries.hpp"
@@ -62,7 +63,7 @@ TEST(PeriodicSamplerTest, SamplesAtInterval) {
   double value = 0.0;
   PeriodicSampler sampler(&sim, Microseconds(10), [&] { return value; },
                           &out);
-  sim.Schedule(Microseconds(25), [&] { value = 7.0; });
+  sim.Schedule(Microseconds(25), test::Fn([&] { value = 7.0; }));
   sim.RunUntil(Microseconds(55));
   ASSERT_EQ(out.size(), 5u);
   EXPECT_DOUBLE_EQ(out.samples()[1].value, 0.0);  // t = 20 us

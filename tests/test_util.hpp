@@ -1,12 +1,16 @@
-// Shared helpers for unit tests: packet factories, a sink endpoint that
-// records everything it receives, mini-network construction, and a holder
-// that routes the timers of a CC algorithm tested without a flow table.
+// Shared helpers for unit tests: a closure event (Fn), packet factories, a
+// sink endpoint that records everything it receives, mini-network
+// construction, and a holder that routes the timers of a CC algorithm
+// tested without a flow table.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "cc/dcqcn.hpp"
@@ -19,6 +23,22 @@
 #include "net/topology.hpp"
 
 namespace fncc::test {
+
+/// A TypedEvent that runs `fn`. The event owns a heap copy of it: `run`
+/// invokes and then frees the copy, `drop` frees it when the queue is
+/// destroyed with the event still pending.
+inline TypedEvent Fn(std::function<void()> fn) {
+  using Owned = std::function<void()>;
+  return TypedEvent{
+      .run =
+          [](void* f, void* /*unused*/, std::uint64_t /*arg*/) {
+            const std::unique_ptr<Owned> owned(static_cast<Owned*>(f));
+            (*owned)();
+          },
+      .drop = [](void* f, void* /*unused*/,
+                 std::uint64_t /*arg*/) { delete static_cast<Owned*>(f); },
+      .p0 = new Owned(std::move(fn))};
+}
 
 /// A standalone CC (a DcqcnAlgorithm or a CongestionControl) whose timer
 /// carriers route back through this holder, the way a SenderQp's resolve

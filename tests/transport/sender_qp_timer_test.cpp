@@ -53,8 +53,9 @@ class RtoReArmTest : public ::testing::Test {
 
   /// Records the QP's RTO count at `t`, from a native event scheduled now.
   void Observe(SenderQp* qp, Time t, std::vector<std::uint64_t>* seen) {
-    sim_.ScheduleAt(t,
-                    [qp, seen] { seen->push_back(qp->retransmit_events()); });
+    sim_.ScheduleAt(t, test::Fn([qp, seen] {
+      seen->push_back(qp->retransmit_events());
+    }));
   }
 
   Simulator sim_;
@@ -68,10 +69,10 @@ TEST_F(RtoReArmTest, ReArmLaterEarlierAndAtANativesTimestamp) {
   std::vector<std::uint64_t> before;
   std::vector<std::uint64_t> after;
   Observe(qp, Milliseconds(6), &before);  // scheduled before the re-arm
-  sim_.ScheduleAt(Milliseconds(1), [&] {
+  sim_.ScheduleAt(Milliseconds(1), test::Fn([&] {
     Ack(qp, 1000);  // later: 5 ms -> 6 ms, the 5 ms carrier re-files
     Observe(qp, Milliseconds(6), &after);  // scheduled after the re-arm
-  });
+  }));
   sim_.RunUntil(Milliseconds(6) - 1);
   EXPECT_EQ(qp->retransmit_events(), 0u) << "the 5 ms carrier only re-filed";
   sim_.RunUntil(Milliseconds(6));
@@ -84,7 +85,7 @@ TEST_F(RtoReArmTest, ReArmLaterEarlierAndAtANativesTimestamp) {
   // The RTO re-armed itself with backoff 2, for 6 + 10 = 16 ms. Earlier:
   // ACK progress at 7 ms resets the backoff, 16 ms -> 12 ms. A fresh
   // carrier fires at 12 ms; the 16 ms one falls inert.
-  sim_.ScheduleAt(Milliseconds(7), [&] { Ack(qp, 2000); });
+  sim_.ScheduleAt(Milliseconds(7), test::Fn([&] { Ack(qp, 2000); }));
   sim_.RunUntil(Milliseconds(7) + kRto - 1);
   EXPECT_EQ(qp->retransmit_events(), 1u);
   sim_.RunUntil(Milliseconds(7) + kRto);
