@@ -3,7 +3,7 @@
 // bench scale) run end to end at exec_domains = 1, 2, 4 and 8, plus
 // BM_FatTreePointSerial/1, the /1 point at a one-thread budget.
 //
-// The machine-independent facts that come out of BENCH_fatree_pdes.json:
+// What the pairs in BENCH_fatree_pdes.json show:
 //   - BM_FatTreePoint/1 vs BM_FatTreePointSerial/1: one code path run
 //     twice. Both pass exec_domains = 1, Simulator::Partition(1) leaves
 //     the simulator unpartitioned, and one lane runs plain RunUntil on
@@ -26,7 +26,11 @@
 //   - BM_WindowBarrier/N vs BM_LegacyWindowPair/N: one persistent-engine
 //     barrier cycle against the two job-pool Submit+Wait round-trips it
 //     replaced per window (bench/legacy_window_pair.hpp) — also
-//     ratio-gated; the barrier must win.
+//     ratio-gated; the barrier must win. This ratio depends on the core
+//     count: the committed baseline was recorded on a 1-CPU VM (legacy
+//     pair 1.99x the barrier at /2), while a 4-CPU box measures 65-116x.
+//     Against that baseline, the gate's 20% bound on a multi-core runner
+//     fails only once the barrier has lost ~98% of its speed.
 //
 // Every configuration produces bit-identical simulation output (the
 // domain-equivalence suite in tests/exec pins this); only wall time may
@@ -154,8 +158,10 @@ BENCHMARK(BM_FatTreePointStreamed)->Arg(1)->Arg(2)->Arg(8)
 // Submit+Wait round-trips (run phase + drain phase). The regression gate
 // pairs them (BM_WindowBarrier=BM_LegacyWindowPair at matching arg): the
 // barrier cycle must stay cheaper than the pair it replaced. Arg = the
-// participant count; on fewer hardware threads both benchmarks measure the
-// same oversubscribed-scheduler regime, so the ratio remains meaningful.
+// participant count. The ratio does not survive core-count differences:
+// oversubscribed on one CPU the two sides are within ~2x, on four the
+// barrier is 65-116x ahead, so a baseline from one regime is a loose bound
+// in the other (see the file header).
 
 /// One barrier cycle per iteration. Workers mirror DomainScheduler::RunLoop:
 /// park at the barrier, re-arrive immediately (no window work), exit via the

@@ -61,8 +61,9 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(64)->Arg(1024)->Arg(16384);
 
 // The same churn on one queue kept across iterations, which is how a
-// simulator uses its queue: slots, the wheel's chunk free list and its
-// drain stay warm, so only the cold bench above pays for their growth.
+// simulator uses its queue: the wheel's chunk free list, its drain and
+// the overflow heap stay warm, so only the cold bench above pays for their
+// growth.
 // Timestamps are offset from the queue's current time. Not gated.
 void BM_EventQueueWarmScheduleRun(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));

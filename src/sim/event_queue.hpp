@@ -1,20 +1,21 @@
 // Hybrid event scheduler: a hierarchical timing wheel for near-horizon
 // events (sim/timing_wheel.hpp — serialization, propagation, CC rate
 // timers) with a binary heap retained as the overflow level for far
-// timers. Both sides share one slot table and one schedule-sequence
-// counter, so the pop order is the exact global (time, seq) order — FIFO
-// among simultaneous events — regardless of which structure holds an event.
+// timers. Both sides hold the same {t, seq, event} entries and share one
+// schedule-sequence counter, so the pop order is the exact global
+// (time, seq) order — FIFO among simultaneous events — regardless of which
+// structure holds an event.
 //
 // The queue only pushes and pops: nothing is cancelled or moved once
 // scheduled. A re-armable timer keeps its deadline in its owner and lets a
 // carrier event re-file or fall inert when it pops (sim/lazy_timer.hpp).
 //
-// Every event is a TypedEvent: a bare function pointer plus two pointer
-// words and a 64-bit argument, with an optional drop hook that releases
-// the payload of an event still pending when the queue is destroyed.
-// Scheduling copies the record into a slot: nothing is type-erased, and
-// once the slot table, wheel and heap have grown to the pending count it
-// allocates nothing.
+// Every event is a TypedEvent (sim/timing_wheel.hpp): a bare function
+// pointer plus two pointer words and a 64-bit argument, with an optional
+// drop hook that releases the payload of an event still pending when the
+// queue is destroyed. Scheduling copies the record into its entry: nothing
+// is type-erased, and once the wheel and heap have grown to the pending
+// count it allocates nothing.
 #pragma once
 
 #include <cassert>
@@ -57,22 +58,6 @@ inline constexpr std::uint64_t kNativeOrderBit = 1ull << 63;
 /// domains. Any new native source that can fire at equal timestamps in
 /// different domains must mint its own invariant word the same way.
 inline constexpr std::uint64_t kFlowStartOrderBit = 1ull << 62;
-
-/// The one event record: `run(p0, p1, arg)` fires when the event is due;
-/// `drop(p0, p1, arg)`, if set, runs instead when the queue is torn down
-/// with the event still pending, releasing any payload `p1` owns (e.g.
-/// returning a packet to its pool). `run` must be set.
-struct TypedEvent {
-  using Fn = void (*)(void* p0, void* p1, std::uint64_t arg);
-  Fn run = nullptr;
-  Fn drop = nullptr;
-  void* p0 = nullptr;
-  void* p1 = nullptr;
-  std::uint64_t arg = 0;
-
-  /// Runs the event (its drop hook does not fire).
-  void operator()() const { run(p0, p1, arg); }
-};
 
 /// Timed-event scheduler. Events with equal timestamps run in scheduling
 /// order (stable), which the packet pipeline relies on.
@@ -127,28 +112,13 @@ class EventQueue {
   }
 
  private:
-  static bool Later(const SchedEntry& a, const SchedEntry& b) {
-    return a.t != b.t ? a.t > b.t : a.seq > b.seq;
-  }
-
-  /// Stores `ev` in a free slot (or grows the table) and enters the slot
-  /// into the wheel or the overflow heap.
+  /// Enters `{t, order, ev}` into the wheel or the overflow heap.
   void Push(Time t, std::uint64_t order, const TypedEvent& ev);
 
-  void HeapPush(const SchedEntry& e);
   /// Removes and returns the heap's root. Precondition: !heap_.empty().
   SchedEntry HeapPop();
-  /// Re-inserts `e` (the former back element) after the root was removed.
-  /// Bottom-up variant: walks the min-child path to a leaf with one
-  /// comparison per level, then bubbles `e` up — cheaper than classic
-  /// sift-down for pop, because the back element almost always belongs
-  /// near the leaves.
-  void SiftDownFromRoot(const SchedEntry& e);
 
   std::vector<SchedEntry> heap_;  // overflow level: beyond the wheel horizon
-  // Payloads, indexed by slot; a free slot has run == nullptr.
-  std::vector<TypedEvent> slots_;
-  std::vector<std::uint32_t> free_slots_;
   TimingWheel wheel_;
   std::uint64_t next_seq_ = 0;
 };

@@ -44,26 +44,22 @@ void TimingWheel::DrainBucket(std::uint32_t s) {
   // chunks come back to the free list here, so the run is allocation-free
   // once the free list and the drain have reached their high-water marks.
   Bucket& bucket = BucketAt(0, s);
-  std::uint32_t left = bucket.size;
-  drain_.reserve(left);
+  SortDrain(bucket);
   for (Chunk* c = Detach(bucket); c != nullptr;) {
-    const std::uint32_t m = std::min(left, kChunkEntries);
-    drain_.insert(drain_.end(), c->entries, c->entries + m);
-    left -= m;
     Chunk* const next = c->next;
     FreeChunk(c);
     c = next;
   }
   bitmap_[0] &= ~(1ull << s);
-  SortDrain();
 }
 
-void TimingWheel::SortDrain() {
-  const std::size_t n = drain_.size();
+void TimingWheel::SortDrain(const Bucket& bucket) {
+  const std::size_t n = bucket.size;
   // Below this, one 2^kTickShift-entry prefix scan costs more than the
   // comparison sort it replaces.
   constexpr std::size_t kCountingSortMin = 256;
   if (n < kCountingSortMin) {
+    ForEachIn(bucket, [this](const SchedEntry& e) { drain_.push_back(e); });
     if (!std::is_sorted(drain_.begin(), drain_.end(), Before)) {
       std::sort(drain_.begin(), drain_.end(), Before);
     }
@@ -72,23 +68,23 @@ void TimingWheel::SortDrain() {
   // All entries share the bucket's tick, so the sub-tick offset is a total
   // order on t; counting-sort stability keeps equal-t entries in insertion
   // order, which for freshly minted natives IS seq order, with no
-  // comparisons.
+  // comparisons. Entries go from the chunks straight to their place in the
+  // drain, so no second n-entry buffer is needed.
   constexpr std::uint32_t kKeys = 1u << kTickShift;
+  const auto key = [](const SchedEntry& e) {
+    return static_cast<std::uint32_t>(e.t) & (kKeys - 1);
+  };
   counts_.assign(kKeys, 0);
-  for (const SchedEntry& e : drain_) {
-    ++counts_[static_cast<std::uint32_t>(e.t) & (kKeys - 1)];
-  }
+  ForEachIn(bucket, [&](const SchedEntry& e) { ++counts_[key(e)]; });
   std::uint32_t sum = 0;
   for (std::uint32_t k = 0; k < kKeys; ++k) {
     const std::uint32_t c = counts_[k];
     counts_[k] = sum;
     sum += c;
   }
-  scratch_.resize(n);
-  for (const SchedEntry& e : drain_) {
-    scratch_[counts_[static_cast<std::uint32_t>(e.t) & (kKeys - 1)]++] = e;
-  }
-  drain_.swap(scratch_);
+  drain_.resize(n);
+  ForEachIn(bucket,
+            [&](const SchedEntry& e) { drain_[counts_[key(e)]++] = e; });
   // Insertion order can disagree with seq inside an equal-t run: a link
   // delivery carries an explicit order word (bit 63 clear) that sorts below
   // a native word minted before it (kNativeOrderBit set), and a re-filed

@@ -20,9 +20,10 @@
 // wheel at pop by (t, seq) — so the global pop order is exact, identical to
 // a single heap, with no mid-drain insertion path.
 //
-// The wheel stores only {t, seq, slot} records and supports push and pop
-// only: callbacks and the slot free list stay in EventQueue, and nothing
-// is ever removed from the middle.
+// An entry is its event: {t, seq, TypedEvent}, stored whole in the
+// buckets' chunks, the drain and EventQueue's overflow heap, so a pending
+// event is one record. The wheel supports push and pop only; nothing is
+// ever removed from the middle.
 //
 // Memory follows what is pending, not what once was: every bucket's
 // chunks come from one per-wheel free list (carved from slabs) and go back
@@ -31,6 +32,7 @@
 // moment, plus a drain vector sized by the largest bucket.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cstdint>
@@ -41,14 +43,36 @@
 
 namespace fncc {
 
-/// A scheduled-event record, in the wheel and EventQueue's overflow heap
-/// alike: absolute time, global schedule sequence (FIFO tie-break for
-/// simultaneous events), and the owning callback slot.
+/// The one event record: `run(p0, p1, arg)` fires when the event is due;
+/// `drop(p0, p1, arg)`, if set, runs instead when the queue is torn down
+/// with the event still pending, releasing any payload `p1` owns (e.g.
+/// returning a packet to its pool). `run` must be set.
+struct TypedEvent {
+  using Fn = void (*)(void* p0, void* p1, std::uint64_t arg);
+  Fn run = nullptr;
+  Fn drop = nullptr;
+  void* p0 = nullptr;
+  void* p1 = nullptr;
+  std::uint64_t arg = 0;
+
+  /// Runs the event (its drop hook does not fire).
+  void operator()() const { run(p0, p1, arg); }
+};
+
+/// A scheduled event, in the wheel and EventQueue's overflow heap alike:
+/// absolute time, order word (FIFO tie-break for simultaneous events) and
+/// the event itself.
 struct SchedEntry {
   Time t;
   std::uint64_t seq;
-  std::uint32_t slot;
+  TypedEvent ev;
 };
+
+/// The (t, seq) total order that the wheel's drain and the overflow heap
+/// both keep.
+inline bool Before(const SchedEntry& a, const SchedEntry& b) {
+  return a.t != b.t ? a.t < b.t : a.seq < b.seq;
+}
 
 class TimingWheel {
  public:
@@ -60,8 +84,8 @@ class TimingWheel {
   static constexpr int kSlotBits = 6;
   static constexpr std::uint32_t kWheelSlots = 1u << kSlotBits;  // 64
   static constexpr std::uint32_t kSlotMask = kWheelSlots - 1;
-  /// Entries per bucket chunk.
-  static constexpr std::uint32_t kChunkEntries = 64;
+  /// Entries per bucket chunk: 32 x 56 B, so a chunk is ~1.8 KB.
+  static constexpr std::uint32_t kChunkEntries = 32;
 
   /// True if an event at absolute time `t` belongs in the wheel given the
   /// current cursor; false means the caller keeps it in the overflow heap.
@@ -122,6 +146,16 @@ class TimingWheel {
 
   [[nodiscard]] std::size_t size() const { return count_; }
 
+  /// Calls `f(entry)` on every pending entry: the live drain from
+  /// drain_head_ on, then each bucket's chunks up to the bucket's size.
+  /// Consumed drain entries hold stale copies of events that already ran;
+  /// they are not visited.
+  template <class F>
+  void ForEachPending(F&& f) const {
+    for (std::size_t i = drain_head_; i < drain_.size(); ++i) f(drain_[i]);
+    for (const Bucket& bucket : buckets_) ForEachIn(bucket, f);
+  }
+
   /// Chunks ever carved == the high-water mark of chunks held by buckets
   /// at once (a chunk is carved only when the free list is empty).
   [[nodiscard]] std::size_t chunks_created() const { return chunks_created_; }
@@ -151,9 +185,6 @@ class TimingWheel {
   static std::uint64_t Tick(Time t) {
     return static_cast<std::uint64_t>(t) >> kTickShift;
   }
-  static bool Before(const SchedEntry& a, const SchedEntry& b) {
-    return a.t != b.t ? a.t < b.t : a.seq < b.seq;
-  }
 
   [[nodiscard]] bool DrainLive() const { return drain_head_ < drain_.size(); }
 
@@ -163,11 +194,12 @@ class TimingWheel {
   /// Copies the level-0 bucket `s` into the (empty) drain, sorted, and
   /// frees its chunks.
   void DrainBucket(std::uint32_t s);
-  /// Sorts the freshly copied-in drain by (t, seq). A level-0 bucket spans
-  /// exactly one tick, so a stable counting sort on the sub-tick key
-  /// orders it by t; equal-t runs whose insertion order disagrees with seq
-  /// are then comparison-sorted. Small inputs use std::sort directly.
-  void SortDrain();
+  /// Fills the empty drain with `bucket`'s entries sorted by (t, seq). A
+  /// level-0 bucket spans exactly one tick, so a stable counting sort on
+  /// the sub-tick key orders it by t; equal-t runs whose insertion order
+  /// disagrees with seq are then comparison-sorted. Small buckets are
+  /// copied and sorted with std::sort directly.
+  void SortDrain(const Bucket& bucket);
   /// Re-places every entry of bucket `s` at `level` into lower levels after
   /// the cursor entered that bucket's range.
   void CascadeBucket(int level, std::uint32_t s);
@@ -175,6 +207,17 @@ class TimingWheel {
   void Refill();
   /// Peek's out-of-line tail: refills the spent drain.
   [[nodiscard]] const SchedEntry* PeekSlow();
+
+  /// Calls `f(entry)` on each of `bucket`'s entries, in insertion order.
+  template <class F>
+  static void ForEachIn(const Bucket& bucket, F&& f) {
+    std::uint32_t left = bucket.size;
+    for (const Chunk* c = bucket.head; c != nullptr; c = c->next) {
+      const std::uint32_t m = std::min(left, kChunkEntries);
+      for (std::uint32_t i = 0; i < m; ++i) f(c->entries[i]);
+      left -= m;
+    }
+  }
 
   [[nodiscard]] Bucket& BucketAt(int level, std::uint32_t s) {
     return buckets_[static_cast<std::uint32_t>(level) * kWheelSlots + s];
@@ -215,7 +258,6 @@ class TimingWheel {
 
   // Counting-sort workspace (reused; no steady-state allocation).
   std::vector<std::uint32_t> counts_;
-  std::vector<SchedEntry> scratch_;
 
   /// Level-0 tick cursor: every event in ticks < cur_ has been moved to the
   /// drain (or popped); the bucket at cur_ itself may refill while the

@@ -92,13 +92,16 @@ TEST(EventQueueTest, MintedWordOrdersLikeAScheduleMadeAtMintTime) {
 }
 
 TEST(EventQueueTest, PendingCallbacksReleasedAtTeardown) {
-  // The queue drops payloads only at teardown: every event still pending —
-  // in the wheel's live drain, in a wheel bucket or in the overflow heap,
-  // in a fresh slot or a reused one — drops exactly once, and an event that
-  // ran never drops, although its freed slot keeps the hook.
+  // The queue drops payloads only at teardown: every event still pending
+  // drops exactly once wherever it waits — the unconsumed part of the
+  // wheel's live drain, a level-0, level-1 or level-2 bucket, a bucket
+  // spanning several chunks, or the overflow heap — and an event that ran
+  // never drops, not even while its entry still sits in the consumed part
+  // of the drain.
+  constexpr int kIds = 10;
   struct Tally {
-    std::vector<int> runs = std::vector<int>(6);
-    std::vector<int> drops = std::vector<int>(6);
+    std::vector<int> runs = std::vector<int>(kIds);
+    std::vector<int> drops = std::vector<int>(kIds);
   };
   Tally tally;
   const auto counted = [&tally](int id) {
@@ -116,36 +119,43 @@ TEST(EventQueueTest, PendingCallbacksReleasedAtTeardown) {
   };
   constexpr Time kTick = Time{1} << TimingWheel::kTickShift;
   constexpr Time kHorizon = Time{1} << 30;
+  constexpr int kBulk = 2 * static_cast<int>(TimingWheel::kChunkEntries) + 1;
   // A closure's captures are released the same way (test::Fn's drop).
   auto token = std::make_shared<int>(42);
   std::weak_ptr<int> watch = token;
   {
     EventQueue q;
-    Time t = 0;
-    q.Schedule(10, counted(0));
-    q.Schedule(20, counted(1));
-    q.PopNext(&t)();
-    q.PopNext(&t)();  // frees both slots: the next two schedules reuse them
-    q.Schedule(30, counted(2));
-    q.Schedule(31, counted(3));              // same tick: the live drain
-    q.Schedule(100 * kTick, counted(4));     // a level-1 wheel bucket
-    q.Schedule(3 * kHorizon, counted(5));    // the overflow heap
+    // With the cursor at tick 0: ids 0-3 share tick 0's level-0 bucket.
+    for (int id = 0; id < 4; ++id) q.Schedule(10 * (id + 1), counted(id));
+    q.Schedule(5 * kTick, counted(4));     // another level-0 bucket
+    for (int i = 0; i < kBulk; ++i) {      // one bucket over three chunks
+      q.Schedule(7 * kTick + i, counted(5));
+    }
+    q.Schedule(100 * kTick, counted(6));   // a level-1 bucket
+    q.Schedule(5000 * kTick, counted(7));  // a level-2 bucket
+    q.Schedule(3 * kHorizon, counted(8));  // the overflow heap
     q.Schedule(2 * kHorizon, test::Fn([t = std::move(token)] { (void)*t; }));
-    q.PopNext(&t)();  // runs 2; 3 waits in the drain, 2's slot stays free
-    EXPECT_EQ(q.size(), 4u);
-    EXPECT_EQ(tally.runs, (std::vector<int>{1, 1, 1, 0, 0, 0}));
-    EXPECT_EQ(tally.drops, (std::vector<int>{0, 0, 0, 0, 0, 0}));
+    Time t = 0;
+    q.PopNext(&t)();  // drains tick 0's bucket and runs 0
+    q.PopNext(&t)();  // runs 1; 2 and 3 wait behind it in the live drain
+    // Tick 0's bucket is consumed while its drain is live, so a new event
+    // at tick 0 goes to the heap.
+    q.Schedule(50, counted(9));
+    EXPECT_EQ(q.size(), static_cast<std::size_t>(kBulk + 8));
+    EXPECT_EQ(tally.runs, (std::vector<int>{1, 1, 0, 0, 0, 0, 0, 0, 0, 0}));
+    EXPECT_EQ(tally.drops, std::vector<int>(kIds));
     EXPECT_EQ(watch.use_count(), 1);
   }
-  EXPECT_EQ(tally.runs, (std::vector<int>{1, 1, 1, 0, 0, 0}));
-  EXPECT_EQ(tally.drops, (std::vector<int>{0, 0, 0, 1, 1, 1}));
+  EXPECT_EQ(tally.runs, (std::vector<int>{1, 1, 0, 0, 0, 0, 0, 0, 0, 0}));
+  EXPECT_EQ(tally.drops,
+            (std::vector<int>{0, 0, 1, 1, 1, kBulk, 1, 1, 1, 1}));
   EXPECT_TRUE(watch.expired());
 }
 
 TEST(EventQueueTest, ScheduleRunStress) {
   // Randomized schedule/pop against a reference (t, seq) model: exercises
-  // slot recycling, heap order and FIFO stability. Every event runs
-  // exactly once, in reference order.
+  // the merge of wheel and heap, heap order and FIFO stability. Every
+  // event runs exactly once, in reference order.
   EventQueue q;
   std::mt19937 rng(0x5eed);
   std::set<std::pair<Time, std::uint64_t>> ref;  // (t, token)
@@ -181,15 +191,15 @@ TEST(EventQueueTest, ScheduleRunStress) {
 }
 
 TEST(EventQueueTest, FifoStableAcrossSlotRecycling) {
-  // Recycled slots must not disturb the FIFO order of simultaneous events
-  // (ordering is by schedule sequence, not by slot value).
+  // Events scheduled after earlier ones popped keep the FIFO order of
+  // simultaneous events (ordering is by schedule sequence alone).
   EventQueue q;
   std::vector<int> order;
   q.Schedule(1, test::Fn([] {}));
   q.Schedule(1, test::Fn([] {}));
   Time t = 0;
   q.PopNext(&t)();
-  q.PopNext(&t)();  // frees two low slots; next schedules reuse them LIFO
+  q.PopNext(&t)();
   for (int i = 0; i < 8; ++i) {
     q.Schedule(5, test::Fn([&order, i] { order.push_back(i); }));
   }

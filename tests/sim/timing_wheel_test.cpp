@@ -243,19 +243,19 @@ class WheelModel {
   /// Inserts an entry at `t` with an explicit (unique) sequence number.
   void AddWithSeq(Time t, std::uint64_t seq) {
     ASSERT_TRUE(wheel_.Accepts(t));
-    const SchedEntry e{t, seq, next_slot_++};
+    const SchedEntry e{t, seq, TypedEvent{.arg = next_token_++}};
     wheel_.Insert(e);
-    ref_.emplace(e.t, e.seq, e.slot);
+    ref_.emplace(e.t, e.seq, e.ev.arg);
     ASSERT_EQ(wheel_.size(), ref_.size());
   }
   /// Pops the earliest entry, checking it against the reference.
   void PopOne() {
     ASSERT_FALSE(ref_.empty());
     const SchedEntry e = wheel_.Pop();
-    const auto& [t, seq, slot] = *ref_.begin();
+    const auto& [t, seq, token] = *ref_.begin();
     ASSERT_EQ(e.t, t);
     ASSERT_EQ(e.seq, seq);
-    ASSERT_EQ(e.slot, slot);
+    ASSERT_EQ(e.ev.arg, token);
     ref_.erase(ref_.begin());
     now_tick_ = static_cast<std::uint64_t>(e.t) >> TimingWheel::kTickShift;
   }
@@ -278,17 +278,17 @@ class WheelModel {
   TimingWheel& wheel() { return wheel_; }
 
  private:
-  using Key = std::tuple<Time, std::uint64_t, std::uint32_t>;
+  using Key = std::tuple<Time, std::uint64_t, std::uint64_t>;
   TimingWheel wheel_;
   std::set<Key> ref_;
   std::uint64_t next_seq_ = 1u << 20;  // room below for out-of-order seqs
-  std::uint32_t next_slot_ = 0;
+  std::uint64_t next_token_ = 0;  // carried in each entry's ev.arg
   std::uint64_t now_tick_ = 0;
 };
 
 TEST(TimingWheelTest, MultiChunkBucketsMatchReferenceOrderAtEveryLevel) {
   // Each round fills the next bucket of every level with 150-250 entries
-  // (three or four chunks; many share a timestamp), a fifth of them with a
+  // (five to eight chunks; many share a timestamp), a fifth of them with a
   // sequence number below every other entry's (a word minted before it
   // was filed), then pops a stretch — so multi-chunk
   // buckets drain at level 0 and cascade from levels 1 and 2 with their
@@ -361,8 +361,12 @@ TEST(TimingWheelTest, ChunkHighWaterTracksPendingNotHistory) {
     observe();
     if (round == 0) {
       // At the peak the buckets hold exactly ceil(n_b / kChunkEntries)
-      // chunks each: 3 + 1 + 1 + 2 + 4 + 5.
-      EXPECT_EQ(m.wheel().chunks_created(), 16u);
+      // chunks each (5 + 1 + 2 + 3 + 7 + 10 at 32 entries a chunk).
+      std::size_t exact = 0;
+      for (const std::size_t n : {130u, 1u, 64u, 65u, 200u, 300u}) {
+        exact += (n + kChunk - 1) / kChunk;
+      }
+      EXPECT_EQ(m.wheel().chunks_created(), exact);
     }
     while (m.pending() > 0) {
       ASSERT_NO_FATAL_FAILURE(m.PopOne());
@@ -375,8 +379,8 @@ TEST(TimingWheelTest, ChunkHighWaterTracksPendingNotHistory) {
       << "a repeated schedule must reuse the free list";
 }
 
-// Registered as the unlabelled `sim_slow` ctest entry: ~75 MB of chunks,
-// drain and sort workspace.
+// Registered as the unlabelled `sim_slow` ctest entry: ~117 MB of chunks
+// and drain.
 TEST(TimingWheelLimitTest, BucketPastTwoToTheTwentyDrainsInOrder) {
   // One bucket has no entry limit: 2^20 + 1 entries (one more than the
   // old per-bucket index field could hold) in one level-0 bucket, spread
@@ -387,8 +391,9 @@ TEST(TimingWheelLimitTest, BucketPastTwoToTheTwentyDrainsInOrder) {
   constexpr std::uint64_t kNewer = 1u << 21;  // the other seqs start here
   TimingWheel wheel;
   for (std::uint32_t i = 0; i < kEntries; ++i) {
-    wheel.Insert(SchedEntry{static_cast<Time>(i % kTick),
-                            i % 4 == 0 ? i : kNewer + i, i});
+    wheel.Insert(SchedEntry{.t = static_cast<Time>(i % kTick),
+                            .seq = i % 4 == 0 ? i : kNewer + i,
+                            .ev = TypedEvent{.arg = i}});
   }
   EXPECT_EQ(wheel.size(), kEntries);
   EXPECT_EQ(wheel.occupied_buckets(), 1);
@@ -396,16 +401,17 @@ TEST(TimingWheelLimitTest, BucketPastTwoToTheTwentyDrainsInOrder) {
   std::uint32_t out_of_order = 0;
   std::uint32_t wrong_entry = 0;
   SchedEntry prev = wheel.Pop();
-  seen[prev.slot] = true;
+  seen[prev.ev.arg] = true;
   for (std::uint32_t n = 1; n < kEntries; ++n) {
     const SchedEntry e = wheel.Pop();
     if (e.t < prev.t || (e.t == prev.t && e.seq <= prev.seq)) ++out_of_order;
-    const std::uint64_t want_seq = e.slot % 4 == 0 ? e.slot : kNewer + e.slot;
-    if (e.slot >= kEntries || seen[e.slot] || e.seq != want_seq ||
-        e.t != static_cast<Time>(e.slot % kTick)) {
+    const std::uint64_t i = e.ev.arg;
+    const std::uint64_t want_seq = i % 4 == 0 ? i : kNewer + i;
+    if (i >= kEntries || seen[i] || e.seq != want_seq ||
+        e.t != static_cast<Time>(i % kTick)) {
       ++wrong_entry;
     } else {
-      seen[e.slot] = true;
+      seen[i] = true;
     }
     prev = e;
   }
