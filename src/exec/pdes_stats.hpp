@@ -39,6 +39,10 @@ struct PdesStats {
   /// Final per-lane event counts.
   std::vector<std::uint64_t> lane_events;
   std::array<std::uint64_t, kHistBuckets> events_per_window_log2{};
+  /// Lane-pair outboxes (Network::outboxes) and the heap bytes their
+  /// buffers hold at the end of the point.
+  std::uint64_t outbox_pairs = 0;
+  std::uint64_t outbox_bytes = 0;
 
   // Per-participant (index 0 = the coordinating thread):
   /// Lane-windows this thread executed (claimed from the shared ticket).

@@ -410,6 +410,10 @@ ExperimentPointResult RunResolvedPoint(const ExperimentSpec& point,
   }
   result.events_processed = sim.events_processed();
   result.pdes_windows = sim.windows_executed();
+  result.pdes_stats.outbox_pairs = net.outboxes().size();
+  for (const auto& box : net.outboxes()) {
+    result.pdes_stats.outbox_bytes += box->capacity_bytes();
+  }
   // Pool telemetry sums over every lane's arena. Unlike the counters
   // above it is NOT a partition invariant (which lane's arena services a
   // packet depends on the partition), so equivalence comparisons must
@@ -595,6 +599,8 @@ void WritePdesStatsJson(const std::string& path, const std::string& name,
   out << "  \"participants\": " << s.participants << ",\n";
   out << "  \"windows\": " << s.windows << ",\n";
   out << "  \"events\": " << s.events << ",\n";
+  out << "  \"outbox_pairs\": " << s.outbox_pairs << ",\n";
+  out << "  \"outbox_bytes\": " << s.outbox_bytes << ",\n";
   WriteJsonUintArray(out, "lane_windows", s.lane_windows);
   WriteJsonUintArray(out, "lane_events", s.lane_events);
   WriteJsonUintArray(out, "events_per_window_log2", s.events_per_window_log2);

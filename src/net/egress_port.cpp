@@ -15,8 +15,6 @@ EgressPort::EgressPort(EgressPort&& other) noexcept
       prop_delay_(other.prop_delay_),
       order_base_(other.order_base_),
       order_count_(other.order_count_),
-      cross_lane_(other.cross_lane_),
-      peer_lane_(other.peer_lane_),
       tx_hook_(std::exchange(other.tx_hook_, nullptr)),
       tx_hook_ctx_(std::exchange(other.tx_hook_ctx_, nullptr)),
       tx_hook_arg_(other.tx_hook_arg_),
@@ -35,9 +33,9 @@ EgressPort::EgressPort(EgressPort&& other) noexcept
   assert(!busy_ && "EgressPort moved while transmitting");
   assert(other.inflight_head_ == nullptr &&
          "EgressPort moved with deliveries in flight");
-  // Mailboxes register `this` with the simulator, so a port must not move
+  // Buffered handoffs name their sending port, so a port must not move
   // after SetCrossLane — Network::SealDomains runs after all wiring.
-  assert(!cross_lane_ && other.outbox_[0].empty() && other.outbox_[1].empty() &&
+  assert(other.outbox_ == nullptr &&
          "EgressPort moved after cross-lane sealing");
 }
 
@@ -69,17 +67,13 @@ void EgressPort::Connect(Peer peer, double bandwidth_gbps,
   prop_delay_ = propagation_delay;
 }
 
-void EgressPort::SetCrossLane(int peer_lane) {
+void EgressPort::SetCrossLane(Outbox* outbox) {
   assert(connected() && "SetCrossLane before Connect");
-  cross_lane_ = true;
-  peer_lane_ = peer_lane;
+  outbox_ = outbox;
   // The prefetch chain holds packets between serialization and delivery
   // and warms peer (foreign-lane) state — both are off-limits mid-window.
   prefetch_ = nullptr;
   lookahead_ = 0;
-  sim_->RegisterMailbox(peer_lane, this, &EgressPort::DrainHandoffsThunk,
-                        &EgressPort::PendingHandoffMinTimeThunk,
-                        &EgressPort::PendingHandoffCountThunk);
 }
 
 void EgressPort::Enqueue(PacketPtr pkt) {
@@ -200,19 +194,13 @@ void EgressPort::FinishTransmit() {
   Packet* raw = ReleaseToRaw(std::move(tx_pkt_));
   const std::uint64_t order = order_base_ | order_count_++;
   assert((order_count_ >> 32) == 0 && "per-edge delivery counter overflow");
-  if (cross_lane_) {
-    // Foreign-lane peer: buffer the handoff in the active outbox phase —
+  if (outbox_ != nullptr) {
+    // Foreign-lane peer: buffer the handoff in the lane pair's outbox —
     // sealed at this window's end barrier, injected by the destination
     // lane during the next window — and return the original to this lane's
     // arena. No event is scheduled here; the destination lane schedules
     // (and counts) the delivery.
-    const int phase = sim_->outbox_phase();
-    const Time t = sim_->Now() + prop_delay_;
-    outbox_[phase].push_back(Handoff{t, order, *raw});
-    const std::span<const IntEntry> ints = raw->int_stack();
-    outbox_int_[phase].insert(outbox_int_[phase].end(), ints.begin(),
-                              ints.end());
-    if (t < outbox_min_[phase]) outbox_min_[phase] = t;
+    outbox_->Push(this, sim_->Now() + prop_delay_, order, *raw);
     WrapRawPacket(raw);
   } else if (lookahead_ > 0) {
     // Prefetching peer: thread the packet onto the in-flight chain (its
@@ -248,27 +236,27 @@ void EgressPort::FinishTransmit() {
   TryTransmit();
 }
 
-void EgressPort::DrainHandoffsThunk(void* port) {
-  static_cast<EgressPort*>(port)->DrainHandoffs();
+EgressPort::Outbox::Outbox(Simulator* sim, int dst_lane) : sim_(sim) {
+  sim_->RegisterMailbox(dst_lane, this);
 }
 
-Time EgressPort::PendingHandoffMinTimeThunk(void* port) {
-  return static_cast<EgressPort*>(port)->PendingHandoffMinTime();
+void EgressPort::Outbox::Push(const EgressPort* port, Time t,
+                              std::uint64_t order, const Packet& pkt) {
+  const int phase = sim_->outbox_phase();
+  handoffs_[phase].push_back(Handoff{port, t, order, pkt});
+  const std::span<const IntEntry> ints = pkt.int_stack();
+  ints_[phase].insert(ints_[phase].end(), ints.begin(), ints.end());
+  if (t < min_[phase]) min_[phase] = t;
 }
 
-std::size_t EgressPort::PendingHandoffCountThunk(void* port) {
-  return static_cast<EgressPort*>(port)->PendingHandoffCount();
-}
-
-void EgressPort::DrainHandoffs() {
+void EgressPort::Outbox::Drain() {
   // The sealed buffer: the phase flipped at the barrier after the window
   // that filled it, so nobody appends here while we read. The source lane
   // may simultaneously be appending this window's sends to the other
   // (active) buffer.
   const int sealed = sim_->outbox_phase() ^ 1;
-  std::vector<Handoff>& box = outbox_[sealed];
-  if (box.empty()) return;
-  const IntEntry* ints = outbox_int_[sealed].data();
+  std::vector<Handoff>& box = handoffs_[sealed];
+  const IntEntry* ints = ints_[sealed].data();
   for (const Handoff& h : box) {
     // Re-materialize in the destination lane's arena (the active lane
     // here): acquire, then copy the header and its INT entries (which take
@@ -278,15 +266,20 @@ void EgressPort::DrainHandoffs() {
     ints += h.hdr.int_hops;
     sim_->ScheduleAtOrdered(
         h.t, h.order,
-        TypedEvent{.run = deliver_,
+        TypedEvent{.run = h.port->deliver_,
                    .drop = &EgressPort::DropPacketEvent,
-                   .p0 = peer_.node,
+                   .p0 = h.port->peer_.node,
                    .p1 = raw,
-                   .arg = static_cast<std::uint64_t>(peer_.port)});
+                   .arg = static_cast<std::uint64_t>(h.port->peer_.port)});
   }
   box.clear();  // keeps capacity; the outbox stays allocation-warm
-  outbox_int_[sealed].clear();
-  outbox_min_[sealed] = kTimeInfinity;
+  ints_[sealed].clear();
+  min_[sealed] = kTimeInfinity;
+}
+
+std::size_t EgressPort::Outbox::capacity_bytes() const {
+  return (handoffs_[0].capacity() + handoffs_[1].capacity()) * sizeof(Handoff) +
+         (ints_[0].capacity() + ints_[1].capacity()) * sizeof(IntEntry);
 }
 
 }  // namespace fncc

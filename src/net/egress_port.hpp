@@ -30,11 +30,12 @@
 // (SetCrossLane, applied by Network::SealDomains), finished transmissions
 // are not scheduled into the peer's queue directly — that queue belongs to
 // another thread mid-window. Instead each handoff is buffered by value
-// (header plus live INT entries) in the port's outbox and injected at the
-// next window barrier (DrainHandoffs, run under the destination lane's
-// scope). Conservative lookahead makes the barrier early enough: delivery
-// time is send-time + propagation >= window-start +
-// min-cross-lane-propagation, which is exactly where the window closed.
+// (header plus live INT entries) in the Outbox its (source lane,
+// destination lane) pair's ports share, and injected at the next window
+// barrier (Outbox::Drain, run under the destination lane's scope).
+// Conservative lookahead makes the barrier early enough: delivery time is
+// send-time + propagation >= window-start + min-cross-lane-propagation,
+// which is exactly where the window closed.
 // Every delivery — local or handoff — carries the same (edge << 32 | nth)
 // order word, so injection order cannot matter: the destination queue
 // re-establishes the one global (t, order) sequence.
@@ -80,28 +81,61 @@ class EgressPort {
 
   [[nodiscard]] bool connected() const { return peer_.node != nullptr; }
 
-  /// Marks this link as crossing into event lane `peer_lane` and registers
-  /// its handoff mailbox with the simulator (Network::SealDomains, after
-  /// all wiring — `this` must be stable). Cross-lane ports buffer
-  /// deliveries instead of scheduling into the peer's queue and turn off
-  /// delivery prefetch (the chain would touch peer-lane state mid-window).
-  void SetCrossLane(int peer_lane);
+  /// The cross-lane handoffs of one (source lane, destination lane) pair,
+  /// shared by all its ports, and the pair's mailbox with the simulator.
+  /// Only the source lane pushes (into the active phase) and only the
+  /// destination lane drains (the sealed phase), so it needs no lock.
+  class Outbox final : public Simulator::Mailbox {
+   public:
+    /// Registers for `dst_lane`'s drains, so `this` must stay put.
+    Outbox(Simulator* sim, int dst_lane);
 
-  /// Injects the sealed (previous-window) outbox buffer into the peer
-  /// lane's queue. Called by the simulator inside the destination lane's
-  /// window, under that lane's scope — safe against concurrent appends,
-  /// which target the other (active) buffer.
-  void DrainHandoffs();
+    /// Buffers `pkt` (header and INT entries) for delivery through `port`
+    /// at `t` with `port`'s order word `order`.
+    void Push(const EgressPort* port, Time t, std::uint64_t order,
+              const Packet& pkt);
+    void Drain() override;
+    [[nodiscard]] Time MinTime() const override {
+      return min_[0] < min_[1] ? min_[0] : min_[1];
+    }
+    [[nodiscard]] std::size_t Pending() const override {
+      return handoffs_[0].size() + handoffs_[1].size();
+    }
+    /// Heap bytes both phases' buffers hold (their capacity).
+    [[nodiscard]] std::size_t capacity_bytes() const;
 
-  /// Earliest buffered handoff delivery time across both outbox buffers
-  /// (kTimeInfinity if empty), and the buffered handoff count — the
-  /// mailbox hooks behind Simulator::NextEventTime / events_pending.
-  [[nodiscard]] Time PendingHandoffMinTime() const {
-    return outbox_min_[0] < outbox_min_[1] ? outbox_min_[0] : outbox_min_[1];
-  }
-  [[nodiscard]] std::size_t PendingHandoffCount() const {
-    return outbox_[0].size() + outbox_[1].size();
-  }
+   private:
+    /// One buffered delivery. The packet rides by value — its header here,
+    /// its `hdr.int_hops` INT entries appended to the phase's ints_ in
+    /// push order: the source lane returns its original (and its INT
+    /// block) to its own arena immediately and the destination lane
+    /// re-materializes the copy from its arena at the barrier, so neither
+    /// arena is ever touched from a foreign lane. The drain reads the
+    /// sending `port`'s peer and deliver trampoline, fixed since Connect.
+    struct Handoff {
+      const EgressPort* port;
+      Time t;               // delivery (arrival) time
+      std::uint64_t order;  // the sending edge's order word for the packet
+      PacketHeader hdr;
+    };
+
+    Simulator* sim_;
+    /// Double-buffered by the simulator's window phase: sends of window w
+    /// append to [phase] while the destination lane drains the sealed
+    /// [phase ^ 1] (window w-1's sends) — run and drain share one window
+    /// with no barrier between them. min_ tracks each buffer's earliest
+    /// delivery time so Simulator::NextEventTime can bound the next window
+    /// by handoffs not yet in any queue.
+    std::vector<Handoff> handoffs_[2];
+    std::vector<IntEntry> ints_[2];
+    Time min_[2] = {kTimeInfinity, kTimeInfinity};
+  };
+
+  /// Marks this link as crossing into another event lane (Network::
+  /// SealDomains, after all wiring): finished transmissions go to `outbox`
+  /// instead of the peer's queue, and delivery prefetch turns off (the
+  /// chain would touch peer-lane state mid-window).
+  void SetCrossLane(Outbox* outbox);
 
   /// Queues a data-plane packet (data/ACK/CNP) for transmission.
   void Enqueue(PacketPtr pkt);
@@ -174,9 +208,6 @@ class EgressPort {
   static void TxDoneEvent(void* port, void* unused, std::uint64_t arg);
   static void DeliverEvent(void* node, void* pkt, std::uint64_t port);
   static void DropPacketEvent(void* unused, void* pkt, std::uint64_t arg);
-  static void DrainHandoffsThunk(void* port);
-  static Time PendingHandoffMinTimeThunk(void* port);
-  static std::size_t PendingHandoffCountThunk(void* port);
   /// Chain variant: unlinks the head of the in-flight chain, tops up the
   /// prefetch window, then delivers inline — same instant, same order as
   /// the direct path.
@@ -208,28 +239,7 @@ class EgressPort {
   std::uint64_t order_base_ = 0;   // minted at Connect()
   std::uint64_t order_count_ = 0;  // per-edge FIFO counter
 
-  /// One buffered cross-lane delivery. The packet rides by value — its
-  /// header here, its `hdr.int_hops` INT entries appended to the phase's
-  /// outbox_int_ in handoff order: the source lane returns its original
-  /// (and its INT block) to its own arena immediately and the destination
-  /// lane re-materializes the copy from its arena at the barrier, so
-  /// neither arena is ever touched from a foreign lane.
-  struct Handoff {
-    Time t;               // delivery (arrival) time
-    std::uint64_t order;  // this edge's order word for the packet
-    PacketHeader hdr;
-  };
-  /// Double-buffered by the simulator's window phase: sends of window w
-  /// append to outbox_[phase] while the destination lane drains the sealed
-  /// outbox_[phase ^ 1] (window w-1's sends) — run and drain share one
-  /// window with no barrier between them. outbox_min_ tracks each buffer's
-  /// earliest delivery time so Simulator::NextEventTime can bound the next
-  /// window by handoffs not yet in any queue.
-  std::vector<Handoff> outbox_[2];
-  std::vector<IntEntry> outbox_int_[2];
-  Time outbox_min_[2] = {kTimeInfinity, kTimeInfinity};
-  bool cross_lane_ = false;
-  int peer_lane_ = 0;
+  Outbox* outbox_ = nullptr;  // set iff the peer is in another lane
 
   TransmitHook tx_hook_ = nullptr;
   void* tx_hook_ctx_ = nullptr;

@@ -15,37 +15,21 @@ namespace fncc {
 // empty: a defaulted move would keep sim_ pointing at the simulator while
 // every container is hollow — a state that passes nullptr checks but fails
 // on first use. See the class comment for the full contract.
-Network::Network(Network&& other) noexcept
-    : sim_(std::exchange(other.sim_, nullptr)),
-      nodes_(std::move(other.nodes_)),
-      switches_(std::move(other.switches_)),
-      hosts_(std::move(other.hosts_)),
-      adj_(std::move(other.adj_)),
-      next_port_(std::move(other.next_port_)),
-      node_group_(other.node_group_),
-      longest_switch_path_(other.longest_switch_path_) {
-  other.nodes_.clear();
-  other.switches_.clear();
-  other.hosts_.clear();
-  other.adj_.clear();
-  other.next_port_.clear();
+Network::Network(Network&& other) noexcept : sim_(nullptr) {
+  *this = std::move(other);
 }
 
 Network& Network::operator=(Network&& other) noexcept {
   if (this != &other) {
     sim_ = std::exchange(other.sim_, nullptr);
-    nodes_ = std::move(other.nodes_);
-    switches_ = std::move(other.switches_);
-    hosts_ = std::move(other.hosts_);
-    adj_ = std::move(other.adj_);
-    next_port_ = std::move(other.next_port_);
+    nodes_ = std::exchange(other.nodes_, {});
+    switches_ = std::exchange(other.switches_, {});
+    hosts_ = std::exchange(other.hosts_, {});
+    adj_ = std::exchange(other.adj_, {});
+    next_port_ = std::exchange(other.next_port_, {});
+    outboxes_ = std::exchange(other.outboxes_, {});
     node_group_ = other.node_group_;
     longest_switch_path_ = other.longest_switch_path_;
-    other.nodes_.clear();
-    other.switches_.clear();
-    other.hosts_.clear();
-    other.adj_.clear();
-    other.next_port_.clear();
   }
   return *this;
 }
@@ -96,8 +80,11 @@ void Network::SealDomains() {
     for (const Adjacency& e : edges) max_prop = std::max(max_prop, e.prop);
   }
   sim_->set_settle_delay(max_prop);
-  if (sim_->num_lanes() <= 1) return;
+  const int lanes = sim_->num_lanes();
+  if (lanes <= 1) return;
   Time min_prop = kTimeInfinity;
+  // One outbox per (source lane, destination lane) pair, made on first use.
+  outboxes_.resize(static_cast<std::size_t>(lanes * lanes));
   for (std::size_t a = 0; a < nodes_.size(); ++a) {
     const int lane_a = nodes_[a]->domain();
     for (const Adjacency& e : adj_[a]) {
@@ -107,9 +94,12 @@ void Network::SealDomains() {
              "cross-domain links need positive propagation delay (the "
              "conservative lookahead window)");
       if (e.prop < min_prop) min_prop = e.prop;
-      PortOf(static_cast<NodeId>(a), e.local_port).SetCrossLane(lane_b);
+      auto& box = outboxes_[static_cast<std::size_t>(lane_a * lanes + lane_b)];
+      if (!box) box = std::make_unique<EgressPort::Outbox>(sim_, lane_b);
+      PortOf(static_cast<NodeId>(a), e.local_port).SetCrossLane(box.get());
     }
   }
+  std::erase(outboxes_, nullptr);
   sim_->set_domain_lookahead(min_prop);
 }
 

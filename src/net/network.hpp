@@ -67,7 +67,8 @@ class Network {
 
   /// Finalizes domain partitioning after all wiring: marks every link
   /// whose endpoints live in different event lanes as a cross-lane handoff
-  /// edge (both directions) and sets the simulator's conservative
+  /// edge (both directions), feeding the one outbox of its (source lane,
+  /// destination lane) pair, and sets the simulator's conservative
   /// lookahead to the minimum propagation delay over those links. Also
   /// sets the simulator's settle_delay() (the largest delay over all
   /// links) at every lane count. Call exactly once, after the last Connect
@@ -129,6 +130,9 @@ class Network {
   }
   [[nodiscard]] const std::vector<Endpoint*>& hosts() const { return hosts_; }
 
+  /// The lane-pair outboxes SealDomains made (none on one lane).
+  [[nodiscard]] const auto& outboxes() const { return outboxes_; }
+
   /// Sum of PFC pause frames sent by all switches.
   [[nodiscard]] std::uint64_t TotalPauseFrames() const;
   /// Sum of packet drops at all switches (0 in a healthy lossless run).
@@ -160,6 +164,8 @@ class Network {
   std::vector<Endpoint*> hosts_;
   std::vector<std::vector<Adjacency>> adj_;
   std::vector<int> next_port_;
+  // Heap-owned: registered mailboxes stay put across Network moves.
+  std::vector<std::unique_ptr<EgressPort::Outbox>> outboxes_;
   int node_group_ = 0;
   int longest_switch_path_ = 0;
 };

@@ -70,12 +70,9 @@ void Simulator::Partition(int lanes) {
   t_active_lane_ = &lane0_;
 }
 
-void Simulator::RegisterMailbox(int dst_lane, void* ctx, MailboxDrainFn drain,
-                                MailboxMinTimeFn min_time,
-                                MailboxPendingFn pending) {
+void Simulator::RegisterMailbox(int dst_lane, Mailbox* box) {
   assert(multi_ && dst_lane >= 0 && dst_lane < num_lanes());
-  mailboxes_[static_cast<std::size_t>(dst_lane)].push_back(
-      Mailbox{ctx, drain, min_time, pending});
+  mailboxes_[static_cast<std::size_t>(dst_lane)].push_back(box);
 }
 
 void Simulator::RunEvents(Lane& l, Time close) {
@@ -122,10 +119,7 @@ Time Simulator::NextEventTime() {
   // the fused drain-then-run window sequence identical to the historical
   // run-then-drain one.
   for (const auto& lane_boxes : mailboxes_) {
-    for (const Mailbox& m : lane_boxes) {
-      const Time t = m.min_time(m.ctx);
-      if (t < next) next = t;
-    }
+    for (const Mailbox* m : lane_boxes) next = std::min(next, m->MinTime());
   }
   return next;
 }
@@ -147,9 +141,7 @@ void Simulator::RunLaneWindow(int id, Time close) {
 
 void Simulator::DrainLaneMailboxes(int id) {
   ActiveLaneScope scope(this, id);
-  for (const Mailbox& m : mailboxes_[static_cast<std::size_t>(id)]) {
-    m.drain(m.ctx);
-  }
+  for (Mailbox* m : mailboxes_[static_cast<std::size_t>(id)]) m->Drain();
 }
 
 void Simulator::SettleLanes(Time t) {

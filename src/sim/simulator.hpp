@@ -28,9 +28,10 @@ class PacketPool;  // net/packet_pool.hpp; owned here as an opaque arena
 /// its slice of the fabric (assigned at build time via ActiveLaneScope),
 /// lanes advance in bounded time windows of the cross-lane lookahead
 /// (min link propagation delay, set by Network::SealDomains), and
-/// cross-lane packet handoffs buffer in per-port mailboxes drained at
-/// window barriers. Order words (see event_queue.hpp) make pop order — and
-/// every simulation output — bit-identical at any lane count.
+/// cross-lane packet handoffs buffer in one mailbox per (source lane,
+/// destination lane) pair, drained at window barriers. Order words (see
+/// event_queue.hpp) make pop order — and every simulation output —
+/// bit-identical at any lane count.
 ///
 /// Run/RunUntil drive an unpartitioned simulator only; a partitioned one
 /// is driven window by window by exec/DomainScheduler through the window
@@ -115,14 +116,14 @@ class Simulator {
     return n;
   }
   /// Pending work across all lanes: queued events plus cross-lane handoffs
-  /// still buffered in port outboxes (each becomes an event at the next
+  /// still buffered in outboxes (each becomes an event at the next
   /// window's drain — callers polling for quiescence between RunUntil
   /// calls must see them).
   [[nodiscard]] std::size_t events_pending() const {
     std::size_t n = 0;
     for (const Lane* l : lanes_) n += l->queue.size();
     for (const auto& lane_boxes : mailboxes_) {
-      for (const Mailbox& m : lane_boxes) n += m.pending(m.ctx);
+      for (const Mailbox* m : lane_boxes) n += m->Pending();
     }
     return n;
   }
@@ -223,25 +224,26 @@ class Simulator {
   void set_settle_delay(Time d) { settle_delay_ = d; }
   [[nodiscard]] Time settle_delay() const { return settle_delay_; }
 
-  /// Registers a cross-lane mailbox: `drain(ctx)` runs under lane
-  /// `dst_lane`'s scope at every window barrier and moves the *sealed*
-  /// outbox buffer's handoffs into that lane's queue
-  /// (EgressPort::DrainHandoffs). `min_time(ctx)` reports the earliest
-  /// buffered delivery time (kTimeInfinity if none) so NextEventTime can
-  /// bound the next window by handoffs that are not yet in any queue;
-  /// `pending(ctx)` reports the buffered handoff count for
-  /// events_pending(). Register after wiring completes — `ctx` must be a
-  /// stable pointer.
-  using MailboxDrainFn = void (*)(void* ctx);
-  using MailboxMinTimeFn = Time (*)(void* ctx);
-  using MailboxPendingFn = std::size_t (*)(void* ctx);
-  void RegisterMailbox(int dst_lane, void* ctx, MailboxDrainFn drain,
-                       MailboxMinTimeFn min_time, MailboxPendingFn pending);
+  /// A cross-lane mailbox (EgressPort::Outbox). `Drain()` runs under its
+  /// destination lane's scope at every window barrier and moves the
+  /// *sealed* buffer's handoffs into that lane's queue. `MinTime()` (the
+  /// earliest buffered delivery, kTimeInfinity if none) lets NextEventTime
+  /// bound the next window by handoffs not yet in any queue; `Pending()`
+  /// counts them for events_pending().
+  class Mailbox {
+   public:
+    virtual ~Mailbox() = default;
+    virtual void Drain() = 0;
+    [[nodiscard]] virtual Time MinTime() const = 0;
+    [[nodiscard]] virtual std::size_t Pending() const = 0;
+  };
+  /// Registers `box` for lane `dst_lane`'s drains; it must stay put.
+  void RegisterMailbox(int dst_lane, Mailbox* box);
 
   // Window protocol primitives, driven by exec/DomainScheduler. The run and
   // drain
   // phases are fused behind one barrier per window by double-buffering the
-  // port outboxes: sends of window w append to the active buffer, the
+  // lane-pair outboxes: sends of window w append to the active buffer, the
   // phase flips at the window's end barrier, and window w+1 drains the
   // now-sealed buffer before running its events — no lane ever reads a
   // buffer another lane is still appending to. Sequence per window:
@@ -316,13 +318,7 @@ class Simulator {
   Time settle_delay_ = 0;
   std::uint32_t next_edge_ = 0;
 
-  struct Mailbox {
-    void* ctx;
-    MailboxDrainFn drain;
-    MailboxMinTimeFn min_time;
-    MailboxPendingFn pending;
-  };
-  std::vector<std::vector<Mailbox>> mailboxes_;  // indexed by dst lane
+  std::vector<std::vector<Mailbox*>> mailboxes_;  // indexed by dst lane
   int outbox_phase_ = 0;
   std::uint64_t windows_executed_ = 0;
 

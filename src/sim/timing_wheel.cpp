@@ -112,14 +112,13 @@ void TimingWheel::CascadeBucket(int level, std::uint32_t s) {
   for (Chunk* c = Detach(bucket); c != nullptr;) {
     // Free each chunk before re-placing its entries, so a cascade never
     // holds more chunks than the buckets it fills need.
-    SchedEntry batch[kChunkEntries];
     const std::uint32_t m = std::min(left, kChunkEntries);
-    std::copy_n(c->entries, m, batch);
+    std::copy_n(c->entries, m, cascade_batch_);
     left -= m;
     Chunk* const next = c->next;
     FreeChunk(c);
     c = next;
-    for (std::uint32_t i = 0; i < m; ++i) Place(batch[i]);
+    for (std::uint32_t i = 0; i < m; ++i) Place(cascade_batch_[i]);
   }
 }
 

@@ -255,6 +255,9 @@ class TimingWheel {
   std::vector<std::unique_ptr<Chunk[]>> slabs_;
   std::size_t chunks_created_ = 0;
   std::uint64_t bitmap_[kLevels] = {};  // per-level bucket occupancy
+  /// CascadeBucket's copy of the chunk it frees. A member, so a cascade
+  /// does not value-initialize a fresh array of events per chunk.
+  SchedEntry cascade_batch_[kChunkEntries];
 
   // Counting-sort workspace (reused; no steady-state allocation).
   std::vector<std::uint32_t> counts_;

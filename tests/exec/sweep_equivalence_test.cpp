@@ -300,6 +300,38 @@ run.max_sim_ms = 50
 )");
 }
 
+TEST(DomainEquivalenceTest, FatTreeAutoSharesOneOutboxPerLanePair) {
+  // exec_domains = auto on a k=4 fat-tree: one lane per pod plus the core
+  // lane. Every cross-lane link joins a pod to the core, so the ports
+  // crossing it share one outbox per direction: 2 x pods pairs, however
+  // many ports each pair carries. Sharing must not move an output.
+  constexpr const char* kSpec = R"(
+name = fat_tree_auto_outboxes
+topology.kind = fat_tree
+topology.k = 4
+workload.kind = poisson
+workload.num_flows = 40
+workload.cdf = web_search
+workload.load = 0.5
+run.duration_us = 0
+run.max_sim_ms = 50
+output.pdes_stats = true
+)";
+  const ExperimentPointResult base = RunDomainPoint(kSpec, CcMode::kFncc, 1, 1);
+  EXPECT_EQ(base.pdes_stats.outbox_pairs, 0u);
+  EXPECT_EQ(base.pdes_stats.outbox_bytes, 0u);
+  for (int threads : {1, 2}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const ExperimentPointResult r =
+        RunDomainPoint(kSpec, CcMode::kFncc, /*auto*/ 0, threads);
+    constexpr int kPods = 4;
+    EXPECT_EQ(r.pdes_stats.lanes, kPods + 1);
+    EXPECT_EQ(r.pdes_stats.outbox_pairs, 2u * kPods);
+    EXPECT_GT(r.pdes_stats.outbox_bytes, 0u);
+    ExpectResultsIdentical(base, r, /*same_partition=*/false);
+  }
+}
+
 TEST(DomainEquivalenceTest, LeafSpineFctBitIdenticalAcrossDomainsAllModes) {
   // Per-leaf-group partition with the spine layer in its own domain; the
   // all-to-all shuffle makes every leaf pair exchange cross-domain

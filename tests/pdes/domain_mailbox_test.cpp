@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "../test_util.hpp"
@@ -109,8 +110,9 @@ TEST(DomainMailboxTest, SimultaneousHandoffsDeliverInEdgeOrder) {
   const Time prop = Microseconds(1);
   port_a.Connect({&sink, 0}, 100.0, prop);  // lower edge index
   port_b.Connect({&sink, 0}, 100.0, prop);
-  port_a.SetCrossLane(1);
-  port_b.SetCrossLane(1);
+  EgressPort::Outbox box(&sim, /*dst_lane=*/1);
+  port_a.SetCrossLane(&box);
+  port_b.SetCrossLane(&box);
   sim.set_domain_lookahead(prop);
 
   {
@@ -138,7 +140,8 @@ TEST(DomainMailboxTest, HandoffPreservesPacketFields) {
   SinkEndpoint sink(&sim, 7, "sink");
   EgressPort port(&sim);
   port.Connect({&sink, 3}, 100.0, Microseconds(1));
-  port.SetCrossLane(1);
+  EgressPort::Outbox box(&sim, /*dst_lane=*/1);
+  port.SetCrossLane(&box);
   sim.set_domain_lookahead(Microseconds(1));
 
   {
@@ -170,7 +173,8 @@ TEST(DomainMailboxTest, HandoffCarriesIntEntriesAndReturnsTheSourceBlock) {
   SinkEndpoint sink(&sim, 7, "sink");
   EgressPort port(&sim);
   port.Connect({&sink, 3}, 100.0, Microseconds(1));
-  port.SetCrossLane(1);
+  EgressPort::Outbox box(&sim, /*dst_lane=*/1);
+  port.SetCrossLane(&box);
   sim.set_domain_lookahead(Microseconds(1));
   PacketPool* src_pool = nullptr;
   PacketPool* dst_pool = nullptr;
@@ -210,6 +214,60 @@ TEST(DomainMailboxTest, HandoffCarriesIntEntriesAndReturnsTheSourceBlock) {
   EXPECT_EQ(std::memcmp(got.int_stack().data(), hops, sizeof(hops)), 0);
 }
 
+// Two ports of one source lane share their lane pair's outbox: sends
+// interleave in one buffer, and each packet's INT entries sit behind the
+// entries of every packet pushed before it. Each delivered packet must
+// still carry exactly its own entries, and packets arriving together must
+// still come out in edge order, not push order.
+TEST(DomainMailboxTest, SharedOutboxKeepsEachPacketsIntEntries) {
+  Simulator sim;
+  sim.Partition(2);
+  SinkEndpoint sink(&sim, 7, "sink");
+  EgressPort port_a(&sim);
+  EgressPort port_b(&sim);
+  const Time prop = Microseconds(1);
+  port_a.Connect({&sink, 0}, 100.0, prop);  // lower edge index
+  port_b.Connect({&sink, 1}, 100.0, prop);
+  EgressPort::Outbox box(&sim, /*dst_lane=*/1);
+  port_a.SetCrossLane(&box);
+  port_b.SetCrossLane(&box);
+  sim.set_domain_lookahead(prop);
+
+  // Flow f carries int_hops(f) entries whose qlen_bytes name (f, hop).
+  auto int_hops = [](FlowId f) { return static_cast<int>((f * 3) % 5); };
+  auto entry = [](FlowId f, int hop) {
+    return IntEntry{100.0, static_cast<Time>(hop), f,
+                    f * 100 + static_cast<std::uint64_t>(hop)};
+  };
+  {
+    // b's ACKs go first, so each equal-time pair is pushed b then a:
+    // flows 1 and 2 finish serializing together, then 3 and 4.
+    Simulator::ActiveLaneScope scope(&sim, 0);
+    for (const FlowId f : {FlowId{2}, FlowId{1}, FlowId{4}, FlowId{3}}) {
+      PacketPtr ack = test::MakeAck(sim.packet_pool(), 4, 7, f);
+      for (int h = 0; h < int_hops(f); ++h) ack->PushInt(entry(f, h));
+      (f % 2 == 1 ? port_a : port_b).Enqueue(std::move(ack));
+    }
+  }
+  RunPartitioned(&sim);
+
+  ASSERT_EQ(sink.received.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    const Packet& got = *sink.received[i];
+    const FlowId f = i + 1;  // edge order within each arrival instant
+    EXPECT_EQ(got.flow, f);
+    std::vector<IntEntry> want;
+    for (int h = 0; h < int_hops(f); ++h) want.push_back(entry(f, h));
+    EXPECT_EQ(std::vector<IntEntry>(got.int_stack().begin(),
+                                    got.int_stack().end()),
+              want)
+        << "flow " << f;
+  }
+  EXPECT_EQ(sink.arrival_times[0], sink.arrival_times[1]);
+  EXPECT_EQ(sink.arrival_times[2], sink.arrival_times[3]);
+  EXPECT_LT(sink.arrival_times[1], sink.arrival_times[2]);
+}
+
 // The partitioned run and the classic single-queue run of the same
 // two-port scenario agree on delivery order and delivery times.
 TEST(DomainMailboxTest, CrossLaneMatchesSingleLaneRun) {
@@ -222,9 +280,11 @@ TEST(DomainMailboxTest, CrossLaneMatchesSingleLaneRun) {
     const Time prop = Microseconds(1);
     port_a.Connect({&sink, 0}, 100.0, prop);
     port_b.Connect({&sink, 0}, 100.0, prop);
+    std::optional<EgressPort::Outbox> box;
     if (partitioned) {
-      port_a.SetCrossLane(1);
-      port_b.SetCrossLane(1);
+      box.emplace(&sim, /*dst_lane=*/1);
+      port_a.SetCrossLane(&*box);
+      port_b.SetCrossLane(&*box);
       sim.set_domain_lookahead(prop);
     }
     {
